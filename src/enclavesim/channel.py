@@ -23,7 +23,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import crypto, wire
-from .attestation import CertChain, Crl, Quote, VerificationPolicy, VerificationResult, quote_verify
+from .attestation import (
+    CertChain,
+    Crl,
+    Quote,
+    VerificationPolicy,
+    VerificationResult,
+    canonical_json,
+    quote_verify,
+)
 
 RATLS_BIND_LABEL = b"ratls-bind-v1"
 _SIG_CONTEXT = b"ratls-v1-sig"
@@ -61,7 +69,7 @@ class AttestationCertificate:
     cert_chain: CertChain
 
     def encode(self) -> bytes:
-        return _canonical({
+        return canonical_json({
             "eph_pub": self.attester_eph_pub.hex(),
             "quote": self.quote.pack().hex(),
             "chain": self.cert_chain.to_dict(),
@@ -75,10 +83,6 @@ class AttestationCertificate:
             quote=Quote.unpack(bytes.fromhex(d["quote"])),
             cert_chain=CertChain.from_dict(d["chain"]),
         )
-
-
-def _canonical(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def bind_report_data(eph_pub: bytes) -> bytes:
@@ -278,7 +282,7 @@ def _verifier_handshake(conn, policy, crl, now, verifier_signing_key):
     eph = crypto.dh_generate()
     th1 = _transcript_after_a1(a1)
     sig = crypto.sign(verifier_signing_key.private, _SIG_CONTEXT + th1 + eph.public)
-    v1 = _canonical({"eph_pub": eph.public.hex(), "sig": sig.hex()})
+    v1 = canonical_json({"eph_pub": eph.public.hex(), "sig": sig.hex()})
     try:
         wire.send_frame(conn, wire.HS_V1, v1)
     except OSError as exc:
@@ -301,7 +305,7 @@ def _verifier_handshake(conn, policy, crl, now, verifier_signing_key):
 
 def _send_hs_error(conn: socket.socket, kind: str, reason: str | None) -> None:
     try:
-        wire.send_frame(conn, wire.HS_ERROR, _canonical({"kind": kind, "reason": reason}))
+        wire.send_frame(conn, wire.HS_ERROR, canonical_json({"kind": kind, "reason": reason}))
     except OSError:
         pass
 

@@ -35,12 +35,15 @@ from .provisioning import (
     vault_load,
     vault_save,
 )
-from .workflow import DemoConfig, parse_config, workflow_demo
-
-EXIT_OK = 0
-EXIT_ATTESTATION = 1
-EXIT_INTEGRITY = 2
-EXIT_OTHER = 3
+from .workflow import (
+    EXIT_ATTESTATION,
+    EXIT_INTEGRITY,
+    EXIT_OK,
+    EXIT_OTHER,
+    DemoConfig,
+    parse_config,
+    workflow_demo,
+)
 
 
 class CliError(Exception):

@@ -307,7 +307,8 @@ def enclave_start(final: FinalManifest, host_root,
                                platform, cert_chain, isv_svn)
     for path in final.template.trusted_files:
         try:
-            content = open(instance.resolve(path), "rb").read()
+            with open(instance.resolve(path), "rb") as fh:
+                content = fh.read()
         except (EnclaveAccessError, OSError):
             raise StartError("trusted_file_mismatch", path)
         if crypto.hash_data(content) != final.trusted_file_hashes[path]:

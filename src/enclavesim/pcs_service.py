@@ -11,11 +11,14 @@ import threading
 import time
 
 from . import wire
-from .attestation import CertChain, Crl, PcsDatabase, PlatformIdentity, UnknownPlatformError
-
-
-def _canonical(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+from .attestation import (
+    CertChain,
+    Crl,
+    PcsDatabase,
+    PlatformIdentity,
+    UnknownPlatformError,
+    canonical_json,
+)
 
 
 class PcsServer:
@@ -79,7 +82,7 @@ class PcsServer:
         try:
             request = json.loads(payload) if payload else {}
         except json.JSONDecodeError:
-            wire.send_frame(conn, wire.PCS_ERROR, _canonical({"reason": "bad_request"}))
+            wire.send_frame(conn, wire.PCS_ERROR, canonical_json({"reason": "bad_request"}))
             return
 
         if frame_type == wire.PCS_FETCH_REQ:
@@ -88,18 +91,18 @@ class PcsServer:
                 chain, crl = self.db.fetch(platform_id)
             except UnknownPlatformError:
                 wire.send_frame(conn, wire.PCS_ERROR,
-                                _canonical({"reason": "unknown_platform"}))
+                                canonical_json({"reason": "unknown_platform"}))
                 return
             except (KeyError, ValueError):
-                wire.send_frame(conn, wire.PCS_ERROR, _canonical({"reason": "bad_request"}))
+                wire.send_frame(conn, wire.PCS_ERROR, canonical_json({"reason": "bad_request"}))
                 return
             wire.send_frame(conn, wire.PCS_FETCH_RESP,
-                            _canonical({"chain": chain.to_dict(), "crl": crl.to_dict()}))
+                            canonical_json({"chain": chain.to_dict(), "crl": crl.to_dict()}))
         elif frame_type == wire.PCS_REGISTER_REQ:
             tcb_level = int(request.get("tcb_level", 0))
             platform, chain = self.db.register(tcb_level, now=int(self.now_source()))
             self._persist()
-            wire.send_frame(conn, wire.PCS_REGISTER_RESP, _canonical({
+            wire.send_frame(conn, wire.PCS_REGISTER_RESP, canonical_json({
                 "platform": {
                     "platform_id": platform.platform_id.hex(),
                     "private_key": platform.signing_key.private.hex(),
@@ -113,15 +116,15 @@ class PcsServer:
                 crl = self.db.revoke(bytes.fromhex(request["platform_id"]))
             except UnknownPlatformError:
                 wire.send_frame(conn, wire.PCS_ERROR,
-                                _canonical({"reason": "unknown_platform"}))
+                                canonical_json({"reason": "unknown_platform"}))
                 return
             except (KeyError, ValueError):
-                wire.send_frame(conn, wire.PCS_ERROR, _canonical({"reason": "bad_request"}))
+                wire.send_frame(conn, wire.PCS_ERROR, canonical_json({"reason": "bad_request"}))
                 return
             self._persist()
-            wire.send_frame(conn, wire.PCS_REVOKE_RESP, _canonical({"crl": crl.to_dict()}))
+            wire.send_frame(conn, wire.PCS_REVOKE_RESP, canonical_json({"crl": crl.to_dict()}))
         else:
-            wire.send_frame(conn, wire.PCS_ERROR, _canonical({"reason": "bad_type"}))
+            wire.send_frame(conn, wire.PCS_ERROR, canonical_json({"reason": "bad_type"}))
 
     def _persist(self) -> None:
         if self.db_path is not None:
@@ -136,7 +139,7 @@ class PcsClientError(Exception):
 
 def _request(addr, frame_type: int, body: dict, expect: int) -> dict:
     with socket.create_connection(addr, timeout=10) as conn:
-        wire.send_frame(conn, frame_type, _canonical(body))
+        wire.send_frame(conn, frame_type, canonical_json(body))
         got_type, payload = wire.recv_frame(conn)
     response = json.loads(payload)
     if got_type == wire.PCS_ERROR:

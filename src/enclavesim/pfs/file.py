@@ -1,6 +1,13 @@
 """Protected file handle: transparent random-access read/write over the
 sealed container, with root-to-leaf verification on every fetched node.
 
+Each check lives in one place: `_open_header` authenticates the header
+for `ProtectedFile.open`, `info` and `verify_file`, and
+`ProtectedFile._open_node` checks and opens every MHT and data node.
+`verify_file` fetches every node through a read-only handle, so an audit
+verifies exactly what a read does, node by node, with memory bounded by
+the block cache.
+
 Writes are buffered in memory; flush reseals dirty blocks with fresh
 random nonces and rebuilds the MHT spine plus header. A flush interrupted
 mid-write can corrupt the container (detected on later reads, not
@@ -91,16 +98,7 @@ class ProtectedFile:
             raise ValueError(f"mode must be '{MODE_READ}' or '{MODE_READWRITE}'")
         fh = open(path, "r+b" if mode == MODE_READWRITE else "rb")
         try:
-            raw = fh.read(HEADER_SIZE)
-            if len(raw) < HEADER_SIZE:
-                raise IntegrityError("file shorter than the header")
-            uuid, nonce, sealed_meta = fmt.split_header(raw)
-            header_key = _node_key(master_key, uuid, fmt.KIND_HEADER, 0)
-            try:
-                meta = crypto.aead_open(header_key, nonce, fmt.header_aad(uuid), sealed_meta)
-            except crypto.AuthError:
-                raise WrongKeyError("header did not authenticate (wrong key or tampered header)")
-            label, file_size, root = fmt.unpack_meta(meta)
+            uuid, label, file_size, root = _open_header(fh, master_key)
             if label != filename_label.encode("utf-8"):
                 raise IntegrityError(
                     f"filename label mismatch: container was created as "
@@ -205,7 +203,7 @@ class ProtectedFile:
                 self._fh.seek(fmt.data_disk_offset(old_total, i))
                 sealed = self._fh.read(NODE_DISK_SIZE)
                 if len(sealed) != NODE_DISK_SIZE:
-                    raise IntegrityError(f"data block {i} truncated on disk")
+                    raise _node_error(fmt.KIND_DATA, i, "truncated on disk")
                 to_write[i] = sealed
 
         # write phase
@@ -280,15 +278,8 @@ class ProtectedFile:
         levels = fmt.mht_level_counts(self._disk_blocks)
         bottom = self._fetch_mht_plaintext(levels, len(levels) - 1, index // FANOUT)
         entry = fmt.unpack_entry(bottom, index % FANOUT)
-        total = sum(levels)
-        sealed = self._read_node(fmt.data_disk_offset(total, index), f"data block {index}")
-        if crypto.hash_data(sealed) != entry.digest:
-            raise IntegrityError(f"data block {index} digest mismatch")
-        key = _node_key(self._master_key, self.uuid, fmt.KIND_DATA, index)
-        try:
-            plain = crypto.aead_open(key, entry.nonce, fmt.node_aad(self.uuid, fmt.KIND_DATA, index), sealed)
-        except crypto.AuthError:
-            raise IntegrityError(f"data block {index} failed authentication")
+        plain = self._open_node(fmt.KIND_DATA, index, entry,
+                                fmt.data_disk_offset(sum(levels), index))
         self._cache.put(("data", index), plain)
         return plain
 
@@ -302,23 +293,24 @@ class ProtectedFile:
         else:
             parent = self._fetch_mht_plaintext(levels, level_idx - 1, j // FANOUT)
             entry = fmt.unpack_entry(parent, j % FANOUT)
-        sealed = self._read_node(fmt.mht_disk_offset(g), f"MHT node {g}")
-        if crypto.hash_data(sealed) != entry.digest:
-            raise IntegrityError(f"MHT node {g} digest mismatch")
-        key = _node_key(self._master_key, self.uuid, fmt.KIND_MHT, g)
-        try:
-            plain = crypto.aead_open(key, entry.nonce, fmt.node_aad(self.uuid, fmt.KIND_MHT, g), sealed)
-        except crypto.AuthError:
-            raise IntegrityError(f"MHT node {g} failed authentication")
+        plain = self._open_node(fmt.KIND_MHT, g, entry, fmt.mht_disk_offset(g))
         self._cache.put(("mht", g), plain)
         return plain
 
-    def _read_node(self, offset: int, what: str) -> bytes:
+    def _open_node(self, kind: str, index: int, entry: ChildEntry, offset: int) -> bytes:
+        """Read the sealed node at `offset`, check it against its parent
+        `entry` and open it; failures name the node in `IntegrityError.node`."""
         self._fh.seek(offset)
         sealed = self._fh.read(NODE_DISK_SIZE)
         if len(sealed) != NODE_DISK_SIZE:
-            raise IntegrityError(f"{what} truncated on disk")
-        return sealed
+            raise _node_error(kind, index, "truncated on disk")
+        if crypto.hash_data(sealed) != entry.digest:
+            raise _node_error(kind, index, "digest mismatch")
+        key = _node_key(self._master_key, self.uuid, kind, index)
+        try:
+            return crypto.aead_open(key, entry.nonce, fmt.node_aad(self.uuid, kind, index), sealed)
+        except crypto.AuthError:
+            raise _node_error(kind, index, "failed authentication")
 
     def _write_header(self, root: ChildEntry) -> None:
         meta = fmt.pack_meta(self.label.encode("utf-8"), self._file_size, root)
@@ -327,6 +319,23 @@ class ProtectedFile:
         sealed = crypto.aead_seal(key, nonce, fmt.header_aad(self.uuid), meta)
         self._fh.seek(0)
         self._fh.write(fmt.pack_header(self.uuid, nonce, sealed))
+
+
+def _open_header(fh, master_key: bytes) -> tuple[bytes, bytes, int, ChildEntry]:
+    """Authenticate the header region; returns (uuid, label, file_size, root)."""
+    uuid, nonce, sealed_meta = fmt.split_header(fh.read(HEADER_SIZE))
+    header_key = _node_key(master_key, uuid, fmt.KIND_HEADER, 0)
+    try:
+        meta = crypto.aead_open(header_key, nonce, fmt.header_aad(uuid), sealed_meta)
+    except crypto.AuthError:
+        raise WrongKeyError("header did not authenticate (wrong key or tampered header)")
+    return (uuid, *fmt.unpack_meta(meta))
+
+
+def _node_error(kind: str, index: int, problem: str) -> IntegrityError:
+    exc = IntegrityError(f"{kind}:{index} {problem}")
+    exc.node = f"{kind}:{index}"
+    return exc
 
 
 def _node_key(master_key: bytes, uuid: bytes, kind: str, index: int) -> bytes:
@@ -343,40 +352,30 @@ def derive_node_key(master_key: bytes, kind: str, node_index: int, file_uuid: by
 def read_uuid(path) -> bytes:
     """The container uuid, readable without the key."""
     with open(path, "rb") as fh:
-        raw = fh.read(HEADER_SIZE)
-    if len(raw) < HEADER_SIZE:
-        raise IntegrityError("file shorter than the header")
-    uuid, _, _ = fmt.split_header(raw)
-    return uuid
+        return fmt.split_header(fh.read(HEADER_SIZE))[0]
 
 
 def info(path, master_key: bytes | None = None) -> dict:
     """Container facts: uuid, node/block counts; label and logical size too
-    when the key is supplied."""
+    when the key is supplied. Reads the header only."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < HEADER_SIZE:
-        raise IntegrityError("file shorter than the header")
-    uuid, nonce, sealed_meta = fmt.split_header(data[:HEADER_SIZE])
-    body = len(data) - HEADER_SIZE
-    if body % NODE_DISK_SIZE:
+        if master_key is None:
+            uuid = fmt.split_header(fh.read(HEADER_SIZE))[0]
+        else:
+            uuid, label, file_size, _ = _open_header(fh, master_key)
+        disk_size = os.fstat(fh.fileno()).st_size
+    total_nodes, partial = divmod(disk_size - HEADER_SIZE, NODE_DISK_SIZE)
+    if partial:
         raise IntegrityError("body is not a whole number of nodes")
-    total_nodes = body // NODE_DISK_SIZE
     n_blocks = fmt.blocks_from_total_nodes(total_nodes)
     result = {
         "uuid": uuid.hex(),
         "total_nodes": total_nodes,
         "data_blocks": n_blocks,
         "mht_nodes": total_nodes - n_blocks,
-        "disk_size": len(data),
+        "disk_size": disk_size,
     }
     if master_key is not None:
-        header_key = _node_key(master_key, uuid, fmt.KIND_HEADER, 0)
-        try:
-            meta = crypto.aead_open(header_key, nonce, fmt.header_aad(uuid), sealed_meta)
-        except crypto.AuthError:
-            raise WrongKeyError("header did not authenticate (wrong key or tampered header)")
-        label, file_size, _ = fmt.unpack_meta(meta)
         if fmt.data_block_count(file_size) != n_blocks:
             raise IntegrityError("block count does not match the recorded file size")
         result["label"] = label.decode("utf-8", "replace")
@@ -385,63 +384,27 @@ def info(path, master_key: bytes | None = None) -> dict:
 
 
 def verify_file(path, master_key: bytes) -> VerifyReport:
-    """Audit every node root-to-leaf; reports the first failure instead of
-    raising."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError:
-        raise
-    if len(data) < HEADER_SIZE:
-        return VerifyReport(False, "header")
-
-    try:
-        uuid, nonce, sealed_meta = fmt.split_header(data[:HEADER_SIZE])
-        header_key = _node_key(master_key, uuid, fmt.KIND_HEADER, 0)
-        meta = crypto.aead_open(header_key, nonce, fmt.header_aad(uuid), sealed_meta)
-        label, file_size, root = fmt.unpack_meta(meta)
-    except (IntegrityError, crypto.AuthError):
-        return VerifyReport(False, "header")
-
-    n_blocks = fmt.data_block_count(file_size)
-    if len(data) != fmt.container_disk_size(n_blocks):
-        return VerifyReport(False, "structure")
-    if n_blocks == 0:
-        return VerifyReport(True)
-
-    levels = fmt.mht_level_counts(n_blocks)
-    total = sum(levels)
-
-    def node_bytes(disk_index):
-        off = HEADER_SIZE + disk_index * NODE_DISK_SIZE
-        return data[off:off + NODE_DISK_SIZE]
-
-    # walk the MHT top-down, keeping each level's verified plaintexts
-    parent_plain: list[bytes] = []
-    for level_idx, count in enumerate(levels):
-        level_plain = []
-        for j in range(count):
-            g = fmt.mht_global_index(levels, level_idx, j)
-            entry = root if level_idx == 0 else fmt.unpack_entry(parent_plain[j // FANOUT], j % FANOUT)
-            sealed = node_bytes(g)
-            if crypto.hash_data(sealed) != entry.digest:
-                return VerifyReport(False, f"mht:{g}")
-            key = _node_key(master_key, uuid, fmt.KIND_MHT, g)
-            try:
-                plain = crypto.aead_open(key, entry.nonce, fmt.node_aad(uuid, fmt.KIND_MHT, g), sealed)
-            except crypto.AuthError:
-                return VerifyReport(False, f"mht:{g}")
-            level_plain.append(plain)
-        parent_plain = level_plain
-
-    for i in range(n_blocks):
-        entry = fmt.unpack_entry(parent_plain[i // FANOUT], i % FANOUT)
-        sealed = node_bytes(total + i)
-        if crypto.hash_data(sealed) != entry.digest:
-            return VerifyReport(False, f"data:{i}")
-        key = _node_key(master_key, uuid, fmt.KIND_DATA, i)
+    """Audit every node through a read-only handle: the header, the disk
+    size, the MHT nodes by global index, then the data blocks by index.
+    Reports the first failure instead of raising."""
+    with open(path, "rb") as fh:
         try:
-            crypto.aead_open(key, entry.nonce, fmt.node_aad(uuid, fmt.KIND_DATA, i), sealed)
-        except crypto.AuthError:
-            return VerifyReport(False, f"data:{i}")
+            uuid, label, file_size, root = _open_header(fh, master_key)
+        except IntegrityError:
+            return VerifyReport(False, "header")
+        n_blocks = fmt.data_block_count(file_size)
+        if os.fstat(fh.fileno()).st_size != fmt.container_disk_size(n_blocks):
+            return VerifyReport(False, "structure")
+        handle = ProtectedFile(fh, path, master_key, uuid, label.decode("utf-8", "replace"),
+                               file_size, disk_blocks=n_blocks, disk_root=root,
+                               mode=MODE_READ, cache_capacity=DEFAULT_CAPACITY)
+        levels = fmt.mht_level_counts(n_blocks)
+        try:
+            for level_idx, count in enumerate(levels):
+                for j in range(count):
+                    handle._fetch_mht_plaintext(levels, level_idx, j)
+            for i in range(n_blocks):
+                handle._fetch_data_plaintext(i)
+        except IntegrityError as exc:
+            return VerifyReport(False, exc.node)
     return VerifyReport(True)

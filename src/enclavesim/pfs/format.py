@@ -27,6 +27,7 @@ bottom MHT level points at data blocks, upper levels at MHT nodes.
 
 from __future__ import annotations
 
+import bisect
 import struct
 from dataclasses import dataclass
 
@@ -54,6 +55,8 @@ class PfsError(Exception):
 
 class IntegrityError(PfsError):
     """Structural corruption or failed node authentication."""
+
+    node: str | None = None  # "mht:<g>" or "data:<i>" when one node failed
 
 
 class WrongKeyError(IntegrityError):
@@ -111,11 +114,15 @@ def container_disk_size(n_blocks: int) -> int:
 
 
 def blocks_from_total_nodes(total_nodes: int) -> int:
-    """Invert n + total_mht_nodes(n) == total_nodes; raises if no shape fits."""
-    for n in range(total_nodes + 1):
-        if n + total_mht_nodes(n) == total_nodes:
-            return n
-    raise IntegrityError(f"no tree shape yields {total_nodes} nodes")
+    """Invert n + total_mht_nodes(n) == total_nodes; raises if no shape fits.
+    The left side strictly increases with n, so bisect on it."""
+    def nodes(n):
+        return n + total_mht_nodes(n)
+
+    n = bisect.bisect_left(range(max(total_nodes, 0) + 1), total_nodes, key=nodes)
+    if nodes(n) != total_nodes:
+        raise IntegrityError(f"no tree shape yields {total_nodes} nodes")
+    return n
 
 
 def pack_mht_plaintext(entries: list[ChildEntry]) -> bytes:

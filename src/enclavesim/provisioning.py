@@ -18,7 +18,7 @@ import threading
 import time
 
 from . import crypto, wire
-from .attestation import VerificationPolicy, quote_verify
+from .attestation import VerificationPolicy, canonical_json, quote_verify
 from .channel import HandshakeError, QuoteProvider, SecureChannel, attester_handshake, verifier_handshake
 from .pfs import ProtectedFile, read_uuid
 
@@ -72,7 +72,7 @@ class KeyVault:
                 for name, rec in self._secrets.items()
             }
         }
-        return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return canonical_json(body)
 
     @classmethod
     def from_json(cls, data: bytes) -> "KeyVault":
@@ -211,9 +211,7 @@ class KeyServer:
                 body["secret"] = response["secret"].hex()
             else:
                 body["reason"] = response["reason"]
-            channel.send(wire.REC_PROVISION_RESP,
-                         json.dumps(body, sort_keys=True,
-                                    separators=(",", ":")).encode("utf-8"))
+            channel.send(wire.REC_PROVISION_RESP, canonical_json(body))
 
     def _evaluate(self, name: str, quote, cert) -> dict:
         record = self.vault.get(name)

@@ -1,6 +1,7 @@
 import os
 import random
 import shutil
+import tracemalloc
 
 import pytest
 
@@ -10,12 +11,14 @@ from enclavesim.pfs import (
     IntegrityError,
     ProtectedFile,
     ReadOnlyError,
+    VerifyReport,
     WrongKeyError,
     derive_node_key,
     info,
     read_uuid,
     verify_file,
 )
+from enclavesim.pfs import format as fmt
 
 KEY = bytes(range(32))
 
@@ -303,6 +306,78 @@ def test_verify_truncated_file(tmp_path):
     report = verify_file(p, KEY)
     assert not report.ok
     assert report.first_bad_node == "structure"
+
+
+def test_verify_names_the_first_bad_node(tmp_path):
+    # 65 blocks: MHT root g=0 over bottom nodes g=1 (blocks 0-63) and g=2 (block 64)
+    p = tmp_path / "f.pfs"
+    make_file(p, random.Random(41).randbytes(64 * BLOCK_SIZE + 100))
+    assert info(p)["mht_nodes"] == 3
+    pristine = p.read_bytes()
+
+    def report_after_flips(*offsets):
+        buf = bytearray(pristine)
+        for offset in offsets:
+            buf[offset] ^= 0x01
+        p.write_bytes(bytes(buf))
+        return verify_file(p, KEY).first_bad_node
+
+    def node_offset(disk_index, k):
+        return fmt.HEADER_SIZE + disk_index * fmt.NODE_DISK_SIZE + k
+
+    for offset in range(fmt.HEADER_SIZE):
+        assert report_after_flips(offset) == "header", f"header byte {offset}"
+    for g in range(3):
+        for k in (0, 11, 12, 2048, fmt.NODE_DISK_SIZE - 1):
+            assert report_after_flips(node_offset(g, k)) == f"mht:{g}"
+    for i in (0, 1, 63, 64):
+        for k in (0, BLOCK_SIZE - 1, fmt.NODE_DISK_SIZE - 1):
+            assert report_after_flips(node_offset(3 + i, k)) == f"data:{i}"
+    # order: header, then MHT nodes by global index, then data by index
+    assert report_after_flips(node_offset(2, 5), 100) == "header"
+    assert report_after_flips(node_offset(3 + 5, 0), node_offset(2, 5)) == "mht:2"
+    assert report_after_flips(node_offset(2, 5), node_offset(1, 5)) == "mht:1"
+    assert report_after_flips(node_offset(3 + 10, 0), node_offset(3 + 3, 0)) == "data:3"
+    # header before structure
+    buf = bytearray(pristine + b"\x00")
+    p.write_bytes(bytes(buf))
+    assert verify_file(p, KEY).first_bad_node == "structure"
+    buf[100] ^= 0x01
+    p.write_bytes(bytes(buf))
+    assert verify_file(p, KEY).first_bad_node == "header"
+    p.write_bytes(pristine)
+    assert verify_file(p, KEY) == VerifyReport(True)
+
+
+def test_info_and_verify_memory_is_bounded(tmp_path):
+    p = tmp_path / "big.pfs"
+    make_file(p, random.Random(43).randbytes(8 * 2 ** 20))
+    tracemalloc.start()
+    try:
+        for name, call in (("info", lambda: info(p, KEY)),
+                           ("verify_file", lambda: verify_file(p, KEY))):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak < 4 * 2 ** 20, f"{name} peaked at {peak} bytes"
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocks_from_total_nodes_inverts_the_tree_shape():
+    shapes = {n + fmt.total_mht_nodes(n): n for n in range(10_001)}
+    for total in range(10_001):
+        if total in shapes:
+            assert fmt.blocks_from_total_nodes(total) == shapes[total]
+        else:
+            with pytest.raises(IntegrityError):
+                fmt.blocks_from_total_nodes(total)
+    for n in (63, 64, 65, 4095, 4096, 4097, 64 ** 3, 64 ** 3 + 1):
+        assert fmt.blocks_from_total_nodes(n + fmt.total_mht_nodes(n)) == n
+    for total in (-1, 66, 67):
+        with pytest.raises(IntegrityError):
+            fmt.blocks_from_total_nodes(total)
 
 
 # -- key derivation -----------------------------------------------------
