@@ -74,6 +74,8 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
+        if not isinstance(d["subject"], str) or not isinstance(d["issuer"], str):
+            raise TypeError("certificate subject and issuer must be strings")
         return cls(
             subject=d["subject"],
             issuer=d["issuer"],
@@ -222,6 +224,26 @@ class VerificationResult:
 
 def canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def replace_atomically(path, write) -> None:
+    """Call write(tmp) on a sibling temp path, fsync it, then os.replace it
+    over `path`: a failure at any point leaves the old file untouched."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        write(tmp)
+        fd = os.open(tmp, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def platform_subject(platform_id: bytes) -> str:
@@ -374,9 +396,14 @@ class PcsDatabase:
         return db
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        """Atomic, and under the lock so concurrent savers never interleave."""
+        def write(tmp):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+
+        with self._lock:
+            replace_atomically(path, write)
 
     @classmethod
     def load(cls, path) -> "PcsDatabase":

@@ -77,12 +77,20 @@ class AttestationCertificate:
 
     @classmethod
     def decode(cls, payload: bytes) -> "AttestationCertificate":
-        d = json.loads(payload)
-        return cls(
+        return _read_peer_json(payload, "certificate", lambda d: cls(
             attester_eph_pub=bytes.fromhex(d["eph_pub"]),
             quote=Quote.unpack(bytes.fromhex(d["quote"])),
             cert_chain=CertChain.from_dict(d["chain"]),
-        )
+        ))
+
+
+def _read_peer_json(payload: bytes, what: str, read):
+    """read(parsed JSON payload); every malformed peer message becomes
+    HandshakeError("io") so no decoder error escapes a handshake."""
+    try:
+        return read(json.loads(payload))
+    except wire.DECODE_ERRORS as exc:
+        raise HandshakeError("io", f"malformed {what}: {exc}")
 
 
 def bind_report_data(eph_pub: bytes) -> bytes:
@@ -204,17 +212,14 @@ def _attester_handshake(conn: socket.socket, quote_provider: QuoteProvider,
         raise HandshakeError("io", str(exc))
 
     if frame_type == wire.HS_ERROR:
-        d = json.loads(payload)
-        raise HandshakeError(d.get("kind", "io"), d.get("reason"))
+        kind, reason = _read_peer_json(payload, "HS_ERROR", lambda d: (
+            d.get("kind", "io"), d.get("reason")))
+        raise HandshakeError(kind, reason)
     if frame_type != wire.HS_V1:
         raise HandshakeError("io", f"unexpected frame type {frame_type:#x}")
 
-    try:
-        d = json.loads(payload)
-        verifier_eph_pub = bytes.fromhex(d["eph_pub"])
-        sig = bytes.fromhex(d["sig"])
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise HandshakeError("io", f"malformed V1: {exc}")
+    verifier_eph_pub, sig = _read_peer_json(payload, "V1", lambda d: (
+        bytes.fromhex(d["eph_pub"]), bytes.fromhex(d["sig"])))
     th1 = _transcript_after_a1(a1)
     if not crypto.verify(verifier_pin, _SIG_CONTEXT + th1 + verifier_eph_pub, sig):
         raise HandshakeError("peer_auth_failed",
@@ -255,13 +260,14 @@ def _verifier_handshake(conn, policy, crl, now, verifier_signing_key):
     except (wire.WireError, OSError) as exc:
         raise HandshakeError("io", str(exc))
     if frame_type != wire.HS_A1:
+        _send_hs_error(conn, "io", f"unexpected frame type {frame_type:#x}")
         raise HandshakeError("io", f"unexpected frame type {frame_type:#x}")
 
     try:
         cert = AttestationCertificate.decode(a1)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        _send_hs_error(conn, "io", f"malformed certificate: {exc}")
-        raise HandshakeError("io", f"malformed certificate: {exc}")
+    except HandshakeError as exc:
+        _send_hs_error(conn, exc.kind, exc.reason)
+        raise
 
     try:
         crl_value = crl(cert.quote.platform_id) if callable(crl) else crl

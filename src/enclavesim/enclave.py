@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 from . import crypto
 from .attestation import CertChain, PlatformIdentity, Quote, quote_generate
-from .manifest import FinalManifest, Measurement, compute_measurement, path_under
+from .manifest import (
+    FinalManifest,
+    Measurement,
+    compute_measurement,
+    mount_host_path,
+    normalize_enclave_path,
+    path_under,
+)
 from .pfs import IntegrityError, ProtectedFile, WrongKeyError
 from .provisioning import client_request_key
 
@@ -37,7 +44,8 @@ CLASS_UNTRUSTED = "untrusted"
 
 
 class EnclaveAccessError(Exception):
-    """Path not visible through any declared mount."""
+    """Path not visible through any declared mount, or not a valid
+    absolute enclave path."""
 
 
 class StartError(Exception):
@@ -153,15 +161,16 @@ class RunReport:
 
 class EnclaveInstance:
     """A started enclave: measurement fixed, mounts resolved, trusted
-    files pinned. Quotes it generates always carry its own measurement."""
+    files pinned. Quotes it generates always carry its own measurement.
+    Every enclave path is made canonical before any access decision; the
+    canonical path is also the container label and the hash key."""
 
     def __init__(self, manifest: FinalManifest, measurement: Measurement,
-                 host_root, mounts, platform: PlatformIdentity | None,
+                 host_root, platform: PlatformIdentity | None,
                  cert_chain: CertChain | None, isv_svn: int):
         self.manifest = manifest
         self.measurement = measurement
         self.host_root = str(host_root)
-        self._mounts = mounts  # [(enclave_prefix, host_dir)], longest first
         self.platform = platform
         self.cert_chain = cert_chain
         self.isv_svn = isv_svn
@@ -169,48 +178,55 @@ class EnclaveInstance:
 
     # -- filesystem view ------------------------------------------------
 
+    @staticmethod
+    def _canonical(enclave_path: str) -> str:
+        try:
+            return normalize_enclave_path(enclave_path)
+        except ValueError as exc:
+            raise EnclaveAccessError(str(exc))
+
     def resolve(self, enclave_path: str) -> str:
         """Host path for an enclave path; EnclaveAccessError outside mounts."""
-        for prefix, host_dir in self._mounts:
-            if path_under(enclave_path, prefix):
-                rel = enclave_path[len(prefix.rstrip("/")):].lstrip("/")
-                return os.path.join(host_dir, rel) if rel else host_dir
-        raise EnclaveAccessError(f"path outside all mounts: {enclave_path}")
+        path = self._canonical(enclave_path)
+        host = mount_host_path(self.host_root, self.manifest.template.mounts, path)
+        if host is None:
+            raise EnclaveAccessError(f"path outside all mounts: {path}")
+        return host
 
     def path_class(self, enclave_path: str) -> str:
-        if enclave_path in self.manifest.template.trusted_files:
+        path = self._canonical(enclave_path)
+        if path in self.manifest.template.trusted_files:
             return CLASS_TRUSTED
-        if any(path_under(enclave_path, p)
-               for p in self.manifest.template.protected_files):
+        if any(path_under(path, p) for p in self.manifest.template.protected_files):
             return CLASS_PROTECTED
         return CLASS_UNTRUSTED
 
     def read_file(self, enclave_path: str) -> bytes:
         """Plaintext read of a trusted or untrusted file. Trusted files are
         re-hashed on every open and must match the manifest."""
-        cls = self.path_class(enclave_path)
+        path = self._canonical(enclave_path)
+        cls = self.path_class(path)
         if cls == CLASS_PROTECTED:
-            raise EnclaveAccessError(
-                f"{enclave_path} is protected; open it with open_protected")
-        host = self.resolve(enclave_path)
-        with open(host, "rb") as fh:
+            raise EnclaveAccessError(f"{path} is protected; open it with open_protected")
+        with open(self.resolve(path), "rb") as fh:
             content = fh.read()
         if cls == CLASS_TRUSTED:
-            expected = self.manifest.trusted_file_hashes[enclave_path]
-            if crypto.hash_data(content) != expected:
-                raise StartError("trusted_file_mismatch", enclave_path)
+            if crypto.hash_data(content) != self.manifest.trusted_file_hashes[path]:
+                raise StartError("trusted_file_mismatch", path)
         return content
 
     def open_protected(self, enclave_path: str, key: bytes,
                        mode: str = "r", create: bool = False) -> ProtectedFile:
-        """Protected container at an enclave path; the label is the enclave
-        path itself, binding the container to its location in the view."""
-        if self.path_class(enclave_path) != CLASS_PROTECTED:
-            raise EnclaveAccessError(f"{enclave_path} is not marked protected")
-        host = self.resolve(enclave_path)
+        """Protected container at an enclave path; the label is the
+        canonical enclave path, binding the container to its location in
+        the view."""
+        path = self._canonical(enclave_path)
+        if self.path_class(path) != CLASS_PROTECTED:
+            raise EnclaveAccessError(f"{path} is not marked protected")
+        host = self.resolve(path)
         if create:
-            return ProtectedFile.create(host, enclave_path, key)
-        return ProtectedFile.open(host, enclave_path, key, mode)
+            return ProtectedFile.create(host, path, key)
+        return ProtectedFile.open(host, path, key, mode)
 
     # -- attestation ----------------------------------------------------
 
@@ -295,15 +311,12 @@ def enclave_start(final: FinalManifest, host_root,
     """Compute the measurement, build the mount view, and pin every trusted
     file; any mismatch aborts the start."""
     measurement = compute_measurement(final)
-    mounts = []
     for m in final.template.mounts:
-        host_dir = os.path.join(str(host_root), m.host_path.lstrip("/"))
+        host_dir = m.host_dir(host_root)
         if not os.path.isdir(host_dir):
             raise StartError("missing_mount", f"{m.enclave_path} -> {host_dir}")
-        mounts.append((m.enclave_path.rstrip("/") or "/", host_dir))
-    mounts.sort(key=lambda pair: len(pair[0]), reverse=True)
 
-    instance = EnclaveInstance(final, measurement, host_root, mounts,
+    instance = EnclaveInstance(final, measurement, host_root,
                                platform, cert_chain, isv_svn)
     for path in final.template.trusted_files:
         try:

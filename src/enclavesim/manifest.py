@@ -11,6 +11,7 @@ configuration changes the measurement. Syntax in MANIFEST.md.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,6 +40,23 @@ class MissingFileError(Exception):
         super().__init__(f"trusted file not resolvable: {path}")
 
 
+def normalize_enclave_path(path: str) -> str:
+    """Canonical form of an absolute enclave path: empty and '.' components
+    dropped, '..' resolved. ValueError for a relative path or one that
+    would climb above '/'."""
+    if not path.startswith("/"):
+        raise ValueError(f"enclave path must be absolute: {path!r}")
+    parts: list[str] = []
+    for part in path.split("/"):
+        if part == "..":
+            if not parts:
+                raise ValueError(f"enclave path climbs above '/': {path!r}")
+            parts.pop()
+        elif part and part != ".":
+            parts.append(part)
+    return "/" + "/".join(parts)
+
+
 def path_under(path: str, prefix: str) -> bool:
     """True when `path` equals `prefix` or lies beneath it ('/' covers all)."""
     prefix = prefix.rstrip("/") or "/"
@@ -51,6 +69,25 @@ def path_under(path: str, prefix: str) -> bool:
 class MountEntry:
     host_path: str
     enclave_path: str
+
+    def host_dir(self, host_root) -> str:
+        """The mounted directory; host paths are relative to `host_root`."""
+        return os.path.join(str(host_root), self.host_path.lstrip("/"))
+
+
+def mount_host_path(host_root, mounts: list[MountEntry], enclave_path: str) -> str | None:
+    """Host path of a canonical enclave path through the mount with the
+    longest enclave prefix covering it; None when no mount covers it."""
+    best = None
+    for m in mounts:
+        if path_under(enclave_path, m.enclave_path) and \
+                (best is None or len(m.enclave_path) > len(best.enclave_path)):
+            best = m
+    if best is None:
+        return None
+    rel = enclave_path[len(best.enclave_path):].lstrip("/")
+    host_dir = best.host_dir(host_root)
+    return os.path.join(host_dir, rel) if rel else host_dir
 
 
 @dataclass
@@ -145,6 +182,13 @@ def _collect(items, allow_final: bool):
     return scalars, lists, env
 
 
+def _canonical(path: str, lineno: int) -> str:
+    try:
+        return normalize_enclave_path(path)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno)
+
+
 def _build_template(scalars, lists, env) -> ManifestTemplate:
     if "app.entrypoint" not in scalars:
         raise ParseError("missing required key 'app.entrypoint'")
@@ -176,8 +220,7 @@ def _build_template(scalars, lists, env) -> ManifestTemplate:
         host, sep, enclave = value.partition(":")
         if not sep or not host or not enclave:
             raise ParseError(f"mount must be 'host_path:enclave_path', got {value!r}", lineno)
-        if not enclave.startswith("/"):
-            raise ParseError(f"enclave mount path must be absolute: {enclave!r}", lineno)
+        enclave = _canonical(enclave, lineno)
         if enclave in seen_enclave_paths:
             raise ParseError(f"duplicate enclave mount path {enclave!r}", lineno)
         seen_enclave_paths.add(enclave)
@@ -188,6 +231,7 @@ def _build_template(scalars, lists, env) -> ManifestTemplate:
         for lineno, value in lists[key]:
             if not value:
                 raise ParseError(f"empty path for {key}", lineno)
+            value = _canonical(value, lineno)
             if value in target:
                 raise ParseError(f"duplicate path {value!r}", lineno)
             target.append(value)
@@ -273,6 +317,7 @@ def load(data: bytes) -> FinalManifest:
         path, sep, hex_digest = value.rpartition(":")
         if not sep or not path:
             raise ParseError(f"trusted_file_hash must be 'path:hex', got {value!r}", lineno)
+        path = _canonical(path, lineno)
         try:
             digest = bytes.fromhex(hex_digest)
         except ValueError:
@@ -296,18 +341,14 @@ def compute_measurement(final: FinalManifest) -> Measurement:
 def resolver_for_root(host_root, mounts: list[MountEntry]) -> Callable[[str], bytes]:
     """Resolver mapping enclave paths through `mounts` to files under
     `host_root` (mount host paths are interpreted relative to the root)."""
-    import os
 
     def resolve(enclave_path: str) -> bytes:
-        best, best_len = None, -1
-        for m in mounts:
-            prefix = m.enclave_path.rstrip("/") or "/"
-            if path_under(enclave_path, prefix) and len(prefix) > best_len:
-                best, best_len = m, len(prefix)
-        if best is None:
+        try:
+            host = mount_host_path(host_root, mounts, normalize_enclave_path(enclave_path))
+        except ValueError:
+            host = None
+        if host is None:
             raise FileNotFoundError(enclave_path)
-        rel = enclave_path[len(best.enclave_path.rstrip("/")):].lstrip("/")
-        host = os.path.join(str(host_root), best.host_path.lstrip("/"), rel)
         with open(host, "rb") as fh:
             return fh.read()
 

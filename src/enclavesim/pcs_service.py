@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import socket
-import threading
 import time
 
 from . import wire
@@ -21,110 +20,50 @@ from .attestation import (
 )
 
 
-class PcsServer:
+class PcsServer(wire.FrameServer):
     """Serves one PcsDatabase over TCP; persists after every mutation when
     a db_path is given. One thread per connection; the database's own lock
-    serializes mutations."""
+    serializes mutations. A malformed request gets a PCS_ERROR reply and
+    the connection stays open."""
 
     def __init__(self, db: PcsDatabase, host: str = "127.0.0.1", port: int = 0,
                  db_path=None, now_source=time.time):
+        super().__init__(host, port)
         self.db = db
         self.db_path = db_path
         self.now_source = now_source
-        self._listener = socket.create_server((host, port))
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._listener.getsockname()[:2]
-
-    def start(self) -> "PcsServer":
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)  # wake a blocked accept()
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._thread:
-            self._thread.join(timeout=5)
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                break
-            threading.Thread(target=self._serve_connection, args=(conn,),
-                             daemon=True).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
             while True:
                 try:
                     frame_type, payload = wire.recv_frame(conn)
+                    wire.send_frame(conn, *self._handle(frame_type, payload))
                 except (wire.WireError, OSError):
                     return
-                try:
-                    self._handle(conn, frame_type, payload)
-                except OSError:
-                    return
 
-    def _handle(self, conn, frame_type: int, payload: bytes) -> None:
+    def _handle(self, frame_type: int, payload: bytes) -> tuple[int, bytes]:
         try:
             request = json.loads(payload) if payload else {}
-        except json.JSONDecodeError:
-            wire.send_frame(conn, wire.PCS_ERROR, canonical_json({"reason": "bad_request"}))
-            return
-
-        if frame_type == wire.PCS_FETCH_REQ:
-            try:
-                platform_id = bytes.fromhex(request["platform_id"])
-                chain, crl = self.db.fetch(platform_id)
-            except UnknownPlatformError:
-                wire.send_frame(conn, wire.PCS_ERROR,
-                                canonical_json({"reason": "unknown_platform"}))
-                return
-            except (KeyError, ValueError):
-                wire.send_frame(conn, wire.PCS_ERROR, canonical_json({"reason": "bad_request"}))
-                return
-            wire.send_frame(conn, wire.PCS_FETCH_RESP,
-                            canonical_json({"chain": chain.to_dict(), "crl": crl.to_dict()}))
-        elif frame_type == wire.PCS_REGISTER_REQ:
-            tcb_level = int(request.get("tcb_level", 0))
-            platform, chain = self.db.register(tcb_level, now=int(self.now_source()))
-            self._persist()
-            wire.send_frame(conn, wire.PCS_REGISTER_RESP, canonical_json({
-                "platform": {
-                    "platform_id": platform.platform_id.hex(),
-                    "private_key": platform.signing_key.private.hex(),
-                    "public_key": platform.signing_key.public.hex(),
-                    "tcb_level": platform.tcb_level,
-                },
-                "chain": chain.to_dict(),
-            }))
-        elif frame_type == wire.PCS_REVOKE_REQ:
-            try:
+            if frame_type == wire.PCS_FETCH_REQ:
+                chain, crl = self.db.fetch(bytes.fromhex(request["platform_id"]))
+                return wire.PCS_FETCH_RESP, canonical_json(
+                    {"chain": chain.to_dict(), "crl": crl.to_dict()})
+            if frame_type == wire.PCS_REGISTER_REQ:
+                platform, chain = self.db.register(int(request.get("tcb_level", 0)),
+                                                   now=int(self.now_source()))
+                self._persist()
+                return wire.PCS_REGISTER_RESP, canonical_json(identity_to_dict(platform, chain))
+            if frame_type == wire.PCS_REVOKE_REQ:
                 crl = self.db.revoke(bytes.fromhex(request["platform_id"]))
-            except UnknownPlatformError:
-                wire.send_frame(conn, wire.PCS_ERROR,
-                                canonical_json({"reason": "unknown_platform"}))
-                return
-            except (KeyError, ValueError):
-                wire.send_frame(conn, wire.PCS_ERROR, canonical_json({"reason": "bad_request"}))
-                return
-            self._persist()
-            wire.send_frame(conn, wire.PCS_REVOKE_RESP, canonical_json({"crl": crl.to_dict()}))
-        else:
-            wire.send_frame(conn, wire.PCS_ERROR, canonical_json({"reason": "bad_type"}))
+                self._persist()
+                return wire.PCS_REVOKE_RESP, canonical_json({"crl": crl.to_dict()})
+            reason = "bad_type"
+        except UnknownPlatformError:
+            reason = "unknown_platform"
+        except wire.DECODE_ERRORS:
+            reason = "bad_request"
+        return wire.PCS_ERROR, canonical_json({"reason": reason})
 
     def _persist(self) -> None:
         if self.db_path is not None:

@@ -18,8 +18,8 @@ import threading
 import time
 
 from . import crypto, wire
-from .attestation import VerificationPolicy, canonical_json, quote_verify
-from .channel import HandshakeError, QuoteProvider, SecureChannel, attester_handshake, verifier_handshake
+from .attestation import VerificationPolicy, canonical_json, quote_verify, replace_atomically
+from .channel import QuoteProvider, SecureChannel, attester_handshake, verifier_handshake
 from .pfs import ProtectedFile, read_uuid
 
 VAULT_LABEL = "keyvault"
@@ -93,11 +93,16 @@ def _vault_key(passphrase: str, salt: bytes) -> bytes:
 
 def vault_save(vault: KeyVault, path, passphrase: str) -> None:
     """Store the vault as a protected container; dogfoods the package's
-    own storage. The fresh container uuid serves as the KDF salt."""
+    own storage. The fresh container uuid serves as the KDF salt. The old
+    vault stays in place until the new one is complete."""
     salt = crypto.random_bytes(16)
-    with ProtectedFile.create(path, VAULT_LABEL, _vault_key(passphrase, salt),
-                              file_uuid=salt) as pf:
-        pf.write(0, vault.to_json())
+
+    def write(tmp):
+        with ProtectedFile.create(tmp, VAULT_LABEL, _vault_key(passphrase, salt),
+                                  file_uuid=salt) as pf:
+            pf.write(0, vault.to_json())
+
+    replace_atomically(path, write)
 
 
 def vault_load(path, passphrase: str) -> KeyVault:
@@ -108,7 +113,7 @@ def vault_load(path, passphrase: str) -> KeyVault:
         return KeyVault.from_json(pf.read(0, pf.size))
 
 
-class KeyServer:
+class KeyServer(wire.FrameServer):
     """Accepts attested connections and serves provision requests.
 
     Per connection: verifier handshake under the session policy, then any
@@ -122,6 +127,7 @@ class KeyServer:
                  host: str = "127.0.0.1", port: int = 0,
                  now_source=time.time, idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
                  audit_path=None):
+        super().__init__(host, port)
         self.vault = vault
         self.session_policy = session_policy
         self.signing_key = signing_key
@@ -131,44 +137,10 @@ class KeyServer:
         self.audit_path = audit_path
         self.audit_log: list[dict] = []
         self._audit_lock = threading.Lock()
-        self._listener = socket.create_server((host, port))
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._listener.getsockname()[:2]
 
     @property
     def public_key(self) -> bytes:
         return self.signing_key.public
-
-    def start(self) -> "KeyServer":
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)  # wake a blocked accept()
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._thread:
-            self._thread.join(timeout=5)
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                break
-            threading.Thread(target=self._serve_connection, args=(conn,),
-                             daemon=True).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
@@ -176,8 +148,6 @@ class KeyServer:
             channel, result = verifier_handshake(
                 conn, self.session_policy, self.crl_provider,
                 int(self.now_source()), self.signing_key)
-        except (HandshakeError, OSError):
-            return
         except Exception:  # a bad client must never stop the server
             return
         try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
 
 MAX_PAYLOAD = 1 << 20
 
@@ -31,6 +32,12 @@ PCS_REGISTER_RESP = 0x33
 PCS_REVOKE_REQ = 0x34
 PCS_REVOKE_RESP = 0x35
 PCS_ERROR = 0x3f
+
+
+# what decoding a peer's JSON payload and reading its fields raises on
+# malformed input; a server maps these to an error reply
+DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+                 RecursionError)
 
 
 class WireError(Exception):
@@ -65,3 +72,47 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
         raise WireError(f"bad frame length {length}")
     body = recv_exact(sock, length)
     return body[0], body[1:]
+
+
+class FrameServer:
+    """A loopback TCP listener that serves each accepted connection on its
+    own daemon thread. Subclasses implement `_serve_connection(conn)`."""
+
+    def __init__(self, host: str, port: int):
+        self._listener = socket.create_server((host, port))
+        self._stop = threading.Event()
+        self._thread: threading.Thread | None = None
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self._listener.getsockname()[:2]
+
+    def start(self):
+        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        self._stop.set()
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)  # wake a blocked accept()
+        except OSError:
+            pass
+        try:
+            self._listener.close()
+        except OSError:
+            pass
+        if self._thread:
+            self._thread.join(timeout=5)
+
+    def _accept_loop(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                break
+            threading.Thread(target=self._serve_connection, args=(conn,),
+                             daemon=True).start()
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        raise NotImplementedError

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -117,6 +118,26 @@ def test_database_roundtrip(tmp_path, pcs):
     assert crl.sequence == pcs.current_crl().sequence
     result = quote_verify(make_quote(platform), chain, crl, policy_for(again), now=NOW)
     assert result.ok
+
+
+def test_failed_save_leaves_the_old_database(tmp_path, monkeypatch):
+    db = PcsDatabase.create(now=NOW)
+    platform, _ = db.register(tcb_level=4, now=NOW)
+    path = tmp_path / "pcs.json"
+    db.save(path)
+    before = path.read_bytes()
+    db.register(tcb_level=5, now=NOW)
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"ca_key": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        db.save(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    assert list(PcsDatabase.load(path).platforms) == [platform.platform_id]
 
 
 # -- quotes -------------------------------------------------------------

@@ -177,6 +177,67 @@ def test_verifier_fail_closed_no_v1_after_bad_quote(env):
     assert types == [wire.HS_ERROR]
 
 
+def _a1_with_leaf_subject(env, subject):
+    eph = crypto.dh_generate()
+    quote = quote_generate(env["platform"], MRE, MRS, 3, bind_report_data(eph.public))
+    d = json.loads(AttestationCertificate(eph.public, quote, env["chain"]).encode())
+    d["chain"]["attestation_key"]["subject"] = subject
+    return json.dumps(d).encode()
+
+
+MALFORMED_A1 = {
+    "not-json": (wire.HS_A1, lambda env: b"\xff"),
+    "list": (wire.HS_A1, lambda env: b"[1]"),
+    "eph-pub-not-str": (wire.HS_A1, lambda env: b'{"eph_pub": 1, "quote": "00", "chain": {}}'),
+    "deep-nesting": (wire.HS_A1, lambda env: b"[" * 100_000),
+    "subject-not-str": (wire.HS_A1, lambda env: _a1_with_leaf_subject(env, 5)),
+    "v1-first": (wire.HS_V1, lambda env: b"{}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_A1))
+def test_malformed_a1_gets_hs_error_io(env, name):
+    a_sock, v_sock = socket.socketpair()
+    thread, ver = run_verifier(env, v_sock)
+    frame_type, make_payload = MALFORMED_A1[name]
+    wire.send_frame(a_sock, frame_type, make_payload(env))
+    frames = []
+    try:
+        while True:
+            frames.append(wire.recv_frame(a_sock))
+    except (wire.ConnectionClosedError, OSError):
+        pass
+    thread.join()
+    a_sock.close()
+    assert [t for t, _ in frames] == [wire.HS_ERROR]
+    assert json.loads(frames[0][1])["kind"] == "io"
+    assert isinstance(ver.error, HandshakeError)
+    assert ver.error.kind == "io"
+
+
+@pytest.mark.parametrize("frame_type,payload", [
+    (wire.HS_V1, b"[1]"),
+    (wire.HS_V1, b'{"eph_pub": 1, "sig": "00"}'),
+    (wire.HS_V1, b"\xff"),
+    (wire.HS_ERROR, b"\xff"),
+    (wire.HS_ERROR, b'["attestation_failed"]'),
+], ids=["v1-list", "v1-eph-pub-not-str", "v1-not-json", "error-not-json", "error-list"])
+def test_malformed_verifier_reply_is_a_handshake_io_error(env, frame_type, payload):
+    a_sock, v_sock = socket.socketpair()
+
+    def fake_verifier():
+        wire.recv_frame(v_sock)
+        wire.send_frame(v_sock, frame_type, payload)
+
+    thread = threading.Thread(target=fake_verifier)
+    thread.start()
+    with pytest.raises(HandshakeError) as info:
+        attester_handshake(a_sock, provider_for(env), env["verifier_key"].public)
+    thread.join()
+    v_sock.close()
+    assert info.value.kind == "io"
+
+
 def test_relay_adversary_caught_by_binding(env):
     # adversary forwards the victim's genuine certificate but swaps in its
     # own ephemeral key, hoping to terminate the key agreement itself

@@ -1,6 +1,9 @@
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enclavesim import crypto
 from enclavesim.attestation import PcsDatabase, VerificationPolicy
@@ -131,6 +134,88 @@ def test_trusted_file_reread_checks_hash(tmp_path):
     (root / "app" / "workload.json").write_bytes(b"swapped after start")
     with pytest.raises(StartError):
         instance.read_file("/app/workload.json")
+
+
+def test_dotdot_cannot_leave_the_mounts(tmp_path):
+    root, final, _ = build_deployment(tmp_path)
+    (root / "outside.txt").write_bytes(b"host file outside every mount")
+    instance = enclave_start(final, root)
+    for path in ("/app/../outside.txt", "/app/../../outside.txt", "/.."):
+        with pytest.raises(EnclaveAccessError):
+            instance.read_file(path)
+    with pytest.raises(EnclaveAccessError):
+        instance.resolve("/app/../../cloud/outside.txt")
+
+
+@pytest.mark.parametrize("spelling", ["/app//workload.json", "/app/./workload.json",
+                                      "/data/../app/workload.json"])
+def test_swapped_trusted_file_is_rechecked_under_any_spelling(tmp_path, spelling):
+    root, final, _ = build_deployment(tmp_path)
+    instance = enclave_start(final, root)
+    assert instance.read_file(spelling) == WORKLOAD.to_json()
+    (root / "app" / "workload.json").write_bytes(b"swapped after start")
+    with pytest.raises(StartError) as exc:
+        instance.read_file(spelling)
+    assert exc.value.kind == "trusted_file_mismatch"
+    assert exc.value.detail == "/app/workload.json"
+
+
+def test_protected_label_is_the_canonical_path(tmp_path):
+    root, final, _ = build_deployment(tmp_path)
+    instance = enclave_start(final, root)
+    with instance.open_protected("/data//./model.pfs", MASTER_KEY) as pf:
+        assert pf.label == "/data/model.pfs"
+
+
+@pytest.fixture(scope="module")
+def started(tmp_path_factory):
+    root, final, _ = build_deployment(tmp_path_factory.mktemp("spelling"))
+    return enclave_start(final, root), str(root)
+
+
+CANONICAL_PATHS = ["/", "/app", "/app/workload.json", "/app/other", "/data",
+                   "/data/model.pfs", "/data/sub/out.pfs", "/etc/passwd"]
+
+
+@st.composite
+def respelled(draw, path):
+    """`path` with `//`, `/./` and `x/../` inserted between its components."""
+    out = []
+    for part in [p for p in path.split("/") if p] + [None]:
+        out.extend(draw(st.lists(st.sampled_from(["", ".", "x/..", "app/.."]), max_size=2)))
+        if part is not None:
+            out.append(part)
+    return "/" + "/".join(out)
+
+
+def _outcome(fn, path):
+    try:
+        return fn(path)
+    except EnclaveAccessError:
+        return "denied"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_no_spelling_changes_class_or_resolution(started, data):
+    instance, _ = started
+    path = data.draw(st.sampled_from(CANONICAL_PATHS))
+    spelled = data.draw(respelled(path))
+    assert instance.path_class(spelled) == instance.path_class(path)
+    assert _outcome(instance.resolve, spelled) == _outcome(instance.resolve, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.sampled_from(["app", "data", "..", ".", "", "x", "workload.json"]),
+                      max_size=8))
+def test_resolve_never_leaves_its_mount(started, parts):
+    instance, root = started
+    host = _outcome(instance.resolve, "/" + "/".join(parts))
+    if host == "denied":
+        return
+    host = os.path.normpath(host)
+    assert any(host == d or host.startswith(d + os.sep)
+               for d in (os.path.join(root, "app"), os.path.join(root, "data")))
 
 
 # -- workload -----------------------------------------------------------

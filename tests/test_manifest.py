@@ -103,6 +103,54 @@ def test_relative_enclave_mount_rejected():
         parse_template(MINIMAL.replace("data:/data", "data:data"))
 
 
+@pytest.mark.parametrize("extra,message", [
+    ("fs.mount = other:/data/\n", "duplicate enclave mount"),
+    ("fs.mount = other:/x/../data\n", "duplicate enclave mount"),
+    ("fs.mount = other:/../data\n", "climbs above"),
+    ("sgx.trusted_file = data/x\n", "absolute"),
+    ("sgx.protected_file = /x/../..\n", "climbs above"),
+    ("sgx.protected_file = /data\nsgx.protected_file = /app/../data\n", "duplicate path"),
+    ("sgx.trusted_file = /data/x\nsgx.protected_file = /data//x\n", "both trusted and protected"),
+], ids=["mount-trailing-slash", "mount-dotdot", "mount-above-root", "trusted-relative",
+        "protected-above-root", "protected-dotdot-duplicate", "trusted-and-protected"])
+def test_non_canonical_duplicates_and_escapes_rejected(extra, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_template(MINIMAL + extra)
+    if "both" not in message:
+        assert exc.value.line == len(MINIMAL.splitlines()) + extra.count("\n")
+
+
+def test_enclave_paths_are_stored_canonical():
+    spelled = FULL.replace("app:/app", "app:/app/").replace(
+        "= /app/config", "= /app/./config").replace("= /data", "= /x/..//data/")
+    assert spelled != FULL
+    files = resolver({"/app/config": b"cfg"})
+    assert serialize(sign_manifest(parse_template(spelled), files)) == \
+        serialize(sign_manifest(parse_template(FULL), files))
+
+
+def test_load_canonicalizes_hash_paths():
+    data = serialize(demo_final())
+    respelled = data.replace(b"sgx.trusted_file_hash = /app/config:",
+                             b"sgx.trusted_file_hash = /app//config:")
+    assert respelled != data
+    assert serialize(load(respelled)) == data
+
+
+@pytest.mark.parametrize("path,canonical", [
+    ("/", "/"), ("//", "/"), ("/a/./b/", "/a/b"), ("/a//b", "/a/b"), ("/a/../b", "/b"),
+    ("/a/b/..", "/a"), ("/a/..", "/"), ("/./.", "/"), ("/.../x", "/.../x"),
+])
+def test_normalize_enclave_path(path, canonical):
+    assert manifest.normalize_enclave_path(path) == canonical
+
+
+@pytest.mark.parametrize("path", ["", "a", "./a", "/..", "/a/../..", "/../a"])
+def test_normalize_enclave_path_rejects(path):
+    with pytest.raises(ValueError):
+        manifest.normalize_enclave_path(path)
+
+
 def test_duplicate_mount_target_rejected():
     with pytest.raises(ParseError, match="duplicate enclave mount"):
         parse_template(MINIMAL + "fs.mount = other:/data\n")

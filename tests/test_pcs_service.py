@@ -1,10 +1,25 @@
-import pytest
+import json
+import socket
+import threading
 
-from enclavesim.attestation import PcsDatabase, VerificationPolicy, quote_generate, quote_verify
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from enclavesim import wire
+from enclavesim.attestation import (
+    PcsDatabase,
+    VerificationPolicy,
+    canonical_json,
+    quote_generate,
+    quote_verify,
+)
 from enclavesim.pcs_service import (
     PcsClientError,
     PcsServer,
     fetch_platform,
+    identity_from_dict,
+    identity_to_dict,
     register_platform,
     revoke_platform,
 )
@@ -60,3 +75,75 @@ def test_crl_signature_survives_wire_roundtrip(server):
     quote = quote_generate(platform, b"\x01" * 32, b"\x02" * 32, 1, b"\x00" * 64)
     result = quote_verify(quote, chain, crl, policy, NOW)
     assert result.ok
+
+
+def test_register_response_is_the_canonical_identity(server):
+    with socket.create_connection(server.address, timeout=10) as conn:
+        wire.send_frame(conn, wire.PCS_REGISTER_REQ, canonical_json({"tcb_level": 4}))
+        frame_type, payload = wire.recv_frame(conn)
+    assert frame_type == wire.PCS_REGISTER_RESP
+    platform, chain = identity_from_dict(json.loads(payload))
+    assert payload == canonical_json(identity_to_dict(platform, chain))
+    assert platform.tcb_level == 4
+
+
+MALFORMED_REQUESTS = [
+    (wire.PCS_REGISTER_REQ, b'{"tcb_level":"x"}', "bad_request"),
+    (wire.PCS_FETCH_REQ, b"[1]", "bad_request"),
+    (wire.PCS_REVOKE_REQ, b'"s"', "bad_request"),
+    (wire.PCS_FETCH_REQ, b'{"platform_id":5}', "bad_request"),
+    (wire.PCS_REGISTER_REQ, b"\xff", "bad_request"),
+    (wire.PCS_REGISTER_REQ, b'{"tcb_level":Infinity}', "bad_request"),
+    (wire.PCS_FETCH_REQ, b"[" * 100_000, "bad_request"),
+    (0x3e, b"{}", "bad_type"),
+]
+MALFORMED_IDS = ["register-tcb-not-int", "fetch-list", "revoke-string", "fetch-id-not-str",
+                 "register-not-utf8", "register-tcb-infinite", "fetch-deep-nesting",
+                 "unknown-type"]
+
+
+@pytest.mark.parametrize("frame_type,payload,reason", MALFORMED_REQUESTS, ids=MALFORMED_IDS)
+def test_malformed_request_gets_an_error_reply_and_the_connection_lives(
+        server, monkeypatch, frame_type, payload, reason):
+    platform, _ = register_platform(server.address, tcb_level=3)
+    crashed = []
+    monkeypatch.setattr(threading, "excepthook", crashed.append)
+    with socket.create_connection(server.address, timeout=10) as conn:
+        wire.send_frame(conn, frame_type, payload)
+        assert wire.recv_frame(conn) == (wire.PCS_ERROR,
+                                         canonical_json({"reason": reason}))
+        wire.send_frame(conn, wire.PCS_FETCH_REQ,
+                        canonical_json({"platform_id": platform.platform_id.hex()}))
+        frame_type, body = wire.recv_frame(conn)
+    assert frame_type == wire.PCS_FETCH_RESP
+    assert json.loads(body)["chain"]["attestation_key"]["subject"] \
+        == f"platform:{platform.platform_id.hex()}"
+    assert crashed == []
+
+
+@pytest.fixture(scope="module")
+def idle_server():
+    srv = PcsServer(PcsDatabase.create(now=NOW), now_source=lambda: NOW)
+    yield srv
+    srv.stop()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=40),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["platform_id", "tcb_level", "x"]) | st.text(max_size=8),
+                      inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_type=st.sampled_from([wire.PCS_FETCH_REQ, wire.PCS_REGISTER_REQ,
+                                   wire.PCS_REVOKE_REQ, wire.PCS_ERROR]),
+       payload=st.binary(max_size=48) | json_values.map(
+           lambda v: json.dumps(v).encode("utf-8")))
+def test_any_request_payload_gets_a_typed_reply(idle_server, frame_type, payload):
+    reply_type, body = idle_server._handle(frame_type, payload)
+    if reply_type == wire.PCS_ERROR:
+        assert json.loads(body)["reason"] in ("unknown_platform", "bad_request", "bad_type")
+    else:
+        assert reply_type == frame_type + 1

@@ -84,6 +84,22 @@ def test_vault_tamper_detected(tmp_path, env):
         vault_load(path, "hunter2")
 
 
+def test_failed_vault_save_leaves_the_old_vault(tmp_path, env, monkeypatch):
+    path = tmp_path / "vault.pfs"
+    vault_save(make_vault(env), path, "hunter2")
+    before = path.read_bytes()
+
+    def fail(self):
+        raise VaultError("serialization failed")
+
+    monkeypatch.setattr(KeyVault, "to_json", fail)
+    with pytest.raises(VaultError):
+        vault_save(KeyVault(), path, "hunter2")
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    assert vault_load(path, "hunter2").get("pfs-master")["secret"] == SECRET
+
+
 def test_vault_name_and_secret_bounds(env):
     vault = KeyVault()
     policy = VerificationPolicy(accepted_root=b"\x00" * 32, expected_mr_enclave=MRE)
