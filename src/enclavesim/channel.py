@@ -93,6 +93,13 @@ def _read_peer_json(payload: bytes, what: str, read):
         raise HandshakeError("io", f"malformed {what}: {exc}")
 
 
+def _hs_error_fields(d: dict) -> tuple[str, str | None]:
+    kind, reason = d.get("kind", "io"), d.get("reason")
+    if not isinstance(kind, str) or not (reason is None or isinstance(reason, str)):
+        raise TypeError("HS_ERROR kind or reason is not a string")
+    return kind, reason
+
+
 def bind_report_data(eph_pub: bytes) -> bytes:
     """report_data committing to the ephemeral key: the 32-byte binding
     hash, left-padded with zeros to the 64-byte quote field."""
@@ -212,8 +219,7 @@ def _attester_handshake(conn: socket.socket, quote_provider: QuoteProvider,
         raise HandshakeError("io", str(exc))
 
     if frame_type == wire.HS_ERROR:
-        kind, reason = _read_peer_json(payload, "HS_ERROR", lambda d: (
-            d.get("kind", "io"), d.get("reason")))
+        kind, reason = _read_peer_json(payload, "HS_ERROR", _hs_error_fields)
         raise HandshakeError(kind, reason)
     if frame_type != wire.HS_V1:
         raise HandshakeError("io", f"unexpected frame type {frame_type:#x}")

@@ -8,14 +8,15 @@ for `ProtectedFile.open`, `info` and `verify_file`, and
 verifies exactly what a read does, node by node, with memory bounded by
 the block cache.
 
-Writes are buffered in memory; flush reseals dirty blocks with fresh
-random nonces and rebuilds the MHT spine plus header. A flush interrupted
+Writes are buffered in memory; flush reseals dirty blocks and their MHT
+ancestors with fresh random nonces, then the header. A flush interrupted
 mid-write can corrupt the container (detected on later reads, not
 recovered) -- there is deliberately no journaling.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ from .format import (
     PfsError,
     WrongKeyError,
 )
+
+ZERO_BLOCK = b"\x00" * BLOCK_SIZE
 
 MODE_READ = "r"
 MODE_READWRITE = "rw"
@@ -162,73 +165,76 @@ class ProtectedFile:
         self._file_size = max(self._file_size, end)
 
     def flush(self) -> None:
-        """Reseal dirty blocks with fresh nonces, rebuild the MHT and header.
-        No-op when nothing changed since the last flush."""
+        """Reseal the dirty data blocks and their MHT ancestors with fresh
+        nonces, then the header. When the tree shape changes, every MHT
+        node gets a new global index and every data block a new offset, so
+        all of them are rewritten. No-op when nothing changed since the
+        last flush."""
         self._check_open()
-        if not self._dirty and fmt.data_block_count(self._file_size) == self._disk_blocks:
+        new_n = fmt.data_block_count(self._file_size)
+        if not self._dirty and new_n == self._disk_blocks:
             return
         if self._mode != MODE_READWRITE:
             return
 
         old_n = self._disk_blocks
-        old_total = fmt.total_mht_nodes(old_n)
-        new_n = fmt.data_block_count(self._file_size)
+        old_levels = fmt.mht_level_counts(old_n)
         new_levels = fmt.mht_level_counts(new_n)
-        new_total = sum(new_levels)
+        old_total, new_total = sum(old_levels), sum(new_levels)
         relocate = new_total != old_total
 
-        # collect phase: nothing on disk is modified until every byte that
-        # the new layout needs has been read (blocks shift when the MHT
-        # node count changes)
-        entries: dict[int, ChildEntry] = {}
-        if old_n:
-            old_levels = fmt.mht_level_counts(old_n)
-            bottom = len(old_levels) - 1
-            for j in range(old_levels[bottom]):
-                plain = self._fetch_mht_plaintext(old_levels, bottom, j)
-                for slot in range(min(FANOUT, old_n - j * FANOUT)):
-                    entries[j * FANOUT + slot] = fmt.unpack_entry(plain, slot)
+        # collect phase: every read happens before the first write, because
+        # after a change of tree shape new nodes land on the offsets of old ones
+        sealed_at: dict[int, bytes] = {}
+        changed: dict[int, ChildEntry] = {}
+        for i in self._dirty.keys() | range(old_n, new_n):
+            plain = self._dirty.get(i)
+            sealed, changed[i] = self._seal_node(
+                fmt.KIND_DATA, i, ZERO_BLOCK if plain is None else bytes(plain))
+            sealed_at[fmt.data_disk_offset(new_total, i)] = sealed
+        if relocate:
+            for i in range(old_n):
+                if i not in changed:
+                    self._fh.seek(fmt.data_disk_offset(old_total, i))
+                    sealed = self._fh.read(NODE_DISK_SIZE)
+                    if len(sealed) != NODE_DISK_SIZE:
+                        raise _node_error(fmt.KIND_DATA, i, "truncated on disk")
+                    sealed_at[fmt.data_disk_offset(new_total, i)] = sealed
 
-        to_write: dict[int, bytes] = {}
-        for i in range(new_n):
-            if i in self._dirty:
-                sealed, entry = self._seal_data_block(i, bytes(self._dirty[i]))
-                to_write[i] = sealed
-                entries[i] = entry
-            elif i >= old_n:
-                sealed, entry = self._seal_data_block(i, b"\x00" * BLOCK_SIZE)
-                to_write[i] = sealed
-                entries[i] = entry
-            elif relocate:
-                self._fh.seek(fmt.data_disk_offset(old_total, i))
-                sealed = self._fh.read(NODE_DISK_SIZE)
-                if len(sealed) != NODE_DISK_SIZE:
-                    raise _node_error(fmt.KIND_DATA, i, "truncated on disk")
-                to_write[i] = sealed
-
-        # write phase
-        for i, sealed in to_write.items():
-            self._fh.seek(fmt.data_disk_offset(new_total, i))
-            self._fh.write(sealed)
-
-        child_entries = [entries[i] for i in range(new_n)]
-        root = fmt.ZERO_ENTRY
-        for level_idx in range(len(new_levels) - 1, -1, -1):
-            level_entries = []
-            for j in range(new_levels[level_idx]):
-                node_entries = child_entries[j * FANOUT:(j + 1) * FANOUT]
-                plain = fmt.pack_mht_plaintext(node_entries)
+        # bottom-up: a node is dirty when a child changed, or always when the
+        # shape changed (its key and AAD follow its global index); it starts
+        # from the old node at the same height, verified through the old tree
+        for level_idx in reversed(range(len(new_levels))):
+            old_idx = level_idx + len(old_levels) - len(new_levels)
+            slots: dict[int, list[tuple[int, ChildEntry]]] = (
+                {j: [] for j in range(new_levels[level_idx])} if relocate else {})
+            for child, entry in changed.items():
+                slots.setdefault(child // FANOUT, []).append((child % FANOUT, entry))
+            changed = {}
+            for j, patches in slots.items():
+                if old_idx >= 0 and j < old_levels[old_idx]:
+                    plain = bytearray(self._fetch_mht_plaintext(old_levels, old_idx, j))
+                else:
+                    plain = bytearray(BLOCK_SIZE)
+                for slot, entry in patches:
+                    fmt.set_entry(plain, slot, entry)
                 g = fmt.mht_global_index(new_levels, level_idx, j)
-                key = _node_key(self._master_key, self.uuid, fmt.KIND_MHT, g)
-                nonce = os.urandom(fmt.NONCE_SIZE)
-                sealed = crypto.aead_seal(key, nonce, fmt.node_aad(self.uuid, fmt.KIND_MHT, g), plain)
-                self._fh.seek(fmt.mht_disk_offset(g))
-                self._fh.write(sealed)
-                level_entries.append(ChildEntry(nonce, crypto.hash_data(sealed)))
-            child_entries = level_entries
-        if new_levels:
-            root = child_entries[0]
+                sealed, changed[j] = self._seal_node(fmt.KIND_MHT, g, bytes(plain))
+                sealed_at[fmt.mht_disk_offset(g)] = sealed
+        root = changed[0] if new_levels else fmt.ZERO_ENTRY
 
+        # write phase: one seek and write per run of adjacent nodes (within a
+        # run, offset minus rank times the node size is constant); each node
+        # is dropped once copied, so the run's buffer never doubles memory
+        offsets = sorted(sealed_at)
+        for _, run in itertools.groupby(
+                enumerate(offsets), lambda pos: pos[1] - pos[0] * NODE_DISK_SIZE):
+            run = [offset for _, offset in run]
+            buf = bytearray()
+            for offset in run:
+                buf += sealed_at.pop(offset)
+            self._fh.seek(run[0])
+            self._fh.write(buf)
         self._write_header(root)
         self._fh.truncate(fmt.container_disk_size(new_n))
         self._fh.flush()
@@ -258,17 +264,17 @@ class ProtectedFile:
         if self._closed:
             raise PfsError("handle is closed")
 
-    def _seal_data_block(self, index: int, plaintext: bytes) -> tuple[bytes, ChildEntry]:
-        key = _node_key(self._master_key, self.uuid, fmt.KIND_DATA, index)
+    def _seal_node(self, kind: str, index: int, plaintext: bytes) -> tuple[bytes, ChildEntry]:
+        key = _node_key(self._master_key, self.uuid, kind, index)
         nonce = os.urandom(fmt.NONCE_SIZE)
-        sealed = crypto.aead_seal(key, nonce, fmt.node_aad(self.uuid, fmt.KIND_DATA, index), plaintext)
+        sealed = crypto.aead_seal(key, nonce, fmt.node_aad(self.uuid, kind, index), plaintext)
         return sealed, ChildEntry(nonce, crypto.hash_data(sealed))
 
     def _block_plaintext(self, index: int) -> bytes:
         if index in self._dirty:
             return bytes(self._dirty[index])
         if index >= self._disk_blocks:
-            return b"\x00" * BLOCK_SIZE
+            return ZERO_BLOCK
         return self._fetch_data_plaintext(index)
 
     def _fetch_data_plaintext(self, index: int) -> bytes:
@@ -386,7 +392,8 @@ def info(path, master_key: bytes | None = None) -> dict:
 def verify_file(path, master_key: bytes) -> VerifyReport:
     """Audit every node through a read-only handle: the header, the disk
     size, the MHT nodes by global index, then the data blocks by index.
-    Reports the first failure instead of raising."""
+    Each node is opened once while the MHT fits the block cache. Reports
+    the first failure instead of raising."""
     with open(path, "rb") as fh:
         try:
             uuid, label, file_size, root = _open_header(fh, master_key)
@@ -399,12 +406,17 @@ def verify_file(path, master_key: bytes) -> VerifyReport:
                                file_size, disk_blocks=n_blocks, disk_root=root,
                                mode=MODE_READ, cache_capacity=DEFAULT_CAPACITY)
         levels = fmt.mht_level_counts(n_blocks)
+        total = sum(levels)
         try:
             for level_idx, count in enumerate(levels):
                 for j in range(count):
                     handle._fetch_mht_plaintext(levels, level_idx, j)
-            for i in range(n_blocks):
-                handle._fetch_data_plaintext(i)
+            # data blocks bypass the cache, so they never evict the MHT nodes
+            for j in range(levels[-1] if levels else 0):
+                bottom = handle._fetch_mht_plaintext(levels, len(levels) - 1, j)
+                for i in range(j * FANOUT, min((j + 1) * FANOUT, n_blocks)):
+                    handle._open_node(fmt.KIND_DATA, i, fmt.unpack_entry(bottom, i % FANOUT),
+                                      fmt.data_disk_offset(total, i))
         except IntegrityError as exc:
             return VerifyReport(False, exc.node)
     return VerifyReport(True)

@@ -125,11 +125,11 @@ def blocks_from_total_nodes(total_nodes: int) -> int:
     return n
 
 
-def pack_mht_plaintext(entries: list[ChildEntry]) -> bytes:
-    if len(entries) > FANOUT:
-        raise ValueError("too many entries for one MHT node")
-    body = b"".join(e.pack() for e in entries)
-    return body + b"\x00" * (BLOCK_SIZE - len(body))
+def set_entry(plaintext: bytearray, slot: int, entry: ChildEntry) -> None:
+    """Overwrite child entry `slot` of an MHT node plaintext in place."""
+    if not 0 <= slot < FANOUT:
+        raise ValueError("no such slot in an MHT node")
+    plaintext[slot * ENTRY_SIZE:(slot + 1) * ENTRY_SIZE] = entry.pack()
 
 
 def unpack_entry(plaintext: bytes, slot: int) -> ChildEntry:

@@ -172,9 +172,12 @@ class KeyServer(wire.FrameServer):
                 return
             try:
                 name = json.loads(payload)["name"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                return
-            response = self._evaluate(name, quote, cert)
+                if not isinstance(name, str):
+                    raise TypeError("secret name is not a string")
+            except wire.DECODE_ERRORS:
+                name, response = None, {"outcome": "denied", "reason": "bad_request"}
+            else:
+                response = self._evaluate(name, quote, cert)
             self._audit(quote, name, response)
             body = {"outcome": response["outcome"]}
             if response["outcome"] == "granted":
@@ -195,7 +198,7 @@ class KeyServer(wire.FrameServer):
             return {"outcome": "denied", "reason": "policy_mismatch"}
         return {"outcome": "granted", "secret": record["secret"]}
 
-    def _audit(self, quote, name: str, response: dict) -> None:
+    def _audit(self, quote, name: str | None, response: dict) -> None:
         entry = {
             "timestamp": int(self.now_source()),
             "platform_id": quote.platform_id.hex(),

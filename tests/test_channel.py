@@ -221,7 +221,11 @@ def test_malformed_a1_gets_hs_error_io(env, name):
     (wire.HS_V1, b"\xff"),
     (wire.HS_ERROR, b"\xff"),
     (wire.HS_ERROR, b'["attestation_failed"]'),
-], ids=["v1-list", "v1-eph-pub-not-str", "v1-not-json", "error-not-json", "error-list"])
+    (wire.HS_ERROR, b'{"kind": 7, "reason": ["x"]}'),
+    (wire.HS_ERROR, b'{"kind": 7}'),
+    (wire.HS_ERROR, b'{"kind": "attestation_failed", "reason": ["x"]}'),
+], ids=["v1-list", "v1-eph-pub-not-str", "v1-not-json", "error-not-json", "error-list",
+        "error-kind-not-str", "error-kind-int-no-reason", "error-reason-list"])
 def test_malformed_verifier_reply_is_a_handshake_io_error(env, frame_type, payload):
     a_sock, v_sock = socket.socketpair()
 

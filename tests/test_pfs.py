@@ -1,9 +1,13 @@
 import os
 import random
 import shutil
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from enclavesim import crypto
 from enclavesim.pfs import (
@@ -349,6 +353,22 @@ def test_verify_names_the_first_bad_node(tmp_path):
     assert verify_file(p, KEY) == VerifyReport(True)
 
 
+def test_verify_opens_each_node_once(tmp_path, monkeypatch):
+    # 320 blocks: 1 header, 6 MHT nodes (root over 5 bottom nodes), 320 data blocks
+    p = tmp_path / "f.pfs"
+    make_file(p, random.Random(47).randbytes(320 * BLOCK_SIZE))
+    opens = []
+    real_open = crypto.aead_open
+
+    def counting_open(*args):
+        opens.append(args)
+        return real_open(*args)
+
+    monkeypatch.setattr(crypto, "aead_open", counting_open)
+    assert verify_file(p, KEY).ok
+    assert len(opens) == 1 + 6 + 320
+
+
 def test_info_and_verify_memory_is_bounded(tmp_path):
     p = tmp_path / "big.pfs"
     make_file(p, random.Random(43).randbytes(8 * 2 ** 20))
@@ -509,3 +529,200 @@ def _flip_byte(path, offset, mask=0x01):
     buf = bytearray(path.read_bytes())
     buf[offset] ^= mask
     path.write_bytes(bytes(buf))
+
+
+# -- flush locality ---------------------------------------------------------
+
+def node_bytes(raw, disk_index):
+    start = fmt.HEADER_SIZE + disk_index * fmt.NODE_DISK_SIZE
+    return raw[start:start + fmt.NODE_DISK_SIZE]
+
+
+def test_one_byte_update_reseals_only_its_spine(tmp_path, monkeypatch):
+    # 4160 blocks: three MHT levels of 1, 2 and 65 nodes
+    n_blocks, block = 4160, 2000
+    p = tmp_path / "deep.pfs"
+    make_file(p, random.Random(53).randbytes(n_blocks * BLOCK_SIZE))
+    levels = fmt.mht_level_counts(n_blocks)
+    assert levels == [1, 2, 65]
+    before = p.read_bytes()
+
+    seals = []
+    real_seal = crypto.aead_seal
+
+    def counting_seal(*args):
+        seals.append(args)
+        return real_seal(*args)
+
+    monkeypatch.setattr(crypto, "aead_seal", counting_seal)
+    with ProtectedFile.open(p, "file.bin", KEY, mode="rw") as pf:
+        pf.write(block * BLOCK_SIZE + 7, b"\xa5")
+    after = p.read_bytes()
+
+    assert len(seals) == 5  # data block, three MHT ancestors, header
+    assert len(after) == len(before)
+    assert after[:fmt.HEADER_SIZE] != before[:fmt.HEADER_SIZE]
+    total = sum(levels)
+    changed = {d for d in range(total + n_blocks)
+               if node_bytes(after, d) != node_bytes(before, d)}
+    ancestors = {fmt.mht_global_index(levels, level, block // fmt.FANOUT ** (len(levels) - level))
+                 for level in range(len(levels))}
+    assert ancestors == {0, 1, 3 + 31}
+    assert changed == ancestors | {total + block}
+    assert verify_file(p, KEY).ok
+
+
+# -- crash injection ------------------------------------------------------
+
+class InjectedCrash(Exception):
+    pass
+
+
+class CrashingFile:
+    """Stands in for a container's file object. Counts `write` calls; the
+    one numbered `crash_at` (from 0) writes only `prefix` bytes of its
+    buffer (all of them when None) and then raises."""
+
+    def __init__(self, fh, crash_at=None, prefix=None):
+        self._fh = fh
+        self.crash_at = crash_at
+        self.prefix = prefix
+        self.writes = 0
+
+    def write(self, buf):
+        k = self.writes
+        self.writes += 1
+        if k == self.crash_at:
+            self._fh.write(buf if self.prefix is None else buf[:self.prefix])
+            raise InjectedCrash(f"write {k}")
+        return self._fh.write(buf)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def apply_writes(target, writes):
+    for offset, data in writes:
+        target[offset:offset + len(data)] = data
+
+
+CRASH_CASES = {
+    # 100 blocks, two far-apart blocks change in place: the MHT run, two
+    # data blocks, the header
+    "in-place": (100 * BLOCK_SIZE, [(3 * BLOCK_SIZE + 5, b"x" * 300),
+                                    (90 * BLOCK_SIZE, b"y" * 5000)]),
+    # 64 -> 65 blocks: every node moves, and one old block changes too
+    "shape-change": (64 * BLOCK_SIZE, [(10 * BLOCK_SIZE, b"z" * 100),
+                                       (64 * BLOCK_SIZE, b"tail")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRASH_CASES))
+def test_interrupted_flush_never_reads_back_wrong_plaintext(tmp_path, case):
+    size, writes = CRASH_CASES[case]
+    p = tmp_path / "f.pfs"
+    old = random.Random(59).randbytes(size)
+    make_file(p, old)
+    pristine = p.read_bytes()
+    new = bytearray(old)
+    apply_writes(new, writes)
+    new = bytes(new)
+
+    def interrupted_flush(crash_at, prefix):
+        p.write_bytes(pristine)
+        pf = ProtectedFile.open(p, "file.bin", KEY, mode="rw")
+        pf._fh = CrashingFile(pf._fh, crash_at, prefix)
+        for offset, data in writes:
+            pf.write(offset, data)
+        try:
+            pf.flush()
+        except InjectedCrash:
+            pass
+        pf._fh.close()  # the process dies here: no further flush
+        pf._closed = True
+        return pf._fh.writes
+
+    n_writes = interrupted_flush(None, None)
+    assert read_all(p) == new
+    assert n_writes >= 2
+    outcomes = set()
+    for crash_at in range(n_writes):
+        for prefix in (0, 1, 100, fmt.NODE_DISK_SIZE, None):
+            interrupted_flush(crash_at, prefix)
+            try:
+                got = read_all(p)
+            except IntegrityError:
+                outcomes.add("detected")
+                continue
+            assert got in (old, new), f"write {crash_at}, prefix {prefix}: wrong plaintext"
+            outcomes.add("old" if got == old else "new")
+    assert {"old", "new", "detected"} <= outcomes
+
+
+# -- model-based ----------------------------------------------------------
+
+NEAR_SHAPE_CHANGE = st.integers(62 * BLOCK_SIZE, 66 * BLOCK_SIZE)
+
+
+class ProtectedFileMachine(RuleBasedStateMachine):
+    """A read-write handle against a bytearray model; sizes cross the
+    64-block boundary where the MHT gains a level and every node moves."""
+
+    def __init__(self):
+        super().__init__()
+        self.dir = tempfile.mkdtemp(prefix="pfs-machine-")
+        self.path = os.path.join(self.dir, "f.pfs")
+        self.model = bytearray()
+        self.pf = None
+
+    @initialize(capacity=st.sampled_from([0, 1, 256]))
+    def create(self, capacity):
+        self.capacity = capacity
+        self.pf = ProtectedFile.create(self.path, "file.bin", KEY, cache_capacity=capacity)
+
+    @rule(offset=st.one_of(st.integers(0, 68 * BLOCK_SIZE), NEAR_SHAPE_CHANGE),
+          data=st.binary(min_size=1, max_size=3 * BLOCK_SIZE))
+    def write(self, offset, data):
+        self.pf.write(offset, data)
+        if offset > len(self.model):
+            self.model.extend(bytes(offset - len(self.model)))
+        apply_writes(self.model, [(offset, data)])
+
+    @rule(data=st.data())
+    def read(self, data):
+        offset = data.draw(st.integers(0, len(self.model)))
+        length = data.draw(st.integers(0, min(len(self.model) - offset, 2 * BLOCK_SIZE)))
+        assert self.pf.read(offset, length) == self.model[offset:offset + length]
+
+    @rule()
+    def flush(self):
+        self.pf.flush()
+
+    @rule()
+    def close_and_reopen(self):
+        self.pf.close()
+        self.pf = ProtectedFile.open(self.path, "file.bin", KEY, mode="rw",
+                                     cache_capacity=self.capacity)
+
+    @rule()
+    def verify(self):
+        assert verify_file(self.path, KEY).ok
+
+    @invariant()
+    def size_matches(self):
+        if self.pf is not None:
+            assert self.pf.size == len(self.model)
+
+    def teardown(self):
+        try:
+            if self.pf is not None:
+                self.pf.close()
+                assert read_all(self.path) == self.model
+                assert verify_file(self.path, KEY).ok
+        finally:
+            shutil.rmtree(self.dir)
+
+
+TestProtectedFileMachine = ProtectedFileMachine.TestCase
+TestProtectedFileMachine.settings = settings(max_examples=30, stateful_step_count=25,
+                                             deadline=None)

@@ -1,9 +1,10 @@
+import json
 import socket
 import threading
 
 import pytest
 
-from enclavesim import crypto
+from enclavesim import crypto, wire
 from enclavesim.attestation import PcsDatabase, VerificationPolicy, quote_generate
 from enclavesim.channel import HandshakeError
 from enclavesim.pfs import IntegrityError, WrongKeyError
@@ -218,6 +219,20 @@ def test_audit_one_record_per_request(env, server):
             client.request("pfs-master")
     assert len(server.audit_log) == before + 3
     assert all(SECRET.hex() not in str(entry) for entry in server.audit_log)
+
+
+def test_malformed_request_denied_bad_request_and_channel_stays_open(env, server):
+    before = len(server.audit_log)
+    with ProvisioningClient(server.address, provider_for(env), server.public_key) as client:
+        for payload in (b'{"name": ["k"]}', b"\xff\xfe", b'["pfs-master"]'):
+            client.channel.send(wire.REC_PROVISION_REQ, payload)
+            record_type, reply = client.channel.recv()
+            assert record_type == wire.REC_PROVISION_RESP
+            assert json.loads(reply) == {"outcome": "denied", "reason": "bad_request"}
+        assert client.request("pfs-master") == SECRET
+    outcomes = [e["outcome"] for e in server.audit_log[before:]]
+    assert outcomes == ["denied:bad_request"] * 3 + ["granted"]
+    assert all(e["secret_name"] is None for e in server.audit_log[before:before + 3])
 
 
 class RecordingProxy:
