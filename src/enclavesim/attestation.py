@@ -51,14 +51,8 @@ class Certificate:
     signature: bytes
 
     def signed_payload(self) -> bytes:
-        body = {
-            "subject": self.subject,
-            "issuer": self.issuer,
-            "public_key": self.public_key.hex(),
-            "not_before": self.not_before,
-            "not_after": self.not_after,
-            "tcb_level": self.tcb_level,
-        }
+        body = self.to_dict()
+        del body["signature"]
         return _CERT_CONTEXT + canonical_json(body)
 
     def to_dict(self) -> dict:
@@ -117,11 +111,8 @@ class Crl:
     signature: bytes
 
     def signed_payload(self) -> bytes:
-        body = {
-            "issuer": self.issuer,
-            "sequence": self.sequence,
-            "revoked": sorted(pid.hex() for pid in self.revoked),
-        }
+        body = self.to_dict()
+        del body["signature"]
         return _CRL_CONTEXT + canonical_json(body)
 
     def to_dict(self) -> dict:

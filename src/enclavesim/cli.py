@@ -3,8 +3,9 @@
 Subcommand groups: pfs (protected containers), manifest (signer and
 measurement), pcs (mock certification service), keyserver (secret
 provisioning), enclave (start/run workloads), demo (full workflow).
-Exit codes: 0 success, 1 attestation failure, 2 integrity failure,
-3 other errors.
+Exit codes: 0 success, then `workflow.exit_code` of the first error:
+1 attestation failure, 2 integrity failure, 3 anything else. `pfs verify`
+exits 1 when a node fails to authenticate.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ import time
 
 from . import pcs_service, pfs
 from .attestation import PcsDatabase, VerificationPolicy
-from .channel import HandshakeError
-from .enclave import RunError, StartError, WorkloadSpec, enclave_start
+from .enclave import WorkloadSpec, enclave_start
 from .manifest import (
-    ParseError,
     compute_measurement,
     load as load_manifest,
     parse_template,
@@ -27,29 +26,13 @@ from .manifest import (
     serialize,
     sign_manifest,
 )
-from .provisioning import (
-    KeyServer,
-    KeyVault,
-    ProvisionDeniedError,
-    VaultError,
-    vault_load,
-    vault_save,
-)
-from .workflow import (
-    EXIT_ATTESTATION,
-    EXIT_INTEGRITY,
-    EXIT_OK,
-    EXIT_OTHER,
-    DemoConfig,
-    parse_config,
-    workflow_demo,
-)
+from .provisioning import KeyServer, KeyVault, vault_load, vault_save
+from .wire import FrameServer
+from .workflow import EXIT_OK, DemoConfig, exit_code, parse_config, workflow_demo
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_OTHER):
-        self.code = code
-        super().__init__(message)
+    """An argument the CLI itself rejects."""
 
 
 def _key_from_hex(text: str) -> bytes:
@@ -83,13 +66,8 @@ def cmd_pfs_encrypt(args) -> int:
 
 def cmd_pfs_decrypt(args) -> int:
     key = _key_from_hex(args.key_hex)
-    try:
-        with pfs.ProtectedFile.open(args.input, args.label, key) as handle:
-            data = handle.read(0, handle.size)
-    except pfs.WrongKeyError as exc:
-        raise CliError(f"cannot open: {exc}", EXIT_INTEGRITY)
-    except pfs.IntegrityError as exc:
-        raise CliError(f"integrity failure: {exc}", EXIT_INTEGRITY)
+    with pfs.ProtectedFile.open(args.input, args.label, key) as handle:
+        data = handle.read(0, handle.size)
     with open(args.output, "wb") as fh:
         fh.write(data)
     print(f"decrypted {len(data)} bytes -> {args.output}")
@@ -108,12 +86,7 @@ def cmd_pfs_verify(args) -> int:
 
 def cmd_pfs_info(args) -> int:
     key = _key_from_hex(args.key_hex) if args.key_hex else None
-    try:
-        meta = pfs.info(args.file, key)
-    except pfs.WrongKeyError as exc:
-        raise CliError(str(exc), EXIT_INTEGRITY)
-    except pfs.IntegrityError as exc:
-        raise CliError(f"integrity failure: {exc}", EXIT_INTEGRITY)
+    meta = pfs.info(args.file, key)
     for field in ("uuid", "file_size", "data_blocks", "mht_nodes",
                   "total_nodes", "disk_size", "label"):
         if field in meta:
@@ -157,19 +130,27 @@ def _open_db(path, create: bool) -> PcsDatabase:
     return db
 
 
+def _serve(server: FrameServer, banner: str) -> int:
+    """Start the server, print its banner and serve until SIGINT, which
+    stops it and exits 0, also when it arrives during the banner."""
+    try:
+        server.start()
+        print(banner)
+        while True:
+            time.sleep(1)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.stop()
+    return EXIT_OK
+
+
 def cmd_pcs_serve(args) -> int:
     db = _open_db(args.db, create=True)
     host, port = _addr(args.listen)
     server = pcs_service.PcsServer(db, host=host, port=port, db_path=args.db)
-    server.start()
-    print(f"mock PCS serving on {server.address[0]}:{server.address[1]} "
-          f"(root key {db.root_public_key.hex()})")
-    try:
-        while True:
-            time.sleep(1)
-    except KeyboardInterrupt:
-        server.stop()
-    return EXIT_OK
+    return _serve(server, f"mock PCS serving on {server.address[0]}:"
+                          f"{server.address[1]} (root key {db.root_public_key.hex()})")
 
 
 def cmd_pcs_register(args) -> int:
@@ -188,10 +169,7 @@ def cmd_pcs_register(args) -> int:
 
 def cmd_pcs_revoke(args) -> int:
     db = _open_db(args.db, create=False)
-    try:
-        crl = db.revoke(bytes.fromhex(args.platform_id))
-    except Exception as exc:
-        raise CliError(f"revoke failed: {exc}")
+    crl = db.revoke(bytes.fromhex(args.platform_id))
     db.save(args.db)
     print(f"revoked; CRL sequence now {crl.sequence}")
     return EXIT_OK
@@ -218,11 +196,8 @@ def cmd_keyserver_add_secret(args) -> int:
         vault = vault_load(args.vault, args.passphrase)
     else:
         vault = KeyVault()
-    policy = _policy_from_args(args)
-    try:
-        vault.add_secret(args.name, bytes.fromhex(args.secret_hex), policy)
-    except (VaultError, ValueError) as exc:
-        raise CliError(str(exc))
+    vault.add_secret(args.name, bytes.fromhex(args.secret_hex),
+                     _policy_from_args(args))
     vault_save(vault, args.vault, args.passphrase)
     print(f"vault now holds {len(vault)} secret(s): {', '.join(vault.names())}")
     return EXIT_OK
@@ -251,18 +226,11 @@ def cmd_keyserver_serve(args) -> int:
         vault, session_policy, signing_key,
         crl_provider=lambda pid: pcs_service.fetch_platform(pcs_addr, pid)[1],
         host=host, port=port, audit_path=args.audit)
-    server.start()
     if args.pin_out:
         with open(args.pin_out, "w", encoding="utf-8") as fh:
             fh.write(signing_key.public.hex() + "\n")
-    print(f"key server on {server.address[0]}:{server.address[1]}, "
-          f"pin {signing_key.public.hex()}")
-    try:
-        while True:
-            time.sleep(1)
-    except KeyboardInterrupt:
-        server.stop()
-    return EXIT_OK
+    return _serve(server, f"key server on {server.address[0]}:{server.address[1]}, "
+                          f"pin {signing_key.public.hex()}")
 
 
 # -- enclave ------------------------------------------------------------------
@@ -273,14 +241,8 @@ def _load_final(path):
 
 
 def cmd_enclave_start(args) -> int:
-    try:
-        final = _load_final(args.manifest)
-        instance = enclave_start(final, args.root)
-    except ParseError as exc:
-        raise CliError(f"parse: {exc}", EXIT_OTHER)
-    except StartError as exc:
-        code = EXIT_INTEGRITY if exc.kind == "trusted_file_mismatch" else EXIT_OTHER
-        raise CliError(str(exc), code)
+    final = _load_final(args.manifest)
+    instance = enclave_start(final, args.root)
     print(f"measurement: {instance.measurement.hex}")
     print(f"mounts: {len(final.template.mounts)}, "
           f"trusted files verified: {len(final.trusted_file_hashes)}")
@@ -288,33 +250,15 @@ def cmd_enclave_start(args) -> int:
 
 
 def cmd_enclave_run(args) -> int:
-    try:
-        final = _load_final(args.manifest)
-    except ParseError as exc:
-        raise CliError(f"parse: {exc}", EXIT_OTHER)
+    final = _load_final(args.manifest)
     with open(args.identity, encoding="utf-8") as fh:
         platform, chain = pcs_service.identity_from_dict(json.load(fh))
-    try:
-        instance = enclave_start(final, args.root, platform=platform,
-                                 cert_chain=chain)
-    except StartError as exc:
-        code = EXIT_INTEGRITY if exc.kind == "trusted_file_mismatch" else EXIT_OTHER
-        raise CliError(str(exc), code)
-
+    instance = enclave_start(final, args.root, platform=platform, cert_chain=chain)
     workload = WorkloadSpec.from_json(instance.read_file(args.workload))
     with open(args.pin_file, encoding="utf-8") as fh:
         pin = bytes.fromhex(fh.read().strip())
-    try:
-        instance.provision(_addr(args.keyserver), pin, workload.key_name)
-    except HandshakeError as exc:
-        raise CliError(f"attestation: {exc}", EXIT_ATTESTATION)
-    except ProvisionDeniedError as exc:
-        raise CliError(f"denied: {exc.reason}", EXIT_ATTESTATION)
-    try:
-        report = instance.run(workload)
-    except RunError as exc:
-        raise CliError(str(exc),
-                       EXIT_INTEGRITY if exc.kind == "integrity" else EXIT_OTHER)
+    instance.provision(_addr(args.keyserver), pin, workload.key_name)
+    report = instance.run(workload)
     print(f"workload complete: {report.rows} row(s) -> {report.output_path}")
     return EXIT_OK
 
@@ -462,15 +406,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (pfs.PfsError, ParseError, VaultError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY if isinstance(exc, pfs.IntegrityError) else EXIT_OTHER
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OTHER
+    except Exception as exc:
+        detail = str(exc) if isinstance(exc, CliError) else f"{type(exc).__name__}: {exc}"
+        print(f"error: {detail}", file=sys.stderr)
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

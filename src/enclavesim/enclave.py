@@ -208,11 +208,18 @@ class EnclaveInstance:
         cls = self.path_class(path)
         if cls == CLASS_PROTECTED:
             raise EnclaveAccessError(f"{path} is protected; open it with open_protected")
+        if cls == CLASS_TRUSTED:
+            return self._read_trusted(path)
+        with open(self.resolve(path), "rb") as fh:
+            return fh.read()
+
+    def _read_trusted(self, path: str) -> bytes:
+        """Content of a trusted file (canonical path), hashed once and
+        compared with the manifest."""
         with open(self.resolve(path), "rb") as fh:
             content = fh.read()
-        if cls == CLASS_TRUSTED:
-            if crypto.hash_data(content) != self.manifest.trusted_file_hashes[path]:
-                raise StartError("trusted_file_mismatch", path)
+        if crypto.hash_data(content) != self.manifest.trusted_file_hashes[path]:
+            raise StartError("trusted_file_mismatch", path)
         return content
 
     def open_protected(self, enclave_path: str, key: bytes,
@@ -320,11 +327,8 @@ def enclave_start(final: FinalManifest, host_root,
                                platform, cert_chain, isv_svn)
     for path in final.template.trusted_files:
         try:
-            with open(instance.resolve(path), "rb") as fh:
-                content = fh.read()
+            instance._read_trusted(path)
         except (EnclaveAccessError, OSError):
-            raise StartError("trusted_file_mismatch", path)
-        if crypto.hash_data(content) != final.trusted_file_hashes[path]:
             raise StartError("trusted_file_mismatch", path)
     return instance
 

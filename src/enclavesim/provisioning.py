@@ -37,7 +37,7 @@ class ProvisionDeniedError(Exception):
 
     def __init__(self, reason: str):
         self.reason = reason
-        super().__init__(reason)
+        super().__init__(f"denied: {reason}")
 
 
 class KeyVault:

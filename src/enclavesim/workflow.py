@@ -16,9 +16,10 @@ import json
 import os
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from . import crypto, pcs_service
+from . import crypto, pcs_service, pfs
 from .attestation import PcsDatabase, VerificationPolicy
 from .channel import HandshakeError
 from .enclave import (
@@ -54,6 +55,23 @@ EXIT_OK = 0
 EXIT_ATTESTATION = 1
 EXIT_INTEGRITY = 2
 EXIT_OTHER = 3
+
+
+def exit_code(exc: Exception) -> int:
+    """The pipeline's failure policy, shared by every CLI command and demo
+    step: 1 when the verifier rejected the platform or the key server
+    refused the key, 2 when protected or trusted bytes failed their check,
+    3 for anything else."""
+    if isinstance(exc, ProvisionDeniedError) or (
+            isinstance(exc, HandshakeError)
+            and exc.kind in ("attestation_failed", "binding_mismatch")):
+        return EXIT_ATTESTATION
+    if isinstance(exc, pfs.IntegrityError) or (
+            isinstance(exc, StartError) and exc.kind == "trusted_file_mismatch") or (
+            isinstance(exc, RunError) and exc.kind == "integrity"):
+        return EXIT_INTEGRITY
+    return EXIT_OTHER
+
 
 SECRET_NAME = "pfs-master"
 
@@ -120,6 +138,7 @@ class StepResult:
     name: str
     ok: bool
     detail: str = ""
+    duration_ms: float = 0.0
 
 
 @dataclass
@@ -143,7 +162,8 @@ class DemoReport:
             "decrypted_sha256": self.decrypted_sha256,
             "workdir": self.workdir,
             "steps": [{"number": s.number, "name": s.name, "ok": s.ok,
-                       "detail": s.detail} for s in self.steps],
+                       "detail": s.detail, "duration_ms": s.duration_ms}
+                      for s in self.steps],
         }
 
     def table(self) -> str:
@@ -155,28 +175,29 @@ class DemoReport:
         return "\n".join(lines)
 
 
-class _StepTrace:
-    def __init__(self, report: DemoReport, log):
-        self.report = report
-        self.log = log
-
-    def passed(self, number: int, detail: str = "") -> None:
-        step = StepResult(number, STEP_NAMES[number], True, detail)
-        self.report.steps.append(step)
-        note = f" ({detail})" if detail else ""
-        self.log(f"{CIRCLED[number]} {STEP_NAMES[number]} ... ok{note}")
-
-    def failed(self, number: int, detail: str, exit_code: int) -> None:
-        step = StepResult(number, STEP_NAMES[number], False, detail)
-        self.report.steps.append(step)
-        self.report.ok = False
-        self.report.failed_step = number
-        self.report.exit_code = exit_code
-        self.log(f"{CIRCLED[number]} {STEP_NAMES[number]} ... FAILED: {detail}")
-
-
-class DemoAbort(Exception):
-    pass
+@contextmanager
+def _step(report: DemoReport, log, number: int):
+    """One timed and recorded demo step. The first step to raise fails the
+    demo with `exit_code` of its exception and re-raises it, so no later
+    step runs."""
+    step = StepResult(number, STEP_NAMES[number], False)
+    start = time.perf_counter()
+    try:
+        yield step
+        step.ok = True
+    except Exception as exc:
+        step.detail = str(exc)
+        report.failed_step = number
+        report.exit_code = exit_code(exc)
+        raise
+    finally:
+        step.duration_ms = round((time.perf_counter() - start) * 1e3, 3)
+        report.steps.append(step)
+        if step.ok:
+            status = f"ok ({step.detail})" if step.detail else "ok"
+        else:
+            status = f"FAILED: {step.detail}"
+        log(f"{CIRCLED[number]} {step.name} ... {status}")
 
 
 def workflow_demo(config: DemoConfig, log=print) -> DemoReport:
@@ -186,7 +207,6 @@ def workflow_demo(config: DemoConfig, log=print) -> DemoReport:
         os.getcwd(), f"enclavesim-demo-{os.getpid()}")
     os.makedirs(workdir, exist_ok=True)
     report = DemoReport(workdir=workdir)
-    trace = _StepTrace(report, log)
 
     user_dir = os.path.join(workdir, "user")
     cloud_dir = os.path.join(workdir, "cloud")
@@ -248,11 +268,12 @@ def workflow_demo(config: DemoConfig, log=print) -> DemoReport:
     key_srv.start()
 
     try:
-        _run_steps(config, report, trace, log, workdir, user_dir, cloud_dir,
+        _run_steps(config, report, log, workdir, user_dir, cloud_dir,
                    pcs_srv, key_srv, final, measurement, master_key, model,
                    input_rows, workload, marker, model_path, input_path)
-    except DemoAbort:
-        pass
+    except Exception:
+        if report.failed_step is None:  # not a step's failure: no demo outcome
+            raise
     finally:
         key_srv.stop()
         pcs_srv.stop()
@@ -263,7 +284,7 @@ def workflow_demo(config: DemoConfig, log=print) -> DemoReport:
     return report
 
 
-def _run_steps(config, report, trace, log, workdir, user_dir, cloud_dir,
+def _run_steps(config, report, log, workdir, user_dir, cloud_dir,
                pcs_srv, key_srv, final, measurement, master_key, model,
                input_rows, workload, marker, model_path, input_path):
     # step 0 (unnumbered): the cloud provider registered its platform
@@ -275,23 +296,15 @@ def _run_steps(config, report, trace, log, workdir, user_dir, cloud_dir,
         log("   fault injected: platform revoked")
 
     # 1: user fetches the platform evidence
-    try:
-        fetched_chain, crl = pcs_service.fetch_platform(pcs_srv.address,
-                                                        platform.platform_id)
-        trace.passed(1, f"CRL sequence {crl.sequence}, "
-                        f"{len(crl.revoked)} revoked platform(s)")
-    except Exception as exc:
-        trace.failed(1, str(exc), EXIT_OTHER)
-        raise DemoAbort
+    with _step(report, log, 1) as step:
+        _, crl = pcs_service.fetch_platform(pcs_srv.address, platform.platform_id)
+        step.detail = (f"CRL sequence {crl.sequence}, "
+                       f"{len(crl.revoked)} revoked platform(s)")
 
     # 2: user encrypts and uploads
-    try:
+    with _step(report, log, 2):
         user_encrypt_inputs([(model_path, MODEL_PATH), (input_path, INPUT_PATH)],
                             master_key, os.path.join(cloud_dir, "data"))
-        trace.passed(2)
-    except Exception as exc:
-        trace.failed(2, str(exc), EXIT_OTHER)
-        raise DemoAbort
 
     if config.fault == "tamper_input":
         target = os.path.join(cloud_dir, "data", os.path.basename(INPUT_PATH))
@@ -311,71 +324,42 @@ def _run_steps(config, report, trace, log, workdir, user_dir, cloud_dir,
             f"(measurement {compute_measurement(final).hex[:16]}..., "
             f"key policy expects {measurement.hex[:16]}...)")
 
-    # 3-4: the platform starts the enclave; both sides handshake
-    try:
+    # 3-4: the platform starts the enclave; both sides handshake. A handshake
+    # the verifier rejects (exit code 1) opened the connection (3) and failed
+    # the user's verification (4); any other handshake failure fails 3.
+    rejected = None
+    with _step(report, log, 3):
         instance = enclave_start(final, cloud_dir, platform=platform,
                                  cert_chain=chain)
-    except StartError as exc:
-        code = EXIT_INTEGRITY if exc.kind == "trusted_file_mismatch" else EXIT_OTHER
-        trace.failed(3, str(exc), code)
-        raise DemoAbort
-
-    client = None
-    try:
-        client = ProvisioningClient(key_srv.address, instance.quote_provider(),
-                                    key_srv.public_key)
-        trace.passed(3)
-        trace.passed(4, "quote accepted by the key server")
-    except HandshakeError as exc:
-        if exc.kind in ("attestation_failed", "binding_mismatch"):
-            trace.passed(3)
-            trace.failed(4, str(exc), EXIT_ATTESTATION)
-        else:
-            trace.failed(3, str(exc), EXIT_OTHER)
-        raise DemoAbort
-    except OSError as exc:
-        trace.failed(3, str(exc), EXIT_OTHER)
-        raise DemoAbort
+        try:
+            client = ProvisioningClient(key_srv.address, instance.quote_provider(),
+                                        key_srv.public_key)
+        except HandshakeError as exc:
+            if exit_code(exc) != EXIT_ATTESTATION:
+                raise
+            rejected = exc
+    with _step(report, log, 4) as step:
+        if rejected is not None:
+            raise rejected
+        step.detail = "quote accepted by the key server"
 
     # 5: provision the key
-    try:
-        secret = client.request(SECRET_NAME)
-        instance.provisioned_secrets[SECRET_NAME] = secret
-        trace.passed(5)
-    except ProvisionDeniedError as exc:
-        trace.failed(5, f"denied: {exc.reason}", EXIT_ATTESTATION)
-        raise DemoAbort
-    except Exception as exc:
-        trace.failed(5, str(exc), EXIT_OTHER)
-        raise DemoAbort
-    finally:
-        if client is not None:
-            client.close()
+    with client, _step(report, log, 5):
+        instance.provisioned_secrets[SECRET_NAME] = client.request(SECRET_NAME)
 
     # 6: transparent decrypt
-    try:
+    with _step(report, log, 6) as step:
         loaded_model, rows = instance.workload_open_inputs(workload)
-        trace.passed(6, f"{len(rows)} input row(s)")
-    except RunError as exc:
-        trace.failed(6, str(exc),
-                     EXIT_INTEGRITY if exc.kind == "integrity" else EXIT_OTHER)
-        raise DemoAbort
+        step.detail = f"{len(rows)} input row(s)"
 
     # 7: compute on plaintext
-    try:
+    with _step(report, log, 7):
         out_rows = instance.workload_compute(loaded_model, rows)
-        trace.passed(7)
-    except Exception as exc:
-        trace.failed(7, str(exc), EXIT_OTHER)
-        raise DemoAbort
 
     # 8: write the protected output
-    try:
+    with _step(report, log, 8) as step:
         run_report = instance.workload_write_output(workload, out_rows)
-        trace.passed(8, f"{run_report.rows} row(s) -> {run_report.output_path}")
-    except Exception as exc:
-        trace.failed(8, str(exc), EXIT_OTHER)
-        raise DemoAbort
+        step.detail = f"{run_report.rows} row(s) -> {run_report.output_path}"
 
     # beyond step 8: the user reads the output from shared storage
     out_host = os.path.join(cloud_dir, "data", os.path.basename(OUTPUT_PATH))

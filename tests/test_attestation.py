@@ -322,3 +322,26 @@ def test_crl_signature_required(pcs):
                      frozenset(crl.revoked), signature=bytes(64))
     result = quote_verify(make_quote(platform), chain, forged_crl, policy_for(pcs), NOW)
     assert result.failure_reason == "bad_chain"
+
+
+def test_signed_payloads_are_the_pinned_canonical_bytes():
+    cert = Certificate(subject="sim-platform-01", issuer="sim-pcs-platform-ca",
+                       public_key=bytes(range(32)), not_before=1000, not_after=2000,
+                       tcb_level=2, signature=b"\xaa" * 64)
+    assert cert.signed_payload() == (
+        b'cert-v1{"issuer":"sim-pcs-platform-ca","not_after":2000,"not_before":1000,'
+        b'"public_key":"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",'
+        b'"subject":"sim-platform-01","tcb_level":2}')
+    root = replace(cert, subject="sim-pcs-root", issuer="sim-pcs-root",
+                   public_key=b"\x11" * 32, not_before=0, not_after=10,
+                   tcb_level=None, signature=b"")
+    assert root.signed_payload() == (
+        b'cert-v1{"issuer":"sim-pcs-root","not_after":10,"not_before":0,'
+        b'"public_key":"1111111111111111111111111111111111111111111111111111111111111111",'
+        b'"subject":"sim-pcs-root","tcb_level":null}')
+    crl = Crl(issuer="sim-pcs-platform-ca", sequence=3,
+              revoked=frozenset([b"\x02" * 16, b"\x01" * 16]), signature=b"\xbb" * 64)
+    assert crl.signed_payload() == (
+        b'crl-v1{"issuer":"sim-pcs-platform-ca","revoked":'
+        b'["01010101010101010101010101010101","02020202020202020202020202020202"],'
+        b'"sequence":3}')

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from enclavesim import cli, wire, workflow
 from enclavesim.cli import main
 from enclavesim.enclave import LinearModel, WorkloadSpec, parse_rows
 
@@ -282,3 +283,115 @@ def test_enclave_start_cli(tmp_path, capsys):
     (cloud / "app" / "config").write_bytes(b"x = 2\n")
     assert run_cli("enclave", "start", "--manifest", str(final),
                    "--root", str(cloud)) == 2
+
+
+# -- failure policy ----------------------------------------------------------------
+
+def cli_process(*argv):
+    return subprocess.run([sys.executable, "-m", "enclavesim.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def enclave_run_args(tmp_path, **overrides):
+    """`enclave run` arguments for a signed deployment with a registered
+    platform; no key server is listening at the default address."""
+    cloud = tmp_path / "cloud"
+    (cloud / "app").mkdir(parents=True)
+    (cloud / "data").mkdir()
+    (cloud / "app" / "workload.json").write_bytes(WorkloadSpec(
+        kind="linear_infer", model_path=workflow.MODEL_PATH,
+        input_path=workflow.INPUT_PATH, output_path=workflow.OUTPUT_PATH,
+        key_name=workflow.SECRET_NAME).to_json())
+    template = tmp_path / "app.template"
+    template.write_text(workflow.TEMPLATE_TEXT)
+    final = tmp_path / "final.manifest"
+    identity = tmp_path / "identity.json"
+    pin = tmp_path / "pin.txt"
+    pin.write_text("ab" * 32 + "\n")
+    assert run_cli("manifest", "sign", str(template), "-o", str(final),
+                   "--root", str(cloud)) == 0
+    assert run_cli("pcs", "register", "--db", str(tmp_path / "pcs.json"),
+                   "--identity-out", str(identity)) == 0
+    args = {"--manifest": final, "--root": cloud, "--identity": identity,
+            "--keyserver": "127.0.0.1:1", "--pin-file": pin, **overrides}
+    return ["enclave", "run"] + [str(x) for kv in args.items() for x in kv]
+
+
+def manifest_sign_missing_trusted_file(tmp_path):
+    template = tmp_path / "app.template"
+    template.write_text(TEMPLATE)  # /app/config does not exist
+    return ["manifest", "sign", template, "-o", tmp_path / "final.manifest"]
+
+
+def pcs_register_corrupt_db(tmp_path):
+    (tmp_path / "pcs.json").write_text("{not json")
+    return ["pcs", "register", "--db", tmp_path / "pcs.json"]
+
+
+def demo_config_bad_int(tmp_path):
+    (tmp_path / "demo.cfg").write_text("seed = x\n")
+    return ["demo", "--config", tmp_path / "demo.cfg", "--workdir", tmp_path / "w"]
+
+
+def enclave_run_keyserver_refused(tmp_path):
+    return enclave_run_args(tmp_path)
+
+
+def enclave_run_workload_outside_mounts(tmp_path):
+    return enclave_run_args(tmp_path, **{"--workload": "/etc/passwd"})
+
+
+def enclave_run_pin_not_hex(tmp_path):
+    (tmp_path / "bad-pin.txt").write_text("not hex\n")
+    return enclave_run_args(tmp_path, **{"--pin-file": tmp_path / "bad-pin.txt"})
+
+
+@pytest.mark.parametrize("scenario", [
+    manifest_sign_missing_trusted_file,
+    pcs_register_corrupt_db,
+    demo_config_bad_int,
+    enclave_run_keyserver_refused,
+    enclave_run_workload_outside_mounts,
+    enclave_run_pin_not_hex,
+], ids=lambda f: f.__name__)
+def test_unexpected_failure_is_one_error_line_exit_3(tmp_path, scenario):
+    result = cli_process(*scenario(tmp_path))
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
+def serve_argv(tmp_path, kind):
+    if kind == "pcs":
+        return ["pcs", "serve", "--db", str(tmp_path / "pcs.json")]
+    vault = tmp_path / "vault.pfs"
+    assert run_cli("keyserver", "add-secret", "--vault", str(vault),
+                   "--passphrase", "pw", "--name", "k", "--secret-hex", KEY_HEX,
+                   "--root-hex", KEY_HEX, "--policy-mrenclave", "11" * 32) == 0
+    return ["keyserver", "serve", "--vault", str(vault), "--passphrase", "pw",
+            "--pcs", "127.0.0.1:1", "--root-hex", KEY_HEX]
+
+
+@pytest.mark.parametrize("kind", ["pcs", "keyserver"])
+def test_sigint_during_serve_banner_stops_cleanly(tmp_path, monkeypatch, kind):
+    argv = serve_argv(tmp_path, kind)
+    started = []
+    original_start = wire.FrameServer.start
+
+    def recording_start(server):
+        started.append(server)
+        return original_start(server)
+
+    def interrupted_print(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(wire.FrameServer, "start", recording_start)
+    monkeypatch.setattr(cli, "print", interrupted_print, raising=False)
+    try:
+        code = main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("a SIGINT during the banner escaped the serve loop")
+    assert code == 0
+    assert len(started) == 1
+    assert started[0]._listener.fileno() == -1

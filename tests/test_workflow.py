@@ -1,6 +1,12 @@
 import json
 
-from enclavesim.workflow import DemoConfig, parse_config, workflow_demo
+import pytest
+
+from enclavesim import pfs
+from enclavesim.channel import HandshakeError
+from enclavesim.enclave import RunError, StartError
+from enclavesim.provisioning import ProvisionDeniedError
+from enclavesim.workflow import DemoConfig, exit_code, parse_config, workflow_demo
 
 
 def quiet(*args, **kwargs):
@@ -92,8 +98,6 @@ seed = 123
 
 
 def test_parse_config_rejects_unknown_keys():
-    import pytest
-
     with pytest.raises(ValueError, match="unknown config keys"):
         parse_config("bogus = 1\n")
 
@@ -104,3 +108,43 @@ def test_audit_log_written_on_user_side(tmp_path):
     entries = [json.loads(line) for line in audit.splitlines()]
     assert any(e["outcome"] == "granted" and e["secret_name"] == "pfs-master"
                for e in entries)
+
+
+def test_step_durations_in_report(tmp_path):
+    run_demo(tmp_path)
+    data = json.loads((tmp_path / "demo-none" / "demo_report.json").read_text())
+    assert len(data["steps"]) == 8
+    for step in data["steps"]:
+        assert isinstance(step["duration_ms"], float) and step["duration_ms"] >= 0
+
+
+def test_failed_step_carries_its_duration(tmp_path):
+    run_demo(tmp_path, fault="tamper_input")
+    data = json.loads((tmp_path / "demo-tamper_input" / "demo_report.json").read_text())
+    assert [s["number"] for s in data["steps"]] == [1, 2, 3, 4, 5, 6]
+    failed = data["steps"][-1]
+    assert failed["ok"] is False
+    assert isinstance(failed["duration_ms"], float) and failed["duration_ms"] >= 0
+
+
+@pytest.mark.parametrize("exc, code", [
+    (HandshakeError("attestation_failed", "revoked"), 1),
+    (HandshakeError("binding_mismatch"), 1),
+    (ProvisionDeniedError("policy_mismatch"), 1),
+    (ProvisionDeniedError("unknown_secret"), 1),
+    (pfs.IntegrityError("bad node"), 2),
+    (pfs.WrongKeyError("header did not authenticate"), 2),
+    (StartError("trusted_file_mismatch", "/app/workload.json"), 2),
+    (RunError("integrity", "/data/input.csv.pfs"), 2),
+    (HandshakeError("io"), 3),
+    (HandshakeError("bad_finished"), 3),
+    (HandshakeError("peer_auth_failed"), 3),
+    (StartError("missing_mount", "/data"), 3),
+    (RunError("key_missing", "pfs-master"), 3),
+    (RunError("io", "/data/output.csv.pfs"), 3),
+    (pfs.PfsError("not a container"), 3),
+    (OSError("connection refused"), 3),
+    (ValueError("bad hex"), 3),
+], ids=repr)
+def test_exit_code_policy(exc, code):
+    assert exit_code(exc) == code
