@@ -40,6 +40,13 @@ class UnknownPlatformError(Exception):
     pass
 
 
+def _signature_from_hex(value: str) -> bytes:
+    signature = bytes.fromhex(value)
+    if len(signature) != crypto.SIGNATURE_SIZE:
+        raise ValueError(f"signature is {len(signature)} bytes, not {crypto.SIGNATURE_SIZE}")
+    return signature
+
+
 @dataclass(frozen=True)
 class Certificate:
     subject: str
@@ -77,7 +84,7 @@ class Certificate:
             not_before=int(d["not_before"]),
             not_after=int(d["not_after"]),
             tcb_level=None if d.get("tcb_level") is None else int(d["tcb_level"]),
-            signature=bytes.fromhex(d["signature"]),
+            signature=_signature_from_hex(d["signature"]),
         )
 
 
@@ -129,7 +136,7 @@ class Crl:
             issuer=d["issuer"],
             sequence=int(d["sequence"]),
             revoked=frozenset(bytes.fromhex(h) for h in d["revoked"]),
-            signature=bytes.fromhex(d["signature"]),
+            signature=_signature_from_hex(d["signature"]),
         )
 
 

@@ -167,32 +167,27 @@ class SecureChannel:
         return crypto.aead_open(self._recv_key, nonce, aad, sealed)
 
     def _classify_failure(self, record_type: int, sealed: bytes) -> ChannelError:
-        # no plaintext sequence number on the record, so probe: decrypting
-        # under an old counter means a replay, under a near-future counter a
-        # reordered record, otherwise plain tampering
-        for seq in range(self._recv_seq):
-            if self._try_open(record_type, sealed, seq):
+        # no plaintext sequence number on the record, so probe the window on
+        # both sides: decrypting under an old counter means a replay, under a
+        # near-future one a reordered record, otherwise plain tampering
+        expected = self._recv_seq
+        for seq in range(max(0, expected - _OUT_OF_ORDER_WINDOW),
+                         expected + _OUT_OF_ORDER_WINDOW + 1):
+            if seq == expected:
+                continue
+            try:
+                self._open(record_type, sealed, seq)
+            except crypto.AuthError:
+                continue
+            if seq < expected:
                 return ChannelError("replay", f"record for sequence {seq} seen again")
-        for seq in range(self._recv_seq + 1, self._recv_seq + 1 + _OUT_OF_ORDER_WINDOW):
-            if self._try_open(record_type, sealed, seq):
-                return ChannelError("out_of_order",
-                                    f"expected sequence {self._recv_seq}, got {seq}")
+            return ChannelError("out_of_order", f"expected sequence {expected}, got {seq}")
         return ChannelError("auth", "record failed authentication")
-
-    def _try_open(self, record_type: int, sealed: bytes, seq: int) -> bool:
-        try:
-            self._open(record_type, sealed, seq)
-            return True
-        except crypto.AuthError:
-            return False
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            _quiet_close(self._sock)
 
 
 def attester_handshake(conn: socket.socket, quote_provider: QuoteProvider,
@@ -251,46 +246,43 @@ def verifier_handshake(conn: socket.socket, policy: VerificationPolicy,
                        ) -> tuple[SecureChannel, VerificationResult]:
     """User side: verify the attestation certificate and the ephemeral-key
     binding before revealing anything; fail-closed (no V1 on failure, the
-    connection is closed). `crl` may be a Crl or a callable fetching one
-    by platform id."""
+    connection is closed; a failure before V1 first gets one HS_ERROR with
+    its kind and reason). `crl` may be a Crl or a callable by platform id."""
     try:
-        return _verifier_handshake(conn, policy, crl, now, verifier_signing_key)
+        try:
+            a1, cert, result = _verify_a1(conn, policy, crl, now)
+        except HandshakeError as exc:
+            _send_hs_error(conn, exc.kind, exc.reason)
+            raise
+        return _answer_a1(conn, a1, cert, result, verifier_signing_key)
     except BaseException:
         _quiet_close(conn)
         raise
 
 
-def _verifier_handshake(conn, policy, crl, now, verifier_signing_key):
+def _verify_a1(conn, policy, crl, now):
     try:
         frame_type, a1 = wire.recv_frame(conn)
     except (wire.WireError, OSError) as exc:
         raise HandshakeError("io", str(exc))
     if frame_type != wire.HS_A1:
-        _send_hs_error(conn, "io", f"unexpected frame type {frame_type:#x}")
         raise HandshakeError("io", f"unexpected frame type {frame_type:#x}")
-
-    try:
-        cert = AttestationCertificate.decode(a1)
-    except HandshakeError as exc:
-        _send_hs_error(conn, exc.kind, exc.reason)
-        raise
-
+    cert = AttestationCertificate.decode(a1)
     try:
         crl_value = crl(cert.quote.platform_id) if callable(crl) else crl
     except Exception as exc:
-        # cannot prove non-revocation without a CRL: fail closed
-        _send_hs_error(conn, "attestation_failed", "crl_unavailable")
-        raise HandshakeError("attestation_failed", f"crl_unavailable: {exc}")
+        # without a CRL non-revocation is unproven: fail closed; its error stays here
+        raise HandshakeError("attestation_failed", "crl_unavailable") from exc
     result = quote_verify(cert.quote, cert.cert_chain, crl_value, policy, now)
     if not result.ok:
-        _send_hs_error(conn, "attestation_failed", result.failure_reason)
         raise HandshakeError("attestation_failed", result.failure_reason)
     if cert.quote.report_data != bind_report_data(cert.attester_eph_pub):
-        _send_hs_error(conn, "binding_mismatch",
-                       "report_data does not commit to the presented ephemeral key")
         raise HandshakeError("binding_mismatch",
                              "report_data does not commit to the presented ephemeral key")
+    return a1, cert, result
 
+
+def _answer_a1(conn, a1, cert, result, verifier_signing_key):
     eph = crypto.dh_generate()
     th1 = _transcript_after_a1(a1)
     sig = crypto.sign(verifier_signing_key.private, _SIG_CONTEXT + th1 + eph.public)

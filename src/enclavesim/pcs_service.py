@@ -27,20 +27,11 @@ class PcsServer(wire.FrameServer):
     the connection stays open."""
 
     def __init__(self, db: PcsDatabase, host: str = "127.0.0.1", port: int = 0,
-                 db_path=None, now_source=time.time):
-        super().__init__(host, port)
+                 db_path=None, now_source=time.time, **server_options):
+        super().__init__(host, port, **server_options)
         self.db = db
         self.db_path = db_path
         self.now_source = now_source
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            while True:
-                try:
-                    frame_type, payload = wire.recv_frame(conn)
-                    wire.send_frame(conn, *self._handle(frame_type, payload))
-                except (wire.WireError, OSError):
-                    return
 
     def _handle(self, frame_type: int, payload: bytes) -> tuple[int, bytes]:
         try:

@@ -12,6 +12,7 @@ with the container uuid doubling as the KDF salt.
 
 from __future__ import annotations
 
+import functools
 import json
 import socket
 import threading
@@ -25,7 +26,6 @@ from .pfs import ProtectedFile, read_uuid
 VAULT_LABEL = "keyvault"
 MAX_SECRET_NAME = 128
 MAX_SECRET_SIZE = 4096
-DEFAULT_IDLE_TIMEOUT = 60.0
 
 
 class VaultError(Exception):
@@ -119,21 +119,19 @@ class KeyServer(wire.FrameServer):
     Per connection: verifier handshake under the session policy, then any
     number of requests, each re-evaluated against the secret's own policy
     with a fresh `now`. Every request appends exactly one audit record
-    (never containing secret bytes). One bad client never stops the server.
+    (never containing secret bytes).
     """
 
     def __init__(self, vault: KeyVault, session_policy: VerificationPolicy,
                  signing_key: crypto.SigningKeyPair, crl_provider,
                  host: str = "127.0.0.1", port: int = 0,
-                 now_source=time.time, idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
-                 audit_path=None):
-        super().__init__(host, port)
+                 now_source=time.time, audit_path=None, **server_options):
+        super().__init__(host, port, **server_options)
         self.vault = vault
         self.session_policy = session_policy
         self.signing_key = signing_key
         self.crl_provider = crl_provider
         self.now_source = now_source
-        self.idle_timeout = idle_timeout
         self.audit_path = audit_path
         self.audit_log: list[dict] = []
         self._audit_lock = threading.Lock()
@@ -142,70 +140,48 @@ class KeyServer(wire.FrameServer):
     def public_key(self) -> bytes:
         return self.signing_key.public
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            conn.settimeout(self.idle_timeout)
-            channel, result = verifier_handshake(
-                conn, self.session_policy, self.crl_provider,
-                int(self.now_source()), self.signing_key)
-        except Exception:  # a bad client must never stop the server
-            return
-        try:
-            self._serve_channel(channel, result)
-        except Exception:
-            pass
-        finally:
-            channel.close()
+    def _open_session(self, conn: socket.socket):
+        channel, _ = verifier_handshake(conn, self.session_policy, self.crl_provider,
+                                        int(self.now_source()), self.signing_key)
+        return channel.recv, channel.send, functools.partial(self._answer, channel)
 
-    def _serve_channel(self, channel: SecureChannel, result) -> None:
-        quote = result.quote
-        cert = channel.peer_certificate
-        while True:
-            try:
-                record_type, payload = channel.recv()
-            except Exception:
-                return
-            if record_type == wire.REC_PING:
-                channel.send(wire.REC_PING, payload)
-                continue
-            if record_type != wire.REC_PROVISION_REQ:
-                return
-            try:
-                name = json.loads(payload)["name"]
-                if not isinstance(name, str):
-                    raise TypeError("secret name is not a string")
-            except wire.DECODE_ERRORS:
-                name, response = None, {"outcome": "denied", "reason": "bad_request"}
-            else:
-                response = self._evaluate(name, quote, cert)
-            self._audit(quote, name, response)
-            body = {"outcome": response["outcome"]}
-            if response["outcome"] == "granted":
-                body["secret"] = response["secret"].hex()
-            else:
-                body["reason"] = response["reason"]
-            channel.send(wire.REC_PROVISION_RESP, canonical_json(body))
+    def _answer(self, channel: SecureChannel, record_type: int,
+                payload: bytes) -> tuple[int, bytes] | None:
+        """Echo a ping, answer a provision request, close on any other type."""
+        if record_type == wire.REC_PING:
+            return wire.REC_PING, payload
+        if record_type != wire.REC_PROVISION_REQ:
+            return None
+        quote = channel.verification.quote
+        try:
+            name = json.loads(payload)["name"]
+            if not isinstance(name, str):
+                raise TypeError("secret name is not a string")
+        except wire.DECODE_ERRORS:
+            name, body = None, {"outcome": "denied", "reason": "bad_request"}
+        else:
+            body = self._evaluate(name, quote, channel.peer_certificate)
+        self._audit(quote, name, body)
+        return wire.REC_PROVISION_RESP, canonical_json(body)
 
     def _evaluate(self, name: str, quote, cert) -> dict:
         record = self.vault.get(name)
         if record is None:
             return {"outcome": "denied", "reason": "unknown_secret"}
-        crl = self.crl_provider(quote.platform_id) if callable(self.crl_provider) \
-            else self.crl_provider
-        check = quote_verify(quote, cert.cert_chain, crl, record["policy"],
-                             int(self.now_source()))
+        check = quote_verify(quote, cert.cert_chain, self.crl_provider(quote.platform_id),
+                             record["policy"], int(self.now_source()))
         if not check.ok:
             return {"outcome": "denied", "reason": "policy_mismatch"}
-        return {"outcome": "granted", "secret": record["secret"]}
+        return {"outcome": "granted", "secret": record["secret"].hex()}
 
-    def _audit(self, quote, name: str | None, response: dict) -> None:
+    def _audit(self, quote, name: str | None, body: dict) -> None:
         entry = {
             "timestamp": int(self.now_source()),
             "platform_id": quote.platform_id.hex(),
             "mr_enclave": quote.mr_enclave.hex(),
             "secret_name": name,
-            "outcome": response["outcome"] if response["outcome"] == "granted"
-            else f"denied:{response['reason']}",
+            "outcome": body["outcome"] if body["outcome"] == "granted"
+            else f"denied:{body['reason']}",
         }
         with self._audit_lock:
             self.audit_log.append(entry)

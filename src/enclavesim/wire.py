@@ -11,8 +11,11 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 
 MAX_PAYLOAD = 1 << 20
+STOP_TIMEOUT = 5.0  # per wait in FrameServer.stop(): accept thread, then connections
+THREAD_PREFIX = "FrameServer"  # starts the name of every FrameServer thread
 
 # handshake
 HS_A1 = 0x01
@@ -75,25 +78,30 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
 
 
 class FrameServer:
-    """A loopback TCP listener that serves each accepted connection on its
-    own daemon thread. Subclasses implement `_serve_connection(conn)`."""
+    """A TCP listener that owns each accepted connection from accept to
+    close, on its own named daemon thread: idle timeout, session, then
+    receive, answer and send until the answer is None or a receive fails.
+    `stop()` also shuts down open connections. Subclasses implement
+    `_handle(frame_type, payload)` or override `_open_session`."""
 
-    def __init__(self, host: str, port: int):
+    def __init__(self, host: str, port: int, idle_timeout: float = 60.0):
         self._listener = socket.create_server((host, port))
-        self._stop = threading.Event()
+        self.idle_timeout = idle_timeout
         self._thread: threading.Thread | None = None
+        self._lock = threading.Lock()
+        self._open: dict[socket.socket, threading.Thread] = {}
 
     @property
     def address(self) -> tuple[str, int]:
         return self._listener.getsockname()[:2]
 
     def start(self):
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._thread = threading.Thread(target=self._accept_loop, daemon=True,
+                                        name=f"{THREAD_PREFIX}-accept-{self.address[1]}")
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._stop.set()
         try:
             self._listener.shutdown(socket.SHUT_RDWR)  # wake a blocked accept()
         except OSError:
@@ -103,16 +111,46 @@ class FrameServer:
         except OSError:
             pass
         if self._thread:
-            self._thread.join(timeout=5)
+            self._thread.join(timeout=STOP_TIMEOUT)
+        with self._lock:
+            threads = list(self._open.values())
+            for conn in self._open:  # a blocked receive sees EOF
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        deadline = time.monotonic() + STOP_TIMEOUT
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:
             try:
-                conn, _ = self._listener.accept()
+                conn, peer = self._listener.accept()
             except OSError:
                 break
-            threading.Thread(target=self._serve_connection, args=(conn,),
-                             daemon=True).start()
+            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True,
+                                      name=f"{THREAD_PREFIX}-conn-{peer[1]}")
+            with self._lock:
+                self._open[conn] = thread
+            thread.start()
 
-    def _serve_connection(self, conn: socket.socket) -> None:
+    def _serve(self, conn: socket.socket) -> None:
+        try:
+            conn.settimeout(self.idle_timeout)
+            recv, send, answer = self._open_session(conn)
+            while (reply := answer(*recv())) is not None:
+                send(*reply)
+        except Exception:  # a bad client must never stop the server
+            pass
+        finally:
+            with self._lock:
+                del self._open[conn]
+            conn.close()
+
+    def _open_session(self, conn: socket.socket):
+        """(recv, send, answer) for one connection; here plaintext frames."""
+        return (lambda: recv_frame(conn)), (lambda *frame: send_frame(conn, *frame)), self._handle
+
+    def _handle(self, frame_type: int, payload: bytes) -> tuple[int, bytes] | None:
         raise NotImplementedError

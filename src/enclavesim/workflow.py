@@ -16,7 +16,7 @@ import json
 import os
 import random
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 
 from . import crypto, pcs_service, pfs
@@ -202,192 +202,184 @@ def _step(report: DemoReport, log, number: int):
 
 def workflow_demo(config: DemoConfig, log=print) -> DemoReport:
     """Run the whole flow; the first failing step aborts the demo with its
-    step number recorded. Writes demo_report.json into the workdir."""
+    step number recorded. Writes demo_report.json into the workdir, also
+    when the demo fails outside a step, and then re-raises."""
     workdir = config.workdir or os.path.join(
         os.getcwd(), f"enclavesim-demo-{os.getpid()}")
     os.makedirs(workdir, exist_ok=True)
     report = DemoReport(workdir=workdir)
-
-    user_dir = os.path.join(workdir, "user")
-    cloud_dir = os.path.join(workdir, "cloud")
-    for sub in (user_dir, os.path.join(cloud_dir, "app"),
-                os.path.join(cloud_dir, "data")):
-        os.makedirs(sub, exist_ok=True)
-
-    rng = random.Random(config.seed)
-    marker = rng.randbytes(8).hex()
-
-    # plaintext inputs on the user's machine
-    model = LinearModel(
-        rows=config.model_rows, cols=config.model_cols,
-        weights=[[rng.uniform(-2, 2) for _ in range(config.model_cols)]
-                 for _ in range(config.model_rows)],
-        bias=[rng.uniform(-1, 1) for _ in range(config.model_rows)])
-    input_rows = [[rng.uniform(-10, 10) for _ in range(config.model_cols)]
-                  for _ in range(config.input_rows)]
-    input_text = f"# marker:{marker}\n" + format_rows(input_rows)
-    model_path = os.path.join(user_dir, "model.bin")
-    input_path = os.path.join(user_dir, "input.csv")
-    with open(model_path, "wb") as fh:
-        fh.write(model.pack())
-    with open(input_path, "w", encoding="utf-8") as fh:
-        fh.write(input_text)
-
-    # deployment artifacts on the cloud side
-    workload = WorkloadSpec(kind="linear_infer", model_path=MODEL_PATH,
-                            input_path=INPUT_PATH, output_path=OUTPUT_PATH,
-                            key_name=SECRET_NAME)
-    with open(os.path.join(cloud_dir, "app", "workload.json"), "wb") as fh:
-        fh.write(workload.to_json())
-
-    template = parse_template(TEMPLATE_TEXT)
-    final = sign_manifest(template, resolver_for_root(cloud_dir, template.mounts))
-    measurement = compute_measurement(final)
-    log(f"   signer measurement: {measurement.hex}")
-
-    master_key = crypto.random_bytes(32)
-
-    pcs_db = PcsDatabase.create(now=int(time.time()))
-    pcs_srv = pcs_service.PcsServer(pcs_db, host=config.host, port=config.pcs_port,
-                                    db_path=os.path.join(workdir, "pcs.json"))
-    pcs_srv.start()
-
-    vault = KeyVault()
-    vault.add_secret(SECRET_NAME, master_key, VerificationPolicy(
-        accepted_root=pcs_db.root_public_key,
-        expected_mr_enclave=measurement.mr_enclave,
-        min_isv_svn=1, min_tcb_level=1))
-    vault_save(vault, os.path.join(user_dir, "vault.pfs"), config.passphrase)
-
-    session_policy = VerificationPolicy(accepted_root=pcs_db.root_public_key,
-                                        min_isv_svn=1, min_tcb_level=1)
-    key_srv = KeyServer(vault, session_policy, crypto.sign_generate(),
-                        crl_provider=lambda pid: pcs_db.current_crl(),
-                        host=config.host, port=config.keyserver_port,
-                        audit_path=os.path.join(user_dir, "audit.jsonl"))
-    key_srv.start()
-
     try:
-        _run_steps(config, report, log, workdir, user_dir, cloud_dir,
-                   pcs_srv, key_srv, final, measurement, master_key, model,
-                   input_rows, workload, marker, model_path, input_path)
-    except Exception:
+        user_dir = os.path.join(workdir, "user")
+        cloud_dir = os.path.join(workdir, "cloud")
+        for sub in (user_dir, os.path.join(cloud_dir, "app"),
+                    os.path.join(cloud_dir, "data")):
+            os.makedirs(sub, exist_ok=True)
+
+        rng = random.Random(config.seed)
+        marker = rng.randbytes(8).hex()
+
+        # plaintext inputs on the user's machine
+        model = LinearModel(
+            rows=config.model_rows, cols=config.model_cols,
+            weights=[[rng.uniform(-2, 2) for _ in range(config.model_cols)]
+                     for _ in range(config.model_rows)],
+            bias=[rng.uniform(-1, 1) for _ in range(config.model_rows)])
+        input_rows = [[rng.uniform(-10, 10) for _ in range(config.model_cols)]
+                      for _ in range(config.input_rows)]
+        input_text = f"# marker:{marker}\n" + format_rows(input_rows)
+        model_path = os.path.join(user_dir, "model.bin")
+        input_path = os.path.join(user_dir, "input.csv")
+        with open(model_path, "wb") as fh:
+            fh.write(model.pack())
+        with open(input_path, "w", encoding="utf-8") as fh:
+            fh.write(input_text)
+
+        # deployment artifacts on the cloud side
+        workload = WorkloadSpec(kind="linear_infer", model_path=MODEL_PATH,
+                                input_path=INPUT_PATH, output_path=OUTPUT_PATH,
+                                key_name=SECRET_NAME)
+        with open(os.path.join(cloud_dir, "app", "workload.json"), "wb") as fh:
+            fh.write(workload.to_json())
+
+        template = parse_template(TEMPLATE_TEXT)
+        final = sign_manifest(template, resolver_for_root(cloud_dir, template.mounts))
+        measurement = compute_measurement(final)
+        log(f"   signer measurement: {measurement.hex}")
+
+        master_key = crypto.random_bytes(32)
+
+        with ExitStack() as servers:
+            pcs_db = PcsDatabase.create(now=int(time.time()))
+            pcs_srv = pcs_service.PcsServer(pcs_db, host=config.host, port=config.pcs_port,
+                                            db_path=os.path.join(workdir, "pcs.json"))
+            servers.callback(pcs_srv.stop)
+            pcs_srv.start()
+
+            vault = KeyVault()
+            vault.add_secret(SECRET_NAME, master_key, VerificationPolicy(
+                accepted_root=pcs_db.root_public_key,
+                expected_mr_enclave=measurement.mr_enclave,
+                min_isv_svn=1, min_tcb_level=1))
+            vault_save(vault, os.path.join(user_dir, "vault.pfs"), config.passphrase)
+
+            session_policy = VerificationPolicy(accepted_root=pcs_db.root_public_key,
+                                                min_isv_svn=1, min_tcb_level=1)
+            key_srv = KeyServer(vault, session_policy, crypto.sign_generate(),
+                                crl_provider=lambda pid: pcs_db.current_crl(),
+                                host=config.host, port=config.keyserver_port,
+                                audit_path=os.path.join(user_dir, "audit.jsonl"))
+            servers.callback(key_srv.stop)
+            key_srv.start()
+
+            # step 0 (unnumbered): the cloud provider registered its platform
+            platform, chain = pcs_service.register_platform(pcs_srv.address, tcb_level=2)
+            log(f"   platform {platform.platform_id.hex()} registered with the PCS "
+                "(pre-existing state)")
+            if config.fault == "revoked_platform":
+                pcs_service.revoke_platform(pcs_srv.address, platform.platform_id)
+                log("   fault injected: platform revoked")
+
+            # 1: user fetches the platform evidence
+            with _step(report, log, 1) as step:
+                _, crl = pcs_service.fetch_platform(pcs_srv.address, platform.platform_id)
+                step.detail = (f"CRL sequence {crl.sequence}, "
+                               f"{len(crl.revoked)} revoked platform(s)")
+
+            # 2: user encrypts and uploads
+            with _step(report, log, 2):
+                user_encrypt_inputs([(model_path, MODEL_PATH), (input_path, INPUT_PATH)],
+                                    master_key, os.path.join(cloud_dir, "data"))
+
+            if config.fault == "tamper_input":
+                target = os.path.join(cloud_dir, "data", os.path.basename(INPUT_PATH))
+                with open(target, "r+b") as fh:
+                    fh.seek(1000)  # inside the first sealed node
+                    byte = fh.read(1)
+                    fh.seek(1000)
+                    fh.write(bytes([byte[0] ^ 0x01]))
+                log("   fault injected: uploaded input container tampered")
+
+            if config.fault == "wrong_manifest":
+                tampered = parse_template(TEMPLATE_TEXT.replace("max_threads = 1",
+                                                                "max_threads = 2"))
+                final = sign_manifest(tampered,
+                                      resolver_for_root(cloud_dir, tampered.mounts))
+                log("   fault injected: platform runs a modified manifest "
+                    f"(measurement {compute_measurement(final).hex[:16]}..., "
+                    f"key policy expects {measurement.hex[:16]}...)")
+
+            # 3-4: the platform starts the enclave; both sides handshake. A handshake
+            # the verifier rejects (exit code 1) opened the connection (3) and failed
+            # the user's verification (4); any other handshake failure fails 3.
+            rejected = None
+            with _step(report, log, 3):
+                instance = enclave_start(final, cloud_dir, platform=platform,
+                                         cert_chain=chain)
+                try:
+                    client = ProvisioningClient(key_srv.address, instance.quote_provider(),
+                                                key_srv.public_key)
+                except HandshakeError as exc:
+                    if exit_code(exc) != EXIT_ATTESTATION:
+                        raise
+                    rejected = exc
+            with _step(report, log, 4) as step:
+                if rejected is not None:
+                    raise rejected
+                step.detail = "quote accepted by the key server"
+
+            # 5: provision the key
+            with client, _step(report, log, 5):
+                instance.provisioned_secrets[SECRET_NAME] = client.request(SECRET_NAME)
+
+            # 6: transparent decrypt
+            with _step(report, log, 6) as step:
+                loaded_model, rows = instance.workload_open_inputs(workload)
+                step.detail = f"{len(rows)} input row(s)"
+
+            # 7: compute on plaintext
+            with _step(report, log, 7):
+                out_rows = instance.workload_compute(loaded_model, rows)
+
+            # 8: write the protected output
+            with _step(report, log, 8) as step:
+                run_report = instance.workload_write_output(workload, out_rows)
+                step.detail = f"{run_report.rows} row(s) -> {run_report.output_path}"
+
+            # beyond step 8: the user reads the output from shared storage
+            out_host = os.path.join(cloud_dir, "data", os.path.basename(OUTPUT_PATH))
+            decrypted = user_decrypt_output(out_host, master_key, OUTPUT_PATH)
+            report.decrypted_sha256 = crypto.hash_data(decrypted).hex()
+
+            # reference: the user's own plaintext run of the same model
+            reference = format_rows([model.apply(x) for x in input_rows]).encode("utf-8")
+            report.output_match = decrypted == reference
+            log(f"   user decrypted the output: "
+                f"{'matches' if report.output_match else 'DOES NOT match'} the "
+                "plaintext reference run")
+
+            # confinement: no plaintext marker may exist outside the user's machine
+            markers = [f"# marker:{marker}".encode("utf-8"), model.pack()[8:40],
+                       decrypted[:64], master_key, master_key.hex().encode()]
+            report.leaked_paths = scan_for_leaks(workdir, user_dir, markers)
+            if report.leaked_paths:
+                log(f"   LEAK: plaintext markers found in {report.leaked_paths}")
+            else:
+                log("   confinement scan: no plaintext markers outside the user directory")
+
+            if report.output_match and not report.leaked_paths:
+                report.ok = True
+                report.exit_code = EXIT_OK
+            else:
+                report.exit_code = EXIT_INTEGRITY
+    except Exception as exc:
         if report.failed_step is None:  # not a step's failure: no demo outcome
+            report.exit_code = exit_code(exc)
             raise
     finally:
-        key_srv.stop()
-        pcs_srv.stop()
-
-    with open(os.path.join(workdir, "demo_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+        with open(os.path.join(workdir, "demo_report.json"), "w", encoding="utf-8") as fh:
+            json.dump(report.to_dict(), fh, indent=2)
+            fh.write("\n")
     return report
-
-
-def _run_steps(config, report, log, workdir, user_dir, cloud_dir,
-               pcs_srv, key_srv, final, measurement, master_key, model,
-               input_rows, workload, marker, model_path, input_path):
-    # step 0 (unnumbered): the cloud provider registered its platform
-    platform, chain = pcs_service.register_platform(pcs_srv.address, tcb_level=2)
-    log(f"   platform {platform.platform_id.hex()} registered with the PCS "
-        "(pre-existing state)")
-    if config.fault == "revoked_platform":
-        pcs_service.revoke_platform(pcs_srv.address, platform.platform_id)
-        log("   fault injected: platform revoked")
-
-    # 1: user fetches the platform evidence
-    with _step(report, log, 1) as step:
-        _, crl = pcs_service.fetch_platform(pcs_srv.address, platform.platform_id)
-        step.detail = (f"CRL sequence {crl.sequence}, "
-                       f"{len(crl.revoked)} revoked platform(s)")
-
-    # 2: user encrypts and uploads
-    with _step(report, log, 2):
-        user_encrypt_inputs([(model_path, MODEL_PATH), (input_path, INPUT_PATH)],
-                            master_key, os.path.join(cloud_dir, "data"))
-
-    if config.fault == "tamper_input":
-        target = os.path.join(cloud_dir, "data", os.path.basename(INPUT_PATH))
-        with open(target, "r+b") as fh:
-            fh.seek(1000)  # inside the first sealed node
-            byte = fh.read(1)
-            fh.seek(1000)
-            fh.write(bytes([byte[0] ^ 0x01]))
-        log("   fault injected: uploaded input container tampered")
-
-    if config.fault == "wrong_manifest":
-        tampered = parse_template(TEMPLATE_TEXT.replace("max_threads = 1",
-                                                        "max_threads = 2"))
-        final = sign_manifest(tampered,
-                              resolver_for_root(cloud_dir, tampered.mounts))
-        log("   fault injected: platform runs a modified manifest "
-            f"(measurement {compute_measurement(final).hex[:16]}..., "
-            f"key policy expects {measurement.hex[:16]}...)")
-
-    # 3-4: the platform starts the enclave; both sides handshake. A handshake
-    # the verifier rejects (exit code 1) opened the connection (3) and failed
-    # the user's verification (4); any other handshake failure fails 3.
-    rejected = None
-    with _step(report, log, 3):
-        instance = enclave_start(final, cloud_dir, platform=platform,
-                                 cert_chain=chain)
-        try:
-            client = ProvisioningClient(key_srv.address, instance.quote_provider(),
-                                        key_srv.public_key)
-        except HandshakeError as exc:
-            if exit_code(exc) != EXIT_ATTESTATION:
-                raise
-            rejected = exc
-    with _step(report, log, 4) as step:
-        if rejected is not None:
-            raise rejected
-        step.detail = "quote accepted by the key server"
-
-    # 5: provision the key
-    with client, _step(report, log, 5):
-        instance.provisioned_secrets[SECRET_NAME] = client.request(SECRET_NAME)
-
-    # 6: transparent decrypt
-    with _step(report, log, 6) as step:
-        loaded_model, rows = instance.workload_open_inputs(workload)
-        step.detail = f"{len(rows)} input row(s)"
-
-    # 7: compute on plaintext
-    with _step(report, log, 7):
-        out_rows = instance.workload_compute(loaded_model, rows)
-
-    # 8: write the protected output
-    with _step(report, log, 8) as step:
-        run_report = instance.workload_write_output(workload, out_rows)
-        step.detail = f"{run_report.rows} row(s) -> {run_report.output_path}"
-
-    # beyond step 8: the user reads the output from shared storage
-    out_host = os.path.join(cloud_dir, "data", os.path.basename(OUTPUT_PATH))
-    decrypted = user_decrypt_output(out_host, master_key, OUTPUT_PATH)
-    report.decrypted_sha256 = crypto.hash_data(decrypted).hex()
-
-    # reference: the user's own plaintext run of the same model
-    reference = format_rows([model.apply(x) for x in input_rows]).encode("utf-8")
-    report.output_match = decrypted == reference
-    log(f"   user decrypted the output: "
-        f"{'matches' if report.output_match else 'DOES NOT match'} the "
-        "plaintext reference run")
-
-    # confinement: no plaintext marker may exist outside the user's machine
-    markers = [f"# marker:{marker}".encode("utf-8"), model.pack()[8:40],
-               decrypted[:64], master_key, master_key.hex().encode()]
-    report.leaked_paths = scan_for_leaks(workdir, user_dir, markers)
-    if report.leaked_paths:
-        log(f"   LEAK: plaintext markers found in {report.leaked_paths}")
-    else:
-        log("   confinement scan: no plaintext markers outside the user directory")
-
-    if report.output_match and not report.leaked_paths:
-        report.ok = True
-        report.exit_code = EXIT_OK
-    else:
-        report.ok = False
-        report.exit_code = EXIT_INTEGRITY
 
 
 def scan_for_leaks(workdir, user_dir, markers: list[bytes]) -> list[str]:

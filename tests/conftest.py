@@ -1,5 +1,32 @@
 import sys
+import threading
+import time
 from pathlib import Path
+
+import pytest
+
+from enclavesim import wire
 
 # make the independent reference oracle importable from any test
 sys.path.insert(0, str(Path(__file__).parent))
+
+# how long a connection thread may take to see its client's close
+LEAK_GRACE_S = 2.0
+
+
+def _frame_server_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate()
+            if t.name.startswith(wire.THREAD_PREFIX) and t.is_alive()}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_server_threads():
+    """Fail a test that leaves a FrameServer accept or connection thread
+    running: every server it starts must be stopped, and stop() must end
+    the connections it still had open."""
+    before = _frame_server_threads()
+    yield
+    deadline = time.monotonic() + LEAK_GRACE_S
+    while (leaked := _frame_server_threads() - before) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not leaked, f"FrameServer threads left running: {sorted(t.name for t in leaked)}"

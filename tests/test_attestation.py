@@ -3,9 +3,12 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from enclavesim import crypto
+from enclavesim import crypto, wire
 from enclavesim.attestation import (
+    FAILURE_REASONS,
     CertChain,
     Certificate,
     Crl,
@@ -13,6 +16,7 @@ from enclavesim.attestation import (
     Quote,
     UnknownPlatformError,
     VerificationPolicy,
+    VerificationResult,
     quote_generate,
     quote_verify,
 )
@@ -313,6 +317,43 @@ def test_random_forgeries_never_verify(pcs):
             q = replace(body, signature=crypto.sign(rogue.private, b"quote-v1" + body.body()))
         result = quote_verify(q, c, crl, pol, NOW)
         assert not result.ok, f"forgery accepted in mode {mode}"
+
+
+@pytest.fixture(scope="module")
+def evidence(pcs):
+    platform, chain = pcs.register(tcb_level=5, now=NOW)
+    return make_quote(platform), json.dumps({"chain": chain.to_dict(),
+                                             "crl": pcs.current_crl().to_dict()})
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+EVIDENCE_FIELDS = [("chain", cert, field)
+                   for cert in ("root", "platform_ca", "attestation_key")
+                   for field in ("subject", "issuer", "public_key", "not_before",
+                                 "not_after", "tcb_level", "signature")] + [
+    ("crl", None, field) for field in ("issuer", "sequence", "revoked", "signature")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(EVIDENCE_FIELDS),
+                                json_values | st.binary(max_size=80).map(bytes.hex)),
+                      max_size=4))
+def test_quote_verify_never_raises_on_decodable_evidence(pcs, evidence, edits):
+    quote, pristine = evidence
+    doc = json.loads(pristine)
+    for (part, cert, field), value in edits:
+        (doc[part][cert] if cert else doc[part])[field] = value
+    try:
+        chain, crl = CertChain.from_dict(doc["chain"]), Crl.from_dict(doc["crl"])
+    except wire.DECODE_ERRORS:
+        return
+    result = quote_verify(quote, chain, crl, policy_for(pcs), NOW)
+    assert isinstance(result, VerificationResult)
+    assert result.ok or result.failure_reason in FAILURE_REASONS
 
 
 def test_crl_signature_required(pcs):

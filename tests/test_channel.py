@@ -1,6 +1,7 @@
 import json
 import random
 import socket
+import struct
 import threading
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from enclavesim import crypto, wire
 from enclavesim.attestation import PcsDatabase, VerificationPolicy, quote_generate
 from enclavesim.channel import (
+    _OUT_OF_ORDER_WINDOW,
     AttestationCertificate,
     ChannelError,
     HandshakeError,
@@ -177,11 +179,11 @@ def test_verifier_fail_closed_no_v1_after_bad_quote(env):
     assert types == [wire.HS_ERROR]
 
 
-def _a1_with_leaf_subject(env, subject):
+def _a1_with_cert_field(env, cert, field, value):
     eph = crypto.dh_generate()
     quote = quote_generate(env["platform"], MRE, MRS, 3, bind_report_data(eph.public))
     d = json.loads(AttestationCertificate(eph.public, quote, env["chain"]).encode())
-    d["chain"]["attestation_key"]["subject"] = subject
+    d["chain"][cert][field] = value
     return json.dumps(d).encode()
 
 
@@ -190,7 +192,11 @@ MALFORMED_A1 = {
     "list": (wire.HS_A1, lambda env: b"[1]"),
     "eph-pub-not-str": (wire.HS_A1, lambda env: b'{"eph_pub": 1, "quote": "00", "chain": {}}'),
     "deep-nesting": (wire.HS_A1, lambda env: b"[" * 100_000),
-    "subject-not-str": (wire.HS_A1, lambda env: _a1_with_leaf_subject(env, 5)),
+    "subject-not-str": (wire.HS_A1,
+                        lambda env: _a1_with_cert_field(env, "attestation_key", "subject", 5)),
+    "ca-signature-short": (wire.HS_A1,
+                           lambda env: _a1_with_cert_field(env, "platform_ca", "signature",
+                                                           "00" * 10)),
     "v1-first": (wire.HS_V1, lambda env: b"{}"),
 }
 
@@ -212,6 +218,24 @@ def test_malformed_a1_gets_hs_error_io(env, name):
     assert [t for t, _ in frames] == [wire.HS_ERROR]
     assert json.loads(frames[0][1])["kind"] == "io"
     assert isinstance(ver.error, HandshakeError)
+    assert ver.error.kind == "io"
+
+
+def test_bad_first_frame_length_gets_one_hs_error_io(env):
+    a_sock, v_sock = socket.socketpair()
+    thread, ver = run_verifier(env, v_sock)
+    a_sock.sendall(struct.pack(">I", 2 + wire.MAX_PAYLOAD))
+    frames = []
+    try:
+        while True:
+            frames.append(wire.recv_frame(a_sock))
+    except (wire.ConnectionClosedError, OSError):
+        pass
+    thread.join()
+    a_sock.close()
+    assert [t for t, _ in frames] == [wire.HS_ERROR]
+    assert json.loads(frames[0][1]) == {"kind": "io",
+                                        "reason": f"bad frame length {2 + wire.MAX_PAYLOAD}"}
     assert ver.error.kind == "io"
 
 
@@ -390,6 +414,35 @@ def test_reordered_record_classified(env):
     with pytest.raises(ChannelError) as exc:
         chan_v.recv()
     assert exc.value.kind == "out_of_order"
+    chan_a.close(), chan_v.close()
+
+
+def test_failure_classification_probes_only_the_window(env, monkeypatch):
+    att, ver = handshake_pair(env)
+    chan_a, (chan_v, _) = att.value, ver.value
+    for i in range(200):
+        chan_a.send(wire.REC_APP, b"%d" % i)
+        assert chan_v.recv() == (wire.REC_APP, b"%d" % i)
+    real_open = crypto.aead_open
+    trials = []
+
+    def counted_open(*args):
+        trials.append(args)
+        return real_open(*args)
+
+    monkeypatch.setattr(crypto, "aead_open", counted_open)
+    wire.send_frame(chan_a._sock, wire.REC_APP, b"\x00" * 40)
+    with pytest.raises(ChannelError) as exc:
+        chan_v.recv()
+    assert exc.value.kind == "auth"
+    assert len(trials) <= 2 * _OUT_OF_ORDER_WINDOW + 1
+    # a replay older than the window is indistinguishable from tampering
+    sealed_old = crypto.aead_seal(chan_a._send_key, (1).to_bytes(12, "big"),
+                                  bytes([wire.REC_APP]) + (1).to_bytes(8, "big"), b"0")
+    wire.send_frame(chan_a._sock, wire.REC_APP, sealed_old)
+    with pytest.raises(ChannelError) as exc:
+        chan_v.recv()
+    assert exc.value.kind == "auth"
     chan_a.close(), chan_v.close()
 
 

@@ -1,7 +1,9 @@
 import json
 import os
+import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -156,6 +158,19 @@ def test_demo_cli_with_config_file(tmp_path, capsys):
     assert run_cli("demo", "--config", str(cfg)) == 0
     report = json.loads((tmp_path / "work" / "demo_report.json").read_text())
     assert report["ok"] is True
+
+
+def test_demo_with_a_busy_port_exits_3_and_writes_its_report(tmp_path, capsys):
+    cfg = tmp_path / "demo.cfg"
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        cfg.write_text(f"workdir = {tmp_path / 'work'}\n"
+                       f"keyserver_port = {busy.getsockname()[1]}\n")
+        assert run_cli("demo", "--config", str(cfg)) == 3
+    assert "error: OSError" in capsys.readouterr().err
+    report = json.loads((tmp_path / "work" / "demo_report.json").read_text())
+    assert (report["ok"], report["failed_step"], report["exit_code"]) == (False, None, 3)
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith(wire.THREAD_PREFIX)]
 
 
 # -- full CLI deployment across processes -----------------------------------------

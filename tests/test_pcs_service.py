@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,52 @@ def test_malformed_request_gets_an_error_reply_and_the_connection_lives(
     assert json.loads(body)["chain"]["attestation_key"]["subject"] \
         == f"platform:{platform.platform_id.hex()}"
     assert crashed == []
+
+
+def conn_thread_alive(sock) -> bool:
+    """Whether the server thread serving client socket `sock` still runs."""
+    name = f"{wire.THREAD_PREFIX}-conn-{sock.getsockname()[1]}"
+    return any(t.name == name for t in threading.enumerate())
+
+
+def wait_until_gone(sock, timeout=5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while conn_thread_alive(sock) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return not conn_thread_alive(sock)
+
+
+def fetch_on(conn, platform_id):
+    wire.send_frame(conn, wire.PCS_FETCH_REQ,
+                    canonical_json({"platform_id": platform_id.hex()}))
+    return wire.recv_frame(conn)
+
+
+def test_idle_timeout_closes_a_silent_client_while_others_are_served():
+    srv = PcsServer(PcsDatabase.create(now=NOW), now_source=lambda: NOW,
+                    idle_timeout=0.5).start()
+    try:
+        platform, _ = register_platform(srv.address, tcb_level=3)
+        start = time.monotonic()
+        with socket.create_connection(srv.address, timeout=10) as silent:
+            with socket.create_connection(srv.address, timeout=10) as other:
+                assert fetch_on(other, platform.platform_id)[0] == wire.PCS_FETCH_RESP
+            assert silent.recv(1) == b""  # the server closed the idle connection
+            assert 0.45 < time.monotonic() - start < 5
+            assert wait_until_gone(silent)
+    finally:
+        srv.stop()
+
+
+def test_stop_closes_an_open_connection(server):
+    platform, _ = register_platform(server.address, tcb_level=3)
+    with socket.create_connection(server.address, timeout=10) as conn:
+        assert fetch_on(conn, platform.platform_id)[0] == wire.PCS_FETCH_RESP
+        server.stop()
+        # EOF, or a reset when the request reached the closed socket first
+        with pytest.raises((wire.ConnectionClosedError, ConnectionResetError)):
+            fetch_on(conn, platform.platform_id)
+        assert not conn_thread_alive(conn)
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import pytest
 
 from enclavesim import crypto, wire
 from enclavesim.attestation import PcsDatabase, VerificationPolicy, quote_generate
-from enclavesim.channel import HandshakeError
+from enclavesim.channel import ChannelError, HandshakeError
 from enclavesim.pfs import IntegrityError, WrongKeyError
 from enclavesim.provisioning import (
     KeyServer,
@@ -233,6 +233,16 @@ def test_malformed_request_denied_bad_request_and_channel_stays_open(env, server
     outcomes = [e["outcome"] for e in server.audit_log[before:]]
     assert outcomes == ["denied:bad_request"] * 3 + ["granted"]
     assert all(e["secret_name"] is None for e in server.audit_log[before:before + 3])
+
+
+def test_stop_closes_an_open_session(env, server):
+    with ProvisioningClient(server.address, provider_for(env), server.public_key) as client:
+        assert client.request("pfs-master") == SECRET
+        server.stop()
+        with pytest.raises(ChannelError):
+            client.request("pfs-master")
+        assert [t.name for t in threading.enumerate()
+                if t.name.startswith(wire.THREAD_PREFIX)] == []
 
 
 class RecordingProxy:
