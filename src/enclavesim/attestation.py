@@ -21,10 +21,6 @@ QUOTE_REPORT_DATA_SIZE = 64
 QUOTE_BODY = struct.Struct(">32s32sI64s16sI")
 QUOTE_SIZE = QUOTE_BODY.size + crypto.SIGNATURE_SIZE
 
-_CERT_CONTEXT = b"cert-v1"
-_CRL_CONTEXT = b"crl-v1"
-_QUOTE_CONTEXT = b"quote-v1"
-
 ROOT_SUBJECT = "sim-pcs-root"
 CA_SUBJECT = "sim-pcs-platform-ca"
 
@@ -47,8 +43,20 @@ def _signature_from_hex(value: str) -> bytes:
     return signature
 
 
+class _JsonSigned:
+    """A record signed over its context label followed by the canonical
+    JSON of every field of `to_dict()` except the signature."""
+
+    def signed_payload(self) -> bytes:
+        body = self.to_dict()
+        del body["signature"]
+        return self._CONTEXT + canonical_json(body)
+
+
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(_JsonSigned):
+    _CONTEXT = b"cert-v1"
+
     subject: str
     issuer: str
     public_key: bytes
@@ -56,11 +64,6 @@ class Certificate:
     not_after: int
     tcb_level: int | None
     signature: bytes
-
-    def signed_payload(self) -> bytes:
-        body = self.to_dict()
-        del body["signature"]
-        return _CERT_CONTEXT + canonical_json(body)
 
     def to_dict(self) -> dict:
         return {
@@ -111,16 +114,13 @@ class CertChain:
 
 
 @dataclass(frozen=True)
-class Crl:
+class Crl(_JsonSigned):
+    _CONTEXT = b"crl-v1"
+
     issuer: str
     sequence: int
     revoked: frozenset[bytes]
     signature: bytes
-
-    def signed_payload(self) -> bytes:
-        body = self.to_dict()
-        del body["signature"]
-        return _CRL_CONTEXT + canonical_json(body)
 
     def to_dict(self) -> dict:
         return {
@@ -162,6 +162,9 @@ class Quote:
     def body(self) -> bytes:
         return QUOTE_BODY.pack(self.mr_enclave, self.mr_signer, self.isv_svn,
                                self.report_data, self.platform_id, self.tcb_level)
+
+    def signed_payload(self) -> bytes:
+        return b"quote-v1" + self.body()
 
     def pack(self) -> bytes:
         return self.body() + self.signature
@@ -258,19 +261,29 @@ def subject_platform_id(subject: str) -> bytes | None:
     return pid if len(pid) == 16 else None
 
 
+def _sign(unsigned, private_key: bytes):
+    """`unsigned` (a certificate, CRL or quote) carrying the Ed25519
+    signature of its signed_payload() under private_key."""
+    return replace(unsigned, signature=crypto.sign(private_key, unsigned.signed_payload()))
+
+
+def _signed_by(record, public_key: bytes) -> bool:
+    return crypto.verify(public_key, record.signed_payload(), record.signature)
+
+
 def _issue(subject, subject_key, issuer, issuer_private, not_before, not_after,
            tcb_level=None) -> Certificate:
-    unsigned = Certificate(subject, issuer, subject_key, not_before, not_after,
-                           tcb_level, signature=b"")
-    sig = crypto.sign(issuer_private, unsigned.signed_payload())
-    return replace(unsigned, signature=sig)
+    return _sign(Certificate(subject, issuer, subject_key, not_before, not_after,
+                             tcb_level, signature=b""), issuer_private)
 
 
 # -- mock PCS -----------------------------------------------------------
 
 class PcsDatabase:
     """The mock Provisioning Certification Service registry. One writer
-    lock serializes mutations; persisted as a single JSON file."""
+    lock serializes mutations; persisted as a single JSON file. Each
+    platform is its certificate chain; the current signed CRL is the whole
+    revocation state."""
 
     def __init__(self, root_key: crypto.SigningKeyPair,
                  ca_key: crypto.SigningKeyPair,
@@ -282,38 +295,37 @@ class PcsDatabase:
         self.root_cert = root_cert
         self.ca_cert = ca_cert
         self.created_at = created_at
-        self.platforms: dict[bytes, dict] = {}
-        self.revoked: set[bytes] = set()
-        self.crl_sequence = 0
-        self._crl = self._sign_crl()
+        self.platforms: dict[bytes, CertChain] = {}
+        self._crl = _sign(Crl(CA_SUBJECT, 0, frozenset(), b""), ca_key.private)
 
     @classmethod
-    def create(cls, now: int, ca_validity: int = DEFAULT_CA_VALIDITY) -> "PcsDatabase":
+    def create(cls, now: int) -> "PcsDatabase":
         root_key = crypto.sign_generate()
         ca_key = crypto.sign_generate()
         root_cert = _issue(ROOT_SUBJECT, root_key.public, ROOT_SUBJECT,
-                           root_key.private, now, now + ca_validity)
+                           root_key.private, now, now + DEFAULT_CA_VALIDITY)
         ca_cert = _issue(CA_SUBJECT, ca_key.public, ROOT_SUBJECT,
-                         root_key.private, now, now + ca_validity)
+                         root_key.private, now, now + DEFAULT_CA_VALIDITY)
         return cls(root_key, ca_key, root_cert, ca_cert, created_at=now)
 
     @property
     def root_public_key(self) -> bytes:
         return self.root_key.public
 
-    def _sign_crl(self) -> Crl:
-        unsigned = Crl(CA_SUBJECT, self.crl_sequence, frozenset(self.revoked), b"")
-        sig = crypto.sign(self.ca_key.private, unsigned.signed_payload())
-        return replace(unsigned, signature=sig)
+    @property
+    def revoked(self) -> frozenset[bytes]:
+        return self._crl.revoked
 
     def current_crl(self) -> Crl:
         return self._crl
 
-    def register(self, tcb_level: int, now: int,
-                 leaf_validity: int = DEFAULT_LEAF_VALIDITY
-                 ) -> tuple[PlatformIdentity, CertChain]:
+    def register(self, tcb_level: int, now: int) -> tuple[PlatformIdentity, CertChain]:
         """Enroll a new platform; returns its identity (with the private
-        attestation key, which the registry does not retain) and the chain."""
+        attestation key, which the registry does not retain) and the chain.
+        tcb_level must be an integer that fits the quote's u32 field."""
+        if isinstance(tcb_level, bool) or not isinstance(tcb_level, int) \
+                or not 0 <= tcb_level <= 0xFFFFFFFF:
+            raise ValueError(f"tcb_level must be an integer in 0..2**32-1, got {tcb_level!r}")
         with self._lock:
             while True:
                 platform_id = os.urandom(16)
@@ -321,22 +333,18 @@ class PcsDatabase:
                     break
             key = crypto.sign_generate()
             leaf = _issue(platform_subject(platform_id), key.public, CA_SUBJECT,
-                          self.ca_key.private, now, now + leaf_validity,
+                          self.ca_key.private, now, now + DEFAULT_LEAF_VALIDITY,
                           tcb_level=tcb_level)
             chain = CertChain(self.root_cert, self.ca_cert, leaf)
-            self.platforms[platform_id] = {
-                "public_key": key.public,
-                "tcb_level": tcb_level,
-                "chain": chain,
-            }
+            self.platforms[platform_id] = chain
             return PlatformIdentity(platform_id, key, tcb_level), chain
 
     def fetch(self, platform_id: bytes) -> tuple[CertChain, Crl]:
         with self._lock:
-            record = self.platforms.get(platform_id)
-            if record is None:
+            chain = self.platforms.get(platform_id)
+            if chain is None:
                 raise UnknownPlatformError(platform_id.hex())
-            return record["chain"], self._crl
+            return chain, self._crl
 
     def revoke(self, platform_id: bytes) -> Crl:
         """Add the platform to the revocation set. Idempotent on the set;
@@ -344,14 +352,21 @@ class PcsDatabase:
         with self._lock:
             if platform_id not in self.platforms:
                 raise UnknownPlatformError(platform_id.hex())
-            self.revoked.add(platform_id)
-            self.crl_sequence += 1
-            self._crl = self._sign_crl()
+            crl = self._crl
+            self._crl = _sign(replace(crl, sequence=crl.sequence + 1,
+                                      revoked=crl.revoked | {platform_id}),
+                              self.ca_key.private)
             return self._crl
 
     # -- persistence --
 
     def to_dict(self) -> dict:
+        def platform(chain: CertChain) -> dict:
+            leaf = chain.attestation_key_cert
+            return {"public_key": leaf.public_key.hex(), "tcb_level": leaf.tcb_level,
+                    "chain": chain.to_dict()}
+
+        crl = self._crl.to_dict()
         return {
             "root_key": {"private": self.root_key.private.hex(),
                          "public": self.root_key.public.hex()},
@@ -360,37 +375,25 @@ class PcsDatabase:
             "root_cert": self.root_cert.to_dict(),
             "ca_cert": self.ca_cert.to_dict(),
             "created_at": self.created_at,
-            "platforms": {
-                pid.hex(): {
-                    "public_key": rec["public_key"].hex(),
-                    "tcb_level": rec["tcb_level"],
-                    "chain": rec["chain"].to_dict(),
-                } for pid, rec in self.platforms.items()
-            },
-            "revoked": sorted(pid.hex() for pid in self.revoked),
-            "crl_sequence": self.crl_sequence,
+            "platforms": {pid.hex(): platform(chain) for pid, chain in self.platforms.items()},
+            "revoked": crl["revoked"],
+            "crl_sequence": crl["sequence"],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PcsDatabase":
         db = cls(
-            root_key=crypto.SigningKeyPair(bytes.fromhex(d["root_key"]["private"]),
-                                           bytes.fromhex(d["root_key"]["public"])),
-            ca_key=crypto.SigningKeyPair(bytes.fromhex(d["ca_key"]["private"]),
-                                         bytes.fromhex(d["ca_key"]["public"])),
+            root_key=crypto.signing_key(bytes.fromhex(d["root_key"]["private"])),
+            ca_key=crypto.signing_key(bytes.fromhex(d["ca_key"]["private"])),
             root_cert=Certificate.from_dict(d["root_cert"]),
             ca_cert=Certificate.from_dict(d["ca_cert"]),
             created_at=int(d["created_at"]),
         )
-        for pid_hex, rec in d["platforms"].items():
-            db.platforms[bytes.fromhex(pid_hex)] = {
-                "public_key": bytes.fromhex(rec["public_key"]),
-                "tcb_level": int(rec["tcb_level"]),
-                "chain": CertChain.from_dict(rec["chain"]),
-            }
-        db.revoked = {bytes.fromhex(h) for h in d["revoked"]}
-        db.crl_sequence = int(d["crl_sequence"])
-        db._crl = db._sign_crl()
+        db.platforms = {bytes.fromhex(pid_hex): CertChain.from_dict(rec["chain"])
+                        for pid_hex, rec in d["platforms"].items()}
+        db._crl = _sign(Crl(CA_SUBJECT, int(d["crl_sequence"]),
+                            frozenset(bytes.fromhex(h) for h in d["revoked"]), b""),
+                        db.ca_key.private)
         return db
 
     def save(self, path) -> None:
@@ -417,10 +420,9 @@ def quote_generate(platform: PlatformIdentity, mr_enclave: bytes,
     copied from the platform."""
     if len(report_data) != QUOTE_REPORT_DATA_SIZE:
         raise ValueError(f"report_data must be exactly {QUOTE_REPORT_DATA_SIZE} bytes")
-    unsigned = Quote(mr_enclave, mr_signer, isv_svn, report_data,
-                     platform.platform_id, platform.tcb_level, signature=b"")
-    sig = crypto.sign(platform.signing_key.private, _QUOTE_CONTEXT + unsigned.body())
-    return replace(unsigned, signature=sig)
+    return _sign(Quote(mr_enclave, mr_signer, isv_svn, report_data,
+                       platform.platform_id, platform.tcb_level, signature=b""),
+                 platform.signing_key.private)
 
 
 def _chain_ok(chain: CertChain, crl: Crl, accepted_root: bytes) -> bool:
@@ -433,18 +435,11 @@ def _chain_ok(chain: CertChain, crl: Crl, accepted_root: bytes) -> bool:
         return False
     if subject_platform_id(leaf.subject) is None or leaf.tcb_level is None:
         return False
-    if not crypto.verify(root.public_key, root.signed_payload(), root.signature):
-        return False
-    if not crypto.verify(root.public_key, ca.signed_payload(), ca.signature):
-        return False
-    if not crypto.verify(ca.public_key, leaf.signed_payload(), leaf.signature):
+    if not (_signed_by(root, root.public_key) and _signed_by(ca, root.public_key)
+            and _signed_by(leaf, ca.public_key)):
         return False
     # the CRL is part of the PKI evidence: it must come from this chain's CA
-    if crl.issuer != ca.subject:
-        return False
-    if not crypto.verify(ca.public_key, crl.signed_payload(), crl.signature):
-        return False
-    return True
+    return crl.issuer == ca.subject and _signed_by(crl, ca.public_key)
 
 
 def quote_verify(quote: Quote, chain: CertChain, crl: Crl,
@@ -469,7 +464,7 @@ def quote_verify(quote: Quote, chain: CertChain, crl: Crl,
     # CRL entry by signing a quote with someone else's id
     if quote.platform_id != cert_pid:
         return fail("bad_quote_sig")
-    if not crypto.verify(leaf.public_key, _QUOTE_CONTEXT + quote.body(), quote.signature):
+    if not _signed_by(quote, leaf.public_key):
         return fail("bad_quote_sig")
     if policy.expected_mr_enclave is not None and quote.mr_enclave != policy.expected_mr_enclave:
         return fail("mr_enclave_mismatch")

@@ -29,6 +29,7 @@ from .attestation import (
     Quote,
     VerificationPolicy,
     VerificationResult,
+    _signature_from_hex,
     canonical_json,
     quote_verify,
 )
@@ -220,7 +221,7 @@ def _attester_handshake(conn: socket.socket, quote_provider: QuoteProvider,
         raise HandshakeError("io", f"unexpected frame type {frame_type:#x}")
 
     verifier_eph_pub, sig = _read_peer_json(payload, "V1", lambda d: (
-        bytes.fromhex(d["eph_pub"]), bytes.fromhex(d["sig"])))
+        bytes.fromhex(d["eph_pub"]), _signature_from_hex(d["sig"])))
     th1 = _transcript_after_a1(a1)
     if not crypto.verify(verifier_pin, _SIG_CONTEXT + th1 + verifier_eph_pub, sig):
         raise HandshakeError("peer_auth_failed",

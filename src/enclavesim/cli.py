@@ -210,15 +210,8 @@ def cmd_keyserver_serve(args) -> int:
     session_policy = VerificationPolicy(
         accepted_root=_key_from_hex(args.root_hex),
         min_isv_svn=args.min_svn, min_tcb_level=args.min_tcb)
-    if args.signing_key_hex:
-        from cryptography.hazmat.primitives.asymmetric import ed25519
-
-        priv = bytes.fromhex(args.signing_key_hex)
-        pub = ed25519.Ed25519PrivateKey.from_private_bytes(priv) \
-            .public_key().public_bytes_raw()
-        signing_key = crypto.SigningKeyPair(priv, pub)
-    else:
-        signing_key = crypto.sign_generate()
+    signing_key = (crypto.signing_key(bytes.fromhex(args.signing_key_hex))
+                   if args.signing_key_hex else crypto.sign_generate())
 
     pcs_addr = _addr(args.pcs)
     host, port = _addr(args.listen)

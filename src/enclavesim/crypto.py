@@ -24,9 +24,6 @@ DIGEST_SIZE = 32
 SIGNATURE_SIZE = 64
 MAX_KDF_LABEL = 32
 
-# every KDF label used anywhere in this package
-KDF_LABELS = ("mht", "data", "hdr", "c2s", "s2a", "a2s", "fin", "vault")
-
 
 class AuthError(Exception):
     """AEAD open failed: wrong key/nonce/aad or tampered ciphertext."""
@@ -114,12 +111,14 @@ class SigningKeyPair:
     public: bytes
 
 
+def signing_key(private: bytes) -> SigningKeyPair:
+    """The key pair of a raw 32-byte Ed25519 private key."""
+    public = ed25519.Ed25519PrivateKey.from_private_bytes(private).public_key()
+    return SigningKeyPair(private, public.public_bytes_raw())
+
+
 def sign_generate() -> SigningKeyPair:
-    priv = ed25519.Ed25519PrivateKey.generate()
-    return SigningKeyPair(
-        private=priv.private_bytes_raw(),
-        public=priv.public_key().public_bytes_raw(),
-    )
+    return signing_key(ed25519.Ed25519PrivateKey.generate().private_bytes_raw())
 
 
 def sign(signing_key: bytes, message: bytes) -> bytes:

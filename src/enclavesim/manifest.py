@@ -131,7 +131,7 @@ def _parse_size(value: str, line: int) -> int:
     return size
 
 
-def _parse_lines(text: str) -> list[tuple[int, str, str]]:
+def parse_lines(text: str) -> list[tuple[int, str, str]]:
     """(line number, key, value) triples; blank and comment lines skipped."""
     items = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -254,7 +254,7 @@ def _build_template(scalars, lists, env) -> ManifestTemplate:
 def parse_template(text: str) -> ManifestTemplate:
     """Parse a manifest template; rejects unknown keys and invariant
     violations with the offending line number."""
-    scalars, lists, env = _collect(_parse_lines(text), allow_final=False)
+    scalars, lists, env = _collect(parse_lines(text), allow_final=False)
     return _build_template(scalars, lists, env)
 
 
@@ -298,7 +298,7 @@ def load(data: bytes) -> FinalManifest:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise ParseError("final manifest is not valid UTF-8")
-    scalars, lists, env = _collect(_parse_lines(text), allow_final=True)
+    scalars, lists, env = _collect(parse_lines(text), allow_final=True)
     if "manifest.format_version" not in scalars:
         raise ParseError("missing required key 'manifest.format_version'")
     ver_line, ver_text = scalars.pop("manifest.format_version")

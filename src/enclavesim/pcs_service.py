@@ -9,7 +9,7 @@ import json
 import socket
 import time
 
-from . import wire
+from . import crypto, wire
 from .attestation import (
     CertChain,
     Crl,
@@ -41,7 +41,7 @@ class PcsServer(wire.FrameServer):
                 return wire.PCS_FETCH_RESP, canonical_json(
                     {"chain": chain.to_dict(), "crl": crl.to_dict()})
             if frame_type == wire.PCS_REGISTER_REQ:
-                platform, chain = self.db.register(int(request.get("tcb_level", 0)),
+                platform, chain = self.db.register(request.get("tcb_level", 0),
                                                    now=int(self.now_source()))
                 self._persist()
                 return wire.PCS_REGISTER_RESP, canonical_json(identity_to_dict(platform, chain))
@@ -100,13 +100,10 @@ def identity_to_dict(platform: PlatformIdentity, chain: CertChain) -> dict:
 
 
 def identity_from_dict(d: dict) -> tuple[PlatformIdentity, CertChain]:
-    from .crypto import SigningKeyPair
-
     p = d["platform"]
     identity = PlatformIdentity(
         platform_id=bytes.fromhex(p["platform_id"]),
-        signing_key=SigningKeyPair(bytes.fromhex(p["private_key"]),
-                                   bytes.fromhex(p["public_key"])),
+        signing_key=crypto.signing_key(bytes.fromhex(p["private_key"])),
         tcb_level=int(p["tcb_level"]),
     )
     return identity, CertChain.from_dict(d["chain"])

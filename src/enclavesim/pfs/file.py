@@ -174,8 +174,6 @@ class ProtectedFile:
         new_n = fmt.data_block_count(self._file_size)
         if not self._dirty and new_n == self._disk_blocks:
             return
-        if self._mode != MODE_READWRITE:
-            return
 
         old_n = self._disk_blocks
         old_levels = fmt.mht_level_counts(old_n)

@@ -33,7 +33,7 @@ class VaultError(Exception):
 
 
 class ProvisionDeniedError(Exception):
-    """reason: policy_mismatch | unknown_secret"""
+    """reason: policy_mismatch | unknown_secret | crl_unavailable | bad_request"""
 
     def __init__(self, reason: str):
         self.reason = reason
@@ -168,8 +168,13 @@ class KeyServer(wire.FrameServer):
         record = self.vault.get(name)
         if record is None:
             return {"outcome": "denied", "reason": "unknown_secret"}
-        check = quote_verify(quote, cert.cert_chain, self.crl_provider(quote.platform_id),
-                             record["policy"], int(self.now_source()))
+        try:
+            crl = self.crl_provider(quote.platform_id)
+        except Exception:
+            # without a CRL non-revocation is unproven: deny; its error stays here
+            return {"outcome": "denied", "reason": "crl_unavailable"}
+        check = quote_verify(quote, cert.cert_chain, crl, record["policy"],
+                             int(self.now_source()))
         if not check.ok:
             return {"outcome": "denied", "reason": "policy_mismatch"}
         return {"outcome": "granted", "secret": record["secret"].hex()}

@@ -17,7 +17,7 @@ import os
 import random
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import crypto, pcs_service, pfs
 from .attestation import PcsDatabase, VerificationPolicy
@@ -32,7 +32,14 @@ from .enclave import (
     user_decrypt_output,
     user_encrypt_inputs,
 )
-from .manifest import compute_measurement, parse_template, resolver_for_root, sign_manifest
+from .manifest import (
+    ParseError,
+    compute_measurement,
+    parse_lines,
+    parse_template,
+    resolver_for_root,
+    sign_manifest,
+)
 from .provisioning import KeyServer, KeyVault, ProvisionDeniedError, ProvisioningClient, vault_save
 
 FAULTS = ("none", "revoked_platform", "tamper_input", "wrong_manifest")
@@ -109,27 +116,19 @@ class DemoConfig:
 
 
 def parse_config(text: str) -> DemoConfig:
-    """Flat `key = value` config, '#' comments."""
+    """Flat config in the manifest's `key = value` line syntax, '#'
+    comments; each key at most once."""
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    kwargs = {}
-    for int_key in ("pcs_port", "keyserver_port", "model_rows", "model_cols",
-                    "input_rows", "seed"):
-        if int_key in values:
-            kwargs[int_key] = int(values.pop(int_key))
-    for str_key in ("workdir", "fault", "host", "passphrase"):
-        if str_key in values:
-            kwargs[str_key] = values.pop(str_key)
-    if values:
-        raise ValueError(f"unknown config keys: {sorted(values)}")
-    return DemoConfig(**kwargs)
+    for lineno, key, value in parse_lines(text):
+        if key in values:
+            raise ParseError(f"duplicate config key {key!r}", lineno)
+        values[key] = value
+    types = {f.name: f.type for f in fields(DemoConfig)}
+    unknown = sorted(values.keys() - types.keys())
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    return DemoConfig(**{key: int(value) if types[key] == "int" else value
+                         for key, value in values.items()})
 
 
 @dataclass
@@ -143,7 +142,8 @@ class StepResult:
 
 @dataclass
 class DemoReport:
-    steps: list[StepResult] = field(default_factory=list)
+    """Written to demo_report.json as `asdict`, in field order."""
+
     ok: bool = False
     exit_code: int = EXIT_OTHER
     failed_step: int | None = None
@@ -151,20 +151,7 @@ class DemoReport:
     leaked_paths: list[str] = field(default_factory=list)
     decrypted_sha256: str | None = None
     workdir: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "exit_code": self.exit_code,
-            "failed_step": self.failed_step,
-            "output_match": self.output_match,
-            "leaked_paths": self.leaked_paths,
-            "decrypted_sha256": self.decrypted_sha256,
-            "workdir": self.workdir,
-            "steps": [{"number": s.number, "name": s.name, "ok": s.ok,
-                       "detail": s.detail, "duration_ms": s.duration_ms}
-                      for s in self.steps],
-        }
+    steps: list[StepResult] = field(default_factory=list)
 
     def table(self) -> str:
         lines = []
@@ -377,7 +364,7 @@ def workflow_demo(config: DemoConfig, log=print) -> DemoReport:
             raise
     finally:
         with open(os.path.join(workdir, "demo_report.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump(asdict(report), fh, indent=2)
             fh.write("\n")
     return report
 

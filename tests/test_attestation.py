@@ -124,6 +124,26 @@ def test_database_roundtrip(tmp_path, pcs):
     assert result.ok
 
 
+def test_database_file_reloads_and_resaves_to_the_same_bytes(tmp_path):
+    db = PcsDatabase.create(now=NOW)
+    a, _ = db.register(tcb_level=3, now=NOW)
+    b, _ = db.register(tcb_level=7, now=NOW + 1)
+    db.revoke(a.platform_id)
+    db.revoke(b.platform_id)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    db.save(first)
+    again = PcsDatabase.load(first)
+    again.save(second)
+    assert second.read_bytes() == first.read_bytes()
+    assert again.current_crl() == db.current_crl()
+    assert again.revoked == {a.platform_id, b.platform_id}
+    saved = json.loads(first.read_text())
+    assert saved["crl_sequence"] == 2
+    assert saved["platforms"][b.platform_id.hex()]["tcb_level"] == 7
+    assert saved["platforms"][b.platform_id.hex()]["public_key"] \
+        == b.signing_key.public.hex()
+
+
 def test_failed_save_leaves_the_old_database(tmp_path, monkeypatch):
     db = PcsDatabase.create(now=NOW)
     platform, _ = db.register(tcb_level=4, now=NOW)

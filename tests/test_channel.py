@@ -5,6 +5,8 @@ import struct
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enclavesim import crypto, wire
 from enclavesim.attestation import PcsDatabase, VerificationPolicy, quote_generate
@@ -242,14 +244,15 @@ def test_bad_first_frame_length_gets_one_hs_error_io(env):
 @pytest.mark.parametrize("frame_type,payload", [
     (wire.HS_V1, b"[1]"),
     (wire.HS_V1, b'{"eph_pub": 1, "sig": "00"}'),
+    (wire.HS_V1, b'{"eph_pub": "' + b"00" * 32 + b'", "sig": "' + b"00" * 10 + b'"}'),
     (wire.HS_V1, b"\xff"),
     (wire.HS_ERROR, b"\xff"),
     (wire.HS_ERROR, b'["attestation_failed"]'),
     (wire.HS_ERROR, b'{"kind": 7, "reason": ["x"]}'),
     (wire.HS_ERROR, b'{"kind": 7}'),
     (wire.HS_ERROR, b'{"kind": "attestation_failed", "reason": ["x"]}'),
-], ids=["v1-list", "v1-eph-pub-not-str", "v1-not-json", "error-not-json", "error-list",
-        "error-kind-not-str", "error-kind-int-no-reason", "error-reason-list"])
+], ids=["v1-list", "v1-eph-pub-not-str", "v1-sig-10-bytes", "v1-not-json", "error-not-json",
+        "error-list", "error-kind-not-str", "error-kind-int-no-reason", "error-reason-list"])
 def test_malformed_verifier_reply_is_a_handshake_io_error(env, frame_type, payload):
     a_sock, v_sock = socket.socketpair()
 
@@ -264,6 +267,36 @@ def test_malformed_verifier_reply_is_a_handshake_io_error(env, frame_type, paylo
     thread.join()
     v_sock.close()
     assert info.value.kind == "io"
+
+
+# JSON values a hostile verifier may put in a V1 or HS_ERROR field: hex
+# strings of any length, or anything else
+PEER_FIELD = st.one_of(
+    st.binary(max_size=80).map(bytes.hex),
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=8),
+    st.lists(st.integers(), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(),
+                                                         max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_type=st.sampled_from([wire.HS_V1, wire.HS_ERROR]),
+       fields=st.dictionaries(st.sampled_from(["eph_pub", "sig", "kind", "reason"]),
+                              PEER_FIELD))
+def test_any_verifier_reply_is_only_a_handshake_error(env, frame_type, fields):
+    a_sock, v_sock = socket.socketpair()
+
+    def fake_verifier():
+        wire.recv_frame(v_sock)
+        wire.send_frame(v_sock, frame_type, json.dumps(fields).encode("utf-8"))
+
+    thread = threading.Thread(target=fake_verifier)
+    thread.start()
+    try:
+        with pytest.raises(HandshakeError):
+            attester_handshake(a_sock, provider_for(env), env["verifier_key"].public)
+    finally:
+        thread.join()
+        v_sock.close()
 
 
 def test_relay_adversary_caught_by_binding(env):

@@ -142,6 +142,14 @@ def test_pcs_register_and_revoke(tmp_path, capsys):
     assert platform_id in data["revoked"]
 
 
+def test_pcs_register_rejects_a_tcb_level_outside_u32(tmp_path, capsys):
+    db = tmp_path / "pcs.json"
+    for tcb in ("-1", "4294967296"):
+        assert run_cli("pcs", "register", "--db", str(db), f"--tcb={tcb}") == 3
+    assert "tcb_level" in capsys.readouterr().err
+    assert json.loads(db.read_text())["platforms"] == {}
+
+
 # -- demo ------------------------------------------------------------------------
 
 def test_demo_cli_exit_codes(tmp_path, capsys):

@@ -97,10 +97,15 @@ MALFORMED_REQUESTS = [
     (wire.PCS_REGISTER_REQ, b'{"tcb_level":Infinity}', "bad_request"),
     (wire.PCS_FETCH_REQ, b"[" * 100_000, "bad_request"),
     (0x3e, b"{}", "bad_type"),
+    (wire.PCS_REGISTER_REQ, b'{"tcb_level":-1}', "bad_request"),
+    (wire.PCS_REGISTER_REQ, b'{"tcb_level":4294967296}', "bad_request"),
+    (wire.PCS_REGISTER_REQ, b'{"tcb_level":2.5}', "bad_request"),
+    (wire.PCS_REGISTER_REQ, b'{"tcb_level":true}', "bad_request"),
 ]
 MALFORMED_IDS = ["register-tcb-not-int", "fetch-list", "revoke-string", "fetch-id-not-str",
                  "register-not-utf8", "register-tcb-infinite", "fetch-deep-nesting",
-                 "unknown-type"]
+                 "unknown-type", "register-tcb-negative", "register-tcb-over-u32",
+                 "register-tcb-fraction", "register-tcb-bool"]
 
 
 @pytest.mark.parametrize("frame_type,payload,reason", MALFORMED_REQUESTS, ids=MALFORMED_IDS)

@@ -235,6 +235,32 @@ def test_malformed_request_denied_bad_request_and_channel_stays_open(env, server
     assert all(e["secret_name"] is None for e in server.audit_log[before:before + 3])
 
 
+def test_crl_outage_during_a_request_is_an_audited_denial(env):
+    outage = OSError("pcs at 10.0.0.9:7000 unreachable")
+    failures = []
+
+    def crl_provider(pid):
+        if failures:
+            raise failures.pop()
+        return env["pcs"].current_crl()
+
+    session_policy = VerificationPolicy(accepted_root=env["pcs"].root_public_key)
+    srv = KeyServer(make_vault(env), session_policy, crypto.sign_generate(),
+                    crl_provider=crl_provider, now_source=lambda: NOW).start()
+    try:
+        with ProvisioningClient(srv.address, provider_for(env), srv.public_key) as client:
+            failures.append(outage)
+            client.channel.send(wire.REC_PROVISION_REQ, b'{"name": "pfs-master"}')
+            record_type, reply = client.channel.recv()
+            assert record_type == wire.REC_PROVISION_RESP
+            assert json.loads(reply) == {"outcome": "denied", "reason": "crl_unavailable"}
+            assert b"unreachable" not in reply
+            assert client.request("pfs-master") == SECRET
+    finally:
+        srv.stop()
+    assert [e["outcome"] for e in srv.audit_log] == ["denied:crl_unavailable", "granted"]
+
+
 def test_stop_closes_an_open_session(env, server):
     with ProvisioningClient(server.address, provider_for(env), server.public_key) as client:
         assert client.request("pfs-master") == SECRET

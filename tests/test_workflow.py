@@ -5,6 +5,7 @@ import pytest
 from enclavesim import pfs
 from enclavesim.channel import HandshakeError
 from enclavesim.enclave import RunError, StartError
+from enclavesim.manifest import ParseError
 from enclavesim.provisioning import ProvisionDeniedError
 from enclavesim.workflow import DemoConfig, exit_code, parse_config, workflow_demo
 
@@ -100,6 +101,11 @@ seed = 123
 def test_parse_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         parse_config("bogus = 1\n")
+
+
+def test_parse_config_rejects_a_duplicate_key_with_its_line_number():
+    with pytest.raises(ParseError, match="line 3: duplicate config key 'seed'"):
+        parse_config("seed = 1\n# again\nseed = 2\n")
 
 
 def test_audit_log_written_on_user_side(tmp_path):
