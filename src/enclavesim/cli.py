@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -97,8 +98,6 @@ def cmd_pfs_info(args) -> int:
 # -- manifest ---------------------------------------------------------------
 
 def cmd_manifest_sign(args) -> int:
-    import os
-
     with open(args.template, encoding="utf-8") as fh:
         template = parse_template(fh.read())
     root = args.root or os.path.dirname(os.path.abspath(args.template))
@@ -119,15 +118,13 @@ def cmd_manifest_measure(args) -> int:
 # -- pcs ---------------------------------------------------------------------
 
 def _open_db(path, create: bool) -> PcsDatabase:
-    import os
-
+    """The database at path, or a new unsaved one if create; the caller
+    saves it once its command has succeeded."""
     if os.path.exists(path):
         return PcsDatabase.load(path)
     if not create:
         raise CliError(f"no PCS database at {path}")
-    db = PcsDatabase.create(now=int(time.time()))
-    db.save(path)
-    return db
+    return PcsDatabase.create(now=int(time.time()))
 
 
 def _serve(server: FrameServer, banner: str) -> int:
@@ -149,6 +146,8 @@ def cmd_pcs_serve(args) -> int:
     db = _open_db(args.db, create=True)
     host, port = _addr(args.listen)
     server = pcs_service.PcsServer(db, host=host, port=port, db_path=args.db)
+    if not os.path.exists(args.db):
+        db.save(args.db)
     return _serve(server, f"mock PCS serving on {server.address[0]}:"
                           f"{server.address[1]} (root key {db.root_public_key.hex()})")
 
@@ -190,8 +189,6 @@ def _policy_from_args(args) -> VerificationPolicy:
 
 
 def cmd_keyserver_add_secret(args) -> int:
-    import os
-
     if os.path.exists(args.vault):
         vault = vault_load(args.vault, args.passphrase)
     else:

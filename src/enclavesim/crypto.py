@@ -71,7 +71,7 @@ def kdf(root: bytes, label: str, context: bytes) -> bytes:
         raise ValueError("KDF label must be nonempty")
     if len(encoded) > MAX_KDF_LABEL:
         raise ValueError(f"KDF label longer than {MAX_KDF_LABEL} bytes")
-    return hmac.new(root, encoded + b"\x00" + context, hashlib.sha256).digest()
+    return hmac.digest(root, encoded + b"\x00" + context, "sha256")
 
 
 def random_bytes(n: int) -> bytes:

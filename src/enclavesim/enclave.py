@@ -9,6 +9,12 @@ not an OS sandbox; only the protocol-visible behavior matters.
 The stand-in workload is dense linear inference y = W*x + b over text
 rows of comma-separated numbers. Model container layout (little-endian):
 u32 rows, u32 cols, rows*cols f64 weights row-major, rows f64 bias.
+
+Each output is accumulated in one fixed order: starting from 0.0, add
+w[i][j] * x[j] for ascending j, then add the bias, every product and sum
+one IEEE-754 double operation. `LinearModel.apply` states that order for
+one row in plain Python; `LinearModel.apply_rows`, the enclave's batched
+kernel, keeps it across all rows at once, so its output is bit-identical.
 """
 
 from __future__ import annotations
@@ -129,6 +135,27 @@ class LinearModel:
             out.append(acc + self.bias[i])
         return out
 
+    def apply_rows(self, xs: list[list[float]]) -> list[list[float]]:
+        """[apply(x) for x in xs] with the rows as one array: every double
+        is the same bits, a NaN's payload aside (repr prints any NaN as nan).
+
+        The loop over j is apply's, each step one elementwise multiply and
+        one add over all rows and outputs; `@`, dot, einsum and sum are not
+        used, since they sum in another order. Overflow gives inf or nan
+        silently, as with Python floats. numpy is imported here so that
+        importing this module (and so starting a server) does not load it.
+        """
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            x = np.array(xs, dtype=np.float64).reshape(len(xs), self.cols)
+            w = np.array(self.weights, dtype=np.float64).reshape(self.rows, self.cols)
+            acc = np.zeros((len(xs), self.rows))
+            # an empty result needs no pass, and its cols may be up to 2**32-1
+            for j in range(self.cols if acc.size else 0):
+                acc += x[:, j, None] * w[:, j]
+            return (acc + np.array(self.bias, dtype=np.float64)).tolist()
+
 
 def parse_rows(text: str, cols: int) -> list[list[float]]:
     """Comma-separated numeric rows; blank lines and '#' comments skipped."""
@@ -137,9 +164,8 @@ def parse_rows(text: str, cols: int) -> list[list[float]]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        parts = [p.strip() for p in stripped.split(",")]
         try:
-            row = [float(p) for p in parts]
+            row = list(map(float, map(str.strip, stripped.split(","))))
         except ValueError:
             raise ValueError(f"line {lineno}: not numeric")
         if len(row) != cols:
@@ -289,7 +315,7 @@ class EnclaveInstance:
         return model, rows
 
     def workload_compute(self, model: LinearModel, rows: list[list[float]]):
-        return [model.apply(x) for x in rows]
+        return model.apply_rows(rows)
 
     def workload_write_output(self, spec: WorkloadSpec, out_rows) -> RunReport:
         key = self.provisioned_secrets.get(spec.key_name)

@@ -33,7 +33,8 @@ class VaultError(Exception):
 
 
 class ProvisionDeniedError(Exception):
-    """reason: policy_mismatch | unknown_secret | crl_unavailable | bad_request"""
+    """reason: policy_mismatch | unknown_secret | crl_unavailable | bad_request
+    from the key server, or bad_response for a malformed reply"""
 
     def __init__(self, reason: str):
         self.reason = reason
@@ -204,15 +205,24 @@ class ProvisioningClient:
         self.channel = attester_handshake(conn, quote_provider, verifier_pin)
 
     def request(self, secret_name: str) -> bytes:
+        """The secret, or ProvisionDeniedError with the server's reason, or
+        with "bad_response" for a reply that is not a PROVISION_RESP of
+        WIRE.md's form."""
         self.channel.send(wire.REC_PROVISION_REQ,
                           json.dumps({"name": secret_name}).encode("utf-8"))
         record_type, payload = self.channel.recv()
         if record_type != wire.REC_PROVISION_RESP:
             raise ProvisionDeniedError("bad_response")
-        body = json.loads(payload)
-        if body.get("outcome") == "granted":
-            return bytes.fromhex(body["secret"])
-        raise ProvisionDeniedError(body.get("reason", "unknown"))
+        try:
+            body = json.loads(payload)
+            if body["outcome"] == "granted":
+                return bytes.fromhex(body["secret"])
+            reason = body["reason"]
+            if body["outcome"] != "denied" or not isinstance(reason, str):
+                raise TypeError("not a denial with a string reason")
+        except wire.DECODE_ERRORS:
+            raise ProvisionDeniedError("bad_response") from None
+        raise ProvisionDeniedError(reason)
 
     def close(self) -> None:
         self.channel.close()

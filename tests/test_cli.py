@@ -147,7 +147,7 @@ def test_pcs_register_rejects_a_tcb_level_outside_u32(tmp_path, capsys):
     for tcb in ("-1", "4294967296"):
         assert run_cli("pcs", "register", "--db", str(db), f"--tcb={tcb}") == 3
     assert "tcb_level" in capsys.readouterr().err
-    assert json.loads(db.read_text())["platforms"] == {}
+    assert not db.exists()
 
 
 # -- demo ------------------------------------------------------------------------
@@ -418,3 +418,24 @@ def test_sigint_during_serve_banner_stops_cleanly(tmp_path, monkeypatch, kind):
     assert code == 0
     assert len(started) == 1
     assert started[0]._listener.fileno() == -1
+
+
+def test_pcs_serve_saves_a_new_database_before_it_serves(tmp_path, monkeypatch):
+    db = tmp_path / "pcs.json"
+    exists_at_start = []
+    original_start = wire.FrameServer.start
+
+    def recording_start(server):
+        exists_at_start.append(db.exists())
+        return original_start(server)
+
+    def interrupted_print(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(wire.FrameServer, "start", recording_start)
+    monkeypatch.setattr(cli, "print", interrupted_print, raising=False)
+    assert main(["pcs", "serve", "--db", str(db)]) == 0
+    created = db.read_bytes()
+    assert main(["pcs", "serve", "--db", str(db)]) == 0
+    assert exists_at_start == [True, True]
+    assert db.read_bytes() == created

@@ -146,6 +146,19 @@ def test_kdf_contexts_distinct():
     assert len(keys) == 10
 
 
+@pytest.mark.parametrize("label, context, expected", [
+    ("mht", (7).to_bytes(8, "little"),
+     "f669934b0ea26c76df030ba8056694264ae859d383f160a52fa47f5cc2729c1d"),
+    ("a2s", bytes.fromhex("00ff") * 16,
+     "6981efc0a9643ee110455a2924596bdb486337f2f5847ad94822adb212de51a3"),
+    ("vault", b"",
+     "1a3f902122d19e4c2d37a182b0ac958f0e1a182e60353328a4d53cddf871b726"),
+])
+def test_kdf_known_answers(label, context, expected):
+    # HMAC-SHA-256(root, label || 0x00 || context); every stored key depends on these bytes
+    assert crypto.kdf(bytes(range(32)), label, context).hex() == expected
+
+
 # every label the package derives keys with: pfs node kinds, channel
 # directions and the vault key
 KDF_LABELS = ("mht", "data", "hdr", "a2s", "s2a", "vault")

@@ -1,5 +1,10 @@
+import math
 import os
 import random
+import struct
+import subprocess
+import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +292,133 @@ def test_model_pack_unpack_roundtrip():
                         bias=[rng.random() for _ in range(3)])
     again = LinearModel.unpack(model.pack())
     assert again == model
+
+
+# -- the batched kernel and the workload decoders --------------------------
+
+# signed zeros, infinities, nan, subnormals and magnitudes whose products
+# and sums overflow; finite values of mixed scale, whose sums round
+# differently in another order; and any other double
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                               -2.5e-308, 1e308, -1e308, 1.7976931348623157e308])
+MIXED_SCALE = st.builds(lambda k, e: k / 7 * 10.0 ** e, st.integers(-999, 999),
+                        st.integers(-20, 20))
+ANY_FLOAT = st.one_of(EDGE_FLOATS, MIXED_SCALE, st.floats())
+
+
+def float_grid(n_rows, n_cols):
+    return st.lists(st.lists(ANY_FLOAT, min_size=n_cols, max_size=n_cols),
+                    min_size=n_rows, max_size=n_rows)
+
+
+@st.composite
+def model_and_inputs(draw):
+    """A model of 0-5 outputs and 0-5 inputs, and 0-5 input rows for it."""
+    rows, cols, n = (draw(st.integers(0, 5)) for _ in range(3))
+    model = LinearModel(rows, cols, draw(float_grid(rows, cols)),
+                        draw(st.lists(ANY_FLOAT, min_size=rows, max_size=rows)))
+    return model, draw(float_grid(n, cols))
+
+
+def assert_same_doubles(got, want):
+    """Same shape, same repr text, same bits for every non-NaN value."""
+    assert [len(row) for row in got] == [len(row) for row in want]
+    assert format_rows(got) == format_rows(want)
+    for a, b in zip((v for row in got for v in row), (v for row in want for v in row)):
+        if math.isnan(b):
+            assert math.isnan(a)
+        else:
+            assert struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=model_and_inputs())
+def test_batched_kernel_is_bit_identical_to_apply(case):
+    model, xs = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.apply_rows(xs)
+    assert_same_doubles(got, [model.apply(x) for x in xs])
+
+
+def test_batched_kernel_matches_apply_at_workload_size():
+    rng = random.Random(73)
+    model = LinearModel(32, 48, [[rng.uniform(-2, 2) for _ in range(48)] for _ in range(32)],
+                        [rng.uniform(-1, 1) for _ in range(32)])
+    xs = [[rng.uniform(-1e3, 1e3) for _ in range(48)] for _ in range(300)]
+    assert_same_doubles(model.apply_rows(xs), [model.apply(x) for x in xs])
+
+
+def test_batched_kernel_overflow_raises_no_warning():
+    model = LinearModel(3, 2, [[1e308, 1e308], [math.inf, -math.inf], [0.0, math.nan]],
+                        [0.0, 1.0, -math.inf])
+    xs = [[10.0, 10.0], [0.0, 1.0], [-1e308, math.inf]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.apply_rows(xs)
+    assert_same_doubles(got, [model.apply(x) for x in xs])
+    assert got[0][0] == math.inf and math.isnan(got[1][1])
+
+
+def test_batched_kernel_empty_shapes():
+    assert LinearModel(2, 3, [[1.0] * 3] * 2, [0.5, 0.5]).apply_rows([]) == []
+    assert LinearModel(0, 3, [], []).apply_rows([[1.0, 2.0, 3.0]]) == [[]]
+    assert LinearModel(2, 0, [[], []], [0.5, -0.0]).apply_rows([[], []]) == \
+        [[0.5, -0.0], [0.5, -0.0]]
+    # a model with no outputs may declare any width; nothing is computed
+    assert LinearModel(0, 2**32 - 1, [], []).apply_rows([]) == []
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # servers start through the CLI; the kernel imports numpy on first use
+    code = "import enclavesim.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=64),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.binary(max_size=64))
+    .map(lambda t: struct.pack("<II", t[0], t[1]) + t[2]),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-8, 8))
+    .map(lambda t: struct.pack("<II", t[0], t[1]) + bytes(max(0, 8 * (t[0] * t[1] + t[0]) + t[2])))))
+def test_model_unpack_raises_only_value_error(data):
+    try:
+        model = LinearModel.unpack(data)
+    except ValueError:
+        return
+    assert model.pack() == data
+
+
+TEXT_PIECES = st.sampled_from(["1", "-2.5", "1e308", "1e999", "nan", "-inf", "0x10", "1_0",
+                               ",", ",,", " ", "\t", "\x1f", "\u3000", "\n", "\r\n",
+                               "\x1c", "\u2028", "#", "\x00", "\ud800", "e", "."])
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(st.text(max_size=40), st.lists(TEXT_PIECES, max_size=20).map("".join)),
+       cols=st.integers(0, 3))
+def test_parse_rows_raises_only_value_error(text, cols):
+    try:
+        rows = parse_rows(text, cols)
+    except ValueError:
+        return
+    assert all(len(row) == cols and all(isinstance(v, float) for v in row) for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 4).flatmap(lambda cols: st.lists(
+    st.lists(ANY_FLOAT, min_size=cols, max_size=cols), max_size=5)))
+def test_format_then_parse_gives_back_the_same_doubles(rows):
+    cols = len(rows[0]) if rows else 1
+    assert_same_doubles(parse_rows(format_rows(rows), cols), rows)
+
+
+def test_parse_rows_strips_each_value_as_str_strip_does():
+    # float() alone does not strip U+001F, which str.isspace() counts as space
+    assert parse_rows("1,\x1f2\u3000, 3\t\n", 3) == [[1.0, 2.0, 3.0]]
+    with pytest.raises(ValueError, match="line 2: not numeric"):
+        parse_rows("# header\n1,x,3\n", 3)
 
 
 # -- user-side helpers -----------------------------------------------------

@@ -3,6 +3,8 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enclavesim import crypto, wire
 from enclavesim.attestation import PcsDatabase, VerificationPolicy, quote_generate
@@ -259,6 +261,89 @@ def test_crl_outage_during_a_request_is_an_audited_denial(env):
     finally:
         srv.stop()
     assert [e["outcome"] for e in srv.audit_log] == ["denied:crl_unavailable", "granted"]
+
+
+class ScriptedKeyServer(KeyServer):
+    """Attests like a key server, then answers every record with `reply`."""
+
+    reply = (wire.REC_PROVISION_RESP, b"")
+
+    def _answer(self, channel, record_type, payload):
+        return self.reply
+
+
+@pytest.fixture()
+def scripted(env):
+    """A scripted key server and one correctly attested session with it."""
+    srv = ScriptedKeyServer(make_vault(env), VerificationPolicy(
+        accepted_root=env["pcs"].root_public_key), crypto.sign_generate(),
+        crl_provider=lambda pid: env["pcs"].current_crl(), now_source=lambda: NOW).start()
+    try:
+        with ProvisioningClient(srv.address, provider_for(env), srv.public_key) as client:
+            yield srv, client
+    finally:
+        srv.stop()
+
+
+@pytest.mark.parametrize("record_type, payload", [
+    (wire.REC_PROVISION_RESP, b'["granted"]'),
+    (wire.REC_PROVISION_RESP, b'"granted"'),
+    (wire.REC_PROVISION_RESP, b"\xff\xfe"),
+    (wire.REC_PROVISION_RESP, b'{"outcome": "granted"}'),
+    (wire.REC_PROVISION_RESP, b'{"outcome": "granted", "secret": "zz"}'),
+    (wire.REC_PROVISION_RESP, b'{"outcome": "granted", "secret": 7}'),
+    (wire.REC_PROVISION_RESP, b'{"outcome": "denied", "reason": ["x"]}'),
+    (wire.REC_PROVISION_RESP, b'{"outcome": "denied"}'),
+    (wire.REC_PROVISION_RESP, b'{"outcome": "maybe", "reason": "x"}'),
+    (wire.REC_PING, b'{"outcome": "granted", "secret": "00"}'),
+], ids=["list", "string", "not-utf8", "no-secret", "secret-not-hex", "secret-int",
+        "reason-list", "no-reason", "unknown-outcome", "wrong-record-type"])
+def test_malformed_provision_reply_is_denied_bad_response(scripted, record_type, payload):
+    server, client = scripted
+    server.reply = (record_type, payload)
+    with pytest.raises(ProvisionDeniedError) as exc:
+        client.request("pfs-master")
+    assert exc.value.reason == "bad_response"
+    server.reply = (wire.REC_PROVISION_RESP, b'{"outcome": "granted", "secret": "0a0b"}')
+    assert client.request("pfs-master") == b"\x0a\x0b"
+
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+REPLY_FIELD = st.one_of(st.binary(max_size=24).map(bytes.hex),
+                        st.sampled_from(["granted", "denied", "policy_mismatch", "0 0", "é"]),
+                        JSON_VALUE)
+
+
+def json_bytes(value) -> bytes:
+    return json.dumps(value).encode("utf-8")
+
+
+def test_any_provision_reply_gives_only_a_secret_or_a_denial(scripted):
+    server, client = scripted
+
+    # one session for every example: the client must survive each reply
+    @settings(max_examples=300, deadline=None)
+    @given(record_type=st.sampled_from([wire.REC_PROVISION_RESP, wire.REC_PING]),
+           payload=st.one_of(
+               st.binary(max_size=48), JSON_VALUE.map(json_bytes),
+               st.dictionaries(st.sampled_from(["outcome", "secret", "reason"]), REPLY_FIELD)
+               .map(json_bytes)))
+    def check(record_type, payload):
+        server.reply = (record_type, payload)
+        try:
+            secret = client.request("pfs-master")
+        except ProvisionDeniedError as exc:
+            assert isinstance(exc.reason, str)
+        else:
+            body = json.loads(payload)
+            assert record_type == wire.REC_PROVISION_RESP and body["outcome"] == "granted"
+            assert secret == bytes.fromhex(body["secret"])
+
+    check()
 
 
 def test_stop_closes_an_open_session(env, server):
