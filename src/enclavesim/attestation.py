@@ -15,7 +15,7 @@ import struct
 import threading
 from dataclasses import dataclass, replace
 
-from . import crypto
+from . import crypto, wire
 
 QUOTE_REPORT_DATA_SIZE = 64
 QUOTE_BODY = struct.Struct(">32s32sI64s16sI")
@@ -408,8 +408,8 @@ class PcsDatabase:
 
     @classmethod
     def load(cls, path) -> "PcsDatabase":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        with open(path, "rb") as fh:
+            return cls.from_dict(wire.read_json(fh.read()))
 
 
 # -- quotes -------------------------------------------------------------

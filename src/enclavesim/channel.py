@@ -16,7 +16,6 @@ sequence number; the 12-byte nonce is the big-endian sequence counter
 
 from __future__ import annotations
 
-import json
 import socket
 import struct
 from dataclasses import dataclass
@@ -89,7 +88,7 @@ def _read_peer_json(payload: bytes, what: str, read):
     """read(parsed JSON payload); every malformed peer message becomes
     HandshakeError("io") so no decoder error escapes a handshake."""
     try:
-        return read(json.loads(payload))
+        return read(wire.read_json(payload))
     except wire.DECODE_ERRORS as exc:
         raise HandshakeError("io", f"malformed {what}: {exc}")
 
@@ -242,16 +241,16 @@ def _attester_handshake(conn: socket.socket, quote_provider: QuoteProvider,
 
 
 def verifier_handshake(conn: socket.socket, policy: VerificationPolicy,
-                       crl: Crl | Callable[[bytes], Crl], now: int,
+                       crl_provider: Callable[[bytes], Crl], now: int,
                        verifier_signing_key: crypto.SigningKeyPair,
                        ) -> tuple[SecureChannel, VerificationResult]:
     """User side: verify the attestation certificate and the ephemeral-key
     binding before revealing anything; fail-closed (no V1 on failure, the
     connection is closed; a failure before V1 first gets one HS_ERROR with
-    its kind and reason). `crl` may be a Crl or a callable by platform id."""
+    its kind and reason). `crl_provider(platform_id)` gives the CRL to check."""
     try:
         try:
-            a1, cert, result = _verify_a1(conn, policy, crl, now)
+            a1, cert, result = _verify_a1(conn, policy, crl_provider, now)
         except HandshakeError as exc:
             _send_hs_error(conn, exc.kind, exc.reason)
             raise
@@ -261,7 +260,7 @@ def verifier_handshake(conn: socket.socket, policy: VerificationPolicy,
         raise
 
 
-def _verify_a1(conn, policy, crl, now):
+def _verify_a1(conn, policy, crl_provider, now):
     try:
         frame_type, a1 = wire.recv_frame(conn)
     except (wire.WireError, OSError) as exc:
@@ -270,11 +269,11 @@ def _verify_a1(conn, policy, crl, now):
         raise HandshakeError("io", f"unexpected frame type {frame_type:#x}")
     cert = AttestationCertificate.decode(a1)
     try:
-        crl_value = crl(cert.quote.platform_id) if callable(crl) else crl
+        crl = crl_provider(cert.quote.platform_id)
     except Exception as exc:
         # without a CRL non-revocation is unproven: fail closed; its error stays here
         raise HandshakeError("attestation_failed", "crl_unavailable") from exc
-    result = quote_verify(cert.quote, cert.cert_chain, crl_value, policy, now)
+    result = quote_verify(cert.quote, cert.cert_chain, crl, policy, now)
     if not result.ok:
         raise HandshakeError("attestation_failed", result.failure_reason)
     if cert.quote.report_data != bind_report_data(cert.attester_eph_pub):

@@ -28,8 +28,8 @@ from .manifest import (
     sign_manifest,
 )
 from .provisioning import KeyServer, KeyVault, vault_load, vault_save
-from .wire import FrameServer
-from .workflow import EXIT_OK, DemoConfig, exit_code, parse_config, workflow_demo
+from .wire import FrameServer, read_json
+from .workflow import EXIT_OK, FAULTS, DemoConfig, exit_code, parse_config, workflow_demo
 
 
 class CliError(Exception):
@@ -241,8 +241,8 @@ def cmd_enclave_start(args) -> int:
 
 def cmd_enclave_run(args) -> int:
     final = _load_final(args.manifest)
-    with open(args.identity, encoding="utf-8") as fh:
-        platform, chain = pcs_service.identity_from_dict(json.load(fh))
+    with open(args.identity, "rb") as fh:
+        platform, chain = pcs_service.identity_from_dict(read_json(fh.read()))
     instance = enclave_start(final, args.root, platform=platform, cert_chain=chain)
     workload = WorkloadSpec.from_json(instance.read_file(args.workload))
     with open(args.pin_file, encoding="utf-8") as fh:
@@ -384,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     # demo
     p = sub.add_parser("demo", help="run the full 8-step workflow")
     p.add_argument("--config", help="demo config file (key = value lines)")
-    p.add_argument("--fault", choices=["none", "revoked_platform",
-                                       "tamper_input", "wrong_manifest"])
+    p.add_argument("--fault", choices=FAULTS)
     p.add_argument("--workdir")
     p.set_defaults(func=cmd_demo)
 

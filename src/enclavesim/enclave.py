@@ -25,7 +25,7 @@ import os
 import struct
 from dataclasses import dataclass
 
-from . import crypto
+from . import crypto, wire
 from .attestation import CertChain, PlatformIdentity, Quote, quote_generate
 from .manifest import (
     FinalManifest,
@@ -90,7 +90,7 @@ class WorkloadSpec:
 
     @classmethod
     def from_json(cls, data: bytes) -> "WorkloadSpec":
-        d = json.loads(data)
+        d = wire.read_json(data)
         return cls(kind=d["kind"], model_path=d["model_path"],
                    input_path=d["input_path"], output_path=d["output_path"],
                    key_name=d["key_name"])

@@ -5,7 +5,6 @@ Payloads are JSON; message types and schemas in WIRE.md.
 
 from __future__ import annotations
 
-import json
 import socket
 import time
 
@@ -35,7 +34,7 @@ class PcsServer(wire.FrameServer):
 
     def _handle(self, frame_type: int, payload: bytes) -> tuple[int, bytes]:
         try:
-            request = json.loads(payload) if payload else {}
+            request = wire.read_json(payload)
             if frame_type == wire.PCS_FETCH_REQ:
                 chain, crl = self.db.fetch(bytes.fromhex(request["platform_id"]))
                 return wire.PCS_FETCH_RESP, canonical_json(
@@ -67,22 +66,31 @@ class PcsClientError(Exception):
         super().__init__(reason)
 
 
-def _request(addr, frame_type: int, body: dict, expect: int) -> dict:
+def _request(addr, frame_type: int, body: dict, expect: int, read):
+    """read(decoded reply) for a reply of type `expect`; PcsClientError with
+    the server's reason for a PCS_ERROR, or with "bad_response" for a reply
+    that does not decode."""
     with socket.create_connection(addr, timeout=10) as conn:
         wire.send_frame(conn, frame_type, canonical_json(body))
         got_type, payload = wire.recv_frame(conn)
-    response = json.loads(payload)
-    if got_type == wire.PCS_ERROR:
-        raise PcsClientError(response.get("reason", "unknown"))
-    if got_type != expect:
+    if got_type not in (expect, wire.PCS_ERROR):
         raise PcsClientError(f"unexpected response type {got_type:#x}")
-    return response
+    try:
+        response = wire.read_json(payload)
+        if got_type == expect:
+            return read(response)
+        reason = response.get("reason", "unknown")
+        if not isinstance(reason, str):
+            raise TypeError("PCS_ERROR reason is not a string")
+    except wire.DECODE_ERRORS:
+        raise PcsClientError("bad_response") from None
+    raise PcsClientError(reason)
 
 
 def fetch_platform(addr, platform_id: bytes) -> tuple[CertChain, Crl]:
-    r = _request(addr, wire.PCS_FETCH_REQ, {"platform_id": platform_id.hex()},
-                 wire.PCS_FETCH_RESP)
-    return CertChain.from_dict(r["chain"]), Crl.from_dict(r["crl"])
+    return _request(addr, wire.PCS_FETCH_REQ, {"platform_id": platform_id.hex()},
+                    wire.PCS_FETCH_RESP,
+                    lambda r: (CertChain.from_dict(r["chain"]), Crl.from_dict(r["crl"])))
 
 
 def identity_to_dict(platform: PlatformIdentity, chain: CertChain) -> dict:
@@ -110,12 +118,10 @@ def identity_from_dict(d: dict) -> tuple[PlatformIdentity, CertChain]:
 
 
 def register_platform(addr, tcb_level: int) -> tuple[PlatformIdentity, CertChain]:
-    r = _request(addr, wire.PCS_REGISTER_REQ, {"tcb_level": tcb_level},
-                 wire.PCS_REGISTER_RESP)
-    return identity_from_dict(r)
+    return _request(addr, wire.PCS_REGISTER_REQ, {"tcb_level": tcb_level},
+                    wire.PCS_REGISTER_RESP, identity_from_dict)
 
 
 def revoke_platform(addr, platform_id: bytes) -> Crl:
-    r = _request(addr, wire.PCS_REVOKE_REQ, {"platform_id": platform_id.hex()},
-                 wire.PCS_REVOKE_RESP)
-    return Crl.from_dict(r["crl"])
+    return _request(addr, wire.PCS_REVOKE_REQ, {"platform_id": platform_id.hex()},
+                    wire.PCS_REVOKE_RESP, lambda r: Crl.from_dict(r["crl"]))

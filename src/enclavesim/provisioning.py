@@ -79,11 +79,10 @@ class KeyVault:
     def from_json(cls, data: bytes) -> "KeyVault":
         vault = cls()
         try:
-            body = json.loads(data)
-            for name, rec in body["secrets"].items():
+            for name, rec in wire.read_json(data)["secrets"].items():
                 vault.add_secret(name, bytes.fromhex(rec["secret"]),
                                  VerificationPolicy.from_dict(rec["policy"]))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except wire.DECODE_ERRORS as exc:
             raise VaultError(f"malformed vault body: {exc}")
         return vault
 
@@ -155,7 +154,7 @@ class KeyServer(wire.FrameServer):
             return None
         quote = channel.verification.quote
         try:
-            name = json.loads(payload)["name"]
+            name = wire.read_json(payload)["name"]
             if not isinstance(name, str):
                 raise TypeError("secret name is not a string")
         except wire.DECODE_ERRORS:
@@ -208,13 +207,12 @@ class ProvisioningClient:
         """The secret, or ProvisionDeniedError with the server's reason, or
         with "bad_response" for a reply that is not a PROVISION_RESP of
         WIRE.md's form."""
-        self.channel.send(wire.REC_PROVISION_REQ,
-                          json.dumps({"name": secret_name}).encode("utf-8"))
+        self.channel.send(wire.REC_PROVISION_REQ, canonical_json({"name": secret_name}))
         record_type, payload = self.channel.recv()
         if record_type != wire.REC_PROVISION_RESP:
             raise ProvisionDeniedError("bad_response")
         try:
-            body = json.loads(payload)
+            body = wire.read_json(payload)
             if body["outcome"] == "granted":
                 return bytes.fromhex(body["secret"])
             reason = body["reason"]

@@ -8,6 +8,7 @@ is public); the attested channel seals payloads per record.
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import threading
@@ -37,10 +38,16 @@ PCS_REVOKE_RESP = 0x35
 PCS_ERROR = 0x3f
 
 
-# what decoding a peer's JSON payload and reading its fields raises on
-# malformed input; a server maps these to an error reply
+# what read_json and reading the fields of its value raise on malformed
+# input; each reader maps these to its documented "malformed" outcome
 DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError,
                  RecursionError)
+
+
+def read_json(data: bytes):
+    """The JSON value in `data`, which must be strict UTF-8 (RFC 8259 8.1):
+    UTF-16, UTF-32, a BOM or a lone surrogate raise ValueError."""
+    return json.loads(data.decode("utf-8"))
 
 
 class WireError(Exception):

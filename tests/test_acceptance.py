@@ -308,8 +308,9 @@ def test_criterion_08_channel_binding_relay_100_trials():
         outcome = {}
 
         def verify_side(conn=v_sock):
+            crl = pcs.current_crl()
             try:
-                verifier_handshake(conn, policy, pcs.current_crl(), NOW, verifier_key)
+                verifier_handshake(conn, policy, lambda pid: crl, NOW, verifier_key)
             except HandshakeError as exc:
                 outcome["kind"] = exc.kind
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from enclavesim import crypto, wire
 from enclavesim.attestation import (
     FAILURE_REASONS,
+    QUOTE_SIZE,
     CertChain,
     Certificate,
     Crl,
@@ -374,6 +375,18 @@ def test_quote_verify_never_raises_on_decodable_evidence(pcs, evidence, edits):
     result = quote_verify(quote, chain, crl, policy_for(pcs), NOW)
     assert isinstance(result, VerificationResult)
     assert result.ok or result.failure_reason in FAILURE_REASONS
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary(max_size=2 * QUOTE_SIZE)
+       | st.binary(min_size=QUOTE_SIZE, max_size=QUOTE_SIZE))
+def test_quote_unpack_raises_only_value_error(raw):
+    try:
+        quote = Quote.unpack(raw)
+    except ValueError:
+        assert len(raw) != QUOTE_SIZE
+        return
+    assert quote.pack() == raw
 
 
 def test_crl_signature_required(pcs):

@@ -20,6 +20,8 @@ from enclavesim.channel import (
     verifier_handshake,
 )
 
+from foreign_json import FOREIGN_ENCODINGS
+
 NOW = 1_700_000_000
 MRE = b"\x11" * 32
 MRS = b"\x22" * 32
@@ -58,9 +60,10 @@ def run_verifier(env, conn, policy=None):
     result = SideResult()
 
     def go():
+        crl = env["pcs"].current_crl()
         try:
             result.value = verifier_handshake(
-                conn, policy or env["policy"], env["pcs"].current_crl(), NOW,
+                conn, policy or env["policy"], lambda pid: crl, NOW,
                 env["verifier_key"])
         except Exception as exc:
             result.error = exc
@@ -181,10 +184,14 @@ def test_verifier_fail_closed_no_v1_after_bad_quote(env):
     assert types == [wire.HS_ERROR]
 
 
-def _a1_with_cert_field(env, cert, field, value):
+def _valid_a1(env) -> str:
     eph = crypto.dh_generate()
     quote = quote_generate(env["platform"], MRE, MRS, 3, bind_report_data(eph.public))
-    d = json.loads(AttestationCertificate(eph.public, quote, env["chain"]).encode())
+    return AttestationCertificate(eph.public, quote, env["chain"]).encode().decode()
+
+
+def _a1_with_cert_field(env, cert, field, value):
+    d = json.loads(_valid_a1(env))
     d["chain"][cert][field] = value
     return json.dumps(d).encode()
 
@@ -200,6 +207,8 @@ MALFORMED_A1 = {
                            lambda env: _a1_with_cert_field(env, "platform_ca", "signature",
                                                            "00" * 10)),
     "v1-first": (wire.HS_V1, lambda env: b"{}"),
+    **{f"valid-{name}": (wire.HS_A1, lambda env, codec=codec: _valid_a1(env).encode(codec))
+       for name, codec in FOREIGN_ENCODINGS.items()},
 }
 
 
@@ -208,6 +217,7 @@ def test_malformed_a1_gets_hs_error_io(env, name):
     a_sock, v_sock = socket.socketpair()
     thread, ver = run_verifier(env, v_sock)
     frame_type, make_payload = MALFORMED_A1[name]
+    a_sock.settimeout(10)  # a verifier that accepts the A1 waits for Finished
     wire.send_frame(a_sock, frame_type, make_payload(env))
     frames = []
     try:
@@ -215,8 +225,8 @@ def test_malformed_a1_gets_hs_error_io(env, name):
             frames.append(wire.recv_frame(a_sock))
     except (wire.ConnectionClosedError, OSError):
         pass
-    thread.join()
     a_sock.close()
+    thread.join()
     assert [t for t, _ in frames] == [wire.HS_ERROR]
     assert json.loads(frames[0][1])["kind"] == "io"
     assert isinstance(ver.error, HandshakeError)
@@ -241,6 +251,14 @@ def test_bad_first_frame_length_gets_one_hs_error_io(env):
     assert ver.error.kind == "io"
 
 
+# a V1 and an HS_ERROR of the documented form (the V1's signature is not
+# checked before it decodes)
+WELL_FORMED_REPLIES = [
+    (wire.HS_V1, json.dumps({"eph_pub": "00" * 32, "sig": "00" * 64})),
+    (wire.HS_ERROR, '{"kind":"attestation_failed","reason":"revoked"}'),
+]
+
+
 @pytest.mark.parametrize("frame_type,payload", [
     (wire.HS_V1, b"[1]"),
     (wire.HS_V1, b'{"eph_pub": 1, "sig": "00"}'),
@@ -251,8 +269,11 @@ def test_bad_first_frame_length_gets_one_hs_error_io(env):
     (wire.HS_ERROR, b'{"kind": 7, "reason": ["x"]}'),
     (wire.HS_ERROR, b'{"kind": 7}'),
     (wire.HS_ERROR, b'{"kind": "attestation_failed", "reason": ["x"]}'),
-], ids=["v1-list", "v1-eph-pub-not-str", "v1-sig-10-bytes", "v1-not-json", "error-not-json",
-        "error-list", "error-kind-not-str", "error-kind-int-no-reason", "error-reason-list"])
+] + [(frame_type, text.encode(codec)) for frame_type, text in WELL_FORMED_REPLIES
+     for codec in FOREIGN_ENCODINGS.values()],
+    ids=["v1-list", "v1-eph-pub-not-str", "v1-sig-10-bytes", "v1-not-json", "error-not-json",
+         "error-list", "error-kind-not-str", "error-kind-int-no-reason", "error-reason-list"] + [
+         f"{kind}-{name}" for kind in ("v1", "error") for name in FOREIGN_ENCODINGS])
 def test_malformed_verifier_reply_is_a_handshake_io_error(env, frame_type, payload):
     a_sock, v_sock = socket.socketpair()
 
@@ -297,6 +318,33 @@ def test_any_verifier_reply_is_only_a_handshake_error(env, frame_type, fields):
     finally:
         thread.join()
         v_sock.close()
+
+
+A1_FIELDS = [(field, None, None) for field in ("eph_pub", "quote", "chain")] + [
+    ("chain", cert, field) for cert in ("root", "platform_ca", "attestation_key")
+    for field in ("subject", "issuer", "public_key", "tcb_level", "signature")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(A1_FIELDS), PEER_FIELD), max_size=3),
+       codec=st.sampled_from(["utf-8", *FOREIGN_ENCODINGS.values()]),
+       junk=st.none() | st.binary(max_size=64))
+def test_any_a1_decodes_or_is_a_handshake_io_error(env, edits, codec, junk):
+    doc = json.loads(_valid_a1(env))
+    # nested edits first, so a later top-level edit may replace their parent
+    for (part, cert, field), value in sorted(edits, key=lambda e: e[0][1] is None):
+        if cert is None:
+            doc[part] = value
+        else:
+            doc[part][cert][field] = value
+    payload = json.dumps(doc).encode(codec) if junk is None else junk
+    try:
+        cert = AttestationCertificate.decode(payload)
+    except HandshakeError as exc:
+        assert exc.kind == "io"
+    else:
+        assert isinstance(cert, AttestationCertificate)
+        assert codec == "utf-8" or junk is not None
 
 
 def test_relay_adversary_caught_by_binding(env):

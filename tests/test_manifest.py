@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enclavesim import manifest
 from enclavesim.manifest import (
@@ -289,6 +291,41 @@ def test_load_rejects_hash_set_mismatch():
     data += "sgx.trusted_file = /app/unhashed\n"
     with pytest.raises(ParseError, match="differ"):
         load(data.encode())
+
+
+MANIFEST_KEYS = ["app.entrypoint", "app.arg", "env.HOME", "env.1X", "fs.mount",
+                 "sgx.enclave_size", "sgx.max_threads", "sgx.trusted_file",
+                 "sgx.protected_file", "sgx.trusted_file_hash", "manifest.format_version",
+                 "sgx.unknown", ""]
+MANIFEST_VALUES = st.sampled_from([
+    "/app/run", "/app", "/app/config", "/data", "app:/app", "data:/data", "x", ":/a", "a:",
+    "/a/../..", "/./app/", "1M", "4k", "3M", "0", "-1", "1", "9" * 30, "",
+    "/app/config:" + "00" * 32, "/app/config:zz", "/app/config:00"]) | st.text(max_size=12)
+# key = value lines, lines of the full template, and any text
+MANIFEST_LINES = st.lists(
+    st.tuples(st.sampled_from(MANIFEST_KEYS), MANIFEST_VALUES).map(" = ".join)
+    | st.sampled_from(FULL.splitlines()) | st.text(max_size=16), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=MANIFEST_LINES)
+def test_parse_template_raises_only_parse_error(lines):
+    try:
+        template = parse_template("\n".join(lines))
+    except ParseError:
+        return
+    assert isinstance(template, ManifestTemplate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=MANIFEST_LINES, junk=st.none() | st.binary(max_size=64))
+def test_load_raises_only_parse_error(lines, junk):
+    data = "\n".join(["manifest.format_version = 1", *lines]).encode("utf-8")
+    try:
+        final = load(data if junk is None else junk)
+    except ParseError:
+        return
+    assert isinstance(final, FinalManifest)
 
 
 def test_resolver_for_root(tmp_path):

@@ -25,6 +25,8 @@ from enclavesim.pcs_service import (
     revoke_platform,
 )
 
+from foreign_json import FOREIGN_ENCODINGS
+
 NOW = 1_700_000_000
 
 
@@ -101,11 +103,14 @@ MALFORMED_REQUESTS = [
     (wire.PCS_REGISTER_REQ, b'{"tcb_level":4294967296}', "bad_request"),
     (wire.PCS_REGISTER_REQ, b'{"tcb_level":2.5}', "bad_request"),
     (wire.PCS_REGISTER_REQ, b'{"tcb_level":true}', "bad_request"),
-]
+    (wire.PCS_REGISTER_REQ, b"", "bad_request"),
+] + [(wire.PCS_REGISTER_REQ, '{"tcb_level":1}'.encode(codec), "bad_request")
+     for codec in FOREIGN_ENCODINGS.values()]
 MALFORMED_IDS = ["register-tcb-not-int", "fetch-list", "revoke-string", "fetch-id-not-str",
                  "register-not-utf8", "register-tcb-infinite", "fetch-deep-nesting",
                  "unknown-type", "register-tcb-negative", "register-tcb-over-u32",
-                 "register-tcb-fraction", "register-tcb-bool"]
+                 "register-tcb-fraction", "register-tcb-bool", "register-empty"] + [
+                 f"register-{name}" for name in FOREIGN_ENCODINGS]
 
 
 @pytest.mark.parametrize("frame_type,payload,reason", MALFORMED_REQUESTS, ids=MALFORMED_IDS)
@@ -125,6 +130,33 @@ def test_malformed_request_gets_an_error_reply_and_the_connection_lives(
     assert json.loads(body)["chain"]["attestation_key"]["subject"] \
         == f"platform:{platform.platform_id.hex()}"
     assert crashed == []
+
+
+class ScriptedPcs(wire.FrameServer):
+    """Answers every request with `reply`."""
+
+    reply = (wire.PCS_ERROR, b"")
+
+    def _handle(self, frame_type, payload):
+        return self.reply
+
+
+@pytest.mark.parametrize("call,expect", [
+    (lambda addr: fetch_platform(addr, b"\x01" * 16), wire.PCS_FETCH_RESP),
+    (lambda addr: register_platform(addr, 1), wire.PCS_REGISTER_RESP),
+    (lambda addr: revoke_platform(addr, b"\x01" * 16), wire.PCS_REVOKE_RESP),
+], ids=["fetch", "register", "revoke"])
+def test_undecodable_pcs_reply_is_a_bad_response(call, expect):
+    srv = ScriptedPcs("127.0.0.1", 0).start()
+    try:
+        for reply in [(expect, b"[1]"), (expect, b"\xff"), (wire.PCS_ERROR, b"[]"),
+                      (expect, b'{"chain":1,"crl":2}')]:
+            srv.reply = reply
+            with pytest.raises(PcsClientError) as info:
+                call(srv.address)
+            assert info.value.reason == "bad_response"
+    finally:
+        srv.stop()
 
 
 def conn_thread_alive(sock) -> bool:

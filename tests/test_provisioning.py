@@ -3,7 +3,7 @@ import socket
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enclavesim import crypto, wire
@@ -20,6 +20,8 @@ from enclavesim.provisioning import (
     vault_load,
     vault_save,
 )
+
+from foreign_json import FOREIGN_ENCODINGS
 
 NOW = 1_700_000_000
 MRE = b"\x11" * 32
@@ -223,18 +225,37 @@ def test_audit_one_record_per_request(env, server):
     assert all(SECRET.hex() not in str(entry) for entry in server.audit_log)
 
 
+MALFORMED_PROVISION_REQS = [b'{"name": ["k"]}', b"\xff\xfe", b'["pfs-master"]'] + [
+    '{"name":"pfs-master"}'.encode(codec) for codec in FOREIGN_ENCODINGS.values()]
+
+
 def test_malformed_request_denied_bad_request_and_channel_stays_open(env, server):
     before = len(server.audit_log)
     with ProvisioningClient(server.address, provider_for(env), server.public_key) as client:
-        for payload in (b'{"name": ["k"]}', b"\xff\xfe", b'["pfs-master"]'):
+        for payload in MALFORMED_PROVISION_REQS:
             client.channel.send(wire.REC_PROVISION_REQ, payload)
             record_type, reply = client.channel.recv()
             assert record_type == wire.REC_PROVISION_RESP
             assert json.loads(reply) == {"outcome": "denied", "reason": "bad_request"}
         assert client.request("pfs-master") == SECRET
     outcomes = [e["outcome"] for e in server.audit_log[before:]]
-    assert outcomes == ["denied:bad_request"] * 3 + ["granted"]
-    assert all(e["secret_name"] is None for e in server.audit_log[before:before + 3])
+    n = len(MALFORMED_PROVISION_REQS)
+    assert outcomes == ["denied:bad_request"] * n + ["granted"]
+    assert all(e["secret_name"] is None for e in server.audit_log[before:before + n])
+
+
+def test_provision_request_is_canonical_json(env, server, monkeypatch):
+    received = []
+    answer = server._answer
+
+    def record(channel, record_type, payload):
+        received.append(payload)
+        return answer(channel, record_type, payload)
+
+    monkeypatch.setattr(server, "_answer", record)
+    assert client_request_key(server.address, "pfs-master", provider_for(env),
+                              server.public_key) == SECRET
+    assert received == [b'{"name":"pfs-master"}']
 
 
 def test_crl_outage_during_a_request_is_an_audited_denial(env):
@@ -296,8 +317,11 @@ def scripted(env):
     (wire.REC_PROVISION_RESP, b'{"outcome": "denied"}'),
     (wire.REC_PROVISION_RESP, b'{"outcome": "maybe", "reason": "x"}'),
     (wire.REC_PING, b'{"outcome": "granted", "secret": "00"}'),
-], ids=["list", "string", "not-utf8", "no-secret", "secret-not-hex", "secret-int",
-        "reason-list", "no-reason", "unknown-outcome", "wrong-record-type"])
+] + [(wire.REC_PROVISION_RESP, '{"outcome":"granted","secret":"00"}'.encode(codec))
+     for codec in FOREIGN_ENCODINGS.values()],
+    ids=["list", "string", "not-utf8", "no-secret", "secret-not-hex", "secret-int",
+         "reason-list", "no-reason", "unknown-outcome", "wrong-record-type"] + [
+         f"granted-{name}" for name in FOREIGN_ENCODINGS])
 def test_malformed_provision_reply_is_denied_bad_response(scripted, record_type, payload):
     server, client = scripted
     server.reply = (record_type, payload)
@@ -410,3 +434,35 @@ def test_secret_never_in_cleartext_on_wire(env, server):
         assert SECRET.hex().encode() not in stream
     finally:
         proxy.close()
+
+
+VAULT_PATHS = [(), ("secrets",), ("secrets", "pfs-master"),
+               ("secrets", "pfs-master", "secret"), ("secrets", "pfs-master", "policy")] + [
+    ("secrets", "pfs-master", "policy", field)
+    for field in ("accepted_root", "expected_mr_enclave", "min_isv_svn", "min_tcb_level")]
+
+
+@settings(max_examples=200, deadline=None)
+@example(edits=[((), [])], junk=None)
+@example(edits=[(("secrets",), [])], junk=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(VAULT_PATHS),
+                                st.binary(max_size=40).map(bytes.hex) | JSON_VALUE),
+                      max_size=3),
+       junk=st.none() | st.binary(max_size=48))
+def test_vault_body_decodes_or_is_a_vault_error(env, edits, junk):
+    body = json.loads(make_vault(env).to_json())
+    # deeper edits first, so a later shallower edit may replace their parent
+    for path, value in sorted(edits, key=lambda e: -len(e[0])):
+        if not path:
+            body = value
+            continue
+        parent = body
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    data = json.dumps(body).encode("utf-8") if junk is None else junk
+    try:
+        vault = KeyVault.from_json(data)
+    except VaultError:
+        return
+    assert isinstance(vault, KeyVault)

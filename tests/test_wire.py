@@ -1,0 +1,49 @@
+import socket
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from enclavesim import wire
+
+from foreign_json import FOREIGN_ENCODINGS
+
+TEXT = '{"name":"pfs-master","note":"é"}'
+
+
+def test_read_json_decodes_utf8():
+    assert wire.read_json(TEXT.encode("utf-8")) == {"name": "pfs-master", "note": "é"}
+
+
+@pytest.mark.parametrize("data", [TEXT.encode(codec) for codec in FOREIGN_ENCODINGS.values()]
+                         + [b'"\xed\xa0\x80"', b""],
+                         ids=list(FOREIGN_ENCODINGS) + ["lone-surrogate", "empty"])
+def test_read_json_rejects_all_but_utf8_json(data):
+    with pytest.raises(ValueError):
+        wire.read_json(data)
+
+
+def _frame(frame_type: int, payload: bytes) -> bytes:
+    return struct.pack(">IB", 1 + len(payload), frame_type) + payload
+
+
+# whole frames, then any tail: a bad length, a cut-off frame or nothing
+FRAMES = st.lists(st.tuples(st.integers(0, 0xff), st.binary(max_size=16)), max_size=3)
+TAIL = st.binary(max_size=24) | st.integers(0, 0xffffffff).map(lambda n: struct.pack(">I", n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=FRAMES, tail=TAIL)
+def test_recv_frame_raises_only_wire_error(frames, tail):
+    stream = b"".join(_frame(*f) for f in frames) + tail
+    got = []
+    writer, reader = socket.socketpair()
+    with writer, reader:
+        writer.sendall(stream)
+        writer.shutdown(socket.SHUT_WR)
+        with pytest.raises(wire.WireError):
+            while True:
+                got.append(wire.recv_frame(reader))
+    assert got[:len(frames)] == frames
+    assert stream.startswith(b"".join(_frame(*f) for f in got))
