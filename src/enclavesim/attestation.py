@@ -13,6 +13,7 @@ import json
 import os
 import struct
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from . import crypto, wire
@@ -26,6 +27,8 @@ CA_SUBJECT = "sim-pcs-platform-ca"
 
 DEFAULT_CA_VALIDITY = 10 * 365 * 86400
 DEFAULT_LEAF_VALIDITY = 365 * 86400
+
+VERIFIED_MEMO_SIZE = 256  # successful signature checks _signed_by remembers
 
 FAILURE_REASONS = ("bad_chain", "revoked", "expired", "bad_quote_sig",
                    "mr_enclave_mismatch", "mr_signer_mismatch",
@@ -267,8 +270,30 @@ def _sign(unsigned, private_key: bytes):
     return replace(unsigned, signature=crypto.sign(private_key, unsigned.signed_payload()))
 
 
+# (public key, signature, SHA-256 of the signed payload) of each signature
+# that verified, least recently used first; failures are never stored, so
+# hostile evidence cannot fill it, and each entry holds 128 bytes
+_verified: OrderedDict[tuple[bytes, bytes, bytes], None] = OrderedDict()
+_verified_lock = threading.Lock()
+
+
 def _signed_by(record, public_key: bytes) -> bool:
-    return crypto.verify(public_key, record.signed_payload(), record.signature)
+    """Whether record.signature is public_key's Ed25519 signature over
+    record.signed_payload(). Only a repeat of a check of exactly these bytes
+    that succeeded skips the Ed25519 work."""
+    payload = record.signed_payload()
+    key = (public_key, record.signature, crypto.hash_data(payload))
+    with _verified_lock:
+        if key in _verified:
+            _verified.move_to_end(key)
+            return True
+    if not crypto.verify(public_key, payload, record.signature):
+        return False
+    with _verified_lock:
+        _verified[key] = None
+        if len(_verified) > VERIFIED_MEMO_SIZE:
+            _verified.popitem(last=False)
+    return True
 
 
 def _issue(subject, subject_key, issuer, issuer_private, not_before, not_after,

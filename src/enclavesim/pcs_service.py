@@ -33,6 +33,8 @@ class PcsServer(wire.FrameServer):
         self.now_source = now_source
 
     def _handle(self, frame_type: int, payload: bytes) -> tuple[int, bytes]:
+        if frame_type not in (wire.PCS_FETCH_REQ, wire.PCS_REGISTER_REQ, wire.PCS_REVOKE_REQ):
+            return wire.PCS_ERROR, canonical_json({"reason": "bad_type"})
         try:
             request = wire.read_json(payload)
             if frame_type == wire.PCS_FETCH_REQ:
@@ -44,11 +46,9 @@ class PcsServer(wire.FrameServer):
                                                    now=int(self.now_source()))
                 self._persist()
                 return wire.PCS_REGISTER_RESP, canonical_json(identity_to_dict(platform, chain))
-            if frame_type == wire.PCS_REVOKE_REQ:
-                crl = self.db.revoke(bytes.fromhex(request["platform_id"]))
-                self._persist()
-                return wire.PCS_REVOKE_RESP, canonical_json({"crl": crl.to_dict()})
-            reason = "bad_type"
+            crl = self.db.revoke(bytes.fromhex(request["platform_id"]))
+            self._persist()
+            return wire.PCS_REVOKE_RESP, canonical_json({"crl": crl.to_dict()})
         except UnknownPlatformError:
             reason = "unknown_platform"
         except wire.DECODE_ERRORS:

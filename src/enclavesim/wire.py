@@ -9,12 +9,14 @@ is public); the attested channel seals payloads per record.
 from __future__ import annotations
 
 import json
+import queue
 import socket
 import struct
 import threading
 import time
 
 MAX_PAYLOAD = 1 << 20
+MAX_CONNECTIONS = 64  # open connections per FrameServer; accept waits for a free slot
 STOP_TIMEOUT = 5.0  # per wait in FrameServer.stop(): accept thread, then connections
 THREAD_PREFIX = "FrameServer"  # starts the name of every FrameServer thread
 
@@ -88,8 +90,9 @@ class FrameServer:
     """A TCP listener that owns each accepted connection from accept to
     close, on its own named daemon thread: idle timeout, session, then
     receive, answer and send until the answer is None or a receive fails.
-    `stop()` also shuts down open connections. Subclasses implement
-    `_handle(frame_type, payload)` or override `_open_session`."""
+    At most MAX_CONNECTIONS are open at once; further clients wait in the
+    listen backlog. `stop()` also shuts down open connections. Subclasses
+    implement `_handle(frame_type, payload)` or override `_open_session`."""
 
     def __init__(self, host: str, port: int, idle_timeout: float = 60.0):
         self._listener = socket.create_server((host, port))
@@ -97,6 +100,10 @@ class FrameServer:
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
         self._open: dict[socket.socket, threading.Thread] = {}
+        # one token per free connection slot: None, or the thread that last held it
+        self._free: queue.SimpleQueue[threading.Thread | None] = queue.SimpleQueue()
+        for _ in range(MAX_CONNECTIONS):
+            self._free.put(None)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -117,6 +124,7 @@ class FrameServer:
             self._listener.close()
         except OSError:
             pass
+        self._free.put(None)  # wake an accept loop that waits for a slot
         if self._thread:
             self._thread.join(timeout=STOP_TIMEOUT)
         with self._lock:
@@ -132,6 +140,9 @@ class FrameServer:
 
     def _accept_loop(self) -> None:
         while True:
+            ended = self._free.get()
+            if ended is not None:
+                ended.join()  # so live connection threads never outnumber the slots
             try:
                 conn, peer = self._listener.accept()
             except OSError:
@@ -154,6 +165,7 @@ class FrameServer:
             with self._lock:
                 del self._open[conn]
             conn.close()
+            self._free.put(threading.current_thread())
 
     def _open_session(self, conn: socket.socket):
         """(recv, send, answer) for one connection; here plaintext frames."""

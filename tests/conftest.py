@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from enclavesim import wire
+from enclavesim import crypto, wire
 
 # make the independent reference oracle importable from any test
 sys.path.insert(0, str(Path(__file__).parent))
@@ -30,3 +30,17 @@ def no_leaked_server_threads():
     while (leaked := _frame_server_threads() - before) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert not leaked, f"FrameServer threads left running: {sorted(t.name for t in leaked)}"
+
+
+
+@pytest.fixture()
+def verify_calls(monkeypatch):
+    """A list that gains one entry per Ed25519 check crypto.verify makes."""
+    calls, verify = [], crypto.verify
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(crypto, "verify", counted)
+    return calls

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enclavesim import crypto, wire
+from enclavesim import attestation, crypto, wire
 from enclavesim.attestation import (
     FAILURE_REASONS,
     QUOTE_SIZE,
@@ -419,3 +419,85 @@ def test_signed_payloads_are_the_pinned_canonical_bytes():
         b'crl-v1{"issuer":"sim-pcs-platform-ca","revoked":'
         b'["01010101010101010101010101010101","02020202020202020202020202020202"],'
         b'"sequence":3}')
+
+
+# -- the memo of successful signature checks --------------------------------
+
+def flip_bit(value, bit: int):
+    """`value` with one bit flipped; None (a root or CA tcb_level) becomes
+    a set bit of an integer."""
+    if value is None:
+        return 1 << bit % 32
+    if isinstance(value, bytes):
+        raw = bytearray(value)
+        raw[bit // 8 % len(raw)] ^= 1 << bit % 8
+        return bytes(raw)
+    if isinstance(value, str):
+        i = bit // 7 % len(value)
+        return value[:i] + chr(ord(value[i]) ^ 1 << bit % 7) + value[i + 1:]
+    if isinstance(value, frozenset):
+        first, *rest = sorted(value)
+        return frozenset([flip_bit(first, bit), *rest])
+    return value ^ 1 << bit % 32
+
+
+CERT_FIELDS = ("subject", "issuer", "public_key", "not_before", "not_after",
+               "tcb_level", "signature")
+CHAIN_PARTS = ("root_cert", "platform_ca_cert", "attestation_key_cert")
+
+
+@pytest.fixture(scope="module")
+def genuine(pcs):
+    """A genuine quote, chain, CRL (listing another platform) and policy."""
+    pcs.revoke(pcs.register(tcb_level=5, now=NOW)[0].platform_id)
+    platform, chain = pcs.register(tcb_level=5, now=NOW)
+    return make_quote(platform), chain, pcs.current_crl(), policy_for(pcs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=st.sampled_from([(part, field) for part in CHAIN_PARTS for field in CERT_FIELDS]
+                              + [("crl", f) for f in ("issuer", "sequence", "revoked",
+                                                      "signature")]
+                              + [("quote", "packed")]
+                              + [(part, "swapped_key") for part in CHAIN_PARTS]),
+       bit=st.integers(0, QUOTE_SIZE * 8 - 1))
+def test_memo_never_changes_a_verdict(genuine, target, bit):
+    quote, chain, crl, pol = genuine
+    assert quote_verify(quote, chain, crl, pol, NOW).ok  # every record is in the memo
+    part, field = target
+    if part == "quote":
+        quote = Quote.unpack(flip_bit(quote.pack(), bit))
+    elif part == "crl":
+        crl = replace(crl, **{field: flip_bit(getattr(crl, field), bit)})
+    else:
+        cert = getattr(chain, part)
+        if field == "swapped_key":
+            cert = replace(cert, public_key=crypto.sign_generate().public)
+        else:
+            cert = replace(cert, **{field: flip_bit(getattr(cert, field), bit)})
+        chain = replace(chain, **{part: cert})
+    warm = quote_verify(quote, chain, crl, pol, NOW)
+    attestation._verified.clear()
+    cold = quote_verify(quote, chain, crl, pol, NOW)
+    assert not warm.ok
+    assert warm.failure_reason == cold.failure_reason
+
+
+def test_memo_keeps_the_most_recent_successes(pcs, verify_calls):
+    platform, chain = pcs.register(tcb_level=5, now=NOW)
+    crl, pol = pcs.current_crl(), policy_for(pcs)
+    quotes = [make_quote(platform, report=i.to_bytes(64, "big"))
+              for i in range(attestation.VERIFIED_MEMO_SIZE + 8)]
+    assert quote_verify(quotes[0], chain, crl, pol, NOW).ok
+    verify_calls.clear()
+    for quote in quotes[1:]:
+        assert quote_verify(quote, chain, crl, pol, NOW).ok
+    # each new quote costs one check: the chain and the CRL stay recently used
+    assert len(verify_calls) == len(quotes) - 1
+    assert len(attestation._verified) == attestation.VERIFIED_MEMO_SIZE
+    verify_calls.clear()
+    assert quote_verify(quotes[-1], chain, crl, pol, NOW).ok
+    assert verify_calls == []
+    assert quote_verify(quotes[0], chain, crl, pol, NOW).ok  # evicted long ago
+    assert len(verify_calls) == 1
+    assert len(attestation._verified) == attestation.VERIFIED_MEMO_SIZE

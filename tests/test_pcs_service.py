@@ -4,7 +4,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enclavesim import wire
@@ -194,6 +194,60 @@ def test_idle_timeout_closes_a_silent_client_while_others_are_served():
         srv.stop()
 
 
+def conn_threads() -> int:
+    return sum(t.name.startswith(f"{wire.THREAD_PREFIX}-conn-") and t.is_alive()
+               for t in threading.enumerate())
+
+
+def test_connection_cap_bounds_threads_and_queued_clients_are_served(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_CONNECTIONS", 4)
+    srv = PcsServer(PcsDatabase.create(now=NOW), now_source=lambda: NOW,
+                    idle_timeout=0.5).start()
+    counts, done = [], threading.Event()
+
+    def sample():
+        while not done.is_set():
+            counts.append(conn_threads())
+            time.sleep(0.001)
+
+    sampler = threading.Thread(target=sample)
+    silent = []
+    try:
+        platform, _ = register_platform(srv.address, tcb_level=3)
+        sampler.start()
+        silent = [socket.create_connection(srv.address, timeout=10) for _ in range(8)]
+        # the first 4 idle out, then the queued 4, then the real client is accepted
+        chain, _ = fetch_platform(srv.address, platform.platform_id)
+        assert chain.attestation_key_cert.subject == f"platform:{platform.platform_id.hex()}"
+        assert all(sock.recv(1) == b"" for sock in silent)
+    finally:
+        done.set()
+        if sampler.is_alive():
+            sampler.join()
+        for sock in silent:
+            sock.close()
+        srv.stop()
+    assert max(counts) == 4
+
+
+def test_stop_returns_while_the_accept_loop_waits_for_a_slot(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_CONNECTIONS", 1)
+    srv = PcsServer(PcsDatabase.create(now=NOW), now_source=lambda: NOW).start()
+    # the second client waits in the backlog while the first holds the slot
+    with socket.create_connection(srv.address, timeout=10) as held, \
+            socket.create_connection(srv.address, timeout=10):
+        deadline = time.monotonic() + 5
+        while conn_threads() < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert conn_threads() == 1
+        start = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - start < wire.STOP_TIMEOUT
+        assert not srv._thread.is_alive()
+        assert held.recv(1) == b""
+        assert conn_threads() == 0
+
+
 def test_stop_closes_an_open_connection(server):
     platform, _ = register_platform(server.address, tcb_level=3)
     with socket.create_connection(server.address, timeout=10) as conn:
@@ -220,14 +274,20 @@ json_values = st.recursive(
     max_leaves=12)
 
 
+REQUEST_TYPES = (wire.PCS_FETCH_REQ, wire.PCS_REGISTER_REQ, wire.PCS_REVOKE_REQ)
+
+
 @settings(max_examples=300, deadline=None)
-@given(frame_type=st.sampled_from([wire.PCS_FETCH_REQ, wire.PCS_REGISTER_REQ,
-                                   wire.PCS_REVOKE_REQ, wire.PCS_ERROR]),
+@given(frame_type=st.sampled_from(REQUEST_TYPES + (wire.PCS_ERROR, 0x3e)),
        payload=st.binary(max_size=48) | json_values.map(
            lambda v: json.dumps(v).encode("utf-8")))
+@example(frame_type=0x3e, payload=b"")
+@example(frame_type=wire.PCS_ERROR, payload=b"\xff")
 def test_any_request_payload_gets_a_typed_reply(idle_server, frame_type, payload):
     reply_type, body = idle_server._handle(frame_type, payload)
-    if reply_type == wire.PCS_ERROR:
-        assert json.loads(body)["reason"] in ("unknown_platform", "bad_request", "bad_type")
+    if frame_type not in REQUEST_TYPES:
+        assert (reply_type, json.loads(body)) == (wire.PCS_ERROR, {"reason": "bad_type"})
+    elif reply_type == wire.PCS_ERROR:
+        assert json.loads(body)["reason"] in ("unknown_platform", "bad_request")
     else:
         assert reply_type == frame_type + 1

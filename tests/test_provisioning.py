@@ -1,13 +1,15 @@
 import json
+import random
 import socket
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enclavesim import crypto, wire
-from enclavesim.attestation import PcsDatabase, VerificationPolicy, quote_generate
+from enclavesim import attestation, crypto, wire
+from enclavesim.attestation import PcsDatabase, VerificationPolicy, quote_generate, quote_verify
 from enclavesim.channel import ChannelError, HandshakeError
 from enclavesim.pfs import IntegrityError, WrongKeyError
 from enclavesim.provisioning import (
@@ -283,6 +285,74 @@ def test_crl_outage_during_a_request_is_an_audited_denial(env):
         srv.stop()
     assert [e["outcome"] for e in srv.audit_log] == ["denied:crl_unavailable", "granted"]
 
+
+def test_revocation_takes_effect_on_an_open_session(env):
+    pcs = env["pcs"]
+    victim, chain = pcs.register(tcb_level=5, now=NOW)
+
+    def provide(report_data):
+        return quote_generate(victim, MRE, MRS, 3, report_data), chain
+
+    session_policy = VerificationPolicy(accepted_root=pcs.root_public_key)
+    srv = KeyServer(make_vault(env), session_policy, crypto.sign_generate(),
+                    crl_provider=lambda pid: pcs.current_crl(),
+                    now_source=lambda: NOW).start()
+    try:
+        with ProvisioningClient(srv.address, provide, srv.public_key) as client:
+            assert client.request("pfs-master") == SECRET
+            pcs.revoke(victim.platform_id)
+            with pytest.raises(ProvisionDeniedError) as denied:
+                client.request("pfs-master")
+            assert denied.value.reason == "policy_mismatch"
+        with pytest.raises(HandshakeError) as refused:
+            client_request_key(srv.address, "pfs-master", provide, srv.public_key)
+        assert (refused.value.kind, refused.value.reason) == ("attestation_failed", "revoked")
+    finally:
+        srv.stop()
+    assert [e["outcome"] for e in srv.audit_log] == ["granted", "denied:policy_mismatch"]
+
+
+def test_a_repeat_provision_makes_two_ed25519_checks(env, server, verify_calls):
+    assert client_request_key(server.address, "pfs-master", provider_for(env),
+                              server.public_key) == SECRET
+    verify_calls.clear()
+    assert client_request_key(server.address, "pfs-master", provider_for(env),
+                              server.public_key) == SECRET
+    # the fresh quote on the key server, V1 on the client; the chain, the
+    # CRL and the request's second check of the quote were checked before
+    assert len(verify_calls) == 2
+
+
+def test_bad_signatures_never_enter_the_memo(env, server):
+    provide = provider_for(env)
+    assert client_request_key(server.address, "pfs-master", provide,
+                              server.public_key) == SECRET
+    before = set(attestation._verified)
+    quote, chain = provide(b"\x00" * 64)
+    crl, policy = env["pcs"].current_crl(), server.session_policy
+    rng = random.Random(61)
+    parts = ("root_cert", "platform_ca_cert", "attestation_key_cert")
+    for i in range(99):
+        bad = rng.randbytes(crypto.SIGNATURE_SIZE)
+        q, c, r = quote, chain, crl
+        if i % 5 == 3:
+            r = replace(crl, signature=bad)
+        elif i % 5 == 4:
+            q = replace(quote, signature=bad)
+        else:
+            c = replace(chain, **{parts[i % 5]: replace(getattr(chain, parts[i % 5]),
+                                                        signature=bad)})
+        assert not quote_verify(q, c, r, policy, NOW).ok
+    # a CA certificate with a ~0.5 MiB subject, its leaf naming it as issuer
+    big = "x" * (wire.MAX_PAYLOAD // 2 - 4096)
+    hostile = replace(chain, platform_ca_cert=replace(chain.platform_ca_cert, subject=big),
+                      attestation_key_cert=replace(chain.attestation_key_cert, issuer=big))
+    with pytest.raises(HandshakeError) as refused:
+        client_request_key(server.address, "pfs-master",
+                           lambda report_data: (provide(report_data)[0], hostile),
+                           server.public_key)
+    assert (refused.value.kind, refused.value.reason) == ("attestation_failed", "bad_chain")
+    assert set(attestation._verified) == before
 
 class ScriptedKeyServer(KeyServer):
     """Attests like a key server, then answers every record with `reply`."""
