@@ -1,12 +1,12 @@
 """Authenticated encrypted file container: 4KB blocks under a Merkle tree,
-per-node derived keys, integrity-protected filename, LRU block cache."""
+per-node random keys held in the parent node, integrity-protected
+filename, LRU block cache."""
 
 from .cache import DEFAULT_CAPACITY, BlockCache
 from .file import (
     ProtectedFile,
     ReadOnlyError,
     VerifyReport,
-    derive_node_key,
     info,
     read_uuid,
     verify_file,
@@ -23,7 +23,6 @@ __all__ = [
     "ReadOnlyError",
     "VerifyReport",
     "WrongKeyError",
-    "derive_node_key",
     "info",
     "read_uuid",
     "verify_file",

@@ -8,14 +8,18 @@ for `ProtectedFile.open`, `info` and `verify_file`, and
 verifies exactly what a read does, node by node, with memory bounded by
 the block cache.
 
-Writes are buffered in memory; flush reseals dirty blocks and their MHT
-ancestors with fresh random nonces, then the header. A flush interrupted
-mid-write can corrupt the container (detected on later reads, not
-recovered) -- there is deliberately no journaling.
+Every MHT and data node is sealed under a fresh random key, which its
+parent entry holds together with the node's GCM tag; only the header key
+is derived from the master key. Writes are buffered in memory; flush
+reseals dirty blocks and their MHT ancestors under fresh random keys,
+then the header. A flush interrupted mid-write can corrupt the container
+(detected on later reads, not recovered) -- there is deliberately no
+journaling.
 """
 
 from __future__ import annotations
 
+import hmac
 import itertools
 import os
 import struct
@@ -29,6 +33,7 @@ from .format import (
     FANOUT,
     HEADER_SIZE,
     NODE_DISK_SIZE,
+    TAG_SIZE,
     ChildEntry,
     IntegrityError,
     PfsError,
@@ -68,6 +73,8 @@ class ProtectedFile:
         self._cache = BlockCache(cache_capacity)
         self._dirty: dict[int, bytearray] = {}
         self._closed = False
+        self._nodes_sealed = 0
+        self._nodes_opened = 0
 
     # -- construction -------------------------------------------------
 
@@ -164,12 +171,21 @@ class ProtectedFile:
             pos = block * BLOCK_SIZE + hi
         self._file_size = max(self._file_size, end)
 
+    def stats(self) -> dict:
+        """Work done through this handle: MHT and data nodes sealed and
+        opened (the header is not counted), and block cache hits and
+        misses."""
+        return {"nodes_sealed": self._nodes_sealed,
+                "nodes_opened": self._nodes_opened,
+                "cache_hits": self._cache.hits,
+                "cache_misses": self._cache.misses}
+
     def flush(self) -> None:
-        """Reseal the dirty data blocks and their MHT ancestors with fresh
-        nonces, then the header. When the tree shape changes, every MHT
-        node gets a new global index and every data block a new offset, so
-        all of them are rewritten. No-op when nothing changed since the
-        last flush."""
+        """Reseal the dirty data blocks and their MHT ancestors under fresh
+        keys, then the header. When the tree shape changes, every MHT node
+        gets a new global index (its AAD) and every data block a new
+        offset, so all of them are rewritten. No-op when nothing changed
+        since the last flush."""
         self._check_open()
         new_n = fmt.data_block_count(self._file_size)
         if not self._dirty and new_n == self._disk_blocks:
@@ -200,7 +216,7 @@ class ProtectedFile:
                     sealed_at[fmt.data_disk_offset(new_total, i)] = sealed
 
         # bottom-up: a node is dirty when a child changed, or always when the
-        # shape changed (its key and AAD follow its global index); it starts
+        # shape changed (its AAD follows its global index); it starts
         # from the old node at the same height, verified through the old tree
         for level_idx in reversed(range(len(new_levels))):
             old_idx = level_idx + len(old_levels) - len(new_levels)
@@ -263,10 +279,12 @@ class ProtectedFile:
             raise PfsError("handle is closed")
 
     def _seal_node(self, kind: str, index: int, plaintext: bytes) -> tuple[bytes, ChildEntry]:
-        key = _node_key(self._master_key, self.uuid, kind, index)
-        nonce = os.urandom(fmt.NONCE_SIZE)
-        sealed = crypto.aead_seal(key, nonce, fmt.node_aad(self.uuid, kind, index), plaintext)
-        return sealed, ChildEntry(nonce, crypto.hash_data(sealed))
+        """Seal under a fresh key, so the fixed nonce never repeats under it."""
+        key = os.urandom(fmt.KEY_SIZE)
+        sealed = crypto.aead_seal(key, fmt.NODE_NONCE, fmt.node_aad(self.uuid, kind, index),
+                                  plaintext)
+        self._nodes_sealed += 1
+        return sealed, ChildEntry(key, sealed[-TAG_SIZE:])
 
     def _block_plaintext(self, index: int) -> bytes:
         if index in self._dirty:
@@ -308,19 +326,20 @@ class ProtectedFile:
         sealed = self._fh.read(NODE_DISK_SIZE)
         if len(sealed) != NODE_DISK_SIZE:
             raise _node_error(kind, index, "truncated on disk")
-        if crypto.hash_data(sealed) != entry.digest:
-            raise _node_error(kind, index, "digest mismatch")
-        key = _node_key(self._master_key, self.uuid, kind, index)
+        if not hmac.compare_digest(sealed[-TAG_SIZE:], entry.tag):
+            raise _node_error(kind, index, "tag mismatch")
+        self._nodes_opened += 1
         try:
-            return crypto.aead_open(key, entry.nonce, fmt.node_aad(self.uuid, kind, index), sealed)
+            return crypto.aead_open(entry.key, fmt.NODE_NONCE,
+                                    fmt.node_aad(self.uuid, kind, index), sealed)
         except crypto.AuthError:
             raise _node_error(kind, index, "failed authentication")
 
     def _write_header(self, root: ChildEntry) -> None:
         meta = fmt.pack_meta(self.label.encode("utf-8"), self._file_size, root)
-        key = _node_key(self._master_key, self.uuid, fmt.KIND_HEADER, 0)
         nonce = os.urandom(fmt.NONCE_SIZE)
-        sealed = crypto.aead_seal(key, nonce, fmt.header_aad(self.uuid), meta)
+        sealed = crypto.aead_seal(_header_key(self._master_key, self.uuid), nonce,
+                                  fmt.header_aad(self.uuid), meta)
         self._fh.seek(0)
         self._fh.write(fmt.pack_header(self.uuid, nonce, sealed))
 
@@ -328,9 +347,9 @@ class ProtectedFile:
 def _open_header(fh, master_key: bytes) -> tuple[bytes, bytes, int, ChildEntry]:
     """Authenticate the header region; returns (uuid, label, file_size, root)."""
     uuid, nonce, sealed_meta = fmt.split_header(fh.read(HEADER_SIZE))
-    header_key = _node_key(master_key, uuid, fmt.KIND_HEADER, 0)
     try:
-        meta = crypto.aead_open(header_key, nonce, fmt.header_aad(uuid), sealed_meta)
+        meta = crypto.aead_open(_header_key(master_key, uuid), nonce, fmt.header_aad(uuid),
+                                sealed_meta)
     except crypto.AuthError:
         raise WrongKeyError("header did not authenticate (wrong key or tampered header)")
     return (uuid, *fmt.unpack_meta(meta))
@@ -342,15 +361,9 @@ def _node_error(kind: str, index: int, problem: str) -> IntegrityError:
     return exc
 
 
-def _node_key(master_key: bytes, uuid: bytes, kind: str, index: int) -> bytes:
-    return crypto.kdf(master_key, kind, uuid + struct.pack("<Q", index))
-
-
-def derive_node_key(master_key: bytes, kind: str, node_index: int, file_uuid: bytes) -> bytes:
-    """Per-node key: kdf(master, kind label, uuid || index)."""
-    if kind not in (fmt.KIND_HEADER, fmt.KIND_MHT, fmt.KIND_DATA):
-        raise ValueError(f"unknown node kind {kind!r}")
-    return _node_key(master_key, file_uuid, kind, node_index)
+def _header_key(master_key: bytes, uuid: bytes) -> bytes:
+    """The one derived key of a container; node keys are random."""
+    return crypto.kdf(master_key, fmt.KIND_HEADER, uuid + struct.pack("<Q", 0))
 
 
 def read_uuid(path) -> bytes:

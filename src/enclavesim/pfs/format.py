@@ -6,7 +6,7 @@ order, then data blocks in index order.
 
 Header (512 bytes):
     0   8   magic "SEALPFS1"
-    8   4   version u32 = 1
+    8   4   version u32 = 2
     12  16  file_uuid (random, set at creation)
     28  12  header nonce
     40  2   meta_len u16
@@ -17,12 +17,14 @@ sealed_meta plaintext:
     0   2          label_len u16
     2   label_len  filename label, UTF-8, <= 256 bytes
     +0  8          file_size u64 (logical bytes)
-    +8  12         root node nonce   } all-zero when the file is empty
-    +20 32         root node digest  }
+    +8  32         root node key  } all-zero when the file is empty
+    +40 16         root node tag  }
 
-Every MHT node plaintext is 64 child entries of 44 bytes (12-byte nonce,
-32-byte SHA-256 of the child's sealed bytes), zero-padded to 4096. The
-bottom MHT level points at data blocks, upper levels at MHT nodes.
+Every MHT node plaintext is 64 child entries of 48 bytes (the child's
+32-byte key, then the 16-byte GCM tag of its sealed bytes), zero-padded
+to 4096. The bottom MHT level points at data blocks, upper levels at MHT
+nodes. Each node key is fresh random at every seal, so nodes seal under
+one fixed all-zero nonce.
 """
 
 from __future__ import annotations
@@ -32,15 +34,16 @@ import struct
 from dataclasses import dataclass
 
 MAGIC = b"SEALPFS1"
-VERSION = 1
+VERSION = 2
 HEADER_SIZE = 512
 BLOCK_SIZE = 4096
 TAG_SIZE = 16
 NODE_DISK_SIZE = BLOCK_SIZE + TAG_SIZE
 FANOUT = 64
 NONCE_SIZE = 12
-DIGEST_SIZE = 32
-ENTRY_SIZE = NONCE_SIZE + DIGEST_SIZE
+KEY_SIZE = 32
+ENTRY_SIZE = KEY_SIZE + TAG_SIZE
+NODE_NONCE = b"\x00" * NONCE_SIZE
 UUID_SIZE = 16
 MAX_LABEL = 256
 
@@ -65,14 +68,21 @@ class WrongKeyError(IntegrityError):
 
 @dataclass(frozen=True)
 class ChildEntry:
-    nonce: bytes
-    digest: bytes
+    """A parent's record of one child node: the key it is sealed under and
+    the GCM tag of its sealed bytes."""
+
+    key: bytes
+    tag: bytes
 
     def pack(self) -> bytes:
-        return self.nonce + self.digest
+        return self.key + self.tag
+
+    @classmethod
+    def unpack(cls, raw: bytes) -> "ChildEntry":
+        return cls(raw[:KEY_SIZE], raw[KEY_SIZE:ENTRY_SIZE])
 
 
-ZERO_ENTRY = ChildEntry(b"\x00" * NONCE_SIZE, b"\x00" * DIGEST_SIZE)
+ZERO_ENTRY = ChildEntry(b"\x00" * KEY_SIZE, b"\x00" * TAG_SIZE)
 
 
 def data_block_count(file_size: int) -> int:
@@ -133,9 +143,7 @@ def set_entry(plaintext: bytearray, slot: int, entry: ChildEntry) -> None:
 
 
 def unpack_entry(plaintext: bytes, slot: int) -> ChildEntry:
-    off = slot * ENTRY_SIZE
-    raw = plaintext[off:off + ENTRY_SIZE]
-    return ChildEntry(raw[:NONCE_SIZE], raw[NONCE_SIZE:])
+    return ChildEntry.unpack(plaintext[slot * ENTRY_SIZE:(slot + 1) * ENTRY_SIZE])
 
 
 def node_aad(uuid: bytes, kind: str, index: int) -> bytes:
@@ -159,9 +167,7 @@ def unpack_meta(meta: bytes) -> tuple[bytes, int, ChildEntry]:
         raise IntegrityError("metadata length inconsistent")
     label = meta[2:2 + label_len]
     (file_size,) = struct.unpack_from("<Q", meta, 2 + label_len)
-    root_raw = meta[2 + label_len + 8:]
-    root = ChildEntry(root_raw[:NONCE_SIZE], root_raw[NONCE_SIZE:])
-    return label, file_size, root
+    return label, file_size, ChildEntry.unpack(meta[2 + label_len + 8:])
 
 
 def pack_header(uuid: bytes, header_nonce: bytes, sealed_meta: bytes) -> bytes:

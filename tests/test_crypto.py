@@ -159,9 +159,9 @@ def test_kdf_known_answers(label, context, expected):
     assert crypto.kdf(bytes(range(32)), label, context).hex() == expected
 
 
-# every label the package derives keys with: pfs node kinds, channel
+# every label the package derives keys with: the pfs header key, channel
 # directions and the vault key
-KDF_LABELS = ("mht", "data", "hdr", "a2s", "s2a", "vault")
+KDF_LABELS = ("hdr", "a2s", "s2a", "vault")
 
 
 def test_kdf_no_collisions_across_fixed_label_set():

@@ -3,9 +3,10 @@ import random
 import shutil
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -17,7 +18,6 @@ from enclavesim.pfs import (
     ReadOnlyError,
     VerifyReport,
     WrongKeyError,
-    derive_node_key,
     info,
     read_uuid,
     verify_file,
@@ -75,6 +75,16 @@ def test_open_wrong_key(tmp_path):
     make_file(p, b"data")
     with pytest.raises(WrongKeyError):
         ProtectedFile.open(p, "file.bin", b"\xff" * 32)
+
+
+def test_a_version_1_container_is_refused(tmp_path):
+    p = make_file(tmp_path / "f.pfs", b"data")
+    raw = bytearray(p.read_bytes())
+    raw[8:12] = (1).to_bytes(4, "little")
+    p.write_bytes(bytes(raw))
+    with pytest.raises(IntegrityError, match="unsupported version 1"):
+        ProtectedFile.open(p, "file.bin", KEY)
+    assert verify_file(p, KEY) == VerifyReport(False, "header")
 
 
 def test_filename_binding_defeats_file_swap(tmp_path):
@@ -400,22 +410,30 @@ def test_blocks_from_total_nodes_inverts_the_tree_shape():
             fmt.blocks_from_total_nodes(total)
 
 
-# -- key derivation -----------------------------------------------------
+# -- keys -----------------------------------------------------------------
 
-def test_header_key_differs_from_data_key():
-    uuid = b"u" * 16
-    assert derive_node_key(KEY, "hdr", 0, uuid) != derive_node_key(KEY, "data", 0, uuid)
+def record_seals(monkeypatch):
+    """A list that gains (key, nonce, aad) for every aead_seal call."""
+    seals = []
+    real_seal = crypto.aead_seal
+
+    def recording_seal(key, nonce, aad, plaintext):
+        seals.append((key, nonce, aad))
+        return real_seal(key, nonce, aad, plaintext)
+
+    monkeypatch.setattr(crypto, "aead_seal", recording_seal)
+    return seals
 
 
-def test_node_key_deterministic():
-    uuid = b"u" * 16
-    assert derive_node_key(KEY, "mht", 5, uuid) == derive_node_key(KEY, "mht", 5, uuid)
-
-
-def test_data_keys_pairwise_distinct():
-    uuid = b"u" * 16
-    keys = {derive_node_key(KEY, "data", i, uuid) for i in range(64)}
-    assert len(keys) == 64
+def test_header_key_differs_from_every_node_key(tmp_path, monkeypatch):
+    seals = record_seals(monkeypatch)
+    p = make_file(tmp_path / "f.pfs", random.Random(37).randbytes(70 * BLOCK_SIZE))
+    header_aad = fmt.header_aad(read_uuid(p))
+    header_keys = {key for key, _, aad in seals if aad == header_aad}
+    node_keys = {key for key, _, aad in seals if aad != header_aad}
+    assert len(header_keys) == 1
+    assert len(node_keys) == 70 + 3
+    assert not header_keys & node_keys
 
 
 # -- cache transparency ---------------------------------------------------
@@ -468,18 +486,10 @@ def test_cache_capacity_zero_stores_nothing():
     assert len(cache) == 0
 
 
-# -- nonce freshness ------------------------------------------------------
+# -- nonce and key freshness ---------------------------------------------
 
 def test_no_key_nonce_pair_repeats(tmp_path, monkeypatch):
-    seen = set()
-    real_seal = crypto.aead_seal
-
-    def recording_seal(key, nonce, aad, plaintext):
-        assert (key, nonce) not in seen, "(key, nonce) pair reused"
-        seen.add((key, nonce))
-        return real_seal(key, nonce, aad, plaintext)
-
-    monkeypatch.setattr(crypto, "aead_seal", recording_seal)
+    seals = record_seals(monkeypatch)
     p = tmp_path / "f.pfs"
     rng = random.Random(29)
     with ProtectedFile.create(p, "file.bin", KEY) as pf:
@@ -487,7 +497,15 @@ def test_no_key_nonce_pair_repeats(tmp_path, monkeypatch):
             pf.write(rng.randint(0, 40000), rng.randbytes(500))
             if rng.random() < 0.3:
                 pf.flush()
-    assert len(seen) > 30
+    pairs = [(key, nonce) for key, nonce, _ in seals]
+    assert len(set(pairs)) == len(pairs) > 30, "(key, nonce) pair reused"
+    # every node seals under the fixed nonce, so no node key may seal twice
+    header_aad = fmt.header_aad(read_uuid(p))
+    node_keys = [key for key, _, aad in seals if aad != header_aad]
+    assert len(set(node_keys)) == len(node_keys) > 30, "node key reused"
+    # node keys live only inside sealed parents: none is on disk in the clear
+    raw = p.read_bytes()
+    assert not [key for key, _, _ in seals if key in raw]
 
 
 # -- roundtrip property ----------------------------------------------------
@@ -531,6 +549,75 @@ def _flip_byte(path, offset, mask=0x01):
     path.write_bytes(bytes(buf))
 
 
+# -- rollback and swap ------------------------------------------------------
+
+def spine(n_blocks, block):
+    """{role: (node name, disk offset)} for the nodes a read of `block`
+    passes in a container of `n_blocks` blocks: the root, and the bottom
+    MHT node and the data block when the tree has them."""
+    levels = fmt.mht_level_counts(n_blocks)
+    nodes = {"root": ("mht:0", fmt.mht_disk_offset(0))}
+    if block // fmt.FANOUT < levels[-1]:
+        g = fmt.mht_global_index(levels, len(levels) - 1, block // fmt.FANOUT)
+        nodes["bottom"] = (f"mht:{g}", fmt.mht_disk_offset(g))
+    if block < n_blocks:
+        nodes["data"] = (f"data:{block}", fmt.data_disk_offset(sum(levels), block))
+    return nodes
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_blocks=st.integers(1, 130), slack=st.integers(0, BLOCK_SIZE - 1),
+       append=st.booleans(), pick=st.integers(0, 2 ** 20), role=st.integers(0, 2))
+@example(n_blocks=64, slack=0, append=True, pick=0, role=0)
+@example(n_blocks=64, slack=0, append=False, pick=63 * BLOCK_SIZE, role=1)
+def test_restoring_an_old_node_on_the_updated_spine_is_caught(n_blocks, slack, append,
+                                                              pick, role):
+    # the update is an in-place byte or a 1-byte append; appending to 64
+    # full blocks changes the tree shape and moves every node
+    size = n_blocks * BLOCK_SIZE - slack
+    offset = size if append else pick % size
+    block = offset // BLOCK_SIZE
+    old_spine = spine(fmt.data_block_count(size), block)
+    new_spine = spine(fmt.data_block_count(size + append), block)
+    roles = sorted(old_spine.keys() & new_spine.keys())
+    which = roles[role % len(roles)]
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "f.pfs"
+        make_file(p, random.Random(n_blocks).randbytes(size))
+        before = p.read_bytes()
+        with ProtectedFile.open(p, "file.bin", KEY, mode="rw") as pf:
+            pf.write(offset, b"\x5a")
+        after = bytearray(p.read_bytes())
+        _, old_at = old_spine[which]
+        name, new_at = new_spine[which]
+        after[new_at:new_at + fmt.NODE_DISK_SIZE] = before[old_at:old_at + fmt.NODE_DISK_SIZE]
+        p.write_bytes(bytes(after))
+        with ProtectedFile.open(p, "file.bin", KEY) as pf:
+            with pytest.raises(IntegrityError):
+                pf.read(block * BLOCK_SIZE, 1)
+        assert verify_file(p, KEY).first_bad_node == name
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_blocks=st.integers(2, 130), data=st.data())
+def test_swapping_two_data_blocks_is_caught_at_the_lower_index(n_blocks, data):
+    a = data.draw(st.integers(0, n_blocks - 2))
+    b = data.draw(st.integers(a + 1, n_blocks - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "f.pfs"
+        make_file(p, random.Random(n_blocks).randbytes(n_blocks * BLOCK_SIZE))
+        raw = bytearray(p.read_bytes())
+        (_, at_a), (_, at_b) = spine(n_blocks, a)["data"], spine(n_blocks, b)["data"]
+        node = fmt.NODE_DISK_SIZE
+        raw[at_a:at_a + node], raw[at_b:at_b + node] = raw[at_b:at_b + node], raw[at_a:at_a + node]
+        p.write_bytes(bytes(raw))
+        with ProtectedFile.open(p, "file.bin", KEY) as pf:
+            for i in (a, b):
+                with pytest.raises(IntegrityError):
+                    pf.read(i * BLOCK_SIZE, 1)
+        assert verify_file(p, KEY).first_bad_node == f"data:{a}"
+
+
 # -- flush locality ---------------------------------------------------------
 
 def node_bytes(raw, disk_index):
@@ -547,16 +634,20 @@ def test_one_byte_update_reseals_only_its_spine(tmp_path, monkeypatch):
     assert levels == [1, 2, 65]
     before = p.read_bytes()
 
-    seals = []
-    real_seal = crypto.aead_seal
-
-    def counting_seal(*args):
-        seals.append(args)
-        return real_seal(*args)
-
-    monkeypatch.setattr(crypto, "aead_seal", counting_seal)
+    seals = record_seals(monkeypatch)
     with ProtectedFile.open(p, "file.bin", KEY, mode="rw") as pf:
         pf.write(block * BLOCK_SIZE + 7, b"\xa5")
+        pf.flush()
+        # the write opened the block's spine, the flush resealed it from the cache
+        stats = pf.stats()
+        assert (stats["nodes_sealed"], stats["nodes_opened"]) == (4, 4)
+        pf.read(block * BLOCK_SIZE, 1)
+        first = pf.stats()
+        assert pf.read(block * BLOCK_SIZE + 7, 1) == b"\xa5"
+        again = pf.stats()
+        assert again["cache_hits"] == first["cache_hits"] + 1
+        assert again["nodes_opened"] == first["nodes_opened"]
+        assert again["cache_misses"] == first["cache_misses"]
     after = p.read_bytes()
 
     assert len(seals) == 5  # data block, three MHT ancestors, header
