@@ -37,8 +37,5 @@ class BlockCache:
         while len(self._items) > self.capacity:
             self._items.popitem(last=False)
 
-    def clear(self) -> None:
-        self._items.clear()
-
     def __len__(self) -> int:
         return len(self._items)

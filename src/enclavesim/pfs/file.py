@@ -23,6 +23,7 @@ import hmac
 import itertools
 import os
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 from .. import crypto
@@ -181,73 +182,59 @@ class ProtectedFile:
                 "cache_misses": self._cache.misses}
 
     def flush(self) -> None:
-        """Reseal the dirty data blocks and their MHT ancestors under fresh
-        keys, then the header. When the tree shape changes, every MHT node
-        gets a new global index (its AAD) and every data block a new
-        offset, so all of them are rewritten. No-op when nothing changed
-        since the last flush."""
+        """Reseal the dirty data blocks, the new zero blocks of a file that
+        grew, and their MHT ancestors under fresh keys in place, then the
+        header. No node ever moves, so every other node stays as it is.
+        No-op when nothing changed since the last flush."""
         self._check_open()
-        new_n = fmt.data_block_count(self._file_size)
-        if not self._dirty and new_n == self._disk_blocks:
+        old_n, new_n = self._disk_blocks, fmt.data_block_count(self._file_size)
+        if not self._dirty and new_n == old_n:
             return
-
-        old_n = self._disk_blocks
-        old_levels = fmt.mht_level_counts(old_n)
-        new_levels = fmt.mht_level_counts(new_n)
-        old_total, new_total = sum(old_levels), sum(new_levels)
-        relocate = new_total != old_total
-
-        # collect phase: every read happens before the first write, because
-        # after a change of tree shape new nodes land on the offsets of old ones
+        old_nodes = old_n + fmt.total_mht_nodes(old_n)  # node numbers on disk
+        old_height = len(fmt.mht_level_counts(old_n))
         sealed_at: dict[int, bytes] = {}
+        # the resealed plaintexts the cache can hold: putting the last ones
+        # replaces or evicts every stale entry
+        fresh = deque(maxlen=self._cache.capacity)
         changed: dict[int, ChildEntry] = {}
         for i in self._dirty.keys() | range(old_n, new_n):
-            plain = self._dirty.get(i)
-            sealed, changed[i] = self._seal_node(
-                fmt.KIND_DATA, i, ZERO_BLOCK if plain is None else bytes(plain))
-            sealed_at[fmt.data_disk_offset(new_total, i)] = sealed
-        if relocate:
-            for i in range(old_n):
-                if i not in changed:
-                    self._fh.seek(fmt.data_disk_offset(old_total, i))
-                    sealed = self._fh.read(NODE_DISK_SIZE)
-                    if len(sealed) != NODE_DISK_SIZE:
-                        raise _node_error(fmt.KIND_DATA, i, "truncated on disk")
-                    sealed_at[fmt.data_disk_offset(new_total, i)] = sealed
+            plain = bytes(self._dirty.get(i, ZERO_BLOCK))
+            sealed, changed[i] = self._seal_node(fmt.KIND_DATA, i, plain)
+            sealed_at[fmt.data_position(i)] = sealed
+            fresh.append(((fmt.KIND_DATA, i), plain))
 
-        # bottom-up: a node is dirty when a child changed, or always when the
-        # shape changed (its AAD follows its global index); it starts
-        # from the old node at the same height, verified through the old tree
-        for level_idx in reversed(range(len(new_levels))):
-            old_idx = level_idx + len(old_levels) - len(new_levels)
-            slots: dict[int, list[tuple[int, ChildEntry]]] = (
-                {j: [] for j in range(new_levels[level_idx])} if relocate else {})
+        # bottom-up over the parents of what changed; a node starts from its
+        # old plaintext, verified through the old tree, or zeros when new
+        for height in range(1, len(fmt.mht_level_counts(new_n)) + 1):
+            if height - 1 == old_height:
+                # the tree grew taller: the old root stays, as child 0 of the new level
+                changed.setdefault(0, self._disk_root)
+            slots: dict[int, list[tuple[int, ChildEntry]]] = {}
             for child, entry in changed.items():
                 slots.setdefault(child // FANOUT, []).append((child % FANOUT, entry))
             changed = {}
             for j, patches in slots.items():
-                if old_idx >= 0 and j < old_levels[old_idx]:
-                    plain = bytearray(self._fetch_mht_plaintext(old_levels, old_idx, j))
-                else:
-                    plain = bytearray(BLOCK_SIZE)
+                p = fmt.mht_position(height, j)
+                plain = bytearray(self._fetch_mht_plaintext(height, j) if p < old_nodes
+                                  else ZERO_BLOCK)
                 for slot, entry in patches:
                     fmt.set_entry(plain, slot, entry)
-                g = fmt.mht_global_index(new_levels, level_idx, j)
-                sealed, changed[j] = self._seal_node(fmt.KIND_MHT, g, bytes(plain))
-                sealed_at[fmt.mht_disk_offset(g)] = sealed
-        root = changed[0] if new_levels else fmt.ZERO_ENTRY
+                plain = bytes(plain)
+                sealed, changed[j] = self._seal_node(fmt.KIND_MHT, p, plain)
+                sealed_at[p] = sealed
+                fresh.append(((fmt.KIND_MHT, p), plain))
+        root = changed[0]
 
-        # write phase: one seek and write per run of adjacent nodes (within a
-        # run, offset minus rank times the node size is constant); each node
-        # is dropped once copied, so the run's buffer never doubles memory
-        offsets = sorted(sealed_at)
-        for _, run in itertools.groupby(
-                enumerate(offsets), lambda pos: pos[1] - pos[0] * NODE_DISK_SIZE):
-            run = [offset for _, offset in run]
+        # one seek and write per run of adjacent nodes (within a run, node
+        # number minus rank is constant); each node is dropped once copied,
+        # so the run's buffer never doubles memory
+        for _, run in itertools.groupby(enumerate(sorted(sealed_at)),
+                                        lambda pos: pos[1] - pos[0]):
+            run = [p for _, p in run]
             buf = bytearray()
-            for offset in run:
-                buf += sealed_at.pop(offset)
-            self._fh.seek(run[0])
+            for p in run:
+                buf += sealed_at.pop(p)
+            self._fh.seek(fmt.node_offset(run[0]))
             self._fh.write(buf)
         self._write_header(root)
         self._fh.truncate(fmt.container_disk_size(new_n))
@@ -256,7 +243,8 @@ class ProtectedFile:
         self._disk_blocks = new_n
         self._disk_root = root
         self._dirty.clear()
-        self._cache.clear()
+        for node_id, plain in fresh:
+            self._cache.put(node_id, plain)
 
     def close(self) -> None:
         if self._closed:
@@ -294,35 +282,33 @@ class ProtectedFile:
         return self._fetch_data_plaintext(index)
 
     def _fetch_data_plaintext(self, index: int) -> bytes:
-        cached = self._cache.get(("data", index))
+        cached = self._cache.get((fmt.KIND_DATA, index))
         if cached is not None:
             return cached
-        levels = fmt.mht_level_counts(self._disk_blocks)
-        bottom = self._fetch_mht_plaintext(levels, len(levels) - 1, index // FANOUT)
-        entry = fmt.unpack_entry(bottom, index % FANOUT)
-        plain = self._open_node(fmt.KIND_DATA, index, entry,
-                                fmt.data_disk_offset(sum(levels), index))
-        self._cache.put(("data", index), plain)
+        bottom = self._fetch_mht_plaintext(1, index // FANOUT)
+        plain = self._open_node(fmt.KIND_DATA, index, fmt.unpack_entry(bottom, index % FANOUT),
+                                fmt.data_position(index))
+        self._cache.put((fmt.KIND_DATA, index), plain)
         return plain
 
-    def _fetch_mht_plaintext(self, levels: list[int], level_idx: int, j: int) -> bytes:
-        g = fmt.mht_global_index(levels, level_idx, j)
-        cached = self._cache.get(("mht", g))
+    def _fetch_mht_plaintext(self, height: int, j: int) -> bytes:
+        p = fmt.mht_position(height, j)
+        cached = self._cache.get((fmt.KIND_MHT, p))
         if cached is not None:
             return cached
-        if level_idx == 0:
+        if FANOUT ** height >= self._disk_blocks:  # the root: no lower height covers every block
             entry = self._disk_root
         else:
-            parent = self._fetch_mht_plaintext(levels, level_idx - 1, j // FANOUT)
+            parent = self._fetch_mht_plaintext(height + 1, j // FANOUT)
             entry = fmt.unpack_entry(parent, j % FANOUT)
-        plain = self._open_node(fmt.KIND_MHT, g, entry, fmt.mht_disk_offset(g))
-        self._cache.put(("mht", g), plain)
+        plain = self._open_node(fmt.KIND_MHT, p, entry, p)
+        self._cache.put((fmt.KIND_MHT, p), plain)
         return plain
 
-    def _open_node(self, kind: str, index: int, entry: ChildEntry, offset: int) -> bytes:
-        """Read the sealed node at `offset`, check it against its parent
-        `entry` and open it; failures name the node in `IntegrityError.node`."""
-        self._fh.seek(offset)
+    def _open_node(self, kind: str, index: int, entry: ChildEntry, position: int) -> bytes:
+        """Read the sealed node numbered `position`, check it against its
+        parent `entry` and open it; failures name it in `IntegrityError.node`."""
+        self._fh.seek(fmt.node_offset(position))
         sealed = self._fh.read(NODE_DISK_SIZE)
         if len(sealed) != NODE_DISK_SIZE:
             raise _node_error(kind, index, "truncated on disk")
@@ -402,9 +388,9 @@ def info(path, master_key: bytes | None = None) -> dict:
 
 def verify_file(path, master_key: bytes) -> VerifyReport:
     """Audit every node through a read-only handle: the header, the disk
-    size, the MHT nodes by global index, then the data blocks by index.
-    Each node is opened once while the MHT fits the block cache. Reports
-    the first failure instead of raising."""
+    size, the MHT nodes level by level from the root down, then the data
+    blocks by index. Each node is opened once while the MHT fits the block
+    cache. Reports the first failure instead of raising."""
     with open(path, "rb") as fh:
         try:
             uuid, label, file_size, root = _open_header(fh, master_key)
@@ -417,17 +403,16 @@ def verify_file(path, master_key: bytes) -> VerifyReport:
                                file_size, disk_blocks=n_blocks, disk_root=root,
                                mode=MODE_READ, cache_capacity=DEFAULT_CAPACITY)
         levels = fmt.mht_level_counts(n_blocks)
-        total = sum(levels)
         try:
-            for level_idx, count in enumerate(levels):
+            for height, count in zip(range(len(levels), 0, -1), levels):
                 for j in range(count):
-                    handle._fetch_mht_plaintext(levels, level_idx, j)
+                    handle._fetch_mht_plaintext(height, j)
             # data blocks bypass the cache, so they never evict the MHT nodes
             for j in range(levels[-1] if levels else 0):
-                bottom = handle._fetch_mht_plaintext(levels, len(levels) - 1, j)
+                bottom = handle._fetch_mht_plaintext(1, j)
                 for i in range(j * FANOUT, min((j + 1) * FANOUT, n_blocks)):
                     handle._open_node(fmt.KIND_DATA, i, fmt.unpack_entry(bottom, i % FANOUT),
-                                      fmt.data_disk_offset(total, i))
+                                      fmt.data_position(i))
         except IntegrityError as exc:
             return VerifyReport(False, exc.node)
     return VerifyReport(True)

@@ -1,12 +1,13 @@
 """On-disk layout of the protected file container (see FORMAT.md).
 
 All integers little-endian. The file is a fixed 512-byte header followed
-by sealed 4096+16 byte nodes: Merkle-tree (MHT) nodes in breadth-first
-order, then data blocks in index order.
+by sealed 4096+16 byte nodes, numbered from 0 in the order that a file
+growing one block at a time creates them (`data_position`, `mht_position`
+and FORMAT.md "Tree shape"), so no node ever moves.
 
 Header (512 bytes):
     0   8   magic "SEALPFS1"
-    8   4   version u32 = 2
+    8   4   version u32 = 3
     12  16  file_uuid (random, set at creation)
     28  12  header nonce
     40  2   meta_len u16
@@ -24,7 +25,8 @@ Every MHT node plaintext is 64 child entries of 48 bytes (the child's
 32-byte key, then the 16-byte GCM tag of its sealed bytes), zero-padded
 to 4096. The bottom MHT level points at data blocks, upper levels at MHT
 nodes. Each node key is fresh random at every seal, so nodes seal under
-one fixed all-zero nonce.
+one fixed all-zero nonce; the AAD binds an MHT node's number or a data
+block's index. Versions 1 and 2 are refused, with no converter.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import struct
 from dataclasses import dataclass
 
 MAGIC = b"SEALPFS1"
-VERSION = 2
+VERSION = 3
 HEADER_SIZE = 512
 BLOCK_SIZE = 4096
 TAG_SIZE = 16
@@ -59,7 +61,7 @@ class PfsError(Exception):
 class IntegrityError(PfsError):
     """Structural corruption or failed node authentication."""
 
-    node: str | None = None  # "mht:<g>" or "data:<i>" when one node failed
+    node: str | None = None  # "mht:<p>" or "data:<i>" when one node failed
 
 
 class WrongKeyError(IntegrityError):
@@ -91,32 +93,41 @@ def data_block_count(file_size: int) -> int:
 
 def mht_level_counts(n_blocks: int) -> list[int]:
     """Node count per MHT level, top-down (root level first). [] when empty."""
-    if n_blocks == 0:
-        return []
     counts = []
-    m = (n_blocks + FANOUT - 1) // FANOUT
-    counts.append(m)
-    while m > 1:
-        m = (m + FANOUT - 1) // FANOUT
-        counts.append(m)
-    counts.reverse()
-    return counts
+    while n_blocks:
+        n_blocks = (n_blocks + FANOUT - 1) // FANOUT
+        counts.append(n_blocks)
+        if n_blocks == 1:
+            break
+    return counts[::-1]
 
 
 def total_mht_nodes(n_blocks: int) -> int:
-    return sum(mht_level_counts(n_blocks))
+    """sum(mht_level_counts(n_blocks)) without building the list; the
+    position functions call it on every node fetch."""
+    total, width = 0, n_blocks
+    while width:
+        width = (width + FANOUT - 1) // FANOUT
+        total += width
+        if width == 1:
+            break
+    return total
 
 
-def mht_global_index(levels: list[int], level_idx: int, j: int) -> int:
-    return sum(levels[:level_idx]) + j
+def data_position(index: int) -> int:
+    """Node number of data block `index`."""
+    return index + total_mht_nodes(index + 1)
 
 
-def mht_disk_offset(global_index: int) -> int:
-    return HEADER_SIZE + global_index * NODE_DISK_SIZE
+def mht_position(height: int, j: int) -> int:
+    """Node number of MHT node `j` at `height` (the bottom level is 1);
+    the append of block `creator` creates it."""
+    creator = j * FANOUT ** height if j or height == 1 else FANOUT ** (height - 1)
+    return creator + total_mht_nodes(creator) + height - 1
 
 
-def data_disk_offset(total_mht: int, block_index: int) -> int:
-    return HEADER_SIZE + (total_mht + block_index) * NODE_DISK_SIZE
+def node_offset(position: int) -> int:
+    return HEADER_SIZE + position * NODE_DISK_SIZE
 
 
 def container_disk_size(n_blocks: int) -> int:

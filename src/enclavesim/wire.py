@@ -68,9 +68,16 @@ def send_frame(sock: socket.socket, frame_type: int, payload: bytes) -> None:
     sock.sendall(struct.pack(">IB", 1 + len(payload), frame_type) + payload)
 
 
-def recv_exact(sock: socket.socket, n: int) -> bytes:
+def recv_exact(sock: socket.socket, n: int, deadline: float | None = None) -> bytes:
+    """`n` bytes from `sock`; each recv waits at most until the monotonic
+    `deadline`, when one is given."""
     buf = bytearray()
     while len(buf) < n:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("frame not received within the socket timeout")
+            sock.settimeout(left)
         chunk = sock.recv(n - len(buf))
         if not chunk:
             raise ConnectionClosedError("peer closed the connection")
@@ -79,10 +86,19 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
-    (length,) = struct.unpack(">I", recv_exact(sock, 4))
-    if length < 1 or length > 1 + MAX_PAYLOAD:
-        raise WireError(f"bad frame length {length}")
-    body = recv_exact(sock, length)
+    """One frame. The socket's timeout, when it has one, bounds the whole
+    frame rather than each recv, so a peer that drips bytes cannot hold
+    the connection past it; the timeout is restored afterwards."""
+    budget = sock.gettimeout()
+    deadline = time.monotonic() + budget if budget else None
+    try:
+        (length,) = struct.unpack(">I", recv_exact(sock, 4, deadline))
+        if length < 1 or length > 1 + MAX_PAYLOAD:
+            raise WireError(f"bad frame length {length}")
+        body = recv_exact(sock, length, deadline)
+    finally:
+        if deadline is not None:
+            sock.settimeout(budget)
     return body[0], body[1:]
 
 

@@ -85,19 +85,20 @@ def test_pfs_info_without_key(tmp_path, capsys):
     assert "file_size" not in fields
 
 
-def test_pfs_commands_on_a_version_1_container(tmp_path, capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_pfs_commands_on_a_version_1_container(tmp_path, capsys, version):
     src = tmp_path / "a.bin"
     src.write_bytes(b"\x02" * 5000)
     enc = tmp_path / "a.pfs"
     run_cli("pfs", "encrypt", str(src), str(enc), "--key-hex", KEY_HEX,
             "--label", "a.bin")
     raw = bytearray(enc.read_bytes())
-    raw[8:12] = (1).to_bytes(4, "little")
+    raw[8:12] = version.to_bytes(4, "little")
     enc.write_bytes(bytes(raw))
     capsys.readouterr()
     assert run_cli("pfs", "decrypt", str(enc), str(tmp_path / "a.out"),
                    "--key-hex", KEY_HEX, "--label", "a.bin") == 2
-    assert "unsupported version 1" in capsys.readouterr().err
+    assert f"unsupported version {version}" in capsys.readouterr().err
     assert run_cli("pfs", "info", str(enc)) == 2
     assert run_cli("pfs", "info", str(enc), "--key-hex", KEY_HEX) == 2
     assert run_cli("pfs", "verify", str(enc), "--key-hex", KEY_HEX) == 1

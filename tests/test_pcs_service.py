@@ -1,5 +1,6 @@
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -228,6 +229,43 @@ def test_connection_cap_bounds_threads_and_queued_clients_are_served(monkeypatch
             sock.close()
         srv.stop()
     assert max(counts) == 4
+
+
+def test_a_client_dripping_bytes_loses_its_slot_at_the_idle_timeout(monkeypatch):
+    # one slot: the dripper holds it, so the real client waits in the backlog
+    monkeypatch.setattr(wire, "MAX_CONNECTIONS", 1)
+    srv = PcsServer(PcsDatabase.create(now=NOW), now_source=lambda: NOW,
+                    idle_timeout=0.5).start()
+    stop_dripping = threading.Event()
+
+    def drip(sock):
+        # a frame header announcing 1000 bytes, then one byte per 0.1 s:
+        # every recv returns well within the idle timeout
+        frame = struct.pack(">IB", 1000, wire.PCS_FETCH_REQ) + b"x" * 999
+        try:
+            for byte in frame:
+                if stop_dripping.wait(0.1):
+                    return
+                sock.sendall(bytes([byte]))
+        except OSError:
+            pass
+
+    try:
+        platform, _ = register_platform(srv.address, tcb_level=3)
+        with socket.create_connection(srv.address, timeout=10) as dripper:
+            dripping = threading.Thread(target=drip, args=(dripper,))
+            dripping.start()
+            try:
+                start = time.monotonic()
+                chain, _ = fetch_platform(srv.address, platform.platform_id)
+                assert 0.45 < time.monotonic() - start < 3
+                assert chain.attestation_key_cert.subject == \
+                    f"platform:{platform.platform_id.hex()}"
+            finally:
+                stop_dripping.set()
+                dripping.join()
+    finally:
+        srv.stop()
 
 
 def test_stop_returns_while_the_accept_loop_waits_for_a_slot(monkeypatch):

@@ -77,12 +77,13 @@ def test_open_wrong_key(tmp_path):
         ProtectedFile.open(p, "file.bin", b"\xff" * 32)
 
 
-def test_a_version_1_container_is_refused(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_a_version_1_container_is_refused(tmp_path, version):
     p = make_file(tmp_path / "f.pfs", b"data")
     raw = bytearray(p.read_bytes())
-    raw[8:12] = (1).to_bytes(4, "little")
+    raw[8:12] = version.to_bytes(4, "little")
     p.write_bytes(bytes(raw))
-    with pytest.raises(IntegrityError, match="unsupported version 1"):
+    with pytest.raises(IntegrityError, match=f"unsupported version {version}"):
         ProtectedFile.open(p, "file.bin", KEY)
     assert verify_file(p, KEY) == VerifyReport(False, "header")
 
@@ -274,18 +275,48 @@ def test_three_level_tree_roundtrip(tmp_path):
     assert verify_file(p, KEY).ok
 
 
-def test_grow_across_mht_relocation(tmp_path):
-    # 64 blocks -> 1 MHT node; 65 -> 3 MHT nodes; data must relocate intact
+def node_count(raw):
+    return (len(raw) - fmt.HEADER_SIZE) // fmt.NODE_DISK_SIZE
+
+
+@pytest.mark.parametrize("n_blocks, new_mht", [
+    (64, [(1, 1), (2, 0)]),  # a second bottom node and a root above the old one
+    (4096, [(1, 64), (2, 1), (3, 0)]),
+], ids=["64-to-65", "4096-to-4097"])
+def test_an_append_across_a_level_boundary_moves_no_node(tmp_path, n_blocks, new_mht):
     p = tmp_path / "f.pfs"
-    rng = random.Random(13)
-    data = rng.randbytes(64 * BLOCK_SIZE)
+    data = random.Random(13).randbytes(n_blocks * BLOCK_SIZE)
     make_file(p, data)
-    assert info(p)["mht_nodes"] == 1
+    before = p.read_bytes()
     with ProtectedFile.open(p, "file.bin", KEY, mode="rw") as pf:
         pf.write(pf.size, b"tail")
-    assert info(p)["mht_nodes"] == 3
+        pf.flush()
+        assert pf.stats()["nodes_sealed"] == len(new_mht) + 1
+    after = p.read_bytes()
+    assert after[fmt.HEADER_SIZE:len(before)] == before[fmt.HEADER_SIZE:]
+    added = sorted([fmt.data_position(n_blocks)] + [fmt.mht_position(*n) for n in new_mht])
+    assert added == list(range(node_count(before), node_count(after)))
+    assert info(p)["mht_nodes"] == fmt.total_mht_nodes(n_blocks) + len(new_mht)
     assert read_all(p) == data + b"tail"
     assert verify_file(p, KEY).ok
+
+
+def test_node_positions_follow_the_append_order():
+    # append blocks one at a time: each append first creates the missing MHT
+    # nodes on the new block's path, bottom-up, then the block; numbering
+    # every node in creation order must give the format's positions
+    created = set()
+    number = 0
+    for block in range(64 ** 2 + 131):
+        height = len(fmt.mht_level_counts(block + 1))
+        for node in ((k, block // fmt.FANOUT ** k) for k in range(1, height + 1)):
+            if node not in created:
+                created.add(node)
+                assert fmt.mht_position(*node) == number, node
+                number += 1
+        assert fmt.data_position(block) == number, block
+        number += 1
+        assert number == block + 1 + fmt.total_mht_nodes(block + 1)
 
 
 # -- verify -------------------------------------------------------------
@@ -323,7 +354,8 @@ def test_verify_truncated_file(tmp_path):
 
 
 def test_verify_names_the_first_bad_node(tmp_path):
-    # 65 blocks: MHT root g=0 over bottom nodes g=1 (blocks 0-63) and g=2 (block 64)
+    # 65 blocks, in append order: bottom node 0 (blocks 0-63), data 0-63 at
+    # 1-64, bottom node 65 (block 64), root 66 above both, data 64 at 67
     p = tmp_path / "f.pfs"
     make_file(p, random.Random(41).randbytes(64 * BLOCK_SIZE + 100))
     assert info(p)["mht_nodes"] == 3
@@ -341,17 +373,22 @@ def test_verify_names_the_first_bad_node(tmp_path):
 
     for offset in range(fmt.HEADER_SIZE):
         assert report_after_flips(offset) == "header", f"header byte {offset}"
-    for g in range(3):
+    root, bottom = (fmt.mht_position(2, 0), [fmt.mht_position(1, j) for j in (0, 1)])
+    data = [fmt.data_position(i) for i in range(65)]
+    assert (root, bottom, data[:2], data[63:]) == (66, [0, 65], [1, 2], [64, 67])
+    for number in (root, *bottom):
         for k in (0, 11, 12, 2048, fmt.NODE_DISK_SIZE - 1):
-            assert report_after_flips(node_offset(g, k)) == f"mht:{g}"
+            assert report_after_flips(node_offset(number, k)) == f"mht:{number}"
     for i in (0, 1, 63, 64):
         for k in (0, BLOCK_SIZE - 1, fmt.NODE_DISK_SIZE - 1):
-            assert report_after_flips(node_offset(3 + i, k)) == f"data:{i}"
-    # order: header, then MHT nodes by global index, then data by index
-    assert report_after_flips(node_offset(2, 5), 100) == "header"
-    assert report_after_flips(node_offset(3 + 5, 0), node_offset(2, 5)) == "mht:2"
-    assert report_after_flips(node_offset(2, 5), node_offset(1, 5)) == "mht:1"
-    assert report_after_flips(node_offset(3 + 10, 0), node_offset(3 + 3, 0)) == "data:3"
+            assert report_after_flips(node_offset(data[i], k)) == f"data:{i}"
+    # order: header, then MHT nodes from the root down, each level left to
+    # right, then data by index
+    assert report_after_flips(node_offset(bottom[1], 5), 100) == "header"
+    assert report_after_flips(node_offset(data[5], 0), node_offset(bottom[1], 5)) == "mht:65"
+    assert report_after_flips(node_offset(bottom[1], 5), node_offset(bottom[0], 5)) == "mht:0"
+    assert report_after_flips(node_offset(bottom[0], 5), node_offset(root, 5)) == "mht:66"
+    assert report_after_flips(node_offset(data[10], 0), node_offset(data[3], 0)) == "data:3"
     # header before structure
     buf = bytearray(pristine + b"\x00")
     p.write_bytes(bytes(buf))
@@ -556,12 +593,13 @@ def spine(n_blocks, block):
     passes in a container of `n_blocks` blocks: the root, and the bottom
     MHT node and the data block when the tree has them."""
     levels = fmt.mht_level_counts(n_blocks)
-    nodes = {"root": ("mht:0", fmt.mht_disk_offset(0))}
+    root = fmt.mht_position(len(levels), 0)
+    nodes = {"root": (f"mht:{root}", fmt.node_offset(root))}
     if block // fmt.FANOUT < levels[-1]:
-        g = fmt.mht_global_index(levels, len(levels) - 1, block // fmt.FANOUT)
-        nodes["bottom"] = (f"mht:{g}", fmt.mht_disk_offset(g))
+        p = fmt.mht_position(1, block // fmt.FANOUT)
+        nodes["bottom"] = (f"mht:{p}", fmt.node_offset(p))
     if block < n_blocks:
-        nodes["data"] = (f"data:{block}", fmt.data_disk_offset(sum(levels), block))
+        nodes["data"] = (f"data:{block}", fmt.node_offset(fmt.data_position(block)))
     return nodes
 
 
@@ -573,7 +611,7 @@ def spine(n_blocks, block):
 def test_restoring_an_old_node_on_the_updated_spine_is_caught(n_blocks, slack, append,
                                                               pick, role):
     # the update is an in-place byte or a 1-byte append; appending to 64
-    # full blocks changes the tree shape and moves every node
+    # full blocks adds a new root above the old one, which stays in place
     size = n_blocks * BLOCK_SIZE - slack
     offset = size if append else pick % size
     block = offset // BLOCK_SIZE
@@ -620,8 +658,8 @@ def test_swapping_two_data_blocks_is_caught_at_the_lower_index(n_blocks, data):
 
 # -- flush locality ---------------------------------------------------------
 
-def node_bytes(raw, disk_index):
-    start = fmt.HEADER_SIZE + disk_index * fmt.NODE_DISK_SIZE
+def node_bytes(raw, position):
+    start = fmt.node_offset(position)
     return raw[start:start + fmt.NODE_DISK_SIZE]
 
 
@@ -643,6 +681,7 @@ def test_one_byte_update_reseals_only_its_spine(tmp_path, monkeypatch):
         assert (stats["nodes_sealed"], stats["nodes_opened"]) == (4, 4)
         pf.read(block * BLOCK_SIZE, 1)
         first = pf.stats()
+        assert first["nodes_opened"] == 4  # the flush kept its plaintexts in the cache
         assert pf.read(block * BLOCK_SIZE + 7, 1) == b"\xa5"
         again = pf.stats()
         assert again["cache_hits"] == first["cache_hits"] + 1
@@ -653,13 +692,12 @@ def test_one_byte_update_reseals_only_its_spine(tmp_path, monkeypatch):
     assert len(seals) == 5  # data block, three MHT ancestors, header
     assert len(after) == len(before)
     assert after[:fmt.HEADER_SIZE] != before[:fmt.HEADER_SIZE]
-    total = sum(levels)
-    changed = {d for d in range(total + n_blocks)
-               if node_bytes(after, d) != node_bytes(before, d)}
-    ancestors = {fmt.mht_global_index(levels, level, block // fmt.FANOUT ** (len(levels) - level))
-                 for level in range(len(levels))}
-    assert ancestors == {0, 1, 3 + 31}
-    assert changed == ancestors | {total + block}
+    changed = {p for p in range(node_count(before))
+               if node_bytes(after, p) != node_bytes(before, p)}
+    ancestors = {fmt.mht_position(height, block // fmt.FANOUT ** height)
+                 for height in range(1, len(levels) + 1)}
+    assert ancestors == {2016, 66, 4163}  # blocks 1984-2047, blocks 0-4095, the root
+    assert changed == ancestors | {fmt.data_position(block)}
     assert verify_file(p, KEY).ok
 
 
@@ -702,9 +740,14 @@ CRASH_CASES = {
     # data blocks, the header
     "in-place": (100 * BLOCK_SIZE, [(3 * BLOCK_SIZE + 5, b"x" * 300),
                                     (90 * BLOCK_SIZE, b"y" * 5000)]),
-    # 64 -> 65 blocks: every node moves, and one old block changes too
+    # 64 -> 65 blocks: a new bottom node and a new root above the old
+    # one, and one old block changes too
     "shape-change": (64 * BLOCK_SIZE, [(10 * BLOCK_SIZE, b"z" * 100),
                                        (64 * BLOCK_SIZE, b"tail")]),
+    # 4096 -> 4100 blocks: new nodes at heights 1 to 3 past the end, and
+    # the spine of one old block in place
+    "level-growth": (4096 * BLOCK_SIZE, [(2000 * BLOCK_SIZE + 9, b"w" * 10),
+                                         (4096 * BLOCK_SIZE, b"v" * (4 * BLOCK_SIZE))]),
 }
 
 
@@ -757,7 +800,7 @@ NEAR_SHAPE_CHANGE = st.integers(62 * BLOCK_SIZE, 66 * BLOCK_SIZE)
 
 class ProtectedFileMachine(RuleBasedStateMachine):
     """A read-write handle against a bytearray model; sizes cross the
-    64-block boundary where the MHT gains a level and every node moves."""
+    64-block boundary where the MHT gains a root above the old one."""
 
     def __init__(self):
         super().__init__()

@@ -91,13 +91,14 @@ def test_vault_tamper_detected(tmp_path, env):
         vault_load(path, "hunter2")
 
 
-def test_a_version_1_vault_is_an_integrity_error(tmp_path, env):
+@pytest.mark.parametrize("version", [1, 2])
+def test_a_version_1_vault_is_an_integrity_error(tmp_path, env, version):
     path = tmp_path / "vault.pfs"
     vault_save(make_vault(env), path, "hunter2")
     raw = bytearray(path.read_bytes())
-    raw[8:12] = (1).to_bytes(4, "little")
+    raw[8:12] = version.to_bytes(4, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(IntegrityError, match="unsupported version 1"):
+    with pytest.raises(IntegrityError, match=f"unsupported version {version}"):
         vault_load(path, "hunter2")
 
 
