@@ -117,16 +117,6 @@ def cmd_manifest_measure(args) -> int:
 
 # -- pcs ---------------------------------------------------------------------
 
-def _open_db(path, create: bool) -> PcsDatabase:
-    """The database at path, or a new unsaved one if create; the caller
-    saves it once its command has succeeded."""
-    if os.path.exists(path):
-        return PcsDatabase.load(path)
-    if not create:
-        raise CliError(f"no PCS database at {path}")
-    return PcsDatabase.create(now=int(time.time()))
-
-
 def _serve(server: FrameServer, banner: str) -> int:
     """Start the server, print its banner and serve until SIGINT, which
     stops it and exits 0, also when it arrives during the banner."""
@@ -143,21 +133,22 @@ def _serve(server: FrameServer, banner: str) -> int:
 
 
 def cmd_pcs_serve(args) -> int:
-    db = _open_db(args.db, create=True)
+    """The one command that reads or writes the registry file: the server
+    it starts is its only writer while it runs."""
+    fresh = not os.path.exists(args.db)
+    db = PcsDatabase.create(now=int(time.time())) if fresh else PcsDatabase.load(args.db)
     host, port = _addr(args.listen)
     server = pcs_service.PcsServer(db, host=host, port=port, db_path=args.db)
-    if not os.path.exists(args.db):
+    if fresh:  # saved once the port is bound, before the first request
         db.save(args.db)
     return _serve(server, f"mock PCS serving on {server.address[0]}:"
                           f"{server.address[1]} (root key {db.root_public_key.hex()})")
 
 
 def cmd_pcs_register(args) -> int:
-    db = _open_db(args.db, create=True)
-    platform, chain = db.register(tcb_level=args.tcb, now=int(time.time()))
-    db.save(args.db)
+    platform, chain = pcs_service.register_platform(_addr(args.pcs), args.tcb)
     print(f"platform_id: {platform.platform_id.hex()}")
-    print(f"root_key: {db.root_public_key.hex()}")
+    print(f"root_key: {chain.root_cert.public_key.hex()}")
     if args.identity_out:
         with open(args.identity_out, "w", encoding="utf-8") as fh:
             json.dump(pcs_service.identity_to_dict(platform, chain), fh, indent=2)
@@ -167,9 +158,7 @@ def cmd_pcs_register(args) -> int:
 
 
 def cmd_pcs_revoke(args) -> int:
-    db = _open_db(args.db, create=False)
-    crl = db.revoke(bytes.fromhex(args.platform_id))
-    db.save(args.db)
+    crl = pcs_service.revoke_platform(_addr(args.pcs), bytes.fromhex(args.platform_id))
     print(f"revoked; CRL sequence now {crl.sequence}")
     return EXIT_OK
 
@@ -325,13 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", default="127.0.0.1:0")
     p.set_defaults(func=cmd_pcs_serve)
     p = pcs_sub.add_parser("register")
-    p.add_argument("--db", required=True)
+    p.add_argument("--pcs", required=True, help="mock PCS host:port")
     p.add_argument("--tcb", type=int, default=1)
     p.add_argument("--identity-out", help="write the platform identity JSON here")
     p.set_defaults(func=cmd_pcs_register)
     p = pcs_sub.add_parser("revoke")
     p.add_argument("platform_id")
-    p.add_argument("--db", required=True)
+    p.add_argument("--pcs", required=True, help="mock PCS host:port")
     p.set_defaults(func=cmd_pcs_revoke)
 
     # keyserver

@@ -42,7 +42,7 @@ from .provisioning import client_request_key
 DEMO_VENDOR_PUBLIC_KEY = hashlib.sha256(b"enclavesim demo vendor key").digest()
 MR_SIGNER = crypto.hash_data(DEMO_VENDOR_PUBLIC_KEY)
 
-DEFAULT_ISV_SVN = 1
+ISV_SVN = 1  # security version of every enclave this runtime starts
 
 CLASS_TRUSTED = "trusted"
 CLASS_PROTECTED = "protected"
@@ -193,13 +193,12 @@ class EnclaveInstance:
 
     def __init__(self, manifest: FinalManifest, measurement: Measurement,
                  host_root, platform: PlatformIdentity | None,
-                 cert_chain: CertChain | None, isv_svn: int):
+                 cert_chain: CertChain | None):
         self.manifest = manifest
         self.measurement = measurement
         self.host_root = str(host_root)
         self.platform = platform
         self.cert_chain = cert_chain
-        self.isv_svn = isv_svn
         self.provisioned_secrets: dict[str, bytes] = {}
 
     # -- filesystem view ------------------------------------------------
@@ -249,17 +248,17 @@ class EnclaveInstance:
         return content
 
     def open_protected(self, enclave_path: str, key: bytes,
-                       mode: str = "r", create: bool = False) -> ProtectedFile:
-        """Protected container at an enclave path; the label is the
-        canonical enclave path, binding the container to its location in
-        the view."""
+                       create: bool = False) -> ProtectedFile:
+        """Protected container at an enclave path, opened to read or, with
+        `create`, created empty; the label is the canonical enclave path,
+        binding the container to its location in the view."""
         path = self._canonical(enclave_path)
         if self.path_class(path) != CLASS_PROTECTED:
             raise EnclaveAccessError(f"{path} is not marked protected")
         host = self.resolve(path)
         if create:
             return ProtectedFile.create(host, path, key)
-        return ProtectedFile.open(host, path, key, mode)
+        return ProtectedFile.open(host, path, key)
 
     # -- attestation ----------------------------------------------------
 
@@ -271,7 +270,7 @@ class EnclaveInstance:
 
         def provide(report_data: bytes) -> tuple[Quote, CertChain]:
             quote = quote_generate(self.platform, self.measurement.mr_enclave,
-                                   MR_SIGNER, self.isv_svn, report_data)
+                                   MR_SIGNER, ISV_SVN, report_data)
             return quote, self.cert_chain
 
         return provide
@@ -339,8 +338,7 @@ class EnclaveInstance:
 
 def enclave_start(final: FinalManifest, host_root,
                   platform: PlatformIdentity | None = None,
-                  cert_chain: CertChain | None = None,
-                  isv_svn: int = DEFAULT_ISV_SVN) -> EnclaveInstance:
+                  cert_chain: CertChain | None = None) -> EnclaveInstance:
     """Compute the measurement, build the mount view, and pin every trusted
     file; any mismatch aborts the start."""
     measurement = compute_measurement(final)
@@ -349,8 +347,7 @@ def enclave_start(final: FinalManifest, host_root,
         if not os.path.isdir(host_dir):
             raise StartError("missing_mount", f"{m.enclave_path} -> {host_dir}")
 
-    instance = EnclaveInstance(final, measurement, host_root,
-                               platform, cert_chain, isv_svn)
+    instance = EnclaveInstance(final, measurement, host_root, platform, cert_chain)
     for path in final.template.trusted_files:
         try:
             instance._read_trusted(path)

@@ -26,8 +26,8 @@ class PcsServer(wire.FrameServer):
     the connection stays open."""
 
     def __init__(self, db: PcsDatabase, host: str = "127.0.0.1", port: int = 0,
-                 db_path=None, now_source=time.time, **server_options):
-        super().__init__(host, port, **server_options)
+                 db_path=None, now_source=time.time):
+        super().__init__(host, port)
         self.db = db
         self.db_path = db_path
         self.now_source = now_source
@@ -70,7 +70,7 @@ def _request(addr, frame_type: int, body: dict, expect: int, read):
     """read(decoded reply) for a reply of type `expect`; PcsClientError with
     the server's reason for a PCS_ERROR, or with "bad_response" for a reply
     that does not decode."""
-    with socket.create_connection(addr, timeout=10) as conn:
+    with socket.create_connection(addr, timeout=wire.CLIENT_TIMEOUT) as conn:
         wire.send_frame(conn, frame_type, canonical_json(body))
         got_type, payload = wire.recv_frame(conn)
     if got_type not in (expect, wire.PCS_ERROR):

@@ -17,6 +17,7 @@ import json
 import socket
 import threading
 import time
+from collections import deque
 
 from . import crypto, wire
 from .attestation import VerificationPolicy, canonical_json, quote_verify, replace_atomically
@@ -26,6 +27,7 @@ from .pfs import ProtectedFile, read_uuid
 VAULT_LABEL = "keyvault"
 MAX_SECRET_NAME = 128
 MAX_SECRET_SIZE = 4096
+AUDIT_LOG_LEN = 1024  # newest records KeyServer.audit_log keeps; audit_path keeps every one
 
 
 class VaultError(Exception):
@@ -119,21 +121,22 @@ class KeyServer(wire.FrameServer):
     Per connection: verifier handshake under the session policy, then any
     number of requests, each re-evaluated against the secret's own policy
     with a fresh `now`. Every request appends exactly one audit record
-    (never containing secret bytes).
+    (never containing secret bytes) to `audit_path`, when given, and to
+    `audit_log`, which keeps the newest AUDIT_LOG_LEN.
     """
 
     def __init__(self, vault: KeyVault, session_policy: VerificationPolicy,
                  signing_key: crypto.SigningKeyPair, crl_provider,
                  host: str = "127.0.0.1", port: int = 0,
-                 now_source=time.time, audit_path=None, **server_options):
-        super().__init__(host, port, **server_options)
+                 now_source=time.time, audit_path=None):
+        super().__init__(host, port)
         self.vault = vault
         self.session_policy = session_policy
         self.signing_key = signing_key
         self.crl_provider = crl_provider
         self.now_source = now_source
         self.audit_path = audit_path
-        self.audit_log: list[dict] = []
+        self.audit_log: deque[dict] = deque(maxlen=AUDIT_LOG_LEN)
         self._audit_lock = threading.Lock()
 
     @property
@@ -198,9 +201,8 @@ class KeyServer(wire.FrameServer):
 class ProvisioningClient:
     """Enclave-side client; one attested session, any number of requests."""
 
-    def __init__(self, server_addr, quote_provider: QuoteProvider, verifier_pin: bytes,
-                 timeout: float = 10.0):
-        conn = socket.create_connection(server_addr, timeout=timeout)
+    def __init__(self, server_addr, quote_provider: QuoteProvider, verifier_pin: bytes):
+        conn = socket.create_connection(server_addr, timeout=wire.CLIENT_TIMEOUT)
         self.channel = attester_handshake(conn, quote_provider, verifier_pin)
 
     def request(self, secret_name: str) -> bytes:

@@ -18,6 +18,8 @@ import time
 MAX_PAYLOAD = 1 << 20
 MAX_CONNECTIONS = 64  # open connections per FrameServer; accept waits for a free slot
 STOP_TIMEOUT = 5.0  # per wait in FrameServer.stop(): accept thread, then connections
+IDLE_TIMEOUT = 60.0  # per frame on every accepted connection (WIRE.md § Server connections)
+CLIENT_TIMEOUT = 10.0  # connect, then per frame, on every client socket
 THREAD_PREFIX = "FrameServer"  # starts the name of every FrameServer thread
 
 # handshake
@@ -104,15 +106,14 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
 
 class FrameServer:
     """A TCP listener that owns each accepted connection from accept to
-    close, on its own named daemon thread: idle timeout, session, then
+    close, on its own named daemon thread: IDLE_TIMEOUT per frame, session, then
     receive, answer and send until the answer is None or a receive fails.
     At most MAX_CONNECTIONS are open at once; further clients wait in the
     listen backlog. `stop()` also shuts down open connections. Subclasses
     implement `_handle(frame_type, payload)` or override `_open_session`."""
 
-    def __init__(self, host: str, port: int, idle_timeout: float = 60.0):
+    def __init__(self, host: str, port: int):
         self._listener = socket.create_server((host, port))
-        self.idle_timeout = idle_timeout
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
         self._open: dict[socket.socket, threading.Thread] = {}
@@ -171,7 +172,7 @@ class FrameServer:
 
     def _serve(self, conn: socket.socket) -> None:
         try:
-            conn.settimeout(self.idle_timeout)
+            conn.settimeout(IDLE_TIMEOUT)
             recv, send, answer = self._open_session(conn)
             while (reply := answer(*recv())) is not None:
                 send(*reply)

@@ -252,7 +252,8 @@ def workflow_demo(config: DemoConfig, log=print) -> DemoReport:
             session_policy = VerificationPolicy(accepted_root=pcs_db.root_public_key,
                                                 min_isv_svn=1, min_tcb_level=1)
             key_srv = KeyServer(vault, session_policy, crypto.sign_generate(),
-                                crl_provider=lambda pid: pcs_db.current_crl(),
+                                crl_provider=lambda pid: pcs_service.fetch_platform(
+                                    pcs_srv.address, pid)[1],
                                 host=config.host, port=config.keyserver_port,
                                 audit_path=os.path.join(user_dir, "audit.jsonl"))
             servers.callback(key_srv.stop)
@@ -372,9 +373,9 @@ def workflow_demo(config: DemoConfig, log=print) -> DemoReport:
 def scan_for_leaks(workdir, user_dir, markers: list[bytes]) -> list[str]:
     """Every file outside the user's directory is searched for each marker."""
     leaked = []
-    user_prefix = os.path.abspath(user_dir)
+    user_dir = os.path.abspath(user_dir)
     for dirpath, _, filenames in os.walk(workdir):
-        if os.path.abspath(dirpath).startswith(user_prefix):
+        if os.path.commonpath([user_dir, os.path.abspath(dirpath)]) == user_dir:
             continue
         for name in filenames:
             path = os.path.join(dirpath, name)

@@ -4,12 +4,15 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
-from enclavesim import cli, wire, workflow
+from enclavesim import cli, pcs_service, wire, workflow
+from enclavesim.attestation import PcsDatabase
 from enclavesim.cli import main
 from enclavesim.enclave import LinearModel, WorkloadSpec, parse_rows
+from enclavesim.pcs_service import PcsServer
 
 KEY_HEX = bytes(range(32)).hex()
 
@@ -149,25 +152,59 @@ def test_manifest_sign_tracks_trusted_file_content(tmp_path, capsys):
 
 # -- pcs subcommands ------------------------------------------------------------
 
-def test_pcs_register_and_revoke(tmp_path, capsys):
+def pcs_arg(server) -> str:
+    host, port = server.address
+    return f"{host}:{port}"
+
+
+def test_pcs_register_and_revoke(pcs_server, tmp_path, capsys):
     db = tmp_path / "pcs.json"
     identity = tmp_path / "identity.json"
-    assert run_cli("pcs", "register", "--db", str(db), "--tcb", "3",
+    assert run_cli("pcs", "register", "--pcs", pcs_arg(pcs_server), "--tcb", "3",
                    "--identity-out", str(identity)) == 0
-    out = capsys.readouterr().out
-    platform_id = [l for l in out.splitlines() if l.startswith("platform_id:")][0].split()[-1]
-    assert identity.exists()
-    assert run_cli("pcs", "revoke", platform_id, "--db", str(db)) == 0
+    out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+               if ": " in line)
+    platform_id = bytes.fromhex(out["platform_id"])
+    assert out["root_key"] == pcs_server.db.root_public_key.hex()
+    # a platform registered through the CLI is known to the running PCS
+    chain, crl = pcs_service.fetch_platform(pcs_server.address, platform_id)
+    assert pcs_service.identity_from_dict(json.loads(identity.read_text()))[1] == chain
+    sequences = [json.loads(db.read_text())["crl_sequence"]]
+
+    assert run_cli("pcs", "revoke", platform_id.hex(), "--pcs", pcs_arg(pcs_server)) == 0
+    _, revoked = pcs_service.fetch_platform(pcs_server.address, platform_id)
+    assert platform_id in revoked.revoked and revoked.sequence > crl.sequence
+    assert capsys.readouterr().out == f"revoked; CRL sequence now {revoked.sequence}\n"
+    sequences.append(json.loads(db.read_text())["crl_sequence"])
+
+    # the server's next save keeps the revocation
+    pcs_service.register_platform(pcs_server.address, tcb_level=1)
     data = json.loads(db.read_text())
-    assert platform_id in data["revoked"]
+    assert platform_id.hex() in data["revoked"]
+    sequences.append(data["crl_sequence"])
+    assert sequences == sorted(sequences) == [crl.sequence, revoked.sequence, revoked.sequence]
+
+    assert run_cli("pcs", "revoke", "00" * 16, "--pcs", pcs_arg(pcs_server)) == 3
+    assert capsys.readouterr().err == "error: PcsClientError: unknown_platform\n"
 
 
-def test_pcs_register_rejects_a_tcb_level_outside_u32(tmp_path, capsys):
+def test_pcs_register_rejects_a_tcb_level_outside_u32(pcs_server, tmp_path, capsys):
     db = tmp_path / "pcs.json"
+    saved = db.read_bytes()
     for tcb in ("-1", "4294967296"):
-        assert run_cli("pcs", "register", "--db", str(db), f"--tcb={tcb}") == 3
-    assert "tcb_level" in capsys.readouterr().err
-    assert not db.exists()
+        assert run_cli("pcs", "register", "--pcs", pcs_arg(pcs_server), f"--tcb={tcb}") == 3
+        assert capsys.readouterr().err == "error: PcsClientError: bad_request\n"
+    assert pcs_server.db.platforms == {}
+    assert db.read_bytes() == saved
+
+
+@pytest.mark.parametrize("argv", [["register"], ["revoke", "00" * 16]])
+def test_pcs_register_and_revoke_take_no_database(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(["pcs", *argv, "--pcs", "127.0.0.1:1", "--db", str(tmp_path / "pcs.json")])
+    assert info.value.code != 0
+    assert "unrecognized arguments: --db" in capsys.readouterr().err
+    assert not (tmp_path / "pcs.json").exists()
 
 
 # -- demo ------------------------------------------------------------------------
@@ -258,21 +295,21 @@ sgx.protected_file = /data
 
     db = tmp_path / "pcs.json"
     identity = tmp_path / "identity.json"
-    run_cli("pcs", "register", "--db", str(db), "--tcb", "2",
-            "--identity-out", str(identity))
-    out = capsys.readouterr().out
-    root_hex = [l for l in out.splitlines() if l.startswith("root_key:")][0].split()[-1]
-
     vault = tmp_path / "vault.pfs"
-    run_cli("keyserver", "add-secret", "--vault", str(vault),
-            "--passphrase", "pw", "--name", "pfs-master",
-            "--secret-hex", master_hex, "--root-hex", root_hex,
-            "--policy-mrenclave", measurement, "--min-svn", "1", "--min-tcb", "1")
-
     pcs_proc = spawn(["pcs", "serve", "--db", str(db), "--listen", "127.0.0.1:0"])
     ks_proc = None
     try:
         pcs_addr = read_port(pcs_proc, "mock PCS serving")
+        assert run_cli("pcs", "register", "--pcs", pcs_addr, "--tcb", "2",
+                       "--identity-out", str(identity)) == 0
+        out = capsys.readouterr().out
+        root_hex = [l for l in out.splitlines() if l.startswith("root_key:")][0].split()[-1]
+
+        run_cli("keyserver", "add-secret", "--vault", str(vault),
+                "--passphrase", "pw", "--name", "pfs-master",
+                "--secret-hex", master_hex, "--root-hex", root_hex,
+                "--policy-mrenclave", measurement, "--min-svn", "1", "--min-tcb", "1")
+
         pin_file = tmp_path / "pin.txt"
         ks_proc = spawn(["keyserver", "serve", "--vault", str(vault),
                          "--passphrase", "pw", "--listen", "127.0.0.1:0",
@@ -301,6 +338,14 @@ sgx.protected_file = /data
                        "--root", str(cloud), "--identity", str(identity),
                        "--keyserver", ks_addr, "--pin-file", str(pin_file))
         assert code == 2
+
+        # negative: a revocation at the running PCS reaches the key server
+        platform_id = json.loads(identity.read_text())["platform"]["platform_id"]
+        assert run_cli("pcs", "revoke", platform_id, "--pcs", pcs_addr) == 0
+        code = run_cli("enclave", "run", "--manifest", str(final),
+                       "--root", str(cloud), "--identity", str(identity),
+                       "--keyserver", ks_addr, "--pin-file", str(pin_file))
+        assert code == 1
     finally:
         pcs_proc.terminate()
         if ks_proc is not None:
@@ -336,8 +381,9 @@ def cli_process(*argv):
 
 
 def enclave_run_args(tmp_path, **overrides):
-    """`enclave run` arguments for a signed deployment with a registered
-    platform; no key server is listening at the default address."""
+    """`enclave run` arguments for a signed deployment with a platform
+    registered at a PCS that is stopped again; no key server is listening
+    at the default address."""
     cloud = tmp_path / "cloud"
     (cloud / "app").mkdir(parents=True)
     (cloud / "data").mkdir()
@@ -353,8 +399,12 @@ def enclave_run_args(tmp_path, **overrides):
     pin.write_text("ab" * 32 + "\n")
     assert run_cli("manifest", "sign", str(template), "-o", str(final),
                    "--root", str(cloud)) == 0
-    assert run_cli("pcs", "register", "--db", str(tmp_path / "pcs.json"),
-                   "--identity-out", str(identity)) == 0
+    pcs = PcsServer(PcsDatabase.create(now=int(time.time()))).start()
+    try:
+        assert run_cli("pcs", "register", "--pcs", pcs_arg(pcs),
+                       "--identity-out", str(identity)) == 0
+    finally:
+        pcs.stop()
     args = {"--manifest": final, "--root": cloud, "--identity": identity,
             "--keyserver": "127.0.0.1:1", "--pin-file": pin, **overrides}
     return ["enclave", "run"] + [str(x) for kv in args.items() for x in kv]
@@ -366,9 +416,13 @@ def manifest_sign_missing_trusted_file(tmp_path):
     return ["manifest", "sign", template, "-o", tmp_path / "final.manifest"]
 
 
-def pcs_register_corrupt_db(tmp_path):
+def pcs_serve_corrupt_db(tmp_path):
     (tmp_path / "pcs.json").write_text("{not json")
-    return ["pcs", "register", "--db", tmp_path / "pcs.json"]
+    return ["pcs", "serve", "--db", tmp_path / "pcs.json"]
+
+
+def pcs_register_no_pcs_listening(tmp_path):
+    return ["pcs", "register", "--pcs", "127.0.0.1:1"]
 
 
 def demo_config_bad_int(tmp_path):
@@ -391,7 +445,8 @@ def enclave_run_pin_not_hex(tmp_path):
 
 @pytest.mark.parametrize("scenario", [
     manifest_sign_missing_trusted_file,
-    pcs_register_corrupt_db,
+    pcs_serve_corrupt_db,
+    pcs_register_no_pcs_listening,
     demo_config_bad_int,
     enclave_run_keyserver_refused,
     enclave_run_workload_outside_mounts,

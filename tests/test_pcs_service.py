@@ -31,58 +31,50 @@ from foreign_json import FOREIGN_ENCODINGS
 NOW = 1_700_000_000
 
 
-@pytest.fixture()
-def server(tmp_path):
-    db = PcsDatabase.create(now=NOW)
-    srv = PcsServer(db, db_path=tmp_path / "pcs.json", now_source=lambda: NOW).start()
-    yield srv
-    srv.stop()
-
-
-def test_register_and_fetch_over_wire(server):
-    platform, chain = register_platform(server.address, tcb_level=3)
-    fetched_chain, crl = fetch_platform(server.address, platform.platform_id)
+def test_register_and_fetch_over_wire(pcs_server):
+    platform, chain = register_platform(pcs_server.address, tcb_level=3)
+    fetched_chain, crl = fetch_platform(pcs_server.address, platform.platform_id)
     assert fetched_chain == chain
     assert platform.platform_id not in crl.revoked
 
-    policy = VerificationPolicy(accepted_root=server.db.root_public_key)
+    policy = VerificationPolicy(accepted_root=pcs_server.db.root_public_key)
     quote = quote_generate(platform, b"\x01" * 32, b"\x02" * 32, 1, b"\x00" * 64)
-    assert quote_verify(quote, fetched_chain, crl, policy, NOW).ok
+    assert quote_verify(quote, fetched_chain, crl, policy, pcs_server.now_source()).ok
 
 
-def test_fetch_unknown_platform_over_wire(server):
+def test_fetch_unknown_platform_over_wire(pcs_server):
     with pytest.raises(PcsClientError, match="unknown_platform"):
-        fetch_platform(server.address, b"\x00" * 16)
+        fetch_platform(pcs_server.address, b"\x00" * 16)
 
 
-def test_revoke_over_wire(server):
-    platform, _ = register_platform(server.address, tcb_level=3)
-    crl = revoke_platform(server.address, platform.platform_id)
+def test_revoke_over_wire(pcs_server):
+    platform, _ = register_platform(pcs_server.address, tcb_level=3)
+    crl = revoke_platform(pcs_server.address, platform.platform_id)
     assert platform.platform_id in crl.revoked
-    _, fetched_crl = fetch_platform(server.address, platform.platform_id)
+    _, fetched_crl = fetch_platform(pcs_server.address, platform.platform_id)
     assert fetched_crl.sequence == crl.sequence
 
 
-def test_mutations_persisted(server, tmp_path):
-    platform, _ = register_platform(server.address, tcb_level=3)
-    revoke_platform(server.address, platform.platform_id)
+def test_mutations_persisted(pcs_server, tmp_path):
+    platform, _ = register_platform(pcs_server.address, tcb_level=3)
+    revoke_platform(pcs_server.address, platform.platform_id)
     reloaded = PcsDatabase.load(tmp_path / "pcs.json")
     assert platform.platform_id in reloaded.revoked
     chain, crl = reloaded.fetch(platform.platform_id)
     assert platform.platform_id in crl.revoked
 
 
-def test_crl_signature_survives_wire_roundtrip(server):
-    platform, _ = register_platform(server.address, tcb_level=3)
-    chain, crl = fetch_platform(server.address, platform.platform_id)
-    policy = VerificationPolicy(accepted_root=server.db.root_public_key)
+def test_crl_signature_survives_wire_roundtrip(pcs_server):
+    platform, _ = register_platform(pcs_server.address, tcb_level=3)
+    chain, crl = fetch_platform(pcs_server.address, platform.platform_id)
+    policy = VerificationPolicy(accepted_root=pcs_server.db.root_public_key)
     quote = quote_generate(platform, b"\x01" * 32, b"\x02" * 32, 1, b"\x00" * 64)
-    result = quote_verify(quote, chain, crl, policy, NOW)
+    result = quote_verify(quote, chain, crl, policy, pcs_server.now_source())
     assert result.ok
 
 
-def test_register_response_is_the_canonical_identity(server):
-    with socket.create_connection(server.address, timeout=10) as conn:
+def test_register_response_is_the_canonical_identity(pcs_server):
+    with socket.create_connection(pcs_server.address, timeout=10) as conn:
         wire.send_frame(conn, wire.PCS_REGISTER_REQ, canonical_json({"tcb_level": 4}))
         frame_type, payload = wire.recv_frame(conn)
     assert frame_type == wire.PCS_REGISTER_RESP
@@ -116,11 +108,11 @@ MALFORMED_IDS = ["register-tcb-not-int", "fetch-list", "revoke-string", "fetch-i
 
 @pytest.mark.parametrize("frame_type,payload,reason", MALFORMED_REQUESTS, ids=MALFORMED_IDS)
 def test_malformed_request_gets_an_error_reply_and_the_connection_lives(
-        server, monkeypatch, frame_type, payload, reason):
-    platform, _ = register_platform(server.address, tcb_level=3)
+        pcs_server, monkeypatch, frame_type, payload, reason):
+    platform, _ = register_platform(pcs_server.address, tcb_level=3)
     crashed = []
     monkeypatch.setattr(threading, "excepthook", crashed.append)
-    with socket.create_connection(server.address, timeout=10) as conn:
+    with socket.create_connection(pcs_server.address, timeout=10) as conn:
         wire.send_frame(conn, frame_type, payload)
         assert wire.recv_frame(conn) == (wire.PCS_ERROR,
                                          canonical_json({"reason": reason}))
@@ -179,20 +171,17 @@ def fetch_on(conn, platform_id):
     return wire.recv_frame(conn)
 
 
-def test_idle_timeout_closes_a_silent_client_while_others_are_served():
-    srv = PcsServer(PcsDatabase.create(now=NOW), now_source=lambda: NOW,
-                    idle_timeout=0.5).start()
-    try:
-        platform, _ = register_platform(srv.address, tcb_level=3)
-        start = time.monotonic()
-        with socket.create_connection(srv.address, timeout=10) as silent:
-            with socket.create_connection(srv.address, timeout=10) as other:
-                assert fetch_on(other, platform.platform_id)[0] == wire.PCS_FETCH_RESP
-            assert silent.recv(1) == b""  # the server closed the idle connection
-            assert 0.45 < time.monotonic() - start < 5
-            assert wait_until_gone(silent)
-    finally:
-        srv.stop()
+def test_idle_timeout_closes_a_silent_client_while_others_are_served(pcs_server,
+                                                                      monkeypatch):
+    monkeypatch.setattr(wire, "IDLE_TIMEOUT", 0.5)
+    platform, _ = register_platform(pcs_server.address, tcb_level=3)
+    start = time.monotonic()
+    with socket.create_connection(pcs_server.address, timeout=10) as silent:
+        with socket.create_connection(pcs_server.address, timeout=10) as other:
+            assert fetch_on(other, platform.platform_id)[0] == wire.PCS_FETCH_RESP
+        assert silent.recv(1) == b""  # the server closed the idle connection
+        assert 0.45 < time.monotonic() - start < 5
+        assert wait_until_gone(silent)
 
 
 def conn_threads() -> int:
@@ -202,8 +191,8 @@ def conn_threads() -> int:
 
 def test_connection_cap_bounds_threads_and_queued_clients_are_served(monkeypatch):
     monkeypatch.setattr(wire, "MAX_CONNECTIONS", 4)
-    srv = PcsServer(PcsDatabase.create(now=NOW), now_source=lambda: NOW,
-                    idle_timeout=0.5).start()
+    monkeypatch.setattr(wire, "IDLE_TIMEOUT", 0.5)
+    srv = PcsServer(PcsDatabase.create(now=NOW), now_source=lambda: NOW).start()
     counts, done = [], threading.Event()
 
     def sample():
@@ -234,8 +223,8 @@ def test_connection_cap_bounds_threads_and_queued_clients_are_served(monkeypatch
 def test_a_client_dripping_bytes_loses_its_slot_at_the_idle_timeout(monkeypatch):
     # one slot: the dripper holds it, so the real client waits in the backlog
     monkeypatch.setattr(wire, "MAX_CONNECTIONS", 1)
-    srv = PcsServer(PcsDatabase.create(now=NOW), now_source=lambda: NOW,
-                    idle_timeout=0.5).start()
+    monkeypatch.setattr(wire, "IDLE_TIMEOUT", 0.5)
+    srv = PcsServer(PcsDatabase.create(now=NOW), now_source=lambda: NOW).start()
     stop_dripping = threading.Event()
 
     def drip(sock):
@@ -286,11 +275,11 @@ def test_stop_returns_while_the_accept_loop_waits_for_a_slot(monkeypatch):
         assert conn_threads() == 0
 
 
-def test_stop_closes_an_open_connection(server):
-    platform, _ = register_platform(server.address, tcb_level=3)
-    with socket.create_connection(server.address, timeout=10) as conn:
+def test_stop_closes_an_open_connection(pcs_server):
+    platform, _ = register_platform(pcs_server.address, tcb_level=3)
+    with socket.create_connection(pcs_server.address, timeout=10) as conn:
         assert fetch_on(conn, platform.platform_id)[0] == wire.PCS_FETCH_RESP
-        server.stop()
+        pcs_server.stop()
         # EOF, or a reset when the request reached the closed socket first
         with pytest.raises((wire.ConnectionClosedError, ConnectionResetError)):
             fetch_on(conn, platform.platform_id)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enclavesim import attestation, crypto, wire
+from enclavesim import attestation, crypto, provisioning, wire
 from enclavesim.attestation import PcsDatabase, VerificationPolicy, quote_generate, quote_verify
 from enclavesim.channel import ChannelError, HandshakeError
 from enclavesim.pfs import IntegrityError, WrongKeyError
@@ -58,7 +58,7 @@ def server(env):
         accepted_root=env["pcs"].root_public_key, min_isv_svn=1, min_tcb_level=1)
     srv = KeyServer(make_vault(env), session_policy, crypto.sign_generate(),
                     crl_provider=lambda pid: env["pcs"].current_crl(),
-                    now_source=lambda: NOW, idle_timeout=5.0).start()
+                    now_source=lambda: NOW).start()
     yield srv
     srv.stop()
 
@@ -184,7 +184,7 @@ def test_session_policy_gate_blocks_handshake(env):
                                srv.public_key)
         assert exc.value.kind == "attestation_failed"
         assert exc.value.reason == "mr_enclave_mismatch"
-        assert srv.audit_log == []  # no request ever reached evaluation
+        assert list(srv.audit_log) == []  # no request ever reached evaluation
     finally:
         srv.stop()
 
@@ -194,7 +194,7 @@ def test_wrong_pin_fails_closed(env, server):
     with pytest.raises(HandshakeError) as exc:
         client_request_key(server.address, "pfs-master", provider_for(env), rogue.public)
     assert exc.value.kind == "peer_auth_failed"
-    assert server.audit_log == []
+    assert list(server.audit_log) == []
 
 
 def test_revoked_platform_surfaces_reason(env):
@@ -238,6 +238,30 @@ def test_audit_one_record_per_request(env, server):
     assert all(SECRET.hex() not in str(entry) for entry in server.audit_log)
 
 
+def test_audit_log_keeps_the_newest_records_and_the_file_keeps_all(env, tmp_path,
+                                                                   monkeypatch):
+    monkeypatch.setattr(provisioning, "AUDIT_LOG_LEN", 3)
+    audit = tmp_path / "audit.jsonl"
+    session_policy = VerificationPolicy(
+        accepted_root=env["pcs"].root_public_key, min_isv_svn=1, min_tcb_level=1)
+    srv = KeyServer(make_vault(env), session_policy, crypto.sign_generate(),
+                    crl_provider=lambda pid: env["pcs"].current_crl(),
+                    now_source=lambda: NOW, audit_path=audit).start()
+    names = ["pfs-master", "a", "pfs-master", "b", "c"]
+    try:
+        with ProvisioningClient(srv.address, provider_for(env), srv.public_key) as client:
+            for name in names:
+                try:
+                    client.request(name)
+                except ProvisionDeniedError:
+                    pass
+    finally:
+        srv.stop()
+    records = [json.loads(line) for line in audit.read_text().splitlines()]
+    assert [r["secret_name"] for r in records] == names
+    assert list(srv.audit_log) == records[-3:]
+
+
 MALFORMED_PROVISION_REQS = [b'{"name": ["k"]}', b"\xff\xfe", b'["pfs-master"]'] + [
     '{"name":"pfs-master"}'.encode(codec) for codec in FOREIGN_ENCODINGS.values()]
 
@@ -251,10 +275,10 @@ def test_malformed_request_denied_bad_request_and_channel_stays_open(env, server
             assert record_type == wire.REC_PROVISION_RESP
             assert json.loads(reply) == {"outcome": "denied", "reason": "bad_request"}
         assert client.request("pfs-master") == SECRET
-    outcomes = [e["outcome"] for e in server.audit_log[before:]]
+    outcomes = [e["outcome"] for e in list(server.audit_log)[before:]]
     n = len(MALFORMED_PROVISION_REQS)
     assert outcomes == ["denied:bad_request"] * n + ["granted"]
-    assert all(e["secret_name"] is None for e in server.audit_log[before:before + n])
+    assert all(e["secret_name"] is None for e in list(server.audit_log)[before:before + n])
 
 
 def test_provision_request_is_canonical_json(env, server, monkeypatch):

@@ -2,12 +2,12 @@ import json
 
 import pytest
 
-from enclavesim import pfs
+from enclavesim import pcs_service, pfs
 from enclavesim.channel import HandshakeError
 from enclavesim.enclave import RunError, StartError
 from enclavesim.manifest import ParseError
 from enclavesim.provisioning import ProvisionDeniedError
-from enclavesim.workflow import DemoConfig, exit_code, parse_config, workflow_demo
+from enclavesim.workflow import DemoConfig, exit_code, parse_config, scan_for_leaks, workflow_demo
 
 
 def quiet(*args, **kwargs):
@@ -76,6 +76,28 @@ def test_no_plaintext_outside_user_dir(tmp_path):
     cloud = tmp_path / "demo-none" / "cloud"
     names = sorted(p.name for p in (cloud / "data").iterdir())
     assert names == ["input.csv.pfs", "model.pfs", "output.csv.pfs"]
+
+
+def test_leak_scan_skips_the_user_directory_and_nothing_else(tmp_path):
+    marker = b"plaintext marker"
+    for name in ("user/a", "user/sub/b", "user2/f", "cloud/g"):
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"<" + marker + b">")
+    assert scan_for_leaks(tmp_path, tmp_path / "user", [marker]) == ["cloud/g", "user2/f"]
+
+
+def test_the_key_server_fetches_each_crl_from_the_pcs(tmp_path, monkeypatch):
+    fetched, fetch = [], pcs_service.fetch_platform
+
+    def recorded(addr, platform_id):
+        fetched.append(platform_id)
+        return fetch(addr, platform_id)
+
+    monkeypatch.setattr(pcs_service, "fetch_platform", recorded)
+    assert run_demo(tmp_path).ok
+    # step 1, then the key server at the handshake and at the provision request
+    assert len(fetched) == 3 and len(set(fetched)) == 1
 
 
 def test_output_matches_reference_bitwise(tmp_path):
