@@ -39,11 +39,12 @@ class UnknownPlatformError(Exception):
     pass
 
 
-def _signature_from_hex(value: str) -> bytes:
-    signature = bytes.fromhex(value)
-    if len(signature) != crypto.SIGNATURE_SIZE:
-        raise ValueError(f"signature is {len(signature)} bytes, not {crypto.SIGNATURE_SIZE}")
-    return signature
+def _fixed_hex(value: str, size: int) -> bytes:
+    """The bytes of hex string `value`, which must encode exactly `size`."""
+    raw = bytes.fromhex(value)
+    if len(raw) != size:
+        raise ValueError(f"{len(raw)} bytes where {size} are required")
+    return raw
 
 
 class _JsonSigned:
@@ -90,7 +91,7 @@ class Certificate(_JsonSigned):
             not_before=int(d["not_before"]),
             not_after=int(d["not_after"]),
             tcb_level=None if d.get("tcb_level") is None else int(d["tcb_level"]),
-            signature=_signature_from_hex(d["signature"]),
+            signature=_fixed_hex(d["signature"], crypto.SIGNATURE_SIZE),
         )
 
 
@@ -139,7 +140,7 @@ class Crl(_JsonSigned):
             issuer=d["issuer"],
             sequence=int(d["sequence"]),
             revoked=frozenset(bytes.fromhex(h) for h in d["revoked"]),
-            signature=_signature_from_hex(d["signature"]),
+            signature=_fixed_hex(d["signature"], crypto.SIGNATURE_SIZE),
         )
 
 

@@ -27,8 +27,7 @@ from .attestation import (
     Crl,
     Quote,
     VerificationPolicy,
-    VerificationResult,
-    _signature_from_hex,
+    _fixed_hex,
     canonical_json,
     quote_verify,
 )
@@ -36,6 +35,7 @@ from .attestation import (
 RATLS_BIND_LABEL = b"ratls-bind-v1"
 _SIG_CONTEXT = b"ratls-v1-sig"
 _OUT_OF_ORDER_WINDOW = 32
+EPH_PUB_SIZE = 32  # an X25519 public key
 
 QuoteProvider = Callable[[bytes], tuple[Quote, CertChain]]
 
@@ -78,7 +78,7 @@ class AttestationCertificate:
     @classmethod
     def decode(cls, payload: bytes) -> "AttestationCertificate":
         return _read_peer_json(payload, "certificate", lambda d: cls(
-            attester_eph_pub=bytes.fromhex(d["eph_pub"]),
+            attester_eph_pub=_fixed_hex(d["eph_pub"], EPH_PUB_SIZE),
             quote=Quote.unpack(bytes.fromhex(d["quote"])),
             cert_chain=CertChain.from_dict(d["chain"]),
         ))
@@ -106,31 +106,57 @@ def bind_report_data(eph_pub: bytes) -> bytes:
     return b"\x00" * 32 + crypto.hash_data(eph_pub + RATLS_BIND_LABEL)
 
 
-def _transcript_after_a1(a1_payload: bytes) -> bytes:
-    return crypto.hash_data(a1_payload)
+def _send_handshake(conn: socket.socket, frame_type: int, payload: bytes) -> None:
+    try:
+        wire.send_frame(conn, frame_type, payload)
+    except OSError as exc:
+        raise HandshakeError("io", str(exc))
 
 
-def _transcript_after_v1(th1: bytes, verifier_eph_pub: bytes, sig: bytes) -> bytes:
-    return crypto.hash_data(th1 + verifier_eph_pub + sig)
+def _recv_handshake(conn: socket.socket, *frame_types: int) -> tuple[int, bytes]:
+    """The peer's next plaintext handshake frame, which must be of one of
+    `frame_types`; anything else is HandshakeError("io")."""
+    try:
+        frame_type, payload = wire.recv_frame(conn)
+    except (wire.WireError, OSError) as exc:
+        raise HandshakeError("io", str(exc))
+    if frame_type not in frame_types:
+        raise HandshakeError("io", f"unexpected frame type {frame_type:#x}")
+    return frame_type, payload
 
 
-def _derive_keys(shared: bytes, th2: bytes) -> tuple[bytes, bytes]:
-    return crypto.kdf(shared, "a2s", th2), crypto.kdf(shared, "s2a", th2)
+def _key_schedule(th1, verifier_eph_pub, sig, own_private, peer_public):
+    """(th2, key_a2v, key_v2a) of WIRE.md's key schedule, from V1 and this
+    side's X25519 agreement; a key that X25519 rejects is HandshakeError("io")."""
+    th2 = crypto.hash_data(th1 + verifier_eph_pub + sig)
+    try:
+        shared = crypto.dh_shared(own_private, peer_public)
+    except ValueError as exc:
+        raise HandshakeError("io", str(exc))
+    return th2, crypto.kdf(shared, "a2s", th2), crypto.kdf(shared, "s2a", th2)
+
+
+def _check_finished(channel: "SecureChannel", th2: bytes) -> None:
+    """The peer's Finished must be the first record and carry th2."""
+    try:
+        record_type, payload = channel.recv()
+    except ChannelError as exc:
+        raise HandshakeError("bad_finished", str(exc))
+    if record_type != wire.REC_FINISHED or payload != th2:
+        raise HandshakeError("bad_finished", "peer Finished does not match transcript")
 
 
 class SecureChannel:
     """Established channel; single owner per direction."""
 
     def __init__(self, sock: socket.socket, send_key: bytes, recv_key: bytes,
-                 verification: VerificationResult | None = None,
                  peer_certificate: "AttestationCertificate | None" = None):
         self._sock = sock
         self._send_key = send_key
         self._recv_key = recv_key
         self._send_seq = 0
         self._recv_seq = 0
-        self.verification = verification
-        self.peer_certificate = peer_certificate
+        self.peer_certificate = peer_certificate  # the verified A1, on the verifier
         self._closed = False
 
     def send(self, record_type: int, payload: bytes) -> None:
@@ -207,66 +233,48 @@ def _attester_handshake(conn: socket.socket, quote_provider: QuoteProvider,
     eph = crypto.dh_generate()
     quote, chain = quote_provider(bind_report_data(eph.public))
     a1 = AttestationCertificate(eph.public, quote, chain).encode()
-    try:
-        wire.send_frame(conn, wire.HS_A1, a1)
-        frame_type, payload = wire.recv_frame(conn)
-    except (wire.WireError, OSError) as exc:
-        raise HandshakeError("io", str(exc))
-
+    _send_handshake(conn, wire.HS_A1, a1)
+    frame_type, payload = _recv_handshake(conn, wire.HS_V1, wire.HS_ERROR)
     if frame_type == wire.HS_ERROR:
-        kind, reason = _read_peer_json(payload, "HS_ERROR", _hs_error_fields)
-        raise HandshakeError(kind, reason)
-    if frame_type != wire.HS_V1:
-        raise HandshakeError("io", f"unexpected frame type {frame_type:#x}")
+        raise HandshakeError(*_read_peer_json(payload, "HS_ERROR", _hs_error_fields))
 
     verifier_eph_pub, sig = _read_peer_json(payload, "V1", lambda d: (
-        bytes.fromhex(d["eph_pub"]), _signature_from_hex(d["sig"])))
-    th1 = _transcript_after_a1(a1)
+        _fixed_hex(d["eph_pub"], EPH_PUB_SIZE), _fixed_hex(d["sig"], crypto.SIGNATURE_SIZE)))
+    th1 = crypto.hash_data(a1)
     if not crypto.verify(verifier_pin, _SIG_CONTEXT + th1 + verifier_eph_pub, sig):
         raise HandshakeError("peer_auth_failed",
                              "verifier signature does not match the pinned key")
 
-    th2 = _transcript_after_v1(th1, verifier_eph_pub, sig)
-    shared = crypto.dh_shared(eph.private, verifier_eph_pub)
-    key_a2v, key_v2a = _derive_keys(shared, th2)
+    th2, key_a2v, key_v2a = _key_schedule(th1, verifier_eph_pub, sig, eph.private,
+                                          verifier_eph_pub)
     channel = SecureChannel(conn, send_key=key_a2v, recv_key=key_v2a)
     channel.send(wire.REC_FINISHED, th2)
-    try:
-        record_type, payload = channel.recv()
-    except ChannelError as exc:
-        raise HandshakeError("bad_finished", str(exc))
-    if record_type != wire.REC_FINISHED or payload != th2:
-        raise HandshakeError("bad_finished", "verifier Finished does not match transcript")
+    _check_finished(channel, th2)
     return channel
 
 
 def verifier_handshake(conn: socket.socket, policy: VerificationPolicy,
                        crl_provider: Callable[[bytes], Crl], now: int,
-                       verifier_signing_key: crypto.SigningKeyPair,
-                       ) -> tuple[SecureChannel, VerificationResult]:
+                       verifier_signing_key: crypto.SigningKeyPair) -> SecureChannel:
     """User side: verify the attestation certificate and the ephemeral-key
     binding before revealing anything; fail-closed (no V1 on failure, the
     connection is closed; a failure before V1 first gets one HS_ERROR with
-    its kind and reason). `crl_provider(platform_id)` gives the CRL to check."""
+    its kind and reason). `crl_provider(platform_id)` gives the CRL to check.
+    The channel's `peer_certificate` is the verified A1."""
     try:
         try:
-            a1, cert, result = _verify_a1(conn, policy, crl_provider, now)
+            a1, cert = _verify_a1(conn, policy, crl_provider, now)
         except HandshakeError as exc:
             _send_hs_error(conn, exc.kind, exc.reason)
             raise
-        return _answer_a1(conn, a1, cert, result, verifier_signing_key)
+        return _answer_a1(conn, a1, cert, verifier_signing_key)
     except BaseException:
         _quiet_close(conn)
         raise
 
 
 def _verify_a1(conn, policy, crl_provider, now):
-    try:
-        frame_type, a1 = wire.recv_frame(conn)
-    except (wire.WireError, OSError) as exc:
-        raise HandshakeError("io", str(exc))
-    if frame_type != wire.HS_A1:
-        raise HandshakeError("io", f"unexpected frame type {frame_type:#x}")
+    _, a1 = _recv_handshake(conn, wire.HS_A1)
     cert = AttestationCertificate.decode(a1)
     try:
         crl = crl_provider(cert.quote.platform_id)
@@ -279,32 +287,22 @@ def _verify_a1(conn, policy, crl_provider, now):
     if cert.quote.report_data != bind_report_data(cert.attester_eph_pub):
         raise HandshakeError("binding_mismatch",
                              "report_data does not commit to the presented ephemeral key")
-    return a1, cert, result
+    return a1, cert
 
 
-def _answer_a1(conn, a1, cert, result, verifier_signing_key):
+def _answer_a1(conn, a1, cert, verifier_signing_key):
     eph = crypto.dh_generate()
-    th1 = _transcript_after_a1(a1)
+    th1 = crypto.hash_data(a1)
     sig = crypto.sign(verifier_signing_key.private, _SIG_CONTEXT + th1 + eph.public)
     v1 = canonical_json({"eph_pub": eph.public.hex(), "sig": sig.hex()})
-    try:
-        wire.send_frame(conn, wire.HS_V1, v1)
-    except OSError as exc:
-        raise HandshakeError("io", str(exc))
-
-    th2 = _transcript_after_v1(th1, eph.public, sig)
-    shared = crypto.dh_shared(eph.private, cert.attester_eph_pub)
-    key_a2v, key_v2a = _derive_keys(shared, th2)
-    channel = SecureChannel(conn, send_key=key_v2a, recv_key=key_a2v,
-                            verification=result, peer_certificate=cert)
-    try:
-        record_type, payload = channel.recv()
-    except ChannelError as exc:
-        raise HandshakeError("bad_finished", str(exc))
-    if record_type != wire.REC_FINISHED or payload != th2:
-        raise HandshakeError("bad_finished", "attester Finished does not match transcript")
+    _send_handshake(conn, wire.HS_V1, v1)
+    # X25519 after V1, so it overlaps the attester's signature check
+    th2, key_a2v, key_v2a = _key_schedule(th1, eph.public, sig, eph.private,
+                                          cert.attester_eph_pub)
+    channel = SecureChannel(conn, send_key=key_v2a, recv_key=key_a2v, peer_certificate=cert)
+    _check_finished(channel, th2)
     channel.send(wire.REC_FINISHED, th2)
-    return channel, result
+    return channel
 
 
 def _send_hs_error(conn: socket.socket, kind: str, reason: str | None) -> None:

@@ -36,6 +36,13 @@ class CliError(Exception):
     """An argument the CLI itself rejects."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a CliError, so it exits 3 with one error line."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _key_from_hex(text: str) -> bytes:
     try:
         key = bytes.fromhex(text)
@@ -265,7 +272,7 @@ def cmd_demo(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="enclavesim",
         description="attested, encrypted ML deployment pipeline (simulated)")
     sub = parser.add_subparsers(dest="group", required=True)
@@ -381,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:
         detail = str(exc) if isinstance(exc, CliError) else f"{type(exc).__name__}: {exc}"

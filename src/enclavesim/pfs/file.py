@@ -1,8 +1,9 @@
 """Protected file handle: transparent random-access read/write over the
 sealed container, with root-to-leaf verification on every fetched node.
 
-Each check lives in one place: `_open_header` authenticates the header
-for `ProtectedFile.open`, `info` and `verify_file`, and
+Each check lives in one place: `_open_header` accepts a container (its
+header authenticates and the file length fits the recorded size) for
+`ProtectedFile.open`, `info` and `verify_file`, and
 `ProtectedFile._open_node` checks and opens every MHT and data node.
 `verify_file` fetches every node through a read-only handle, so an audit
 verifies exactly what a read does, node by node, with memory bounded by
@@ -61,14 +62,14 @@ class ProtectedFile:
     """Single-owner handle to one protected container on disk."""
 
     def __init__(self, fh, path, master_key, uuid, label, file_size,
-                 disk_blocks, disk_root, mode, cache_capacity):
+                 disk_root, mode, cache_capacity):
         self._fh = fh
         self.path = path
         self._master_key = master_key
         self.uuid = uuid
         self.label = label
         self._file_size = file_size
-        self._disk_blocks = disk_blocks
+        self._disk_blocks = fmt.data_block_count(file_size)
         self._disk_root = disk_root
         self._mode = mode
         self._cache = BlockCache(cache_capacity)
@@ -93,7 +94,7 @@ class ProtectedFile:
             raise ValueError(f"file uuid must be {fmt.UUID_SIZE} bytes")
         fh = open(path, "wb+")
         handle = cls(fh, path, master_key, file_uuid, filename_label,
-                     file_size=0, disk_blocks=0, disk_root=fmt.ZERO_ENTRY,
+                     file_size=0, disk_root=fmt.ZERO_ENTRY,
                      mode=MODE_READWRITE, cache_capacity=cache_capacity)
         handle._write_header(fmt.ZERO_ENTRY)
         fh.flush()
@@ -103,23 +104,29 @@ class ProtectedFile:
     def open(cls, path, filename_label: str, master_key: bytes,
              mode: str = MODE_READ, *,
              cache_capacity: int = DEFAULT_CAPACITY) -> "ProtectedFile":
-        """Open an existing container; authenticates the header and checks
-        that the stored filename label matches `filename_label`."""
+        """Open an existing container that `_open_header` accepts and whose
+        stored filename label matches `filename_label`."""
         if mode not in (MODE_READ, MODE_READWRITE):
             raise ValueError(f"mode must be '{MODE_READ}' or '{MODE_READWRITE}'")
+        handle = cls._accept(path, master_key, mode, cache_capacity)
+        if handle.label != filename_label:
+            handle._fh.close()
+            raise IntegrityError(f"filename label mismatch: container was created as "
+                                 f"{handle.label!r}")
+        return handle
+
+    @classmethod
+    def _accept(cls, path, master_key, mode, cache_capacity) -> "ProtectedFile":
+        """A handle on the container at `path` once `_open_header` accepts it."""
         fh = open(path, "r+b" if mode == MODE_READWRITE else "rb")
         try:
             uuid, label, file_size, root = _open_header(fh, master_key)
-            if label != filename_label.encode("utf-8"):
-                raise IntegrityError(
-                    f"filename label mismatch: container was created as "
-                    f"{label.decode('utf-8', 'replace')!r}")
-            return cls(fh, path, master_key, uuid, filename_label, file_size,
-                       disk_blocks=fmt.data_block_count(file_size), disk_root=root,
-                       mode=mode, cache_capacity=cache_capacity)
-        except Exception:
+        except BaseException:
             fh.close()
             raise
+        # surrogateescape keeps every stored byte, so open compares labels exactly
+        return cls(fh, path, master_key, uuid, label.decode("utf-8", "surrogateescape"),
+                   file_size, root, mode, cache_capacity)
 
     # -- public surface -----------------------------------------------
 
@@ -311,15 +318,15 @@ class ProtectedFile:
         self._fh.seek(fmt.node_offset(position))
         sealed = self._fh.read(NODE_DISK_SIZE)
         if len(sealed) != NODE_DISK_SIZE:
-            raise _node_error(kind, index, "truncated on disk")
+            raise IntegrityError(f"{kind}:{index} truncated on disk", f"{kind}:{index}")
         if not hmac.compare_digest(sealed[-TAG_SIZE:], entry.tag):
-            raise _node_error(kind, index, "tag mismatch")
+            raise IntegrityError(f"{kind}:{index} tag mismatch", f"{kind}:{index}")
         self._nodes_opened += 1
         try:
             return crypto.aead_open(entry.key, fmt.NODE_NONCE,
                                     fmt.node_aad(self.uuid, kind, index), sealed)
         except crypto.AuthError:
-            raise _node_error(kind, index, "failed authentication")
+            raise IntegrityError(f"{kind}:{index} failed authentication", f"{kind}:{index}")
 
     def _write_header(self, root: ChildEntry) -> None:
         meta = fmt.pack_meta(self.label.encode("utf-8"), self._file_size, root)
@@ -331,20 +338,19 @@ class ProtectedFile:
 
 
 def _open_header(fh, master_key: bytes) -> tuple[bytes, bytes, int, ChildEntry]:
-    """Authenticate the header region; returns (uuid, label, file_size, root)."""
+    """The one acceptance check of a container: the header authenticates,
+    then the file length is the one its recorded size gives. Returns (uuid,
+    label, file_size, root); raises IntegrityError at `header` or `structure`."""
     uuid, nonce, sealed_meta = fmt.split_header(fh.read(HEADER_SIZE))
     try:
         meta = crypto.aead_open(_header_key(master_key, uuid), nonce, fmt.header_aad(uuid),
                                 sealed_meta)
     except crypto.AuthError:
         raise WrongKeyError("header did not authenticate (wrong key or tampered header)")
-    return (uuid, *fmt.unpack_meta(meta))
-
-
-def _node_error(kind: str, index: int, problem: str) -> IntegrityError:
-    exc = IntegrityError(f"{kind}:{index} {problem}")
-    exc.node = f"{kind}:{index}"
-    return exc
+    label, file_size, root = fmt.unpack_meta(meta)
+    if os.fstat(fh.fileno()).st_size != fmt.container_disk_size(fmt.data_block_count(file_size)):
+        raise IntegrityError("file length does not match the recorded file size", "structure")
+    return uuid, label, file_size, root
 
 
 def _header_key(master_key: bytes, uuid: bytes) -> bytes:
@@ -360,7 +366,7 @@ def read_uuid(path) -> bytes:
 
 def info(path, master_key: bytes | None = None) -> dict:
     """Container facts: uuid, node/block counts; label and logical size too
-    when the key is supplied. Reads the header only."""
+    when the key is supplied and `_open_header` accepts the container."""
     with open(path, "rb") as fh:
         if master_key is None:
             uuid = fmt.split_header(fh.read(HEADER_SIZE))[0]
@@ -369,7 +375,7 @@ def info(path, master_key: bytes | None = None) -> dict:
         disk_size = os.fstat(fh.fileno()).st_size
     total_nodes, partial = divmod(disk_size - HEADER_SIZE, NODE_DISK_SIZE)
     if partial:
-        raise IntegrityError("body is not a whole number of nodes")
+        raise IntegrityError("body is not a whole number of nodes", "structure")
     n_blocks = fmt.blocks_from_total_nodes(total_nodes)
     result = {
         "uuid": uuid.hex(),
@@ -379,40 +385,28 @@ def info(path, master_key: bytes | None = None) -> dict:
         "disk_size": disk_size,
     }
     if master_key is not None:
-        if fmt.data_block_count(file_size) != n_blocks:
-            raise IntegrityError("block count does not match the recorded file size")
         result["label"] = label.decode("utf-8", "replace")
         result["file_size"] = file_size
     return result
 
 
 def verify_file(path, master_key: bytes) -> VerifyReport:
-    """Audit every node through a read-only handle: the header, the disk
-    size, the MHT nodes level by level from the root down, then the data
-    blocks by index. Each node is opened once while the MHT fits the block
-    cache. Reports the first failure instead of raising."""
-    with open(path, "rb") as fh:
-        try:
-            uuid, label, file_size, root = _open_header(fh, master_key)
-        except IntegrityError:
-            return VerifyReport(False, "header")
-        n_blocks = fmt.data_block_count(file_size)
-        if os.fstat(fh.fileno()).st_size != fmt.container_disk_size(n_blocks):
-            return VerifyReport(False, "structure")
-        handle = ProtectedFile(fh, path, master_key, uuid, label.decode("utf-8", "replace"),
-                               file_size, disk_blocks=n_blocks, disk_root=root,
-                               mode=MODE_READ, cache_capacity=DEFAULT_CAPACITY)
-        levels = fmt.mht_level_counts(n_blocks)
-        try:
+    """Audit a container that `_open_header` accepts through a read-only
+    handle: MHT nodes level by level from the root down, then data blocks
+    by index, each opened once while the MHT fits the block cache. Reports
+    the first failure, `header` and `structure` included, instead of raising."""
+    try:
+        with ProtectedFile._accept(path, master_key, MODE_READ, DEFAULT_CAPACITY) as handle:
+            levels = fmt.mht_level_counts(handle._disk_blocks)
             for height, count in zip(range(len(levels), 0, -1), levels):
                 for j in range(count):
                     handle._fetch_mht_plaintext(height, j)
             # data blocks bypass the cache, so they never evict the MHT nodes
             for j in range(levels[-1] if levels else 0):
                 bottom = handle._fetch_mht_plaintext(1, j)
-                for i in range(j * FANOUT, min((j + 1) * FANOUT, n_blocks)):
+                for i in range(j * FANOUT, min((j + 1) * FANOUT, handle._disk_blocks)):
                     handle._open_node(fmt.KIND_DATA, i, fmt.unpack_entry(bottom, i % FANOUT),
                                       fmt.data_position(i))
-        except IntegrityError as exc:
-            return VerifyReport(False, exc.node)
+    except IntegrityError as exc:
+        return VerifyReport(False, exc.node)
     return VerifyReport(True)

@@ -59,9 +59,11 @@ class PfsError(Exception):
 
 
 class IntegrityError(PfsError):
-    """Structural corruption or failed node authentication."""
+    """A failed check at `node`: "header", "structure", "mht:<p>" or "data:<i>"."""
 
-    node: str | None = None  # "mht:<p>" or "data:<i>" when one node failed
+    def __init__(self, message: str, node: str = "header"):
+        super().__init__(message)
+        self.node = node
 
 
 class WrongKeyError(IntegrityError):
@@ -142,7 +144,7 @@ def blocks_from_total_nodes(total_nodes: int) -> int:
 
     n = bisect.bisect_left(range(max(total_nodes, 0) + 1), total_nodes, key=nodes)
     if nodes(n) != total_nodes:
-        raise IntegrityError(f"no tree shape yields {total_nodes} nodes")
+        raise IntegrityError(f"no tree shape yields {total_nodes} nodes", "structure")
     return n
 
 

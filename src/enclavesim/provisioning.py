@@ -144,8 +144,8 @@ class KeyServer(wire.FrameServer):
         return self.signing_key.public
 
     def _open_session(self, conn: socket.socket):
-        channel, _ = verifier_handshake(conn, self.session_policy, self.crl_provider,
-                                        int(self.now_source()), self.signing_key)
+        channel = verifier_handshake(conn, self.session_policy, self.crl_provider,
+                                     int(self.now_source()), self.signing_key)
         return channel.recv, channel.send, functools.partial(self._answer, channel)
 
     def _answer(self, channel: SecureChannel, record_type: int,
@@ -155,7 +155,7 @@ class KeyServer(wire.FrameServer):
             return wire.REC_PING, payload
         if record_type != wire.REC_PROVISION_REQ:
             return None
-        quote = channel.verification.quote
+        cert = channel.peer_certificate
         try:
             name = wire.read_json(payload)["name"]
             if not isinstance(name, str):
@@ -163,20 +163,20 @@ class KeyServer(wire.FrameServer):
         except wire.DECODE_ERRORS:
             name, body = None, {"outcome": "denied", "reason": "bad_request"}
         else:
-            body = self._evaluate(name, quote, channel.peer_certificate)
-        self._audit(quote, name, body)
+            body = self._evaluate(name, cert)
+        self._audit(cert.quote, name, body)
         return wire.REC_PROVISION_RESP, canonical_json(body)
 
-    def _evaluate(self, name: str, quote, cert) -> dict:
+    def _evaluate(self, name: str, cert) -> dict:
         record = self.vault.get(name)
         if record is None:
             return {"outcome": "denied", "reason": "unknown_secret"}
         try:
-            crl = self.crl_provider(quote.platform_id)
+            crl = self.crl_provider(cert.quote.platform_id)
         except Exception:
             # without a CRL non-revocation is unproven: deny; its error stays here
             return {"outcome": "denied", "reason": "crl_unavailable"}
-        check = quote_verify(quote, cert.cert_chain, crl, record["policy"],
+        check = quote_verify(cert.quote, cert.cert_chain, crl, record["policy"],
                              int(self.now_source()))
         if not check.ok:
             return {"outcome": "denied", "reason": "policy_mismatch"}

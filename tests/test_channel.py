@@ -12,6 +12,7 @@ from enclavesim import crypto, wire
 from enclavesim.attestation import PcsDatabase, VerificationPolicy, quote_generate
 from enclavesim.channel import (
     _OUT_OF_ORDER_WINDOW,
+    _SIG_CONTEXT,
     AttestationCertificate,
     ChannelError,
     HandshakeError,
@@ -92,8 +93,8 @@ def test_honest_handshake_establishes_channel(env):
     att, ver = handshake_pair(env)
     assert att.error is None and ver.error is None
     chan_a = att.value
-    chan_v, result = ver.value
-    assert result.ok
+    chan_v = ver.value
+    assert chan_v.peer_certificate.quote.mr_enclave == MRE
     chan_a.send(wire.REC_APP, b"hello")
     assert chan_v.recv() == (wire.REC_APP, b"hello")
     chan_v.send(wire.REC_APP, b"hi back")
@@ -103,17 +104,17 @@ def test_honest_handshake_establishes_channel(env):
 
 def test_key_separation(env):
     att, ver = handshake_pair(env)
-    chan_a, (chan_v, _) = att.value, ver.value
+    chan_a, chan_v = att.value, ver.value
     assert chan_a._send_key != chan_a._recv_key
     att2, ver2 = handshake_pair(env)
     assert att2.value._send_key != chan_a._send_key
-    for c in (chan_a, chan_v, att2.value, ver2.value[0]):
+    for c in (chan_a, chan_v, att2.value, ver2.value):
         c.close()
 
 
 def test_record_roundtrip_many_random_payloads(env):
     att, ver = handshake_pair(env)
-    chan_a, (chan_v, _) = att.value, ver.value
+    chan_a, chan_v = att.value, ver.value
     rng = random.Random(59)
     sent = [rng.randbytes(rng.randint(0, 64 * 1024)) for _ in range(100)]
 
@@ -184,10 +185,14 @@ def test_verifier_fail_closed_no_v1_after_bad_quote(env):
     assert types == [wire.HS_ERROR]
 
 
+def _a1_binding(env, eph_pub: bytes) -> bytes:
+    """An A1 whose genuine quote binds `eph_pub`, whatever its length."""
+    quote = quote_generate(env["platform"], MRE, MRS, 3, bind_report_data(eph_pub))
+    return AttestationCertificate(eph_pub, quote, env["chain"]).encode()
+
+
 def _valid_a1(env) -> str:
-    eph = crypto.dh_generate()
-    quote = quote_generate(env["platform"], MRE, MRS, 3, bind_report_data(eph.public))
-    return AttestationCertificate(eph.public, quote, env["chain"]).encode().decode()
+    return _a1_binding(env, crypto.dh_generate().public).decode()
 
 
 def _a1_with_cert_field(env, cert, field, value):
@@ -207,6 +212,8 @@ MALFORMED_A1 = {
                            lambda env: _a1_with_cert_field(env, "platform_ca", "signature",
                                                            "00" * 10)),
     "v1-first": (wire.HS_V1, lambda env: b"{}"),
+    "eph-pub-31-bytes": (wire.HS_A1, lambda env: _a1_binding(env, b"\x09" * 31)),
+    "eph-pub-33-bytes": (wire.HS_A1, lambda env: _a1_binding(env, b"\x09" * 33)),
     **{f"valid-{name}": (wire.HS_A1, lambda env, codec=codec: _valid_a1(env).encode(codec))
        for name, codec in FOREIGN_ENCODINGS.items()},
 }
@@ -229,6 +236,26 @@ def test_malformed_a1_gets_hs_error_io(env, name):
     thread.join()
     assert [t for t, _ in frames] == [wire.HS_ERROR]
     assert json.loads(frames[0][1])["kind"] == "io"
+    assert isinstance(ver.error, HandshakeError)
+    assert ver.error.kind == "io"
+
+
+def test_a1_key_that_x25519_rejects_fails_io_after_v1(env):
+    # the quote binds the all-zero key, so the verifier answers with V1 and
+    # only its key agreement, which overlaps the attester's check, fails
+    a_sock, v_sock = socket.socketpair()
+    thread, ver = run_verifier(env, v_sock)
+    a_sock.settimeout(10)
+    wire.send_frame(a_sock, wire.HS_A1, _a1_binding(env, bytes(32)))
+    frames = []
+    try:
+        while True:
+            frames.append(wire.recv_frame(a_sock))
+    except (wire.ConnectionClosedError, OSError):
+        pass
+    a_sock.close()
+    thread.join()
+    assert [t for t, _ in frames] == [wire.HS_V1]
     assert isinstance(ver.error, HandshakeError)
     assert ver.error.kind == "io"
 
@@ -282,6 +309,26 @@ def test_malformed_verifier_reply_is_a_handshake_io_error(env, frame_type, paylo
         wire.send_frame(v_sock, frame_type, payload)
 
     thread = threading.Thread(target=fake_verifier)
+    thread.start()
+    with pytest.raises(HandshakeError) as info:
+        attester_handshake(a_sock, provider_for(env), env["verifier_key"].public)
+    thread.join()
+    v_sock.close()
+    assert info.value.kind == "io"
+
+
+@pytest.mark.parametrize("eph_pub", [b"\x09" * 31, bytes(32)], ids=["31-bytes", "all-zero"])
+def test_pinned_v1_with_a_bad_key_is_a_handshake_io_error(env, eph_pub):
+    a_sock, v_sock = socket.socketpair()
+
+    def pinned_verifier():
+        _, a1 = wire.recv_frame(v_sock)
+        sig = crypto.sign(env["verifier_key"].private,
+                          _SIG_CONTEXT + crypto.hash_data(a1) + eph_pub)
+        wire.send_frame(v_sock, wire.HS_V1,
+                        json.dumps({"eph_pub": eph_pub.hex(), "sig": sig.hex()}).encode())
+
+    thread = threading.Thread(target=pinned_verifier)
     thread.start()
     with pytest.raises(HandshakeError) as info:
         attester_handshake(a_sock, provider_for(env), env["verifier_key"].public)
@@ -464,7 +511,7 @@ def test_any_flipped_handshake_message_detected(env):
 
 def test_replayed_record_rejected(env):
     att, ver = handshake_pair(env)
-    chan_a, (chan_v, _) = att.value, ver.value
+    chan_a, chan_v = att.value, ver.value
     raw = chan_a._sock  # capture what goes over the wire by resealing manually
     # send one record, capture its bytes by re-serializing an identical frame
     chan_a.send(wire.REC_APP, b"first")
@@ -486,7 +533,7 @@ def test_replayed_record_rejected(env):
 
 def test_reordered_record_classified(env):
     att, ver = handshake_pair(env)
-    chan_a, (chan_v, _) = att.value, ver.value
+    chan_a, chan_v = att.value, ver.value
     # seal sequence 3 while the receiver expects 1
     sealed_future = crypto.aead_seal(chan_a._send_key, (3).to_bytes(12, "big"),
                                      bytes([wire.REC_APP]) + (3).to_bytes(8, "big"),
@@ -500,7 +547,7 @@ def test_reordered_record_classified(env):
 
 def test_failure_classification_probes_only_the_window(env, monkeypatch):
     att, ver = handshake_pair(env)
-    chan_a, (chan_v, _) = att.value, ver.value
+    chan_a, chan_v = att.value, ver.value
     for i in range(200):
         chan_a.send(wire.REC_APP, b"%d" % i)
         assert chan_v.recv() == (wire.REC_APP, b"%d" % i)
@@ -529,7 +576,7 @@ def test_failure_classification_probes_only_the_window(env, monkeypatch):
 
 def test_tampered_record_rejected(env):
     att, ver = handshake_pair(env)
-    chan_a, (chan_v, _) = att.value, ver.value
+    chan_a, chan_v = att.value, ver.value
     sealed = crypto.aead_seal(chan_a._send_key, (1).to_bytes(12, "big"),
                               bytes([wire.REC_APP]) + (1).to_bytes(8, "big"),
                               b"payload")
@@ -544,7 +591,7 @@ def test_tampered_record_rejected(env):
 
 def test_max_record_size_enforced(env):
     att, ver = handshake_pair(env)
-    chan_a, (chan_v, _) = att.value, ver.value
+    chan_a, chan_v = att.value, ver.value
     with pytest.raises(wire.WireError):
         chan_a.send(wire.REC_APP, b"\x00" * (wire.MAX_PAYLOAD + 1))
     chan_a.close(), chan_v.close()

@@ -200,11 +200,16 @@ def test_pcs_register_rejects_a_tcb_level_outside_u32(pcs_server, tmp_path, caps
 
 @pytest.mark.parametrize("argv", [["register"], ["revoke", "00" * 16]])
 def test_pcs_register_and_revoke_take_no_database(tmp_path, capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        main(["pcs", *argv, "--pcs", "127.0.0.1:1", "--db", str(tmp_path / "pcs.json")])
-    assert info.value.code != 0
+    assert main(["pcs", *argv, "--pcs", "127.0.0.1:1", "--db", str(tmp_path / "pcs.json")]) == 3
     assert "unrecognized arguments: --db" in capsys.readouterr().err
     assert not (tmp_path / "pcs.json").exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["pfs", "verify", "--help"])
+    assert info.value.code == 0
+    assert "--key-hex" in capsys.readouterr().out
 
 
 # -- demo ------------------------------------------------------------------------
@@ -443,6 +448,22 @@ def enclave_run_pin_not_hex(tmp_path):
     return enclave_run_args(tmp_path, **{"--pin-file": tmp_path / "bad-pin.txt"})
 
 
+def usage_pcs_register_unknown_option(tmp_path):
+    return ["pcs", "register", "--pcs", "127.0.0.1:1", "--db", tmp_path / "pcs.json"]
+
+
+def usage_demo_fault_not_a_choice(tmp_path):
+    return ["demo", "--fault", "bogus", "--workdir", tmp_path / "w"]
+
+
+def usage_pcs_register_tcb_not_int(tmp_path):
+    return ["pcs", "register", "--tcb", "x"]
+
+
+def usage_pfs_verify_no_arguments(tmp_path):
+    return ["pfs", "verify"]
+
+
 @pytest.mark.parametrize("scenario", [
     manifest_sign_missing_trusted_file,
     pcs_serve_corrupt_db,
@@ -451,6 +472,10 @@ def enclave_run_pin_not_hex(tmp_path):
     enclave_run_keyserver_refused,
     enclave_run_workload_outside_mounts,
     enclave_run_pin_not_hex,
+    usage_pcs_register_unknown_option,
+    usage_demo_fault_not_a_choice,
+    usage_pcs_register_tcb_not_int,
+    usage_pfs_verify_no_arguments,
 ], ids=lambda f: f.__name__)
 def test_unexpected_failure_is_one_error_line_exit_3(tmp_path, scenario):
     result = cli_process(*scenario(tmp_path))

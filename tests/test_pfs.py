@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from enclavesim import crypto
+from enclavesim.cli import main
 from enclavesim.pfs import (
     BLOCK_SIZE,
     IntegrityError,
@@ -343,14 +344,34 @@ def test_verify_each_random_bit_flip_detected(tmp_path):
     assert verify_file(p, KEY).ok
 
 
-def test_verify_truncated_file(tmp_path):
-    p = tmp_path / "f.pfs"
-    make_file(p, os.urandom(3 * BLOCK_SIZE))
-    raw = p.read_bytes()
-    p.write_bytes(raw[:-4112])
-    report = verify_file(p, KEY)
-    assert not report.ok
-    assert report.first_bad_node == "structure"
+CONTAINER_FORMS = {
+    "exact": lambda raw: raw,
+    "byte-appended": lambda raw: raw + b"\x00",
+    "node-appended": lambda raw: raw + raw[-fmt.NODE_DISK_SIZE:],
+    "last-node-cut": lambda raw: raw[:-fmt.NODE_DISK_SIZE],
+}
+
+
+@pytest.mark.parametrize("form", sorted(CONTAINER_FORMS))
+def test_open_info_verify_and_decrypt_give_one_answer(tmp_path, form):
+    data = random.Random(67).randbytes(3 * BLOCK_SIZE)
+    p = make_file(tmp_path / "f.pfs", data)
+    p.write_bytes(CONTAINER_FORMS[form](p.read_bytes()))
+    out = tmp_path / "out.bin"
+    decrypt = ["pfs", "decrypt", str(p), str(out), "--key-hex", KEY.hex(), "--label", "file.bin"]
+    if form == "exact":
+        assert read_all(p) == data
+        assert info(p, KEY)["data_blocks"] == 3
+        assert verify_file(p, KEY) == VerifyReport(True)
+        assert main(decrypt) == 0 and out.read_bytes() == data
+        return
+    for call in (lambda: ProtectedFile.open(p, "file.bin", KEY), lambda: info(p, KEY)):
+        with pytest.raises(IntegrityError) as exc:
+            call()
+        assert exc.value.node == "structure"
+    assert verify_file(p, KEY) == VerifyReport(False, "structure")
+    assert main(decrypt) == 2
+    assert not out.exists()
 
 
 def test_verify_names_the_first_bad_node(tmp_path):
