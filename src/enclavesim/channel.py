@@ -136,6 +136,14 @@ def _key_schedule(th1, verifier_eph_pub, sig, own_private, peer_public):
     return th2, crypto.kdf(shared, "a2s", th2), crypto.kdf(shared, "s2a", th2)
 
 
+def _send_finished(channel: "SecureChannel", th2: bytes) -> None:
+    """This side's Finished; a peer that has gone is HandshakeError("io")."""
+    try:
+        channel.send(wire.REC_FINISHED, th2)
+    except ChannelError as exc:
+        raise HandshakeError("io", str(exc))
+
+
 def _check_finished(channel: "SecureChannel", th2: bytes) -> None:
     """The peer's Finished must be the first record and carry th2."""
     try:
@@ -248,7 +256,7 @@ def _attester_handshake(conn: socket.socket, quote_provider: QuoteProvider,
     th2, key_a2v, key_v2a = _key_schedule(th1, verifier_eph_pub, sig, eph.private,
                                           verifier_eph_pub)
     channel = SecureChannel(conn, send_key=key_a2v, recv_key=key_v2a)
-    channel.send(wire.REC_FINISHED, th2)
+    _send_finished(channel, th2)
     _check_finished(channel, th2)
     return channel
 
@@ -301,7 +309,7 @@ def _answer_a1(conn, a1, cert, verifier_signing_key):
                                           cert.attester_eph_pub)
     channel = SecureChannel(conn, send_key=key_v2a, recv_key=key_a2v, peer_certificate=cert)
     _check_finished(channel, th2)
-    channel.send(wire.REC_FINISHED, th2)
+    _send_finished(channel, th2)
     return channel
 
 

@@ -124,9 +124,10 @@ def cmd_manifest_measure(args) -> int:
 
 # -- pcs ---------------------------------------------------------------------
 
-def _serve(server: FrameServer, banner: str) -> int:
+def _serve(server: FrameServer, banner: str, pool: pcs_service.PcsPool | None = None) -> int:
     """Start the server, print its banner and serve until SIGINT, which
-    stops it and exits 0, also when it arrives during the banner."""
+    stops it and exits 0, also when it arrives during the banner. The
+    server's PCS connection pool, if any, is closed once it has stopped."""
     try:
         server.start()
         print(banner)
@@ -136,6 +137,8 @@ def _serve(server: FrameServer, banner: str) -> int:
         pass
     finally:
         server.stop()
+        if pool is not None:
+            pool.close()
     return EXIT_OK
 
 
@@ -206,17 +209,15 @@ def cmd_keyserver_serve(args) -> int:
     signing_key = (crypto.signing_key(bytes.fromhex(args.signing_key_hex))
                    if args.signing_key_hex else crypto.sign_generate())
 
-    pcs_addr = _addr(args.pcs)
+    pool = pcs_service.PcsPool(_addr(args.pcs))
     host, port = _addr(args.listen)
-    server = KeyServer(
-        vault, session_policy, signing_key,
-        crl_provider=lambda pid: pcs_service.fetch_platform(pcs_addr, pid)[1],
-        host=host, port=port, audit_path=args.audit)
+    server = KeyServer(vault, session_policy, signing_key, crl_provider=pool.crl,
+                       host=host, port=port, audit_path=args.audit)
     if args.pin_out:
         with open(args.pin_out, "w", encoding="utf-8") as fh:
             fh.write(signing_key.public.hex() + "\n")
     return _serve(server, f"key server on {server.address[0]}:{server.address[1]}, "
-                          f"pin {signing_key.public.hex()}")
+                          f"pin {signing_key.public.hex()}", pool)
 
 
 # -- enclave ------------------------------------------------------------------

@@ -251,9 +251,10 @@ def workflow_demo(config: DemoConfig, log=print) -> DemoReport:
 
             session_policy = VerificationPolicy(accepted_root=pcs_db.root_public_key,
                                                 min_isv_svn=1, min_tcb_level=1)
+            pool = pcs_service.PcsPool(pcs_srv.address)
+            servers.callback(pool.close)  # after the key server has stopped
             key_srv = KeyServer(vault, session_policy, crypto.sign_generate(),
-                                crl_provider=lambda pid: pcs_service.fetch_platform(
-                                    pcs_srv.address, pid)[1],
+                                crl_provider=pool.crl,
                                 host=config.host, port=config.keyserver_port,
                                 audit_path=os.path.join(user_dir, "audit.jsonl"))
             servers.callback(key_srv.stop)

@@ -337,6 +337,32 @@ def test_pinned_v1_with_a_bad_key_is_a_handshake_io_error(env, eph_pub):
     assert info.value.kind == "io"
 
 
+def test_a_verifier_that_closes_after_a_valid_v1_is_a_handshake_io_error(env, monkeypatch):
+    a_sock, v_sock = socket.socketpair()
+    closed = threading.Event()
+
+    def pinned_verifier():
+        _, a1 = wire.recv_frame(v_sock)
+        eph = crypto.dh_generate()
+        sig = crypto.sign(env["verifier_key"].private,
+                          _SIG_CONTEXT + crypto.hash_data(a1) + eph.public)
+        wire.send_frame(v_sock, wire.HS_V1,
+                        json.dumps({"eph_pub": eph.public.hex(), "sig": sig.hex()}).encode())
+        v_sock.close()
+        closed.set()
+
+    # the attester checks V1 only once the verifier has gone, so its
+    # Finished is sent to a closed peer
+    verify = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *args: closed.wait(5) and verify(*args))
+    thread = threading.Thread(target=pinned_verifier)
+    thread.start()
+    with pytest.raises(HandshakeError) as info:
+        attester_handshake(a_sock, provider_for(env), env["verifier_key"].public)
+    thread.join()
+    assert info.value.kind == "io"
+
+
 # JSON values a hostile verifier may put in a V1 or HS_ERROR field: hex
 # strings of any length, or anything else
 PEER_FIELD = st.one_of(

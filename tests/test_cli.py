@@ -352,12 +352,12 @@ sgx.protected_file = /data
                        "--keyserver", ks_addr, "--pin-file", str(pin_file))
         assert code == 1
     finally:
-        pcs_proc.terminate()
-        if ks_proc is not None:
-            ks_proc.terminate()
-        pcs_proc.wait(timeout=10)
-        if ks_proc is not None:
-            ks_proc.wait(timeout=10)
+        procs = [p for p in (pcs_proc, ks_proc) if p is not None]
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 def test_enclave_start_cli(tmp_path, capsys):

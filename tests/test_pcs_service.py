@@ -1,6 +1,7 @@
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enclavesim import wire
+from enclavesim import pcs_service, wire
 from enclavesim.attestation import (
     PcsDatabase,
     VerificationPolicy,
@@ -17,7 +18,9 @@ from enclavesim.attestation import (
     quote_verify,
 )
 from enclavesim.pcs_service import (
+    POOL_SIZE,
     PcsClientError,
+    PcsPool,
     PcsServer,
     fetch_platform,
     identity_from_dict,
@@ -284,6 +287,182 @@ def test_stop_closes_an_open_connection(pcs_server):
         with pytest.raises((wire.ConnectionClosedError, ConnectionResetError)):
             fetch_on(conn, platform.platform_id)
         assert not conn_thread_alive(conn)
+
+
+# -- the key server's pool of PCS connections ------------------------------
+
+def wait_for_conn_threads(n: int, timeout=5.0) -> int:
+    deadline = time.monotonic() + timeout
+    while conn_threads() != n and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return conn_threads()
+
+
+def test_the_pool_fetches_over_one_connection_and_every_fetch_is_fresh(pcs_server):
+    platform, _ = register_platform(pcs_server.address, tcb_level=3)
+    pool = PcsPool(pcs_server.address)
+    try:
+        assert pool.crl(platform.platform_id).revoked == frozenset()
+        revoke_platform(pcs_server.address, platform.platform_id)
+        assert pool.crl(platform.platform_id).revoked == {platform.platform_id}
+        chain, _ = fetch_platform(pcs_server.address, platform.platform_id, pool)
+        assert chain.attestation_key_cert.subject == f"platform:{platform.platform_id.hex()}"
+        assert pool.stats() == {"connected": 1, "reused": 2, "retried": 0}
+    finally:
+        pool.close()
+
+
+def test_a_connection_the_pcs_closed_while_idle_is_retried_once(pcs_server, monkeypatch):
+    monkeypatch.setattr(wire, "IDLE_TIMEOUT", 0.3)
+    platform, _ = register_platform(pcs_server.address, tcb_level=3)
+    pool = PcsPool(pcs_server.address)
+    try:
+        pool.crl(platform.platform_id)
+        assert wait_for_conn_threads(0) == 0  # the PCS timed the pooled connection out
+        assert pool.crl(platform.platform_id).revoked == frozenset()
+        assert pool.stats() == {"connected": 2, "reused": 1, "retried": 1}
+    finally:
+        pool.close()
+
+
+def test_a_pcs_error_keeps_the_connection_and_a_bad_reply_closes_it(pcs_server):
+    pool = PcsPool(pcs_server.address)
+    try:
+        for _ in range(2):
+            with pytest.raises(PcsClientError) as info:
+                pool.crl(b"\x01" * 16)
+            assert info.value.reason == "unknown_platform"
+        assert pool.stats() == {"connected": 1, "reused": 1, "retried": 0}
+    finally:
+        pool.close()
+    srv = ScriptedPcs("127.0.0.1", 0).start()
+    pool = PcsPool(srv.address)
+    try:
+        for reply in [(wire.PCS_FETCH_RESP, b"[1]"), (wire.PCS_REVOKE_RESP, b"{}"),
+                      (wire.PCS_ERROR, b"[]")]:
+            srv.reply = reply
+            with pytest.raises(PcsClientError):
+                pool.crl(b"\x01" * 16)
+        assert pool.stats() == {"connected": 3, "reused": 0, "retried": 0}
+        assert wait_for_conn_threads(0) == 0
+    finally:
+        pool.close()
+        srv.stop()
+
+
+class HeldPcs(ScriptedPcs):
+    """Answers each request once `parties` requests are in progress."""
+
+    def __init__(self, parties: int):
+        super().__init__("127.0.0.1", 0)
+        self.barrier = threading.Barrier(parties)
+
+    def _handle(self, frame_type, payload):
+        self.barrier.wait(5)
+        return super()._handle(frame_type, payload)
+
+
+class SlowPcs(ScriptedPcs):
+    """Answers each request after `delay` s."""
+
+    delay = 0.0
+
+    def _handle(self, frame_type, payload):
+        time.sleep(self.delay)
+        return super()._handle(frame_type, payload)
+
+
+def test_the_pool_keeps_at_most_pool_size_idle_connections():
+    n = POOL_SIZE + 2
+    srv = HeldPcs(parties=n).start()
+    srv.reply = (wire.PCS_ERROR, canonical_json({"reason": "unknown_platform"}))
+    pool = PcsPool(srv.address)
+    reasons = []
+
+    def fetch():
+        try:
+            pool.crl(b"\x01" * 16)
+        except PcsClientError as exc:
+            reasons.append(exc.reason)
+
+    threads = [threading.Thread(target=fetch) for _ in range(n)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reasons == ["unknown_platform"] * n
+        # all n were open at once; the pool kept POOL_SIZE and closed the rest
+        assert pool.stats() == {"connected": n, "reused": 0, "retried": 0}
+        assert wait_for_conn_threads(POOL_SIZE) == POOL_SIZE
+    finally:
+        pool.close()
+        srv.stop()
+
+
+def test_threads_sharing_a_pool_each_get_their_own_reply(pcs_server):
+    platforms = [register_platform(pcs_server.address, tcb_level=3)[0] for _ in range(2)]
+    pool = PcsPool(pcs_server.address)
+    n, rounds, wrong, errors = 8, 20, [], []
+
+    def fetch(i):
+        try:
+            for r in range(rounds):
+                platform_id = platforms[(i + r) % 2].platform_id
+                chain, _ = fetch_platform(pcs_server.address, platform_id, pool)
+                if chain.attestation_key_cert.subject != f"platform:{platform_id.hex()}":
+                    wrong.append(i)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=fetch, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and wrong == []
+    stats = pool.stats()
+    # each fetch took one connection, a fresh one or an idle one
+    assert stats["connected"] + stats["reused"] == n * rounds
+    assert stats["retried"] == 0
+
+
+def test_a_timeout_on_a_reused_connection_is_not_retried(monkeypatch):
+    monkeypatch.setattr(wire, "CLIENT_TIMEOUT", 0.3)
+    srv = SlowPcs("127.0.0.1", 0).start()
+    srv.reply = (wire.PCS_ERROR, canonical_json({"reason": "unknown_platform"}))
+    pool = PcsPool(srv.address)
+    try:
+        with pytest.raises(PcsClientError):
+            pool.crl(b"\x01" * 16)
+        srv.delay = 1.0
+        with pytest.raises(TimeoutError):
+            pool.crl(b"\x01" * 16)
+        assert pool.stats() == {"connected": 1, "reused": 1, "retried": 0}
+    finally:
+        pool.close()
+        srv.stop()
+
+
+def test_close_leaves_no_socket_open_and_a_later_fetch_is_one_shot(pcs_server):
+    platform, _ = register_platform(pcs_server.address, tcb_level=3)
+    pool = PcsPool(pcs_server.address)
+    pool.crl(platform.platform_id)
+    idle = list(pool._idle)
+    pool.close()
+    assert [conn.fileno() for conn in idle] == [-1]
+    assert wait_for_conn_threads(0) == 0
+    assert pool.crl(platform.platform_id).revoked == frozenset()
+    assert pool._idle == [] and wait_for_conn_threads(0) == 0
+    assert pool.stats() == {"connected": 2, "reused": 0, "retried": 0}
 
 
 @pytest.fixture(scope="module")

@@ -2,15 +2,18 @@ import json
 import random
 import socket
 import threading
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enclavesim import attestation, crypto, provisioning, wire
+from enclavesim import attestation, crypto, pcs_service, provisioning, wire
 from enclavesim.attestation import PcsDatabase, VerificationPolicy, quote_generate, quote_verify
 from enclavesim.channel import ChannelError, HandshakeError
+from enclavesim.pcs_service import PcsPool, PcsServer
 from enclavesim.pfs import IntegrityError, WrongKeyError
 from enclavesim.provisioning import (
     KeyServer,
@@ -356,6 +359,143 @@ def test_a_repeat_provision_makes_two_ed25519_checks(env, server, verify_calls):
     # the fresh quote on the key server, V1 on the client; the chain, the
     # CRL and the request's second check of the quote were checked before
     assert len(verify_calls) == 2
+
+
+# -- the key server's CRL fetches over its PCS connection pool ---------------
+
+@contextmanager
+def pooled_key_server(env, pcs_addr, crl_provider=None):
+    """A key server whose CRLs come from the PCS at pcs_addr through a
+    PcsPool; `crl_provider(pool)` may wrap the pool's fetch. The pool is
+    closed after the server stops."""
+    pool = PcsPool(pcs_addr)
+    session_policy = VerificationPolicy(
+        accepted_root=env["pcs"].root_public_key, min_isv_svn=1, min_tcb_level=1)
+    srv = KeyServer(make_vault(env), session_policy, crypto.sign_generate(),
+                    crl_provider=crl_provider(pool) if crl_provider else pool.crl,
+                    now_source=lambda: NOW).start()
+    try:
+        yield srv, pool
+    finally:
+        srv.stop()
+        pool.close()
+
+
+def test_a_pcs_restart_between_two_provisions_costs_one_retry(env):
+    pcs_srv = PcsServer(env["pcs"], now_source=lambda: NOW).start()
+    port = pcs_srv.address[1]
+    try:
+        with pooled_key_server(env, pcs_srv.address) as (srv, pool):
+            assert client_request_key(srv.address, "pfs-master", provider_for(env),
+                                      srv.public_key) == SECRET
+            pcs_srv.stop()
+            pcs_srv = PcsServer(env["pcs"], port=port, now_source=lambda: NOW).start()
+            assert client_request_key(srv.address, "pfs-master", provider_for(env),
+                                      srv.public_key) == SECRET
+            # the handshake's fetch found the old connection closed and
+            # connected again; the request reused the new one
+            assert pool.stats() == {"connected": 2, "reused": 3, "retried": 1}
+    finally:
+        pcs_srv.stop()
+
+
+def test_a_failed_retry_is_crl_unavailable(env):
+    pcs_srv = PcsServer(env["pcs"], now_source=lambda: NOW).start()
+    try:
+        with pooled_key_server(env, pcs_srv.address) as (srv, pool):
+            with ProvisioningClient(srv.address, provider_for(env), srv.public_key) as client:
+                assert client.request("pfs-master") == SECRET
+                pcs_srv.stop()  # the pooled connection is closed, and so is the port
+                with pytest.raises(ProvisionDeniedError) as denied:
+                    client.request("pfs-master")
+                assert denied.value.reason == "crl_unavailable"
+            assert pool.stats() == {"connected": 1, "reused": 2, "retried": 1}
+    finally:
+        pcs_srv.stop()
+    assert [e["outcome"] for e in srv.audit_log] == ["granted", "denied:crl_unavailable"]
+
+
+@pytest.mark.parametrize("clients", [2, 4])
+def test_concurrent_provisions_across_a_revocation_over_the_wire(env, clients):
+    """Clients provision one-shot, concurrently, while the platform is
+    revoked at the PCS: every request sent gets one reply and one audit
+    record, and no request or handshake whose CRL fetch began after the
+    revocation returned is granted."""
+    pcs_srv = PcsServer(env["pcs"], now_source=lambda: NOW).start()
+    victim, chain = pcs_service.register_platform(pcs_srv.address, tcb_level=5)
+
+    def provide(report_data):
+        return quote_generate(victim, MRE, MRS, 3, report_data), chain
+
+    fetch = threading.local()  # when this connection thread's last CRL fetch began
+    records = []  # (fetch start, outcome) per audit record
+    revoked, revoked_at = threading.Event(), []
+    first_round = threading.Barrier(clients + 1)
+    outcomes, errors = [], []
+
+    def timed(pool):
+        def crl(platform_id):
+            fetch.began = time.monotonic()
+            return pool.crl(platform_id)
+        return crl
+
+    def provision(srv):
+        started = time.monotonic()
+        try:
+            secret = client_request_key(srv.address, "pfs-master", provide, srv.public_key)
+            return started, "granted" if secret == SECRET else "wrong secret"
+        except ProvisionDeniedError as exc:
+            return started, f"denied:{exc.reason}"
+        except HandshakeError as exc:
+            return started, f"refused:{exc.reason}"
+
+    def client(srv):
+        try:
+            outcomes.append(provision(srv))
+            first_round.wait(10)
+            after = 0
+            while after < 2 and len(outcomes) < 200:
+                after += revoked.is_set()
+                outcomes.append(provision(srv))
+        except Exception as exc:
+            errors.append(exc)
+
+    try:
+        with pooled_key_server(env, pcs_srv.address, timed) as (srv, pool):
+            audit = srv._audit
+
+            def recorded(quote, name, body):
+                records.append((fetch.began, body["outcome"]))
+                audit(quote, name, body)
+
+            srv._audit = recorded
+            threads = [threading.Thread(target=client, args=(srv,)) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            first_round.wait(10)
+            pcs_service.revoke_platform(pcs_srv.address, victim.platform_id)
+            revoked_at.append(time.monotonic())
+            revoked.set()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+            audit_log = list(srv.audit_log)
+            # each fetch gives its connection back before its client is answered,
+            # so the pool never needs more connections than there are clients
+            assert pool.stats()["connected"] <= clients
+            assert pool.stats()["retried"] == 0
+    finally:
+        pcs_srv.stop()
+
+    assert errors == []
+    sent = [o for _, o in outcomes if o != "refused:revoked"]
+    assert set(sent) <= {"granted", "denied:policy_mismatch"}
+    assert len(audit_log) == len(records) == len(sent)
+    assert sorted(e["outcome"] for e in audit_log) == sorted(sent)
+    assert not [o for began, o in records if began > revoked_at[0] and o == "granted"]
+    late = [o for started, o in outcomes if started > revoked_at[0]]
+    assert len(late) >= clients and "granted" not in late
+    assert "granted" in sent
 
 
 def test_bad_signatures_never_enter_the_memo(env, server):

@@ -88,16 +88,21 @@ def test_leak_scan_skips_the_user_directory_and_nothing_else(tmp_path):
 
 
 def test_the_key_server_fetches_each_crl_from_the_pcs(tmp_path, monkeypatch):
-    fetched, fetch = [], pcs_service.fetch_platform
+    fetched, pools, fetch = [], set(), pcs_service.fetch_platform
 
-    def recorded(addr, platform_id):
+    def recorded(addr, platform_id, pool=None):
         fetched.append(platform_id)
-        return fetch(addr, platform_id)
+        if pool is not None:
+            pools.add(pool)
+        return fetch(addr, platform_id, pool)
 
     monkeypatch.setattr(pcs_service, "fetch_platform", recorded)
     assert run_demo(tmp_path).ok
     # step 1, then the key server at the handshake and at the provision request
     assert len(fetched) == 3 and len(set(fetched)) == 1
+    # the key server's two fetches share one connection from its pool
+    (pool,) = pools
+    assert pool.stats() == {"connected": 1, "reused": 1, "retried": 0}
 
 
 def test_output_matches_reference_bitwise(tmp_path):
