@@ -16,7 +16,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
-from . import crypto, wire
+from . import codec, crypto
 
 QUOTE_REPORT_DATA_SIZE = 64
 QUOTE_BODY = struct.Struct(">32s32sI64s16sI")
@@ -39,24 +39,23 @@ class UnknownPlatformError(Exception):
     pass
 
 
-def _fixed_hex(value: str, size: int) -> bytes:
-    """The bytes of hex string `value`, which must encode exactly `size`."""
-    raw = bytes.fromhex(value)
-    if len(raw) != size:
-        raise ValueError(f"{len(raw)} bytes where {size} are required")
-    return raw
-
-
 class _JsonSigned:
     """A record signed over its context label followed by the canonical
-    JSON of every field of `to_dict()` except the signature."""
+    JSON of every field of its RECORD except the signature."""
 
     def signed_payload(self) -> bytes:
-        body = self.to_dict()
-        del body["signature"]
-        return self._CONTEXT + canonical_json(body)
+        return self._CONTEXT + codec.canonical_json(self.RECORD.encode(self, omit="signature"))
 
 
+SIGNATURE = codec.hexbytes(crypto.SIGNATURE_SIZE)
+PUBLIC_KEY = codec.hexbytes(32)  # an Ed25519 public key
+PLATFORM_ID = codec.hexbytes(16)
+HASH = codec.hexbytes(32)  # a measurement: mr_enclave or mr_signer
+
+
+@codec.record(("subject", codec.STR), ("issuer", codec.STR), ("public_key", PUBLIC_KEY),
+              ("not_before", codec.U64), ("not_after", codec.U64),
+              ("tcb_level", codec.optional(codec.U32)), ("signature", SIGNATURE))
 @dataclass(frozen=True)
 class Certificate(_JsonSigned):
     _CONTEXT = b"cert-v1"
@@ -69,54 +68,18 @@ class Certificate(_JsonSigned):
     tcb_level: int | None
     signature: bytes
 
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "issuer": self.issuer,
-            "public_key": self.public_key.hex(),
-            "not_before": self.not_before,
-            "not_after": self.not_after,
-            "tcb_level": self.tcb_level,
-            "signature": self.signature.hex(),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Certificate":
-        if not isinstance(d["subject"], str) or not isinstance(d["issuer"], str):
-            raise TypeError("certificate subject and issuer must be strings")
-        return cls(
-            subject=d["subject"],
-            issuer=d["issuer"],
-            public_key=bytes.fromhex(d["public_key"]),
-            not_before=int(d["not_before"]),
-            not_after=int(d["not_after"]),
-            tcb_level=None if d.get("tcb_level") is None else int(d["tcb_level"]),
-            signature=_fixed_hex(d["signature"], crypto.SIGNATURE_SIZE),
-        )
-
-
+@codec.record(("root", Certificate.RECORD), ("platform_ca", Certificate.RECORD),
+              ("attestation_key", Certificate.RECORD))
 @dataclass(frozen=True)
 class CertChain:
     root_cert: Certificate
     platform_ca_cert: Certificate
     attestation_key_cert: Certificate
 
-    def to_dict(self) -> dict:
-        return {
-            "root": self.root_cert.to_dict(),
-            "platform_ca": self.platform_ca_cert.to_dict(),
-            "attestation_key": self.attestation_key_cert.to_dict(),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CertChain":
-        return cls(
-            root_cert=Certificate.from_dict(d["root"]),
-            platform_ca_cert=Certificate.from_dict(d["platform_ca"]),
-            attestation_key_cert=Certificate.from_dict(d["attestation_key"]),
-        )
-
-
+@codec.record(("issuer", codec.STR), ("sequence", codec.U64),
+              ("revoked", codec.hexset(16)), ("signature", SIGNATURE))
 @dataclass(frozen=True)
 class Crl(_JsonSigned):
     _CONTEXT = b"crl-v1"
@@ -126,31 +89,26 @@ class Crl(_JsonSigned):
     revoked: frozenset[bytes]
     signature: bytes
 
-    def to_dict(self) -> dict:
-        return {
-            "issuer": self.issuer,
-            "sequence": self.sequence,
-            "revoked": sorted(pid.hex() for pid in self.revoked),
-            "signature": self.signature.hex(),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Crl":
-        return cls(
-            issuer=d["issuer"],
-            sequence=int(d["sequence"]),
-            revoked=frozenset(bytes.fromhex(h) for h in d["revoked"]),
-            signature=_fixed_hex(d["signature"], crypto.SIGNATURE_SIZE),
-        )
-
-
+@codec.record(("platform_id", PLATFORM_ID), ("private_key", codec.hexbytes(32)),
+              ("public_key", PUBLIC_KEY), ("tcb_level", codec.U32))
 @dataclass
 class PlatformIdentity:
-    """A registered platform: its id, private attestation key, TCB level."""
+    """A registered platform: its id, attestation key pair and TCB level.
+    public_key must be private_key's."""
 
     platform_id: bytes
-    signing_key: crypto.SigningKeyPair
+    private_key: bytes
+    public_key: bytes
     tcb_level: int
+
+    def __post_init__(self):
+        if self.signing_key != crypto.signing_key(self.private_key):
+            raise ValueError("public_key is not the private key's")
+
+    @property
+    def signing_key(self) -> crypto.SigningKeyPair:
+        return crypto.SigningKeyPair(self.private_key, self.public_key)
 
 
 @dataclass(frozen=True)
@@ -183,9 +141,14 @@ class Quote:
                    tcb, raw[QUOTE_BODY.size:])
 
 
+@codec.record(("accepted_root", PUBLIC_KEY), ("expected_mr_enclave", codec.optional(HASH)),
+              ("expected_mr_signer", codec.optional(HASH)), ("min_isv_svn", codec.U32),
+              ("min_tcb_level", codec.U32))
 @dataclass(frozen=True)
 class VerificationPolicy:
-    """What a verifier demands of a quote. None means "any"."""
+    """What a verifier demands of a quote. None means "any". A value that
+    its record cannot hold (a hash that is not 32 bytes, a minimum outside
+    u32) is a ValueError here, so no policy that can never match is built."""
 
     accepted_root: bytes
     expected_mr_enclave: bytes | None = None
@@ -193,28 +156,8 @@ class VerificationPolicy:
     min_isv_svn: int = 0
     min_tcb_level: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "accepted_root": self.accepted_root.hex(),
-            "expected_mr_enclave":
-                None if self.expected_mr_enclave is None else self.expected_mr_enclave.hex(),
-            "expected_mr_signer":
-                None if self.expected_mr_signer is None else self.expected_mr_signer.hex(),
-            "min_isv_svn": self.min_isv_svn,
-            "min_tcb_level": self.min_tcb_level,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationPolicy":
-        def opt(h):
-            return None if h is None else bytes.fromhex(h)
-        return cls(
-            accepted_root=bytes.fromhex(d["accepted_root"]),
-            expected_mr_enclave=opt(d.get("expected_mr_enclave")),
-            expected_mr_signer=opt(d.get("expected_mr_signer")),
-            min_isv_svn=int(d.get("min_isv_svn", 0)),
-            min_tcb_level=int(d.get("min_tcb_level", 0)),
-        )
+    def __post_init__(self):
+        self.RECORD.encode(self)
 
 
 @dataclass
@@ -225,10 +168,6 @@ class VerificationResult:
 
     def __post_init__(self):
         assert self.ok == (self.failure_reason is None)
-
-
-def canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def replace_atomically(path, write) -> None:
@@ -256,13 +195,11 @@ def platform_subject(platform_id: bytes) -> str:
 
 
 def subject_platform_id(subject: str) -> bytes | None:
-    if not subject.startswith("platform:"):
-        return None
+    prefix, _, pid = subject.partition(":")
     try:
-        pid = bytes.fromhex(subject[len("platform:"):])
+        return PLATFORM_ID.decode(pid) if prefix == "platform" else None
     except ValueError:
         return None
-    return pid if len(pid) == 16 else None
 
 
 def _sign(unsigned, private_key: bytes):
@@ -348,10 +285,8 @@ class PcsDatabase:
     def register(self, tcb_level: int, now: int) -> tuple[PlatformIdentity, CertChain]:
         """Enroll a new platform; returns its identity (with the private
         attestation key, which the registry does not retain) and the chain.
-        tcb_level must be an integer that fits the quote's u32 field."""
-        if isinstance(tcb_level, bool) or not isinstance(tcb_level, int) \
-                or not 0 <= tcb_level <= 0xFFFFFFFF:
-            raise ValueError(f"tcb_level must be an integer in 0..2**32-1, got {tcb_level!r}")
+        A tcb_level that the leaf's u32 field cannot hold is a ValueError
+        when the leaf is signed, before anything is registered."""
         with self._lock:
             while True:
                 platform_id = os.urandom(16)
@@ -363,7 +298,7 @@ class PcsDatabase:
                           tcb_level=tcb_level)
             chain = CertChain(self.root_cert, self.ca_cert, leaf)
             self.platforms[platform_id] = chain
-            return PlatformIdentity(platform_id, key, tcb_level), chain
+            return PlatformIdentity(platform_id, key.private, key.public, tcb_level), chain
 
     def fetch(self, platform_id: bytes) -> tuple[CertChain, Crl]:
         with self._lock:
@@ -386,47 +321,20 @@ class PcsDatabase:
 
     # -- persistence --
 
-    def to_dict(self) -> dict:
-        def platform(chain: CertChain) -> dict:
-            leaf = chain.attestation_key_cert
-            return {"public_key": leaf.public_key.hex(), "tcb_level": leaf.tcb_level,
-                    "chain": chain.to_dict()}
-
-        crl = self._crl.to_dict()
-        return {
-            "root_key": {"private": self.root_key.private.hex(),
-                         "public": self.root_key.public.hex()},
-            "ca_key": {"private": self.ca_key.private.hex(),
-                       "public": self.ca_key.public.hex()},
-            "root_cert": self.root_cert.to_dict(),
-            "ca_cert": self.ca_cert.to_dict(),
-            "created_at": self.created_at,
-            "platforms": {pid.hex(): platform(chain) for pid, chain in self.platforms.items()},
-            "revoked": crl["revoked"],
-            "crl_sequence": crl["sequence"],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PcsDatabase":
-        db = cls(
-            root_key=crypto.signing_key(bytes.fromhex(d["root_key"]["private"])),
-            ca_key=crypto.signing_key(bytes.fromhex(d["ca_key"]["private"])),
-            root_cert=Certificate.from_dict(d["root_cert"]),
-            ca_cert=Certificate.from_dict(d["ca_cert"]),
-            created_at=int(d["created_at"]),
-        )
-        db.platforms = {bytes.fromhex(pid_hex): CertChain.from_dict(rec["chain"])
-                        for pid_hex, rec in d["platforms"].items()}
-        db._crl = _sign(Crl(CA_SUBJECT, int(d["crl_sequence"]),
-                            frozenset(bytes.fromhex(h) for h in d["revoked"]), b""),
-                        db.ca_key.private)
-        return db
+    def _fields(self) -> dict:
+        """This registry as the fields of its file, DATABASE_FILE."""
+        return {"root_key": self.root_key, "ca_key": self.ca_key, "root_cert": self.root_cert,
+                "ca_cert": self.ca_cert, "created_at": self.created_at,
+                "platforms": {pid: {"public_key": chain.attestation_key_cert.public_key,
+                                    "tcb_level": chain.attestation_key_cert.tcb_level,
+                                    "chain": chain} for pid, chain in self.platforms.items()},
+                "revoked": self._crl.revoked, "crl_sequence": self._crl.sequence}
 
     def save(self, path) -> None:
         """Atomic, and under the lock so concurrent savers never interleave."""
         def write(tmp):
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+                json.dump(DATABASE_FILE.encode(self._fields()), fh, indent=2, sort_keys=True)
                 fh.write("\n")
 
         with self._lock:
@@ -434,8 +342,31 @@ class PcsDatabase:
 
     @classmethod
     def load(cls, path) -> "PcsDatabase":
+        """The registry in file `path`, which must hold exactly what `save`
+        writes for it: each copy it holds (a public key, a platform's id,
+        key and TCB level) must equal what it copies."""
         with open(path, "rb") as fh:
-            return cls.from_dict(wire.read_json(fh.read()))
+            d = codec.load(DATABASE_FILE, fh.read())
+        db = cls(crypto.signing_key(d["root_key"].private),
+                 crypto.signing_key(d["ca_key"].private), d["root_cert"], d["ca_cert"],
+                 d["created_at"])
+        db.platforms = {subject_platform_id(rec["chain"].attestation_key_cert.subject):
+                        rec["chain"] for rec in d["platforms"].values()}
+        db._crl = _sign(Crl(CA_SUBJECT, d["crl_sequence"], d["revoked"], b""),
+                        db.ca_key.private)
+        if db._fields() != d:
+            raise ValueError("a copy in the file differs from what it copies")
+        return db
+
+
+_KEY_PAIR = codec.Record(("private", codec.hexbytes(32)), ("public", PUBLIC_KEY),
+                         cls=crypto.SigningKeyPair)
+DATABASE_FILE = codec.Record(
+    ("root_key", _KEY_PAIR), ("ca_key", _KEY_PAIR), ("root_cert", Certificate.RECORD),
+    ("ca_cert", Certificate.RECORD), ("created_at", codec.U64),
+    ("platforms", codec.mapping(PLATFORM_ID, codec.Record(
+        ("public_key", PUBLIC_KEY), ("tcb_level", codec.U32), ("chain", CertChain.RECORD)))),
+    ("revoked", codec.hexset(16)), ("crl_sequence", codec.U64))
 
 
 # -- quotes -------------------------------------------------------------

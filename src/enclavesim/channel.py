@@ -21,21 +21,20 @@ import struct
 from dataclasses import dataclass
 from typing import Callable
 
-from . import crypto, wire
+from . import codec, crypto, wire
 from .attestation import (
+    QUOTE_SIZE,
+    SIGNATURE,
     CertChain,
     Crl,
     Quote,
     VerificationPolicy,
-    _fixed_hex,
-    canonical_json,
     quote_verify,
 )
 
 RATLS_BIND_LABEL = b"ratls-bind-v1"
 _SIG_CONTEXT = b"ratls-v1-sig"
-_OUT_OF_ORDER_WINDOW = 32
-EPH_PUB_SIZE = 32  # an X25519 public key
+EPH_PUB = codec.hexbytes(32)  # an X25519 public key
 
 QuoteProvider = Callable[[bytes], tuple[Quote, CertChain]]
 
@@ -52,13 +51,15 @@ class HandshakeError(Exception):
 
 
 class ChannelError(Exception):
-    """kind: replay | out_of_order | auth | closed"""
+    """kind: auth | closed"""
 
     def __init__(self, kind: str, detail: str = ""):
         self.kind = kind
         super().__init__(f"{kind}: {detail}" if detail else kind)
 
 
+@codec.record(("eph_pub", EPH_PUB), ("quote", codec.packed(Quote, QUOTE_SIZE)),
+              ("chain", CertChain.RECORD))
 @dataclass(frozen=True)
 class AttestationCertificate:
     """The A1 message: ephemeral public key, a quote whose report_data
@@ -68,36 +69,17 @@ class AttestationCertificate:
     quote: Quote
     cert_chain: CertChain
 
-    def encode(self) -> bytes:
-        return canonical_json({
-            "eph_pub": self.attester_eph_pub.hex(),
-            "quote": self.quote.pack().hex(),
-            "chain": self.cert_chain.to_dict(),
-        })
 
-    @classmethod
-    def decode(cls, payload: bytes) -> "AttestationCertificate":
-        return _read_peer_json(payload, "certificate", lambda d: cls(
-            attester_eph_pub=_fixed_hex(d["eph_pub"], EPH_PUB_SIZE),
-            quote=Quote.unpack(bytes.fromhex(d["quote"])),
-            cert_chain=CertChain.from_dict(d["chain"]),
-        ))
+V1 = codec.Record(("eph_pub", EPH_PUB), ("sig", SIGNATURE))
+HS_ERROR = codec.Record(("kind", codec.STR), ("reason", codec.optional(codec.STR)))
 
 
-def _read_peer_json(payload: bytes, what: str, read):
-    """read(parsed JSON payload); every malformed peer message becomes
-    HandshakeError("io") so no decoder error escapes a handshake."""
+def _read_peer(record, payload: bytes, what: str):
+    """`payload` decoded as `record`; a malformed one is HandshakeError("io")."""
     try:
-        return read(wire.read_json(payload))
+        return codec.unpack(record, payload)
     except wire.DECODE_ERRORS as exc:
         raise HandshakeError("io", f"malformed {what}: {exc}")
-
-
-def _hs_error_fields(d: dict) -> tuple[str, str | None]:
-    kind, reason = d.get("kind", "io"), d.get("reason")
-    if not isinstance(kind, str) or not (reason is None or isinstance(reason, str)):
-        raise TypeError("HS_ERROR kind or reason is not a string")
-    return kind, reason
 
 
 def bind_report_data(eph_pub: bytes) -> bytes:
@@ -188,35 +170,14 @@ class SecureChannel:
             raise ChannelError("closed", "peer closed the connection")
         except OSError as exc:
             raise ChannelError("closed", str(exc))
+        nonce = self._recv_seq.to_bytes(12, "big")
+        aad = bytes([record_type]) + struct.pack(">Q", self._recv_seq)
         try:
-            payload = self._open(record_type, sealed, self._recv_seq)
+            payload = crypto.aead_open(self._recv_key, nonce, aad, sealed)
         except crypto.AuthError:
-            raise self._classify_failure(record_type, sealed)
+            raise ChannelError("auth", "record failed authentication")
         self._recv_seq += 1
         return record_type, payload
-
-    def _open(self, record_type: int, sealed: bytes, seq: int) -> bytes:
-        nonce = seq.to_bytes(12, "big")
-        aad = bytes([record_type]) + struct.pack(">Q", seq)
-        return crypto.aead_open(self._recv_key, nonce, aad, sealed)
-
-    def _classify_failure(self, record_type: int, sealed: bytes) -> ChannelError:
-        # no plaintext sequence number on the record, so probe the window on
-        # both sides: decrypting under an old counter means a replay, under a
-        # near-future one a reordered record, otherwise plain tampering
-        expected = self._recv_seq
-        for seq in range(max(0, expected - _OUT_OF_ORDER_WINDOW),
-                         expected + _OUT_OF_ORDER_WINDOW + 1):
-            if seq == expected:
-                continue
-            try:
-                self._open(record_type, sealed, seq)
-            except crypto.AuthError:
-                continue
-            if seq < expected:
-                return ChannelError("replay", f"record for sequence {seq} seen again")
-            return ChannelError("out_of_order", f"expected sequence {expected}, got {seq}")
-        return ChannelError("auth", "record failed authentication")
 
     def close(self) -> None:
         if not self._closed:
@@ -240,14 +201,15 @@ def _attester_handshake(conn: socket.socket, quote_provider: QuoteProvider,
                         verifier_pin: bytes) -> SecureChannel:
     eph = crypto.dh_generate()
     quote, chain = quote_provider(bind_report_data(eph.public))
-    a1 = AttestationCertificate(eph.public, quote, chain).encode()
+    a1 = codec.pack(AttestationCertificate.RECORD,
+                    AttestationCertificate(eph.public, quote, chain))
     _send_handshake(conn, wire.HS_A1, a1)
     frame_type, payload = _recv_handshake(conn, wire.HS_V1, wire.HS_ERROR)
     if frame_type == wire.HS_ERROR:
-        raise HandshakeError(*_read_peer_json(payload, "HS_ERROR", _hs_error_fields))
+        raise HandshakeError(**_read_peer(HS_ERROR, payload, "HS_ERROR"))
 
-    verifier_eph_pub, sig = _read_peer_json(payload, "V1", lambda d: (
-        _fixed_hex(d["eph_pub"], EPH_PUB_SIZE), _fixed_hex(d["sig"], crypto.SIGNATURE_SIZE)))
+    v1 = _read_peer(V1, payload, "V1")
+    verifier_eph_pub, sig = v1["eph_pub"], v1["sig"]
     th1 = crypto.hash_data(a1)
     if not crypto.verify(verifier_pin, _SIG_CONTEXT + th1 + verifier_eph_pub, sig):
         raise HandshakeError("peer_auth_failed",
@@ -283,7 +245,7 @@ def verifier_handshake(conn: socket.socket, policy: VerificationPolicy,
 
 def _verify_a1(conn, policy, crl_provider, now):
     _, a1 = _recv_handshake(conn, wire.HS_A1)
-    cert = AttestationCertificate.decode(a1)
+    cert = _read_peer(AttestationCertificate.RECORD, a1, "certificate")
     try:
         crl = crl_provider(cert.quote.platform_id)
     except Exception as exc:
@@ -302,8 +264,7 @@ def _answer_a1(conn, a1, cert, verifier_signing_key):
     eph = crypto.dh_generate()
     th1 = crypto.hash_data(a1)
     sig = crypto.sign(verifier_signing_key.private, _SIG_CONTEXT + th1 + eph.public)
-    v1 = canonical_json({"eph_pub": eph.public.hex(), "sig": sig.hex()})
-    _send_handshake(conn, wire.HS_V1, v1)
+    _send_handshake(conn, wire.HS_V1, codec.pack(V1, {"eph_pub": eph.public, "sig": sig}))
     # X25519 after V1, so it overlaps the attester's signature check
     th2, key_a2v, key_v2a = _key_schedule(th1, eph.public, sig, eph.private,
                                           cert.attester_eph_pub)
@@ -315,7 +276,8 @@ def _answer_a1(conn, a1, cert, verifier_signing_key):
 
 def _send_hs_error(conn: socket.socket, kind: str, reason: str | None) -> None:
     try:
-        wire.send_frame(conn, wire.HS_ERROR, canonical_json({"kind": kind, "reason": reason}))
+        wire.send_frame(conn, wire.HS_ERROR,
+                        codec.pack(HS_ERROR, {"kind": kind, "reason": reason}))
     except OSError:
         pass
 

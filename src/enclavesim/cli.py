@@ -11,12 +11,11 @@ exits 1 when a node fails to authenticate.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 
-from . import pcs_service, pfs
+from . import codec, pcs_service, pfs
 from .attestation import PcsDatabase, VerificationPolicy
 from .enclave import WorkloadSpec, enclave_start
 from .manifest import (
@@ -28,7 +27,7 @@ from .manifest import (
     sign_manifest,
 )
 from .provisioning import KeyServer, KeyVault, vault_load, vault_save
-from .wire import FrameServer, read_json
+from .wire import FrameServer
 from .workflow import EXIT_OK, FAULTS, DemoConfig, exit_code, parse_config, workflow_demo
 
 
@@ -160,9 +159,7 @@ def cmd_pcs_register(args) -> int:
     print(f"platform_id: {platform.platform_id.hex()}")
     print(f"root_key: {chain.root_cert.public_key.hex()}")
     if args.identity_out:
-        with open(args.identity_out, "w", encoding="utf-8") as fh:
-            json.dump(pcs_service.identity_to_dict(platform, chain), fh, indent=2)
-            fh.write("\n")
+        pcs_service.save_identity(args.identity_out, platform, chain)
         print(f"identity written to {args.identity_out}")
     return EXIT_OK
 
@@ -238,10 +235,9 @@ def cmd_enclave_start(args) -> int:
 
 def cmd_enclave_run(args) -> int:
     final = _load_final(args.manifest)
-    with open(args.identity, "rb") as fh:
-        platform, chain = pcs_service.identity_from_dict(read_json(fh.read()))
+    platform, chain = pcs_service.load_identity(args.identity)
     instance = enclave_start(final, args.root, platform=platform, cert_chain=chain)
-    workload = WorkloadSpec.from_json(instance.read_file(args.workload))
+    workload = codec.load(WorkloadSpec.RECORD, instance.read_file(args.workload))
     with open(args.pin_file, encoding="utf-8") as fh:
         pin = bytes.fromhex(fh.read().strip())
     instance.provision(_addr(args.keyserver), pin, workload.key_name)

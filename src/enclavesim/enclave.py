@@ -25,7 +25,7 @@ import os
 import struct
 from dataclasses import dataclass
 
-from . import crypto, wire
+from . import codec, crypto
 from .attestation import CertChain, PlatformIdentity, Quote, quote_generate
 from .manifest import (
     FinalManifest,
@@ -73,6 +73,8 @@ class RunError(Exception):
         super().__init__(f"{msg} ({detail})" if detail else msg)
 
 
+@codec.record(("kind", codec.STR), ("model_path", codec.STR), ("input_path", codec.STR),
+              ("output_path", codec.STR), ("key_name", codec.STR))
 @dataclass
 class WorkloadSpec:
     kind: str
@@ -82,18 +84,7 @@ class WorkloadSpec:
     key_name: str
 
     def to_json(self) -> bytes:
-        return json.dumps({
-            "kind": self.kind, "model_path": self.model_path,
-            "input_path": self.input_path, "output_path": self.output_path,
-            "key_name": self.key_name,
-        }, sort_keys=True, indent=2).encode("utf-8") + b"\n"
-
-    @classmethod
-    def from_json(cls, data: bytes) -> "WorkloadSpec":
-        d = wire.read_json(data)
-        return cls(kind=d["kind"], model_path=d["model_path"],
-                   input_path=d["input_path"], output_path=d["output_path"],
-                   key_name=d["key_name"])
+        return json.dumps(self.RECORD.encode(self), sort_keys=True, indent=2).encode() + b"\n"
 
 
 @dataclass

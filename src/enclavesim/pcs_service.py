@@ -5,19 +5,29 @@ Payloads are JSON; message types and schemas in WIRE.md.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
 
-from . import crypto, wire
+from . import codec, wire
 from .attestation import (
+    PLATFORM_ID,
     CertChain,
     Crl,
     PcsDatabase,
     PlatformIdentity,
     UnknownPlatformError,
-    canonical_json,
 )
+
+PLATFORM_REQ = codec.Record(("platform_id", PLATFORM_ID))  # PCS_FETCH_REQ, PCS_REVOKE_REQ
+REGISTER_REQ = codec.Record(("tcb_level", codec.U32))
+FETCH_RESP = codec.Record(("chain", CertChain.RECORD), ("crl", Crl.RECORD))
+REVOKE_RESP = codec.Record(("crl", Crl.RECORD))
+PCS_ERROR = codec.Record(("reason", codec.STR))
+# PCS_REGISTER_RESP and the identity file; it holds the private attestation
+# key, which belongs on the platform owner's side only
+IDENTITY = codec.Record(("platform", PlatformIdentity.RECORD), ("chain", CertChain.RECORD))
 
 
 class PcsServer(wire.FrameServer):
@@ -35,26 +45,25 @@ class PcsServer(wire.FrameServer):
 
     def _handle(self, frame_type: int, payload: bytes) -> tuple[int, bytes]:
         if frame_type not in (wire.PCS_FETCH_REQ, wire.PCS_REGISTER_REQ, wire.PCS_REVOKE_REQ):
-            return wire.PCS_ERROR, canonical_json({"reason": "bad_type"})
+            return wire.PCS_ERROR, codec.pack(PCS_ERROR, {"reason": "bad_type"})
         try:
-            request = wire.read_json(payload)
             if frame_type == wire.PCS_FETCH_REQ:
-                chain, crl = self.db.fetch(bytes.fromhex(request["platform_id"]))
-                return wire.PCS_FETCH_RESP, canonical_json(
-                    {"chain": chain.to_dict(), "crl": crl.to_dict()})
+                chain, crl = self.db.fetch(codec.unpack(PLATFORM_REQ, payload)["platform_id"])
+                return wire.PCS_FETCH_RESP, codec.pack(FETCH_RESP, {"chain": chain, "crl": crl})
             if frame_type == wire.PCS_REGISTER_REQ:
-                platform, chain = self.db.register(request.get("tcb_level", 0),
-                                                   now=int(self.now_source()))
+                platform, chain = self.db.register(
+                    codec.unpack(REGISTER_REQ, payload)["tcb_level"], now=int(self.now_source()))
                 self._persist()
-                return wire.PCS_REGISTER_RESP, canonical_json(identity_to_dict(platform, chain))
-            crl = self.db.revoke(bytes.fromhex(request["platform_id"]))
+                return wire.PCS_REGISTER_RESP, codec.pack(IDENTITY,
+                                                          {"platform": platform, "chain": chain})
+            crl = self.db.revoke(codec.unpack(PLATFORM_REQ, payload)["platform_id"])
             self._persist()
-            return wire.PCS_REVOKE_RESP, canonical_json({"crl": crl.to_dict()})
+            return wire.PCS_REVOKE_RESP, codec.pack(REVOKE_RESP, {"crl": crl})
         except UnknownPlatformError:
             reason = "unknown_platform"
         except wire.DECODE_ERRORS:
             reason = "bad_request"
-        return wire.PCS_ERROR, canonical_json({"reason": reason})
+        return wire.PCS_ERROR, codec.pack(PCS_ERROR, {"reason": reason})
 
     def _persist(self) -> None:
         if self.db_path is not None:
@@ -130,15 +139,13 @@ def _connect(addr, pool: PcsPool | None) -> socket.socket:
     return conn
 
 
-def _request(addr, frame_type: int, body: dict, expect: int, read,
-             pool: PcsPool | None = None):
-    """read(decoded reply) for a reply of type `expect`; PcsClientError with
-    the server's reason for a PCS_ERROR, or with "bad_response" for a reply
-    that does not decode. Without a pool the connection is one-shot; with
-    one it comes from the pool when one is idle, is retried once on a fresh
-    connection when the PCS has closed it, and goes back to the pool after
-    a reply that decodes."""
-    request = canonical_json(body)
+def _request(addr, frame_type: int, request: bytes, reply, pool: PcsPool | None = None):
+    """The reply to a request of `frame_type`, decoded as kind `reply`;
+    PcsClientError with the server's reason for a PCS_ERROR, or with
+    "bad_response" for a reply that does not decode. Without a pool the
+    connection is one-shot; with one it comes from the pool when one is
+    idle, is retried once on a fresh connection when the PCS has closed it,
+    and goes back to the pool after a reply that decodes."""
     conn = pool._take() if pool is not None else None
     reused = conn is not None
     if not reused:
@@ -155,7 +162,13 @@ def _request(addr, frame_type: int, body: dict, expect: int, read,
             conn = _connect(addr, pool)
             wire.send_frame(conn, frame_type, request)
             got_type, payload = wire.recv_frame(conn)
-        value, reason = _read_reply(got_type, payload, expect, read)
+        # each reply type is its request type plus one (WIRE.md § Frame types)
+        if got_type not in (frame_type + 1, wire.PCS_ERROR):
+            raise PcsClientError(f"unexpected response type {got_type:#x}")
+        try:
+            value = codec.unpack(PCS_ERROR if got_type == wire.PCS_ERROR else reply, payload)
+        except wire.DECODE_ERRORS:
+            raise PcsClientError("bad_response") from None
     except BaseException:
         conn.close()
         raise
@@ -163,68 +176,39 @@ def _request(addr, frame_type: int, body: dict, expect: int, read,
         pool._give_back(conn)
     else:
         conn.close()
-    if reason is not None:
-        raise PcsClientError(reason)
+    if got_type == wire.PCS_ERROR:
+        raise PcsClientError(value["reason"])
     return value
-
-
-def _read_reply(got_type: int, payload: bytes, expect: int, read):
-    """(read(reply), None) for a reply of type `expect`, (None, reason) for
-    a PCS_ERROR; PcsClientError for any other type or a reply that does not
-    decode."""
-    if got_type not in (expect, wire.PCS_ERROR):
-        raise PcsClientError(f"unexpected response type {got_type:#x}")
-    try:
-        response = wire.read_json(payload)
-        if got_type == expect:
-            return read(response), None
-        reason = response.get("reason", "unknown")
-        if not isinstance(reason, str):
-            raise TypeError("PCS_ERROR reason is not a string")
-    except wire.DECODE_ERRORS:
-        raise PcsClientError("bad_response") from None
-    return None, reason
 
 
 def fetch_platform(addr, platform_id: bytes,
                    pool: PcsPool | None = None) -> tuple[CertChain, Crl]:
     """The platform's chain and current CRL; over an idle connection of
     `pool`, a PcsPool for `addr`, when one is given."""
-    return _request(addr, wire.PCS_FETCH_REQ, {"platform_id": platform_id.hex()},
-                    wire.PCS_FETCH_RESP,
-                    lambda r: (CertChain.from_dict(r["chain"]), Crl.from_dict(r["crl"])),
-                    pool)
-
-
-def identity_to_dict(platform: PlatformIdentity, chain: CertChain) -> dict:
-    """Platform identity + chain as one JSON-able blob (holds the private
-    attestation key: it belongs on the platform owner's side only)."""
-    return {
-        "platform": {
-            "platform_id": platform.platform_id.hex(),
-            "private_key": platform.signing_key.private.hex(),
-            "public_key": platform.signing_key.public.hex(),
-            "tcb_level": platform.tcb_level,
-        },
-        "chain": chain.to_dict(),
-    }
-
-
-def identity_from_dict(d: dict) -> tuple[PlatformIdentity, CertChain]:
-    p = d["platform"]
-    identity = PlatformIdentity(
-        platform_id=bytes.fromhex(p["platform_id"]),
-        signing_key=crypto.signing_key(bytes.fromhex(p["private_key"])),
-        tcb_level=int(p["tcb_level"]),
-    )
-    return identity, CertChain.from_dict(d["chain"])
+    reply = _request(addr, wire.PCS_FETCH_REQ,
+                     codec.pack(PLATFORM_REQ, {"platform_id": platform_id}), FETCH_RESP, pool)
+    return reply["chain"], reply["crl"]
 
 
 def register_platform(addr, tcb_level: int) -> tuple[PlatformIdentity, CertChain]:
-    return _request(addr, wire.PCS_REGISTER_REQ, {"tcb_level": tcb_level},
-                    wire.PCS_REGISTER_RESP, identity_from_dict)
+    identity = _request(addr, wire.PCS_REGISTER_REQ,
+                        codec.pack(REGISTER_REQ, {"tcb_level": tcb_level}), IDENTITY)
+    return identity["platform"], identity["chain"]
 
 
 def revoke_platform(addr, platform_id: bytes) -> Crl:
-    return _request(addr, wire.PCS_REVOKE_REQ, {"platform_id": platform_id.hex()},
-                    wire.PCS_REVOKE_RESP, lambda r: Crl.from_dict(r["crl"]))
+    return _request(addr, wire.PCS_REVOKE_REQ,
+                    codec.pack(PLATFORM_REQ, {"platform_id": platform_id}), REVOKE_RESP)["crl"]
+
+
+def save_identity(path, platform: PlatformIdentity, chain: CertChain) -> None:
+    """The identity file that `pcs register --identity-out` writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(IDENTITY.encode({"platform": platform, "chain": chain}), fh, indent=2)
+        fh.write("\n")
+
+
+def load_identity(path) -> tuple[PlatformIdentity, CertChain]:
+    with open(path, "rb") as fh:
+        identity = codec.load(IDENTITY, fh.read())
+    return identity["platform"], identity["chain"]

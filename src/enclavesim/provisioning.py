@@ -19,8 +19,8 @@ import threading
 import time
 from collections import deque
 
-from . import crypto, wire
-from .attestation import VerificationPolicy, canonical_json, quote_verify, replace_atomically
+from . import codec, crypto, wire
+from .attestation import VerificationPolicy, quote_verify, replace_atomically
 from .channel import QuoteProvider, SecureChannel, attester_handshake, verifier_handshake
 from .pfs import ProtectedFile, read_uuid
 
@@ -28,6 +28,15 @@ VAULT_LABEL = "keyvault"
 MAX_SECRET_NAME = 128
 MAX_SECRET_SIZE = 4096
 AUDIT_LOG_LEN = 1024  # newest records KeyServer.audit_log keeps; audit_path keeps every one
+
+SECRET = codec.hexbytes(1, MAX_SECRET_SIZE)
+PROVISION_REQ = codec.Record(("name", codec.STR))
+PROVISION_RESP = codec.one_of(
+    codec.Record(("outcome", codec.const("granted")), ("secret", SECRET)),
+    codec.Record(("outcome", codec.const("denied")), ("reason", codec.STR)))
+# the vault body: each secret with its release policy
+VAULT = codec.Record(("secrets", codec.mapping(codec.STR, codec.Record(
+    ("secret", SECRET), ("policy", VerificationPolicy.RECORD)))))
 
 
 class VaultError(Exception):
@@ -68,25 +77,22 @@ class KeyVault:
     def __len__(self) -> int:
         return len(self._secrets)
 
-    def to_json(self) -> bytes:
-        body = {
-            "secrets": {
-                name: {"secret": rec["secret"].hex(), "policy": rec["policy"].to_dict()}
-                for name, rec in self._secrets.items()
-            }
-        }
-        return canonical_json(body)
 
-    @classmethod
-    def from_json(cls, data: bytes) -> "KeyVault":
-        vault = cls()
-        try:
-            for name, rec in wire.read_json(data)["secrets"].items():
-                vault.add_secret(name, bytes.fromhex(rec["secret"]),
-                                 VerificationPolicy.from_dict(rec["policy"]))
-        except wire.DECODE_ERRORS as exc:
-            raise VaultError(f"malformed vault body: {exc}")
-        return vault
+def vault_body(vault: KeyVault) -> bytes:
+    """The plaintext of the vault file: the VAULT record as canonical JSON."""
+    return codec.pack(VAULT, {"secrets": vault._secrets})
+
+
+def read_vault_body(body: bytes) -> KeyVault:
+    """The vault of plaintext `body`; VaultError for one that is not a VAULT record."""
+    try:
+        secrets = codec.load(VAULT, body)["secrets"]
+    except wire.DECODE_ERRORS as exc:
+        raise VaultError(f"malformed vault body: {exc}")
+    vault = KeyVault()
+    for name, rec in secrets.items():
+        vault.add_secret(name, rec["secret"], rec["policy"])
+    return vault
 
 
 def _vault_key(passphrase: str, salt: bytes) -> bytes:
@@ -102,17 +108,17 @@ def vault_save(vault: KeyVault, path, passphrase: str) -> None:
     def write(tmp):
         with ProtectedFile.create(tmp, VAULT_LABEL, _vault_key(passphrase, salt),
                                   file_uuid=salt) as pf:
-            pf.write(0, vault.to_json())
+            pf.write(0, vault_body(vault))
 
     replace_atomically(path, write)
 
 
 def vault_load(path, passphrase: str) -> KeyVault:
     """Raises WrongKeyError on a bad passphrase, IntegrityError on a
-    tampered container."""
+    tampered container, VaultError on a body that is not a VAULT record."""
     salt = read_uuid(path)
     with ProtectedFile.open(path, VAULT_LABEL, _vault_key(passphrase, salt)) as pf:
-        return KeyVault.from_json(pf.read(0, pf.size))
+        return read_vault_body(pf.read(0, pf.size))
 
 
 class KeyServer(wire.FrameServer):
@@ -157,15 +163,13 @@ class KeyServer(wire.FrameServer):
             return None
         cert = channel.peer_certificate
         try:
-            name = wire.read_json(payload)["name"]
-            if not isinstance(name, str):
-                raise TypeError("secret name is not a string")
+            name = codec.unpack(PROVISION_REQ, payload)["name"]
         except wire.DECODE_ERRORS:
             name, body = None, {"outcome": "denied", "reason": "bad_request"}
         else:
             body = self._evaluate(name, cert)
         self._audit(cert.quote, name, body)
-        return wire.REC_PROVISION_RESP, canonical_json(body)
+        return wire.REC_PROVISION_RESP, codec.pack(PROVISION_RESP, body)
 
     def _evaluate(self, name: str, cert) -> dict:
         record = self.vault.get(name)
@@ -180,7 +184,7 @@ class KeyServer(wire.FrameServer):
                              int(self.now_source()))
         if not check.ok:
             return {"outcome": "denied", "reason": "policy_mismatch"}
-        return {"outcome": "granted", "secret": record["secret"].hex()}
+        return {"outcome": "granted", "secret": record["secret"]}
 
     def _audit(self, quote, name: str | None, body: dict) -> None:
         entry = {
@@ -209,20 +213,18 @@ class ProvisioningClient:
         """The secret, or ProvisionDeniedError with the server's reason, or
         with "bad_response" for a reply that is not a PROVISION_RESP of
         WIRE.md's form."""
-        self.channel.send(wire.REC_PROVISION_REQ, canonical_json({"name": secret_name}))
+        self.channel.send(wire.REC_PROVISION_REQ,
+                          codec.pack(PROVISION_REQ, {"name": secret_name}))
         record_type, payload = self.channel.recv()
         if record_type != wire.REC_PROVISION_RESP:
             raise ProvisionDeniedError("bad_response")
         try:
-            body = wire.read_json(payload)
-            if body["outcome"] == "granted":
-                return bytes.fromhex(body["secret"])
-            reason = body["reason"]
-            if body["outcome"] != "denied" or not isinstance(reason, str):
-                raise TypeError("not a denial with a string reason")
+            body = codec.unpack(PROVISION_RESP, payload)
         except wire.DECODE_ERRORS:
             raise ProvisionDeniedError("bad_response") from None
-        raise ProvisionDeniedError(reason)
+        if body["outcome"] == "granted":
+            return body["secret"]
+        raise ProvisionDeniedError(body["reason"])
 
     def close(self) -> None:
         self.channel.close()

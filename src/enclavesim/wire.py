@@ -42,10 +42,10 @@ PCS_REVOKE_RESP = 0x35
 PCS_ERROR = 0x3f
 
 
-# what read_json and reading the fields of its value raise on malformed
-# input; each reader maps these to its documented "malformed" outcome
-DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError,
-                 RecursionError)
+# what read_json and the record codec (codec.py) raise on malformed input:
+# JSON nested too deeply to parse is a RecursionError, anything else a
+# ValueError; each reader maps these to its documented "malformed" outcome
+DECODE_ERRORS = (ValueError, RecursionError)
 
 
 def read_json(data: bytes):

@@ -9,7 +9,7 @@ import threading
 import time
 
 
-from enclavesim import crypto, wire
+from enclavesim import codec, crypto, wire
 from enclavesim.attestation import (
     CertChain,
     Certificate,
@@ -316,7 +316,7 @@ def test_criterion_08_channel_binding_relay_100_trials():
 
         t = threading.Thread(target=verify_side)
         t.start()
-        wire.send_frame(a_sock, wire.HS_A1, relayed.encode())
+        wire.send_frame(a_sock, wire.HS_A1, codec.pack(AttestationCertificate.RECORD, relayed))
         t.join()
         a_sock.close()
         if outcome.get("kind") == "binding_mismatch":

@@ -343,8 +343,8 @@ def test_random_forgeries_never_verify(pcs):
 @pytest.fixture(scope="module")
 def evidence(pcs):
     platform, chain = pcs.register(tcb_level=5, now=NOW)
-    return make_quote(platform), json.dumps({"chain": chain.to_dict(),
-                                             "crl": pcs.current_crl().to_dict()})
+    return make_quote(platform), json.dumps({"chain": CertChain.RECORD.encode(chain),
+                                             "crl": Crl.RECORD.encode(pcs.current_crl())})
 
 
 json_values = st.recursive(
@@ -369,7 +369,7 @@ def test_quote_verify_never_raises_on_decodable_evidence(pcs, evidence, edits):
     for (part, cert, field), value in edits:
         (doc[part][cert] if cert else doc[part])[field] = value
     try:
-        chain, crl = CertChain.from_dict(doc["chain"]), Crl.from_dict(doc["crl"])
+        chain, crl = CertChain.RECORD.decode(doc["chain"]), Crl.RECORD.decode(doc["crl"])
     except wire.DECODE_ERRORS:
         return
     result = quote_verify(quote, chain, crl, policy_for(pcs), NOW)

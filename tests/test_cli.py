@@ -168,7 +168,7 @@ def test_pcs_register_and_revoke(pcs_server, tmp_path, capsys):
     assert out["root_key"] == pcs_server.db.root_public_key.hex()
     # a platform registered through the CLI is known to the running PCS
     chain, crl = pcs_service.fetch_platform(pcs_server.address, platform_id)
-    assert pcs_service.identity_from_dict(json.loads(identity.read_text()))[1] == chain
+    assert pcs_service.load_identity(identity)[1] == chain
     sequences = [json.loads(db.read_text())["crl_sequence"]]
 
     assert run_cli("pcs", "revoke", platform_id.hex(), "--pcs", pcs_arg(pcs_server)) == 0
@@ -193,7 +193,9 @@ def test_pcs_register_rejects_a_tcb_level_outside_u32(pcs_server, tmp_path, caps
     saved = db.read_bytes()
     for tcb in ("-1", "4294967296"):
         assert run_cli("pcs", "register", "--pcs", pcs_arg(pcs_server), f"--tcb={tcb}") == 3
-        assert capsys.readouterr().err == "error: PcsClientError: bad_request\n"
+        # the client's encoder refuses it before anything is sent
+        assert capsys.readouterr().err == (
+            f"error: ValueError: tcb_level: expected an integer in 0..2**32-1, got {tcb}\n")
     assert pcs_server.db.platforms == {}
     assert db.read_bytes() == saved
 
@@ -539,3 +541,36 @@ def test_pcs_serve_saves_a_new_database_before_it_serves(tmp_path, monkeypatch):
     assert main(["pcs", "serve", "--db", str(db)]) == 0
     assert exists_at_start == [True, True]
     assert db.read_bytes() == created
+
+
+ADD_SECRET = ["keyserver", "add-secret", "--passphrase", "pw", "--secret-hex", KEY_HEX,
+              "--root-hex", KEY_HEX]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--policy-mrenclave", "abcd"), ("--policy-mrsigner", "00" * 33),
+    ("--min-svn", "-5"), ("--min-tcb", "99999999999")])
+def test_add_secret_refuses_a_policy_that_can_never_match(tmp_path, capsys, flag, value):
+    vault = tmp_path / "vault.pfs"
+    assert run_cli(*ADD_SECRET, "--vault", str(vault), "--name", "k",
+                   "--policy-mrenclave", "11" * 32) == 0
+    before = vault.read_bytes()
+    pinned = [] if flag == "--policy-mrenclave" else ["--policy-mrenclave", "11" * 32]
+    capsys.readouterr()
+    assert run_cli(*ADD_SECRET, "--vault", str(vault), "--name", "k2", *pinned,
+                   flag, value) == 3
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
+    assert vault.read_bytes() == before
+
+
+@pytest.mark.parametrize("flag,value", [("--min-svn", "-5"), ("--min-tcb", "4294967296")])
+def test_keyserver_serve_refuses_a_session_minimum_outside_u32(tmp_path, capsys,
+                                                                monkeypatch, flag, value):
+    vault = tmp_path / "vault.pfs"
+    assert run_cli(*ADD_SECRET, "--vault", str(vault), "--name", "k",
+                   "--policy-mrenclave", "11" * 32) == 0
+    monkeypatch.setattr(cli, "_serve", lambda *args: pytest.fail("the server started"))
+    capsys.readouterr()
+    assert run_cli("keyserver", "serve", "--vault", str(vault), "--passphrase", "pw",
+                   "--pcs", "127.0.0.1:1", "--root-hex", KEY_HEX, flag, value) == 3
+    assert capsys.readouterr().err.startswith("error: ValueError: ")

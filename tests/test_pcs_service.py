@@ -9,22 +9,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enclavesim import pcs_service, wire
+from enclavesim import codec, pcs_service, wire
 from enclavesim.attestation import (
     PcsDatabase,
     VerificationPolicy,
-    canonical_json,
     quote_generate,
     quote_verify,
 )
+from enclavesim.codec import canonical_json
 from enclavesim.pcs_service import (
     POOL_SIZE,
     PcsClientError,
     PcsPool,
     PcsServer,
     fetch_platform,
-    identity_from_dict,
-    identity_to_dict,
     register_platform,
     revoke_platform,
 )
@@ -81,9 +79,9 @@ def test_register_response_is_the_canonical_identity(pcs_server):
         wire.send_frame(conn, wire.PCS_REGISTER_REQ, canonical_json({"tcb_level": 4}))
         frame_type, payload = wire.recv_frame(conn)
     assert frame_type == wire.PCS_REGISTER_RESP
-    platform, chain = identity_from_dict(json.loads(payload))
-    assert payload == canonical_json(identity_to_dict(platform, chain))
-    assert platform.tcb_level == 4
+    identity = codec.unpack(pcs_service.IDENTITY, payload)
+    assert payload == codec.pack(pcs_service.IDENTITY, identity)
+    assert identity["platform"].tcb_level == 4
 
 
 MALFORMED_REQUESTS = [

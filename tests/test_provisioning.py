@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enclavesim import attestation, crypto, pcs_service, provisioning, wire
+from enclavesim import attestation, codec, crypto, pcs_service, provisioning, wire
 from enclavesim.attestation import PcsDatabase, VerificationPolicy, quote_generate, quote_verify
 from enclavesim.channel import ChannelError, HandshakeError
 from enclavesim.pcs_service import PcsPool, PcsServer
@@ -110,10 +110,10 @@ def test_failed_vault_save_leaves_the_old_vault(tmp_path, env, monkeypatch):
     vault_save(make_vault(env), path, "hunter2")
     before = path.read_bytes()
 
-    def fail(self):
+    def fail(vault):
         raise VaultError("serialization failed")
 
-    monkeypatch.setattr(KeyVault, "to_json", fail)
+    monkeypatch.setattr(provisioning, "vault_body", fail)
     with pytest.raises(VaultError):
         vault_save(KeyVault(), path, "hunter2")
     assert path.read_bytes() == before
@@ -313,7 +313,7 @@ def test_crl_outage_during_a_request_is_an_audited_denial(env):
     try:
         with ProvisioningClient(srv.address, provider_for(env), srv.public_key) as client:
             failures.append(outage)
-            client.channel.send(wire.REC_PROVISION_REQ, b'{"name": "pfs-master"}')
+            client.channel.send(wire.REC_PROVISION_REQ, b'{"name":"pfs-master"}')
             record_type, reply = client.channel.recv()
             assert record_type == wire.REC_PROVISION_RESP
             assert json.loads(reply) == {"outcome": "denied", "reason": "crl_unavailable"}
@@ -555,13 +555,13 @@ def scripted(env):
     (wire.REC_PROVISION_RESP, b'["granted"]'),
     (wire.REC_PROVISION_RESP, b'"granted"'),
     (wire.REC_PROVISION_RESP, b"\xff\xfe"),
-    (wire.REC_PROVISION_RESP, b'{"outcome": "granted"}'),
-    (wire.REC_PROVISION_RESP, b'{"outcome": "granted", "secret": "zz"}'),
-    (wire.REC_PROVISION_RESP, b'{"outcome": "granted", "secret": 7}'),
-    (wire.REC_PROVISION_RESP, b'{"outcome": "denied", "reason": ["x"]}'),
-    (wire.REC_PROVISION_RESP, b'{"outcome": "denied"}'),
-    (wire.REC_PROVISION_RESP, b'{"outcome": "maybe", "reason": "x"}'),
-    (wire.REC_PING, b'{"outcome": "granted", "secret": "00"}'),
+    (wire.REC_PROVISION_RESP, b'{"outcome":"granted"}'),
+    (wire.REC_PROVISION_RESP, b'{"outcome":"granted","secret":"zz"}'),
+    (wire.REC_PROVISION_RESP, b'{"outcome":"granted","secret":7}'),
+    (wire.REC_PROVISION_RESP, b'{"outcome":"denied","reason":["x"]}'),
+    (wire.REC_PROVISION_RESP, b'{"outcome":"denied"}'),
+    (wire.REC_PROVISION_RESP, b'{"outcome":"maybe","reason":"x"}'),
+    (wire.REC_PING, b'{"outcome":"granted","secret":"00"}'),
 ] + [(wire.REC_PROVISION_RESP, '{"outcome":"granted","secret":"00"}'.encode(codec))
      for codec in FOREIGN_ENCODINGS.values()],
     ids=["list", "string", "not-utf8", "no-secret", "secret-not-hex", "secret-int",
@@ -573,7 +573,7 @@ def test_malformed_provision_reply_is_denied_bad_response(scripted, record_type,
     with pytest.raises(ProvisionDeniedError) as exc:
         client.request("pfs-master")
     assert exc.value.reason == "bad_response"
-    server.reply = (wire.REC_PROVISION_RESP, b'{"outcome": "granted", "secret": "0a0b"}')
+    server.reply = (wire.REC_PROVISION_RESP, b'{"outcome":"granted","secret":"0a0b"}')
     assert client.request("pfs-master") == b"\x0a\x0b"
 
 
@@ -588,7 +588,7 @@ REPLY_FIELD = st.one_of(st.binary(max_size=24).map(bytes.hex),
 
 
 def json_bytes(value) -> bytes:
-    return json.dumps(value).encode("utf-8")
+    return codec.canonical_json(value)
 
 
 def test_any_provision_reply_gives_only_a_secret_or_a_denial(scripted):
@@ -695,7 +695,7 @@ VAULT_PATHS = [(), ("secrets",), ("secrets", "pfs-master"),
                       max_size=3),
        junk=st.none() | st.binary(max_size=48))
 def test_vault_body_decodes_or_is_a_vault_error(env, edits, junk):
-    body = json.loads(make_vault(env).to_json())
+    body = json.loads(provisioning.vault_body(make_vault(env)))
     # deeper edits first, so a later shallower edit may replace their parent
     for path, value in sorted(edits, key=lambda e: -len(e[0])):
         if not path:
@@ -707,7 +707,7 @@ def test_vault_body_decodes_or_is_a_vault_error(env, edits, junk):
         parent[path[-1]] = value
     data = json.dumps(body).encode("utf-8") if junk is None else junk
     try:
-        vault = KeyVault.from_json(data)
+        vault = provisioning.read_vault_body(data)
     except VaultError:
         return
     assert isinstance(vault, KeyVault)
