@@ -15,8 +15,8 @@ import os
 import sys
 import time
 
-from . import codec, pcs_service, pfs
-from .attestation import PcsDatabase, VerificationPolicy
+from . import codec, crypto, pcs_service, pfs
+from .attestation import HASH, PLATFORM_ID, PUBLIC_KEY, PcsDatabase, VerificationPolicy
 from .enclave import WorkloadSpec, enclave_start
 from .manifest import (
     compute_measurement,
@@ -26,7 +26,7 @@ from .manifest import (
     serialize,
     sign_manifest,
 )
-from .provisioning import KeyServer, KeyVault, vault_load, vault_save
+from .provisioning import SECRET, KeyVault, key_server, vault_load, vault_save
 from .wire import FrameServer
 from .workflow import EXIT_OK, FAULTS, DemoConfig, exit_code, parse_config, workflow_demo
 
@@ -42,14 +42,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _key_from_hex(text: str) -> bytes:
-    try:
-        key = bytes.fromhex(text)
-    except ValueError:
-        raise CliError("key must be hex")
-    if len(key) != 32:
-        raise CliError("key must be 32 bytes (64 hex chars)")
-    return key
+# hex arguments follow the record rule: the lower-case hex of the value
+KEY = codec.hexbytes(32)  # a container master key or an Ed25519 private key
 
 
 def _addr(text: str) -> tuple[str, int]:
@@ -62,7 +56,7 @@ def _addr(text: str) -> tuple[str, int]:
 # -- pfs ------------------------------------------------------------------
 
 def cmd_pfs_encrypt(args) -> int:
-    key = _key_from_hex(args.key_hex)
+    key = KEY.decode(args.key_hex)
     with open(args.input, "rb") as fh:
         data = fh.read()
     with pfs.ProtectedFile.create(args.output, args.label, key) as handle:
@@ -72,7 +66,7 @@ def cmd_pfs_encrypt(args) -> int:
 
 
 def cmd_pfs_decrypt(args) -> int:
-    key = _key_from_hex(args.key_hex)
+    key = KEY.decode(args.key_hex)
     with pfs.ProtectedFile.open(args.input, args.label, key) as handle:
         data = handle.read(0, handle.size)
     with open(args.output, "wb") as fh:
@@ -82,7 +76,7 @@ def cmd_pfs_decrypt(args) -> int:
 
 
 def cmd_pfs_verify(args) -> int:
-    key = _key_from_hex(args.key_hex)
+    key = KEY.decode(args.key_hex)
     report = pfs.verify_file(args.file, key)
     if report.ok:
         print("ok: every node authenticates")
@@ -92,7 +86,7 @@ def cmd_pfs_verify(args) -> int:
 
 
 def cmd_pfs_info(args) -> int:
-    key = _key_from_hex(args.key_hex) if args.key_hex else None
+    key = codec.optional(KEY).decode(args.key_hex)
     meta = pfs.info(args.file, key)
     for field in ("uuid", "file_size", "data_blocks", "mht_nodes",
                   "total_nodes", "disk_size", "label"):
@@ -123,22 +117,17 @@ def cmd_manifest_measure(args) -> int:
 
 # -- pcs ---------------------------------------------------------------------
 
-def _serve(server: FrameServer, banner: str, pool: pcs_service.PcsPool | None = None) -> int:
+def _serve(server: FrameServer, banner: str) -> int:
     """Start the server, print its banner and serve until SIGINT, which
-    stops it and exits 0, also when it arrives during the banner. The
-    server's PCS connection pool, if any, is closed once it has stopped."""
+    exits 0, also when it arrives during the banner. The caller's `with`
+    stops the server."""
     try:
         server.start()
         print(banner)
         while True:
             time.sleep(1)
     except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        if pool is not None:
-            pool.close()
-    return EXIT_OK
+        return EXIT_OK
 
 
 def cmd_pcs_serve(args) -> int:
@@ -147,11 +136,11 @@ def cmd_pcs_serve(args) -> int:
     fresh = not os.path.exists(args.db)
     db = PcsDatabase.create(now=int(time.time())) if fresh else PcsDatabase.load(args.db)
     host, port = _addr(args.listen)
-    server = pcs_service.PcsServer(db, host=host, port=port, db_path=args.db)
-    if fresh:  # saved once the port is bound, before the first request
-        db.save(args.db)
-    return _serve(server, f"mock PCS serving on {server.address[0]}:"
-                          f"{server.address[1]} (root key {db.root_public_key.hex()})")
+    with pcs_service.PcsServer(db, host=host, port=port, db_path=args.db) as server:
+        if fresh:  # saved once the port is bound, before the first request
+            db.save(args.db)
+        return _serve(server, f"mock PCS serving on {server.address[0]}:"
+                              f"{server.address[1]} (root key {db.root_public_key.hex()})")
 
 
 def cmd_pcs_register(args) -> int:
@@ -165,56 +154,42 @@ def cmd_pcs_register(args) -> int:
 
 
 def cmd_pcs_revoke(args) -> int:
-    crl = pcs_service.revoke_platform(_addr(args.pcs), bytes.fromhex(args.platform_id))
+    crl = pcs_service.revoke_platform(_addr(args.pcs), PLATFORM_ID.decode(args.platform_id))
     print(f"revoked; CRL sequence now {crl.sequence}")
     return EXIT_OK
 
 
 # -- keyserver ----------------------------------------------------------------
 
-def _policy_from_args(args) -> VerificationPolicy:
-    return VerificationPolicy(
-        accepted_root=_key_from_hex(args.root_hex),
-        expected_mr_enclave=(bytes.fromhex(args.policy_mrenclave)
-                             if args.policy_mrenclave else None),
-        expected_mr_signer=(bytes.fromhex(args.policy_mrsigner)
-                            if args.policy_mrsigner else None),
-        min_isv_svn=args.min_svn,
-        min_tcb_level=args.min_tcb,
-    )
-
-
 def cmd_keyserver_add_secret(args) -> int:
     if os.path.exists(args.vault):
         vault = vault_load(args.vault, args.passphrase)
     else:
         vault = KeyVault()
-    vault.add_secret(args.name, bytes.fromhex(args.secret_hex),
-                     _policy_from_args(args))
+    policy = VerificationPolicy(
+        accepted_root=PUBLIC_KEY.decode(args.root_hex),
+        expected_mr_enclave=codec.optional(HASH).decode(args.policy_mrenclave),
+        expected_mr_signer=codec.optional(HASH).decode(args.policy_mrsigner),
+        min_isv_svn=args.min_svn, min_tcb_level=args.min_tcb)
+    vault.add_secret(args.name, SECRET.decode(args.secret_hex), policy)
     vault_save(vault, args.vault, args.passphrase)
     print(f"vault now holds {len(vault)} secret(s): {', '.join(vault.names())}")
     return EXIT_OK
 
 
 def cmd_keyserver_serve(args) -> int:
-    from . import crypto
-
     vault = vault_load(args.vault, args.passphrase)
-    session_policy = VerificationPolicy(
-        accepted_root=_key_from_hex(args.root_hex),
-        min_isv_svn=args.min_svn, min_tcb_level=args.min_tcb)
-    signing_key = (crypto.signing_key(bytes.fromhex(args.signing_key_hex))
+    signing_key = (crypto.signing_key(KEY.decode(args.signing_key_hex))
                    if args.signing_key_hex else crypto.sign_generate())
-
-    pool = pcs_service.PcsPool(_addr(args.pcs))
     host, port = _addr(args.listen)
-    server = KeyServer(vault, session_policy, signing_key, crl_provider=pool.crl,
-                       host=host, port=port, audit_path=args.audit)
-    if args.pin_out:
-        with open(args.pin_out, "w", encoding="utf-8") as fh:
-            fh.write(signing_key.public.hex() + "\n")
-    return _serve(server, f"key server on {server.address[0]}:{server.address[1]}, "
-                          f"pin {signing_key.public.hex()}", pool)
+    with key_server(vault, _addr(args.pcs), PUBLIC_KEY.decode(args.root_hex), signing_key,
+                    min_isv_svn=args.min_svn, min_tcb_level=args.min_tcb,
+                    host=host, port=port, audit_path=args.audit) as server:
+        if args.pin_out:
+            with open(args.pin_out, "w", encoding="utf-8") as fh:
+                fh.write(signing_key.public.hex() + "\n")
+        return _serve(server, f"key server on {server.address[0]}:{server.address[1]}, "
+                              f"pin {signing_key.public.hex()}")
 
 
 # -- enclave ------------------------------------------------------------------
@@ -239,7 +214,7 @@ def cmd_enclave_run(args) -> int:
     instance = enclave_start(final, args.root, platform=platform, cert_chain=chain)
     workload = codec.load(WorkloadSpec.RECORD, instance.read_file(args.workload))
     with open(args.pin_file, encoding="utf-8") as fh:
-        pin = bytes.fromhex(fh.read().strip())
+        pin = PUBLIC_KEY.decode(fh.read().strip())
     instance.provision(_addr(args.keyserver), pin, workload.key_name)
     report = instance.run(workload)
     print(f"workload complete: {report.rows} row(s) -> {report.output_path}")

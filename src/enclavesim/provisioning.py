@@ -18,10 +18,12 @@ import socket
 import threading
 import time
 from collections import deque
+from contextlib import closing, contextmanager
 
 from . import codec, crypto, wire
 from .attestation import VerificationPolicy, quote_verify, replace_atomically
 from .channel import QuoteProvider, SecureChannel, attester_handshake, verifier_handshake
+from .pcs_service import PcsPool
 from .pfs import ProtectedFile, read_uuid
 
 VAULT_LABEL = "keyvault"
@@ -127,27 +129,40 @@ class KeyServer(wire.FrameServer):
     Per connection: verifier handshake under the session policy, then any
     number of requests, each re-evaluated against the secret's own policy
     with a fresh `now`. Every request appends exactly one audit record
-    (never containing secret bytes) to `audit_path`, when given, and to
-    `audit_log`, which keeps the newest AUDIT_LOG_LEN.
+    (never containing secret bytes) to `audit_path`, when given, and then
+    to `audit_log`, which keeps the newest AUDIT_LOG_LEN; a request whose
+    record the file refuses gets no reply. `stop()` closes the file.
     """
 
     def __init__(self, vault: KeyVault, session_policy: VerificationPolicy,
                  signing_key: crypto.SigningKeyPair, crl_provider,
                  host: str = "127.0.0.1", port: int = 0,
                  now_source=time.time, audit_path=None):
-        super().__init__(host, port)
+        self._audit_lock = threading.Lock()
+        # opened before the port is bound; unbuffered, so each record is one write
+        self._audit_file = None if audit_path is None else open(audit_path, "ab", buffering=0)
+        try:
+            super().__init__(host, port)
+        except BaseException:
+            if self._audit_file is not None:
+                self._audit_file.close()
+            raise
         self.vault = vault
         self.session_policy = session_policy
         self.signing_key = signing_key
         self.crl_provider = crl_provider
         self.now_source = now_source
-        self.audit_path = audit_path
         self.audit_log: deque[dict] = deque(maxlen=AUDIT_LOG_LEN)
-        self._audit_lock = threading.Lock()
 
     @property
     def public_key(self) -> bytes:
         return self.signing_key.public
+
+    def stop(self) -> None:
+        super().stop()
+        with self._audit_lock:
+            if self._audit_file is not None:
+                self._audit_file.close()
 
     def _open_session(self, conn: socket.socket):
         channel = verifier_handshake(conn, self.session_policy, self.crl_provider,
@@ -195,11 +210,25 @@ class KeyServer(wire.FrameServer):
             "outcome": body["outcome"] if body["outcome"] == "granted"
             else f"denied:{body['reason']}",
         }
+        line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
         with self._audit_lock:
+            if self._audit_file is not None and self._audit_file.write(line) != len(line):
+                raise OSError("short write to the audit file")
             self.audit_log.append(entry)
-            if self.audit_path is not None:
-                with open(self.audit_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+
+
+@contextmanager
+def key_server(vault: KeyVault, pcs_addr, accepted_root: bytes,
+               signing_key: crypto.SigningKeyPair, *, min_isv_svn: int, min_tcb_level: int,
+               host: str, port: int, audit_path):
+    """A bound, unstarted KeyServer whose CRLs come from the PCS at `pcs_addr`
+    through one PcsPool; leaving the `with` stops the server, then closes the pool."""
+    session_policy = VerificationPolicy(accepted_root=accepted_root, min_isv_svn=min_isv_svn,
+                                        min_tcb_level=min_tcb_level)
+    with closing(PcsPool(pcs_addr)) as pool, KeyServer(
+            vault, session_policy, signing_key, pool.crl, host=host, port=port,
+            audit_path=audit_path) as server:
+        yield server
 
 
 class ProvisioningClient:

@@ -14,6 +14,7 @@ import socket
 import struct
 import threading
 import time
+from contextlib import suppress
 
 MAX_PAYLOAD = 1 << 20
 MAX_CONNECTIONS = 64  # open connections per FrameServer; accept waits for a free slot
@@ -109,7 +110,8 @@ class FrameServer:
     close, on its own named daemon thread: IDLE_TIMEOUT per frame, session, then
     receive, answer and send until the answer is None or a receive fails.
     At most MAX_CONNECTIONS are open at once; further clients wait in the
-    listen backlog. `stop()` also shuts down open connections. Subclasses
+    listen backlog. `stop()` also shuts down open connections; leaving a
+    `with` block stops the server, whether or not it was started. Subclasses
     implement `_handle(frame_type, payload)` or override `_open_session`."""
 
     def __init__(self, host: str, port: int):
@@ -132,27 +134,29 @@ class FrameServer:
         self._thread.start()
         return self
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.stop()
+
     def stop(self) -> None:
-        try:
+        with suppress(OSError):
             self._listener.shutdown(socket.SHUT_RDWR)  # wake a blocked accept()
-        except OSError:
-            pass
-        try:
+        with suppress(OSError):
             self._listener.close()
-        except OSError:
-            pass
         self._free.put(None)  # wake an accept loop that waits for a slot
         if self._thread:
             self._thread.join(timeout=STOP_TIMEOUT)
         with self._lock:
             threads = list(self._open.values())
             for conn in self._open:  # a blocked receive sees EOF
-                try:
+                with suppress(OSError):
                     conn.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
+            while not self._free.empty():  # and the threads that have released their slot
+                threads.append(self._free.get())
         deadline = time.monotonic() + STOP_TIMEOUT
-        for thread in threads:
+        for thread in filter(None, threads):
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def _accept_loop(self) -> None:
@@ -179,10 +183,10 @@ class FrameServer:
         except Exception:  # a bad client must never stop the server
             pass
         finally:
-            with self._lock:
-                del self._open[conn]
             conn.close()
-            self._free.put(threading.current_thread())
+            with self._lock:  # so stop() finds each thread in _open or in _free
+                del self._open[conn]
+                self._free.put(threading.current_thread())
 
     def _open_session(self, conn: socket.socket):
         """(recv, send, answer) for one connection; here plaintext frames."""

@@ -40,7 +40,7 @@ from .manifest import (
     resolver_for_root,
     sign_manifest,
 )
-from .provisioning import KeyServer, KeyVault, ProvisionDeniedError, ProvisioningClient, vault_save
+from .provisioning import KeyVault, ProvisionDeniedError, ProvisioningClient, key_server, vault_save
 
 FAULTS = ("none", "revoked_platform", "tamper_input", "wrong_manifest")
 
@@ -237,10 +237,9 @@ def workflow_demo(config: DemoConfig, log=print) -> DemoReport:
 
         with ExitStack() as servers:
             pcs_db = PcsDatabase.create(now=int(time.time()))
-            pcs_srv = pcs_service.PcsServer(pcs_db, host=config.host, port=config.pcs_port,
-                                            db_path=os.path.join(workdir, "pcs.json"))
-            servers.callback(pcs_srv.stop)
-            pcs_srv.start()
+            pcs_srv = servers.enter_context(pcs_service.PcsServer(
+                pcs_db, host=config.host, port=config.pcs_port,
+                db_path=os.path.join(workdir, "pcs.json"))).start()
 
             vault = KeyVault()
             vault.add_secret(SECRET_NAME, master_key, VerificationPolicy(
@@ -249,16 +248,10 @@ def workflow_demo(config: DemoConfig, log=print) -> DemoReport:
                 min_isv_svn=1, min_tcb_level=1))
             vault_save(vault, os.path.join(user_dir, "vault.pfs"), config.passphrase)
 
-            session_policy = VerificationPolicy(accepted_root=pcs_db.root_public_key,
-                                                min_isv_svn=1, min_tcb_level=1)
-            pool = pcs_service.PcsPool(pcs_srv.address)
-            servers.callback(pool.close)  # after the key server has stopped
-            key_srv = KeyServer(vault, session_policy, crypto.sign_generate(),
-                                crl_provider=pool.crl,
-                                host=config.host, port=config.keyserver_port,
-                                audit_path=os.path.join(user_dir, "audit.jsonl"))
-            servers.callback(key_srv.stop)
-            key_srv.start()
+            key_srv = servers.enter_context(key_server(
+                vault, pcs_srv.address, pcs_db.root_public_key, crypto.sign_generate(),
+                min_isv_svn=1, min_tcb_level=1, host=config.host, port=config.keyserver_port,
+                audit_path=os.path.join(user_dir, "audit.jsonl"))).start()
 
             # step 0 (unnumbered): the cloud provider registered its platform
             platform, chain = pcs_service.register_platform(pcs_srv.address, tcb_level=2)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import socket
@@ -573,4 +574,106 @@ def test_keyserver_serve_refuses_a_session_minimum_outside_u32(tmp_path, capsys,
     capsys.readouterr()
     assert run_cli("keyserver", "serve", "--vault", str(vault), "--passphrase", "pw",
                    "--pcs", "127.0.0.1:1", "--root-hex", KEY_HEX, flag, value) == 3
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
+
+
+@pytest.mark.parametrize("kind,flag", [("pcs", "--db"), ("keyserver", "--pin-out"),
+                                       ("keyserver", "--audit")])
+def test_a_serve_command_that_fails_before_serving_leaves_no_listener(tmp_path, capsys,
+                                                                       monkeypatch, kind, flag):
+    argv = ["pcs", "serve"] if kind == "pcs" else serve_argv(tmp_path, kind)
+    created = []
+    original_init = wire.FrameServer.__init__
+
+    def recording_init(server, *args, **kwargs):
+        original_init(server, *args, **kwargs)
+        created.append(server)
+
+    monkeypatch.setattr(wire.FrameServer, "__init__", recording_init)
+    monkeypatch.setattr(cli, "_serve", lambda *args: pytest.fail("the server started"))
+    capsys.readouterr()
+    assert main(argv + [flag, str(tmp_path / "missing" / "file")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: FileNotFoundError: ")
+    # the audit file is opened before the port is bound
+    assert len(created) == (0 if flag == "--audit" else 1)
+    assert all(server._listener.fileno() == -1 for server in created)
+    gc.collect()  # an unclosed socket warns here, and the warning is an error
+
+
+# hex that `bytes.fromhex` reads, but that no record holds
+SPELLINGS = {"upper": str.upper,
+             "spaced": lambda text: " ".join(text[i:i + 2] for i in range(0, len(text), 2)),
+             "AB CD": lambda text: "AB CD"}
+MR = "ab" * 32
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize("flag", ["--secret-hex", "--root-hex", "--policy-mrenclave",
+                                  "--policy-mrsigner"])
+def test_add_secret_refuses_hex_that_is_not_lower_case(tmp_path, capsys, flag, spelling):
+    vault = tmp_path / "vault.pfs"
+    assert run_cli(*ADD_SECRET, "--vault", str(vault), "--name", "k",
+                   "--policy-mrenclave", MR) == 0
+    before = vault.read_bytes()
+    args = {"--secret-hex": KEY_HEX, "--root-hex": KEY_HEX, "--policy-mrenclave": MR,
+            "--policy-mrsigner": MR}
+    args[flag] = SPELLINGS[spelling](args[flag])
+    capsys.readouterr()
+    assert run_cli("keyserver", "add-secret", "--vault", str(vault), "--passphrase", "pw",
+                   "--name", "k2", *[x for kv in args.items() for x in kv]) == 3
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
+    assert vault.read_bytes() == before
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize("command", ["encrypt", "decrypt", "verify", "info"])
+def test_pfs_commands_refuse_a_key_that_is_not_lower_case_hex(tmp_path, capsys, command,
+                                                              spelling):
+    plain, container = tmp_path / "plain", tmp_path / "container"
+    plain.write_bytes(b"x" * 100)
+    assert run_cli("pfs", "encrypt", str(plain), str(container), "--key-hex", KEY_HEX,
+                   "--label", "l") == 0
+    files = {"encrypt": [plain, tmp_path / "out"], "decrypt": [container, tmp_path / "out"],
+             "verify": [container], "info": [container]}[command]
+    labels = ["--label", "l"] if command in ("encrypt", "decrypt") else []
+    capsys.readouterr()
+    assert run_cli("pfs", command, *map(str, files), "--key-hex", SPELLINGS[spelling](KEY_HEX),
+                   *labels) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ValueError: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+@pytest.mark.parametrize("flag", ["--root-hex", "--signing-key-hex"])
+def test_keyserver_serve_refuses_hex_that_is_not_lower_case(tmp_path, capsys, monkeypatch,
+                                                            flag, spelling):
+    argv = serve_argv(tmp_path, "keyserver")
+    monkeypatch.setattr(cli, "_serve", lambda *args: pytest.fail("the server started"))
+    capsys.readouterr()
+    assert main(argv + [flag, SPELLINGS[spelling](MR)]) == 3
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_pcs_revoke_refuses_a_platform_id_that_is_not_lower_case_hex(pcs_server, capsys,
+                                                                      spelling):
+    platform, _ = pcs_service.register_platform(pcs_server.address, tcb_level=1)
+    sequence = pcs_server.db.current_crl().sequence
+    capsys.readouterr()
+    assert run_cli("pcs", "revoke", SPELLINGS[spelling](platform.platform_id.hex()),
+                   "--pcs", pcs_arg(pcs_server)) == 3
+    assert capsys.readouterr().err.startswith("error: ValueError: ")
+    assert pcs_server.db.current_crl().sequence == sequence
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_enclave_run_refuses_a_pin_that_is_not_lower_case_hex(tmp_path, capsys, spelling):
+    pin = tmp_path / "spelled-pin.txt"
+    pin.write_text(SPELLINGS[spelling](MR) + "\n")
+    argv = enclave_run_args(tmp_path, **{"--pin-file": pin})
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
     assert capsys.readouterr().err.startswith("error: ValueError: ")

@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import random
 import socket
 import threading
@@ -265,6 +267,41 @@ def test_audit_log_keeps_the_newest_records_and_the_file_keeps_all(env, tmp_path
     assert list(srv.audit_log) == records[-3:]
 
 
+def audited_key_server(env, audit_path, port=0):
+    session_policy = VerificationPolicy(
+        accepted_root=env["pcs"].root_public_key, min_isv_svn=1, min_tcb_level=1)
+    return KeyServer(make_vault(env), session_policy, crypto.sign_generate(),
+                     crl_provider=lambda pid: env["pcs"].current_crl(),
+                     now_source=lambda: NOW, audit_path=audit_path, port=port)
+
+
+def test_the_audit_file_is_opened_before_the_port_is_bound(env, tmp_path):
+    with pytest.raises(FileNotFoundError):
+        audited_key_server(env, tmp_path / "missing" / "audit.jsonl")
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        with pytest.raises(OSError):
+            audited_key_server(env, tmp_path / "audit.jsonl", port=busy.getsockname()[1])
+    gc.collect()  # the audit file the refused bind left open would warn here
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_a_request_whose_record_the_audit_file_refuses_gets_no_reply(env):
+    with audited_key_server(env, "/dev/full").start() as srv:
+        with pytest.raises(ChannelError):
+            client_request_key(srv.address, "pfs-master", provider_for(env), srv.public_key)
+    assert list(srv.audit_log) == []
+
+
+def test_stop_closes_the_audit_file_once_written(env, tmp_path):
+    audit = tmp_path / "audit.jsonl"
+    with audited_key_server(env, audit).start() as srv:
+        client_request_key(srv.address, "pfs-master", provider_for(env), srv.public_key)
+        # every record is in the file before the reply is sent
+        assert [json.loads(line) for line in audit.read_text().splitlines()] == list(
+            srv.audit_log)
+    assert srv._audit_file.closed
+
+
 MALFORMED_PROVISION_REQS = [b'{"name": ["k"]}', b"\xff\xfe", b'["pfs-master"]'] + [
     '{"name":"pfs-master"}'.encode(codec) for codec in FOREIGN_ENCODINGS.values()]
 
@@ -379,6 +416,34 @@ def pooled_key_server(env, pcs_addr, crl_provider=None):
     finally:
         srv.stop()
         pool.close()
+
+
+def test_leaving_the_key_server_assembly_stops_the_server_then_closes_the_pool(tmp_path):
+    now = int(time.time())  # the assembly's key server reads the real clock
+    db = PcsDatabase.create(now=now)
+    platform, chain = db.register(tcb_level=5, now=now)
+    world = {"pcs": db, "platform": platform, "chain": chain}
+    audit = tmp_path / "audit.jsonl"
+    stopped_at_close = []
+    with PcsServer(db).start() as pcs_srv:
+        with pytest.raises(RuntimeError, match="inside the assembly"):
+            with provisioning.key_server(make_vault(world), pcs_srv.address,
+                                         db.root_public_key, crypto.sign_generate(),
+                                         min_isv_svn=1, min_tcb_level=1, host="127.0.0.1",
+                                         port=0, audit_path=audit) as srv:
+                pool, close = srv.crl_provider.__self__, srv.crl_provider.__self__.close
+                pool.close = lambda: (stopped_at_close.append(srv._listener.fileno() == -1),
+                                      close())
+                srv.start()
+                assert client_request_key(srv.address, "pfs-master", provider_for(world),
+                                          srv.public_key) == SECRET
+                assert pool.stats() == {"connected": 1, "reused": 1, "retried": 0}
+                raise RuntimeError("inside the assembly")
+        assert stopped_at_close == [True]
+        assert pool._idle == []
+        assert srv._audit_file.closed
+        assert len(audit.read_text().splitlines()) == 1
+    assert not [t.name for t in threading.enumerate() if t.name.startswith(wire.THREAD_PREFIX)]
 
 
 def test_a_pcs_restart_between_two_provisions_costs_one_retry(env):

@@ -1,5 +1,7 @@
 import socket
 import struct
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -47,3 +49,33 @@ def test_recv_frame_raises_only_wire_error(frames, tail):
                 got.append(wire.recv_frame(reader))
     assert got[:len(frames)] == frames
     assert stream.startswith(b"".join(_frame(*f) for f in got))
+
+
+class LingeringServer(wire.FrameServer):
+    """Closes each connection at its first frame; the connection's thread
+    then lingers after it has released its slot."""
+
+    def _handle(self, frame_type, payload):
+        return None
+
+    def _serve(self, conn):
+        super()._serve(conn)
+        time.sleep(0.2)
+
+
+def test_stop_joins_the_threads_of_connections_that_have_ended():
+    with LingeringServer("127.0.0.1", 0).start() as server:
+        with socket.create_connection(server.address) as client:
+            wire.send_frame(client, wire.REC_PING, b"")
+            assert client.recv(1) == b""
+        deadline = time.monotonic() + 5
+        while server._open and time.monotonic() < deadline:  # the thread released its slot
+            time.sleep(0.01)
+        assert not server._open
+    assert not [t.name for t in threading.enumerate() if t.name.startswith(wire.THREAD_PREFIX)]
+
+
+def test_a_server_left_unstarted_closes_its_listener():
+    with LingeringServer("127.0.0.1", 0) as server:
+        pass
+    assert server._listener.fileno() == -1
