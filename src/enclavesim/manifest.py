@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import crypto
+from . import codec, crypto
 
 FORMAT_VERSION = 1
 MIN_ENCLAVE_SIZE = 1 << 20
@@ -24,6 +24,9 @@ MIN_ENCLAVE_SIZE = 1 << 20
 _ENV_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 _SIZE_SUFFIX = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
+
+# a trusted-file digest has one spelling, the records' own: 64 lower-case hex digits
+_DIGEST_HEX = codec.hexbytes(crypto.DIGEST_SIZE)
 
 
 class ParseError(Exception):
@@ -319,11 +322,10 @@ def load(data: bytes) -> FinalManifest:
             raise ParseError(f"trusted_file_hash must be 'path:hex', got {value!r}", lineno)
         path = _canonical(path, lineno)
         try:
-            digest = bytes.fromhex(hex_digest)
+            digest = _DIGEST_HEX.decode(hex_digest)
         except ValueError:
-            raise ParseError(f"bad hash hex for {path!r}", lineno)
-        if len(digest) != crypto.DIGEST_SIZE:
-            raise ParseError(f"hash for {path!r} is not 32 bytes", lineno)
+            raise ParseError(f"hash for {path!r} is not the lower-case hex of 32 bytes",
+                             lineno)
         if path in hashes:
             raise ParseError(f"duplicate hash entry for {path!r}", lineno)
         hashes[path] = digest

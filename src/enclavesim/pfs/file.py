@@ -4,10 +4,13 @@ sealed container, with root-to-leaf verification on every fetched node.
 Each check lives in one place: `_open_header` accepts a container (its
 header authenticates and the file length fits the recorded size) for
 `ProtectedFile.open`, `info` and `verify_file`, and
-`ProtectedFile._open_node` checks and opens every MHT and data node.
-`verify_file` fetches every node through a read-only handle, so an audit
-verifies exactly what a read does, node by node, with memory bounded by
-the block cache.
+`ProtectedFile._check_node` checks and opens every MHT and data node.
+Data blocks are read in runs: the up to 64 blocks under one bottom MHT
+node are adjacent on disk, so `_open_run` fetches that node once, reads
+the blocks it needs with one disk read and checks them in block order.
+`verify_file` fetches every node through a read-only handle and the same
+run reader, so an audit verifies exactly what a read does, in the same
+order, with memory bounded by one run plus the block cache.
 
 Every MHT and data node is sealed under a fresh random key, which its
 parent entry holds together with the node's GCM tag; only the header key
@@ -77,6 +80,7 @@ class ProtectedFile:
         self._closed = False
         self._nodes_sealed = 0
         self._nodes_opened = 0
+        self._disk_reads = 0
 
     # -- construction -------------------------------------------------
 
@@ -142,16 +146,14 @@ class ProtectedFile:
             raise ValueError("negative offset or length")
         if offset + length > self._file_size:
             raise ValueError("read past end of file")
-        out = bytearray()
-        pos = offset
-        end = offset + length
-        while pos < end:
-            block = pos // BLOCK_SIZE
-            lo = pos % BLOCK_SIZE
-            hi = min(BLOCK_SIZE, end - block * BLOCK_SIZE)
-            out += self._block_plaintext(block)[lo:hi]
-            pos = block * BLOCK_SIZE + hi
-        return bytes(out)
+        if not length:
+            return b""
+        blocks = range(offset // BLOCK_SIZE, (offset + length - 1) // BLOCK_SIZE + 1)
+        opened = self._data_plaintexts(blocks)
+        whole = b"".join([opened[i] if i in opened else self._dirty.get(i, ZERO_BLOCK)
+                          for i in blocks])
+        start = offset - blocks.start * BLOCK_SIZE
+        return whole[start:start + length]
 
     def write(self, offset: int, data: bytes) -> None:
         """Buffer `data` at `offset`, extending the file if needed; gaps
@@ -163,28 +165,33 @@ class ProtectedFile:
             raise ValueError("negative offset")
         if not data:
             return
-        pos = offset
         end = offset + len(data)
-        src = 0
-        while pos < end:
-            block = pos // BLOCK_SIZE
-            lo = pos % BLOCK_SIZE
-            hi = min(BLOCK_SIZE, end - block * BLOCK_SIZE)
-            buf = self._dirty.get(block)
-            if buf is None:
-                buf = bytearray(self._block_plaintext(block))
-                self._dirty[block] = buf
-            buf[lo:hi] = data[src:src + (hi - lo)]
-            src += hi - lo
-            pos = block * BLOCK_SIZE + hi
+        blocks = range(offset // BLOCK_SIZE, (end - 1) // BLOCK_SIZE + 1)
+        # every block on disk that is not dirty starts from its verified old
+        # plaintext, even when the write covers it whole
+        opened = self._data_plaintexts(blocks)
+        with memoryview(data) as view:
+            for i in blocks:
+                base = i * BLOCK_SIZE
+                lo, hi = max(offset - base, 0), min(end - base, BLOCK_SIZE)
+                piece = view[base + lo - offset:base + hi - offset]
+                buf = self._dirty.get(i)
+                if buf is None:
+                    if hi - lo == BLOCK_SIZE and i not in opened:  # a new block, written whole
+                        self._dirty[i] = bytearray(piece)
+                        continue
+                    buf = self._dirty[i] = bytearray(opened.get(i, ZERO_BLOCK))
+                buf[lo:hi] = piece
         self._file_size = max(self._file_size, end)
 
     def stats(self) -> dict:
         """Work done through this handle: MHT and data nodes sealed and
-        opened (the header is not counted), and block cache hits and
-        misses."""
+        opened, node reads issued to the disk (one per run of adjacent
+        nodes; the header is not counted in any of these), and block cache
+        hits and misses."""
         return {"nodes_sealed": self._nodes_sealed,
                 "nodes_opened": self._nodes_opened,
+                "disk_reads": self._disk_reads,
                 "cache_hits": self._cache.hits,
                 "cache_misses": self._cache.misses}
 
@@ -205,7 +212,7 @@ class ProtectedFile:
         fresh = deque(maxlen=self._cache.capacity)
         changed: dict[int, ChildEntry] = {}
         for i in self._dirty.keys() | range(old_n, new_n):
-            plain = bytes(self._dirty.get(i, ZERO_BLOCK))
+            plain = self._dirty.get(i, ZERO_BLOCK)
             sealed, changed[i] = self._seal_node(fmt.KIND_DATA, i, plain)
             sealed_at[fmt.data_position(i)] = sealed
             fresh.append(((fmt.KIND_DATA, i), plain))
@@ -226,23 +233,18 @@ class ProtectedFile:
                                   else ZERO_BLOCK)
                 for slot, entry in patches:
                     fmt.set_entry(plain, slot, entry)
-                plain = bytes(plain)
                 sealed, changed[j] = self._seal_node(fmt.KIND_MHT, p, plain)
                 sealed_at[p] = sealed
                 fresh.append(((fmt.KIND_MHT, p), plain))
         root = changed[0]
 
         # one seek and write per run of adjacent nodes (within a run, node
-        # number minus rank is constant); each node is dropped once copied,
-        # so the run's buffer never doubles memory
+        # number minus rank is constant)
         for _, run in itertools.groupby(enumerate(sorted(sealed_at)),
                                         lambda pos: pos[1] - pos[0]):
             run = [p for _, p in run]
-            buf = bytearray()
-            for p in run:
-                buf += sealed_at.pop(p)
             self._fh.seek(fmt.node_offset(run[0]))
-            self._fh.write(buf)
+            self._fh.write(b"".join([sealed_at.pop(p) for p in run]))
         self._write_header(root)
         self._fh.truncate(fmt.container_disk_size(new_n))
         self._fh.flush()
@@ -251,15 +253,19 @@ class ProtectedFile:
         self._disk_root = root
         self._dirty.clear()
         for node_id, plain in fresh:
-            self._cache.put(node_id, plain)
+            self._cache.put(node_id, bytes(plain))
 
     def close(self) -> None:
+        """Flush a read-write handle, then close the file, also when the
+        flush raises; the handle is closed either way."""
         if self._closed:
             return
-        if self._mode == MODE_READWRITE:
-            self.flush()
-        self._fh.close()
-        self._closed = True
+        try:
+            if self._mode == MODE_READWRITE:
+                self.flush()
+        finally:
+            self._fh.close()
+            self._closed = True
 
     def __enter__(self):
         return self
@@ -273,7 +279,8 @@ class ProtectedFile:
         if self._closed:
             raise PfsError("handle is closed")
 
-    def _seal_node(self, kind: str, index: int, plaintext: bytes) -> tuple[bytes, ChildEntry]:
+    def _seal_node(self, kind: str, index: int,
+                   plaintext: bytes | bytearray) -> tuple[bytes, ChildEntry]:
         """Seal under a fresh key, so the fixed nonce never repeats under it."""
         key = os.urandom(fmt.KEY_SIZE)
         sealed = crypto.aead_seal(key, fmt.NODE_NONCE, fmt.node_aad(self.uuid, kind, index),
@@ -281,22 +288,41 @@ class ProtectedFile:
         self._nodes_sealed += 1
         return sealed, ChildEntry(key, sealed[-TAG_SIZE:])
 
-    def _block_plaintext(self, index: int) -> bytes:
-        if index in self._dirty:
-            return bytes(self._dirty[index])
-        if index >= self._disk_blocks:
-            return ZERO_BLOCK
-        return self._fetch_data_plaintext(index)
+    def _data_plaintexts(self, blocks: range) -> dict[int, bytes]:
+        """Verified plaintexts of the blocks in `blocks` that are on disk and
+        not dirty: each from the cache, else from one `_open_run` per bottom
+        MHT node over the blocks the cache lacks."""
+        opened = {}
+        on_disk = range(blocks.start, min(blocks.stop, self._disk_blocks))
+        for j, group in itertools.groupby(on_disk, lambda i: i // FANOUT):
+            missing = []
+            for i in group:
+                if i in self._dirty:
+                    continue
+                cached = self._cache.get((fmt.KIND_DATA, i))
+                if cached is None:
+                    missing.append(i)
+                else:
+                    opened[i] = cached
+            if missing:
+                for i, plain in zip(missing, self._open_run(j, missing)):
+                    self._cache.put((fmt.KIND_DATA, i), plain)
+                    opened[i] = plain
+        return opened
 
-    def _fetch_data_plaintext(self, index: int) -> bytes:
-        cached = self._cache.get((fmt.KIND_DATA, index))
-        if cached is not None:
-            return cached
-        bottom = self._fetch_mht_plaintext(1, index // FANOUT)
-        plain = self._open_node(fmt.KIND_DATA, index, fmt.unpack_entry(bottom, index % FANOUT),
-                                fmt.data_position(index))
-        self._cache.put((fmt.KIND_DATA, index), plain)
-        return plain
+    def _open_run(self, j: int, blocks: list[int] | range) -> list[bytes]:
+        """Check and open data `blocks` (ascending, all under bottom MHT node
+        `j`) in block order, after one fetch of that node and one disk read
+        from the first block to the last; they are adjacent on disk."""
+        bottom = self._fetch_mht_plaintext(1, j)
+        first = blocks[0]
+        run = memoryview(self._read_nodes(fmt.data_position(first), blocks[-1] - first + 1))
+        opened = []
+        for i in blocks:
+            at = (i - first) * NODE_DISK_SIZE
+            opened.append(self._check_node(fmt.KIND_DATA, i, fmt.unpack_entry(bottom, i % FANOUT),
+                                           run[at:at + NODE_DISK_SIZE]))
+        return opened
 
     def _fetch_mht_plaintext(self, height: int, j: int) -> bytes:
         p = fmt.mht_position(height, j)
@@ -308,15 +334,21 @@ class ProtectedFile:
         else:
             parent = self._fetch_mht_plaintext(height + 1, j // FANOUT)
             entry = fmt.unpack_entry(parent, j % FANOUT)
-        plain = self._open_node(fmt.KIND_MHT, p, entry, p)
+        plain = self._check_node(fmt.KIND_MHT, p, entry, self._read_nodes(p))
         self._cache.put((fmt.KIND_MHT, p), plain)
         return plain
 
-    def _open_node(self, kind: str, index: int, entry: ChildEntry, position: int) -> bytes:
-        """Read the sealed node numbered `position`, check it against its
-        parent `entry` and open it; failures name it in `IntegrityError.node`."""
+    def _read_nodes(self, position: int, count: int = 1) -> bytes:
+        """The sealed bytes of `count` adjacent nodes from node number
+        `position` on, in one disk read; short where the file ends."""
+        self._disk_reads += 1
         self._fh.seek(fmt.node_offset(position))
-        sealed = self._fh.read(NODE_DISK_SIZE)
+        return self._fh.read(count * NODE_DISK_SIZE)
+
+    def _check_node(self, kind: str, index: int, entry: ChildEntry,
+                    sealed: bytes | memoryview) -> bytes:
+        """Check one node's sealed bytes against its parent `entry` and open
+        them; failures name the node in `IntegrityError.node`."""
         if len(sealed) != NODE_DISK_SIZE:
             raise IntegrityError(f"{kind}:{index} truncated on disk", f"{kind}:{index}")
         if not hmac.compare_digest(sealed[-TAG_SIZE:], entry.tag):
@@ -393,8 +425,9 @@ def info(path, master_key: bytes | None = None) -> dict:
 def verify_file(path, master_key: bytes) -> VerifyReport:
     """Audit a container that `_open_header` accepts through a read-only
     handle: MHT nodes level by level from the root down, then data blocks
-    by index, each opened once while the MHT fits the block cache. Reports
-    the first failure, `header` and `structure` included, instead of raising."""
+    by index through the run reader of `read`, each opened once while the
+    MHT fits the block cache. Reports the first failure, `header` and
+    `structure` included, instead of raising."""
     try:
         with ProtectedFile._accept(path, master_key, MODE_READ, DEFAULT_CAPACITY) as handle:
             levels = fmt.mht_level_counts(handle._disk_blocks)
@@ -403,10 +436,7 @@ def verify_file(path, master_key: bytes) -> VerifyReport:
                     handle._fetch_mht_plaintext(height, j)
             # data blocks bypass the cache, so they never evict the MHT nodes
             for j in range(levels[-1] if levels else 0):
-                bottom = handle._fetch_mht_plaintext(1, j)
-                for i in range(j * FANOUT, min((j + 1) * FANOUT, handle._disk_blocks)):
-                    handle._open_node(fmt.KIND_DATA, i, fmt.unpack_entry(bottom, i % FANOUT),
-                                      fmt.data_position(i))
+                handle._open_run(j, range(j * FANOUT, min((j + 1) * FANOUT, handle._disk_blocks)))
     except IntegrityError as exc:
         return VerifyReport(False, exc.node)
     return VerifyReport(True)

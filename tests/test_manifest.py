@@ -139,6 +139,22 @@ def test_load_canonicalizes_hash_paths():
     assert serialize(load(respelled)) == data
 
 
+@pytest.mark.parametrize("spell", [str.upper, lambda h: " ".join([h[:2], h[2:]]),
+                                   lambda h: h[:-2], lambda h: h + "00", lambda h: ""],
+                         ids=["upper-case", "spaced", "short", "long", "empty"])
+def test_load_accepts_only_the_lower_case_hex_of_a_digest(spell):
+    data = serialize(demo_final()).decode()
+    lines = data.splitlines(keepends=True)
+    lineno, line = next((n, line) for n, line in enumerate(lines, 1)
+                        if line.startswith("sgx.trusted_file_hash = "))
+    path, _, digest = line.rstrip("\n").rpartition(":")
+    assert serialize(load(data.encode())).decode() == data
+    lines[lineno - 1] = f"{path}:{spell(digest)}\n"
+    with pytest.raises(ParseError, match="lower-case hex of 32 bytes") as exc:
+        load("".join(lines).encode())
+    assert exc.value.line == lineno
+
+
 @pytest.mark.parametrize("path,canonical", [
     ("/", "/"), ("//", "/"), ("/a/./b/", "/a/b"), ("/a//b", "/a/b"), ("/a/../b", "/b"),
     ("/a/b/..", "/a"), ("/a/..", "/"), ("/./.", "/"), ("/.../x", "/.../x"),

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import shutil
@@ -15,6 +16,7 @@ from enclavesim.cli import main
 from enclavesim.pfs import (
     BLOCK_SIZE,
     IntegrityError,
+    PfsError,
     ProtectedFile,
     ReadOnlyError,
     VerifyReport,
@@ -246,6 +248,27 @@ def test_double_flush_no_op(tmp_path):
         assert p.read_bytes() == before
 
 
+def test_close_closes_the_file_when_the_final_flush_fails(tmp_path):
+    # a new block needs no old plaintext, so the write succeeds and the
+    # flush is the first to open the tampered MHT node
+    p = make_file(tmp_path / "f.pfs", random.Random(71).randbytes(10 * BLOCK_SIZE))
+    _flip_byte(p, fmt.node_offset(fmt.mht_position(1, 0)))
+    tampered = p.read_bytes()
+    pf = ProtectedFile.open(p, "file.bin", KEY, mode="rw")
+    pf.write(10 * BLOCK_SIZE, b"new block")
+    with pytest.raises(IntegrityError) as exc:
+        with pf:
+            pass
+    assert exc.value.node == "mht:0"
+    assert pf._fh.closed
+    pf.close()  # closed once, so a later close is a no-op
+    with pytest.raises(PfsError, match="closed"):
+        pf.read(0, 1)
+    del pf
+    gc.collect()  # an unclosed file would warn here, an error under the test filter
+    assert p.read_bytes() == tampered
+
+
 def test_unflushed_writes_do_not_touch_disk(tmp_path):
     p = tmp_path / "f.pfs"
     make_file(p, b"original contents")
@@ -435,6 +458,15 @@ def test_verify_opens_each_node_once(tmp_path, monkeypatch):
     monkeypatch.setattr(crypto, "aead_open", counting_open)
     assert verify_file(p, KEY).ok
     assert len(opens) == 1 + 6 + 320
+
+
+def test_a_read_back_issues_one_data_read_per_bottom_node(tmp_path):
+    # 8 MiB: 2048 blocks under 32 bottom nodes and a root
+    p = make_file(tmp_path / "f.pfs", random.Random(73).randbytes(8 * 2 ** 20))
+    with ProtectedFile.open(p, "file.bin", KEY) as pf:
+        pf.read(0, pf.size)
+        stats = pf.stats()
+    assert (stats["disk_reads"], stats["nodes_opened"]) == (32 + 33, 2048 + 33)
 
 
 def test_info_and_verify_memory_is_bounded(tmp_path):
@@ -677,6 +709,34 @@ def test_swapping_two_data_blocks_is_caught_at_the_lower_index(n_blocks, data):
         assert verify_file(p, KEY).first_bad_node == f"data:{a}"
 
 
+def node_names(n_blocks):
+    """{node number: the name IntegrityError.node gives it} for a container
+    of `n_blocks` blocks."""
+    names = {fmt.data_position(i): f"data:{i}" for i in range(n_blocks)}
+    levels = fmt.mht_level_counts(n_blocks)
+    for height, count in zip(range(len(levels), 0, -1), levels):
+        names.update({(p := fmt.mht_position(height, j)): f"mht:{p}" for j in range(count)})
+    return names
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_blocks=st.integers(129, 200), slack=st.integers(0, BLOCK_SIZE - 1),
+       pick=st.integers(0, 2 ** 20), bit=st.integers(0, fmt.NODE_DISK_SIZE * 8 - 1))
+def test_a_flipped_node_is_the_one_read_and_verify_name(n_blocks, slack, pick, bit):
+    # three or more bottom nodes, so a whole-file read crosses run boundaries
+    names = node_names(n_blocks)
+    number = sorted(names)[pick % len(names)]
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "f.pfs"
+        make_file(p, random.Random(n_blocks).randbytes(n_blocks * BLOCK_SIZE - slack))
+        _flip_byte(p, fmt.node_offset(number) + bit // 8, 1 << bit % 8)
+        with ProtectedFile.open(p, "file.bin", KEY) as pf:
+            with pytest.raises(IntegrityError) as exc:
+                pf.read(0, pf.size)
+        assert exc.value.node == names[number]
+        assert verify_file(p, KEY).first_bad_node == names[number]
+
+
 # -- flush locality ---------------------------------------------------------
 
 def node_bytes(raw, position):
@@ -817,11 +877,17 @@ def test_interrupted_flush_never_reads_back_wrong_plaintext(tmp_path, case):
 # -- model-based ----------------------------------------------------------
 
 NEAR_SHAPE_CHANGE = st.integers(62 * BLOCK_SIZE, 66 * BLOCK_SIZE)
+# up to 66 blocks, drawn as a seed and a length: long enough to cover whole
+# runs and to write new blocks whole
+WRITE_DATA = st.builds(lambda seed, n: random.Random(seed).randbytes(n),
+                       st.integers(0, 2 ** 32), st.integers(1, 66 * BLOCK_SIZE))
 
 
 class ProtectedFileMachine(RuleBasedStateMachine):
     """A read-write handle against a bytearray model; sizes cross the
-    64-block boundary where the MHT gains a root above the old one."""
+    64-block boundary where the MHT gains a root above the old one, and
+    reads and writes span whole runs and mix cached, dirty and on-disk
+    blocks inside one."""
 
     def __init__(self):
         super().__init__()
@@ -836,7 +902,7 @@ class ProtectedFileMachine(RuleBasedStateMachine):
         self.pf = ProtectedFile.create(self.path, "file.bin", KEY, cache_capacity=capacity)
 
     @rule(offset=st.one_of(st.integers(0, 68 * BLOCK_SIZE), NEAR_SHAPE_CHANGE),
-          data=st.binary(min_size=1, max_size=3 * BLOCK_SIZE))
+          data=WRITE_DATA)
     def write(self, offset, data):
         self.pf.write(offset, data)
         if offset > len(self.model):
@@ -846,7 +912,7 @@ class ProtectedFileMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def read(self, data):
         offset = data.draw(st.integers(0, len(self.model)))
-        length = data.draw(st.integers(0, min(len(self.model) - offset, 2 * BLOCK_SIZE)))
+        length = data.draw(st.integers(0, min(len(self.model) - offset, 70 * BLOCK_SIZE)))
         assert self.pf.read(offset, length) == self.model[offset:offset + length]
 
     @rule()
