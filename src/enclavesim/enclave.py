@@ -351,8 +351,11 @@ def enclave_start(final: FinalManifest, host_root,
 
 def user_encrypt_inputs(items, master_key: bytes, out_dir) -> list[str]:
     """Encrypt (plaintext_path, enclave_path) pairs into protected
-    containers under out_dir, labeled with their destination enclave
-    paths. Returns the written host paths."""
+    containers under out_dir, labeled with the canonical form of their
+    destination enclave paths, as the enclave opens them. Returns the
+    written host paths; ValueError before any write for a relative path
+    or one that climbs above '/'."""
+    items = [(src, normalize_enclave_path(path)) for src, path in items]
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for src, enclave_path in items:
@@ -366,5 +369,7 @@ def user_encrypt_inputs(items, master_key: bytes, out_dir) -> list[str]:
 
 
 def user_decrypt_output(path, master_key: bytes, label: str) -> bytes:
-    with ProtectedFile.open(path, label, master_key) as pf:
+    """Plaintext of the container at host `path`, written by the enclave at
+    enclave path `label`, which is compared in canonical form."""
+    with ProtectedFile.open(path, normalize_enclave_path(label), master_key) as pf:
         return pf.read(0, pf.size)

@@ -1,6 +1,6 @@
 """Authenticated encrypted file container: 4KB blocks under a Merkle tree,
 per-node random keys held in the parent node, integrity-protected
-filename, LRU block cache."""
+filename, LRU cache of verified MHT nodes."""
 
 from .cache import DEFAULT_CAPACITY, BlockCache
 from .file import (

@@ -1,4 +1,4 @@
-"""LRU cache for decrypted (verified) node plaintexts."""
+"""LRU cache of verified MHT node plaintexts; data blocks are never cached."""
 
 from collections import OrderedDict
 
@@ -6,7 +6,7 @@ DEFAULT_CAPACITY = 256
 
 
 class BlockCache:
-    """Maps node id -> plaintext, bounded, least-recently-used eviction.
+    """Maps MHT node number -> plaintext, bounded, least-recently-used eviction.
 
     Capacity 0 disables caching entirely. Cache contents never change
     observable results; they only skip repeat decrypt+verify work.

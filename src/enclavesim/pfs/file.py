@@ -13,12 +13,13 @@ run reader, so an audit verifies exactly what a read does, in the same
 order, with memory bounded by one run plus the block cache.
 
 Every MHT and data node is sealed under a fresh random key, which its
-parent entry holds together with the node's GCM tag; only the header key
-is derived from the master key. Writes are buffered in memory; flush
-reseals dirty blocks and their MHT ancestors under fresh random keys,
-then the header. A flush interrupted mid-write can corrupt the container
-(detected on later reads, not recovered) -- there is deliberately no
-journaling.
+parent entry (48 bytes, as on disk) holds with the node's GCM tag; only
+the header key is derived from the master key. The block cache holds only
+MHT plaintexts: a data block's lives in `_dirty` until a flush seals it.
+Flush reseals dirty blocks and their MHT ancestors, patching each parent
+as its children's entries arrive, then the header. A flush interrupted
+mid-write can corrupt the container (detected on later reads, not
+recovered) -- there is deliberately no journaling.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .format import (
     BLOCK_SIZE,
     FANOUT,
     HEADER_SIZE,
+    KEY_SIZE,
     NODE_DISK_SIZE,
     TAG_SIZE,
-    ChildEntry,
     IntegrityError,
     PfsError,
     WrongKeyError,
@@ -206,37 +207,33 @@ class ProtectedFile:
             return
         old_nodes = old_n + fmt.total_mht_nodes(old_n)  # node numbers on disk
         old_height = len(fmt.mht_level_counts(old_n))
+        new_height = len(fmt.mht_level_counts(new_n))
         sealed_at: dict[int, bytes] = {}
-        # the resealed plaintexts the cache can hold: putting the last ones
-        # replaces or evicts every stale entry
+        # the resealed MHT plaintexts the cache can hold: putting the last
+        # ones replaces or evicts every stale entry
         fresh = deque(maxlen=self._cache.capacity)
-        changed: dict[int, ChildEntry] = {}
-        for i in self._dirty.keys() | range(old_n, new_n):
-            plain = self._dirty.get(i, ZERO_BLOCK)
-            sealed, changed[i] = self._seal_node(fmt.KIND_DATA, i, plain)
-            sealed_at[fmt.data_position(i)] = sealed
-            fresh.append(((fmt.KIND_DATA, i), plain))
 
-        # bottom-up over the parents of what changed; a node starts from its
-        # old plaintext, verified through the old tree, or zeros when new
-        for height in range(1, len(fmt.mht_level_counts(new_n)) + 1):
-            if height - 1 == old_height:
-                # the tree grew taller: the old root stays, as child 0 of the new level
-                changed.setdefault(0, self._disk_root)
-            slots: dict[int, list[tuple[int, ChildEntry]]] = {}
-            for child, entry in changed.items():
-                slots.setdefault(child // FANOUT, []).append((child % FANOUT, entry))
-            changed = {}
-            for j, patches in slots.items():
+        # bottom-up: each sealed node patches its entry into its parent's
+        # plaintext, fetched at the parent's first changed child
+        level: dict[int, bytearray] = {}  # MHT node j at `height` -> plaintext
+        for i in self._dirty.keys() | range(old_n, new_n):
+            sealed, entry = self._seal_node(fmt.KIND_DATA, i, self._dirty.get(i, ZERO_BLOCK))
+            sealed_at[fmt.data_position(i)] = sealed
+            self._patch_parent(level, 1, i, entry, old_nodes)
+        for height in range(1, new_height + 1):
+            above: dict[int, bytearray] = {}
+            for j, plain in level.items():
                 p = fmt.mht_position(height, j)
-                plain = bytearray(self._fetch_mht_plaintext(height, j) if p < old_nodes
-                                  else ZERO_BLOCK)
-                for slot, entry in patches:
-                    fmt.set_entry(plain, slot, entry)
-                sealed, changed[j] = self._seal_node(fmt.KIND_MHT, p, plain)
+                sealed, entry = self._seal_node(fmt.KIND_MHT, p, plain)
                 sealed_at[p] = sealed
-                fresh.append(((fmt.KIND_MHT, p), plain))
-        root = changed[0]
+                fresh.append((p, plain))
+                if height < new_height:
+                    self._patch_parent(above, height + 1, j, entry, old_nodes)
+            if height == old_height < new_height and 0 not in level:
+                # the tree grew taller: the old root stays, as child 0 of the new level
+                self._patch_parent(above, height + 1, 0, self._disk_root, old_nodes)
+            level = above
+        root = entry  # the one node at the top height is sealed last
 
         # one seek and write per run of adjacent nodes (within a run, node
         # number minus rank is constant)
@@ -252,8 +249,8 @@ class ProtectedFile:
         self._disk_blocks = new_n
         self._disk_root = root
         self._dirty.clear()
-        for node_id, plain in fresh:
-            self._cache.put(node_id, bytes(plain))
+        for p, plain in fresh:
+            self._cache.put(p, bytes(plain))
 
     def close(self) -> None:
         """Flush a read-write handle, then close the file, also when the
@@ -280,34 +277,35 @@ class ProtectedFile:
             raise PfsError("handle is closed")
 
     def _seal_node(self, kind: str, index: int,
-                   plaintext: bytes | bytearray) -> tuple[bytes, ChildEntry]:
-        """Seal under a fresh key, so the fixed nonce never repeats under it."""
-        key = os.urandom(fmt.KEY_SIZE)
+                   plaintext: bytes | bytearray) -> tuple[bytes, bytes]:
+        """Seal under a fresh key, so the fixed nonce never repeats under it;
+        returns the sealed bytes and the node's parent entry."""
+        key = os.urandom(KEY_SIZE)
         sealed = crypto.aead_seal(key, fmt.NODE_NONCE, fmt.node_aad(self.uuid, kind, index),
                                   plaintext)
         self._nodes_sealed += 1
-        return sealed, ChildEntry(key, sealed[-TAG_SIZE:])
+        return sealed, key + sealed[-TAG_SIZE:]
+
+    def _patch_parent(self, level: dict[int, bytearray], height: int, child: int,
+                      entry: bytes, old_nodes: int) -> None:
+        """Set `entry` in parent MHT node (`height`, child // 64), which the
+        first patch puts in `level` from its old plaintext, verified through
+        the old tree, or from zeros when the node is new."""
+        j = child // FANOUT
+        if j not in level:
+            level[j] = bytearray(self._fetch_mht_plaintext(height, j)
+                                 if fmt.mht_position(height, j) < old_nodes else ZERO_BLOCK)
+        fmt.set_entry(level[j], child % FANOUT, entry)
 
     def _data_plaintexts(self, blocks: range) -> dict[int, bytes]:
         """Verified plaintexts of the blocks in `blocks` that are on disk and
-        not dirty: each from the cache, else from one `_open_run` per bottom
-        MHT node over the blocks the cache lacks."""
+        not dirty, from one `_open_run` per bottom MHT node."""
         opened = {}
         on_disk = range(blocks.start, min(blocks.stop, self._disk_blocks))
         for j, group in itertools.groupby(on_disk, lambda i: i // FANOUT):
-            missing = []
-            for i in group:
-                if i in self._dirty:
-                    continue
-                cached = self._cache.get((fmt.KIND_DATA, i))
-                if cached is None:
-                    missing.append(i)
-                else:
-                    opened[i] = cached
-            if missing:
-                for i, plain in zip(missing, self._open_run(j, missing)):
-                    self._cache.put((fmt.KIND_DATA, i), plain)
-                    opened[i] = plain
+            clean = [i for i in group if i not in self._dirty]
+            if clean:
+                opened.update(zip(clean, self._open_run(j, clean)))
         return opened
 
     def _open_run(self, j: int, blocks: list[int] | range) -> list[bytes]:
@@ -326,7 +324,7 @@ class ProtectedFile:
 
     def _fetch_mht_plaintext(self, height: int, j: int) -> bytes:
         p = fmt.mht_position(height, j)
-        cached = self._cache.get((fmt.KIND_MHT, p))
+        cached = self._cache.get(p)
         if cached is not None:
             return cached
         if FANOUT ** height >= self._disk_blocks:  # the root: no lower height covers every block
@@ -335,7 +333,7 @@ class ProtectedFile:
             parent = self._fetch_mht_plaintext(height + 1, j // FANOUT)
             entry = fmt.unpack_entry(parent, j % FANOUT)
         plain = self._check_node(fmt.KIND_MHT, p, entry, self._read_nodes(p))
-        self._cache.put((fmt.KIND_MHT, p), plain)
+        self._cache.put(p, plain)
         return plain
 
     def _read_nodes(self, position: int, count: int = 1) -> bytes:
@@ -345,22 +343,22 @@ class ProtectedFile:
         self._fh.seek(fmt.node_offset(position))
         return self._fh.read(count * NODE_DISK_SIZE)
 
-    def _check_node(self, kind: str, index: int, entry: ChildEntry,
+    def _check_node(self, kind: str, index: int, entry: bytes,
                     sealed: bytes | memoryview) -> bytes:
-        """Check one node's sealed bytes against its parent `entry` and open
-        them; failures name the node in `IntegrityError.node`."""
+        """Check one node's sealed bytes against the tag in its parent `entry`
+        and open them under its key; `IntegrityError.node` names failures."""
         if len(sealed) != NODE_DISK_SIZE:
             raise IntegrityError(f"{kind}:{index} truncated on disk", f"{kind}:{index}")
-        if not hmac.compare_digest(sealed[-TAG_SIZE:], entry.tag):
+        if not hmac.compare_digest(sealed[-TAG_SIZE:], entry[KEY_SIZE:]):
             raise IntegrityError(f"{kind}:{index} tag mismatch", f"{kind}:{index}")
         self._nodes_opened += 1
         try:
-            return crypto.aead_open(entry.key, fmt.NODE_NONCE,
+            return crypto.aead_open(entry[:KEY_SIZE], fmt.NODE_NONCE,
                                     fmt.node_aad(self.uuid, kind, index), sealed)
         except crypto.AuthError:
             raise IntegrityError(f"{kind}:{index} failed authentication", f"{kind}:{index}")
 
-    def _write_header(self, root: ChildEntry) -> None:
+    def _write_header(self, root: bytes) -> None:
         meta = fmt.pack_meta(self.label.encode("utf-8"), self._file_size, root)
         nonce = os.urandom(fmt.NONCE_SIZE)
         sealed = crypto.aead_seal(_header_key(self._master_key, self.uuid), nonce,
@@ -369,7 +367,7 @@ class ProtectedFile:
         self._fh.write(fmt.pack_header(self.uuid, nonce, sealed))
 
 
-def _open_header(fh, master_key: bytes) -> tuple[bytes, bytes, int, ChildEntry]:
+def _open_header(fh, master_key: bytes) -> tuple[bytes, bytes, int, bytes]:
     """The one acceptance check of a container: the header authenticates,
     then the file length is the one its recorded size gives. Returns (uuid,
     label, file_size, root); raises IntegrityError at `header` or `structure`."""
@@ -434,7 +432,7 @@ def verify_file(path, master_key: bytes) -> VerifyReport:
             for height, count in zip(range(len(levels), 0, -1), levels):
                 for j in range(count):
                     handle._fetch_mht_plaintext(height, j)
-            # data blocks bypass the cache, so they never evict the MHT nodes
+            # data blocks are never cached, so they never evict the MHT nodes
             for j in range(levels[-1] if levels else 0):
                 handle._open_run(j, range(j * FANOUT, min((j + 1) * FANOUT, handle._disk_blocks)))
     except IntegrityError as exc:

@@ -22,18 +22,17 @@ sealed_meta plaintext:
     +40 16         root node tag  }
 
 Every MHT node plaintext is 64 child entries of 48 bytes (the child's
-32-byte key, then the 16-byte GCM tag of its sealed bytes), zero-padded
-to 4096. The bottom MHT level points at data blocks, upper levels at MHT
-nodes. Each node key is fresh random at every seal, so nodes seal under
-one fixed all-zero nonce; the AAD binds an MHT node's number or a data
-block's index. Versions 1 and 2 are refused, with no converter.
+32-byte key, then the 16-byte GCM tag of its sealed bytes; in memory too
+an entry is just these bytes), zero-padded to 4096. The bottom MHT level
+points at data blocks, upper levels at MHT nodes. Each node key is fresh
+random at every seal, so nodes seal under one fixed all-zero nonce; the
+AAD binds an MHT node's number or a data block's index. Versions 1 and 2 are refused, with no converter.
 """
 
 from __future__ import annotations
 
 import bisect
 import struct
-from dataclasses import dataclass
 
 MAGIC = b"SEALPFS1"
 VERSION = 3
@@ -70,23 +69,7 @@ class WrongKeyError(IntegrityError):
     """Header did not authenticate: wrong master key (or a tampered header)."""
 
 
-@dataclass(frozen=True)
-class ChildEntry:
-    """A parent's record of one child node: the key it is sealed under and
-    the GCM tag of its sealed bytes."""
-
-    key: bytes
-    tag: bytes
-
-    def pack(self) -> bytes:
-        return self.key + self.tag
-
-    @classmethod
-    def unpack(cls, raw: bytes) -> "ChildEntry":
-        return cls(raw[:KEY_SIZE], raw[KEY_SIZE:ENTRY_SIZE])
-
-
-ZERO_ENTRY = ChildEntry(b"\x00" * KEY_SIZE, b"\x00" * TAG_SIZE)
+ZERO_ENTRY = bytes(ENTRY_SIZE)
 
 
 def data_block_count(file_size: int) -> int:
@@ -148,15 +131,13 @@ def blocks_from_total_nodes(total_nodes: int) -> int:
     return n
 
 
-def set_entry(plaintext: bytearray, slot: int, entry: ChildEntry) -> None:
+def set_entry(plaintext: bytearray, slot: int, entry: bytes) -> None:
     """Overwrite child entry `slot` of an MHT node plaintext in place."""
-    if not 0 <= slot < FANOUT:
-        raise ValueError("no such slot in an MHT node")
-    plaintext[slot * ENTRY_SIZE:(slot + 1) * ENTRY_SIZE] = entry.pack()
+    plaintext[slot * ENTRY_SIZE:(slot + 1) * ENTRY_SIZE] = entry
 
 
-def unpack_entry(plaintext: bytes, slot: int) -> ChildEntry:
-    return ChildEntry.unpack(plaintext[slot * ENTRY_SIZE:(slot + 1) * ENTRY_SIZE])
+def unpack_entry(plaintext: bytes, slot: int) -> bytes:
+    return plaintext[slot * ENTRY_SIZE:(slot + 1) * ENTRY_SIZE]
 
 
 def node_aad(uuid: bytes, kind: str, index: int) -> bytes:
@@ -167,11 +148,11 @@ def header_aad(uuid: bytes) -> bytes:
     return MAGIC + struct.pack("<I", VERSION) + uuid
 
 
-def pack_meta(label: bytes, file_size: int, root: ChildEntry) -> bytes:
-    return struct.pack("<H", len(label)) + label + struct.pack("<Q", file_size) + root.pack()
+def pack_meta(label: bytes, file_size: int, root: bytes) -> bytes:
+    return struct.pack("<H", len(label)) + label + struct.pack("<Q", file_size) + root
 
 
-def unpack_meta(meta: bytes) -> tuple[bytes, int, ChildEntry]:
+def unpack_meta(meta: bytes) -> tuple[bytes, int, bytes]:
     if len(meta) < 2:
         raise IntegrityError("metadata too short")
     (label_len,) = struct.unpack_from("<H", meta, 0)
@@ -180,7 +161,7 @@ def unpack_meta(meta: bytes) -> tuple[bytes, int, ChildEntry]:
         raise IntegrityError("metadata length inconsistent")
     label = meta[2:2 + label_len]
     (file_size,) = struct.unpack_from("<Q", meta, 2 + label_len)
-    return label, file_size, ChildEntry.unpack(meta[2 + label_len + 8:])
+    return label, file_size, meta[2 + label_len + 8:]
 
 
 def pack_header(uuid: bytes, header_nonce: bytes, sealed_meta: bytes) -> bytes:

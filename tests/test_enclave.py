@@ -432,6 +432,34 @@ def test_user_encrypt_decrypt_identity(tmp_path):
         b"sensitive model weights"
 
 
+def test_user_tooling_labels_containers_with_canonical_enclave_paths(tmp_path):
+    # the enclave opens every path in canonical form, so a container labelled
+    # with the path as given would fail its filename check
+    root, final, _ = build_deployment(tmp_path)
+    (tmp_path / "user" / "input.csv").write_text("5,6\n")
+    written = user_encrypt_inputs([(tmp_path / "user" / "model.bin", "/data/./model.pfs"),
+                                   (tmp_path / "user" / "input.csv", "/data//input.csv.pfs")],
+                                  MASTER_KEY, root / "data")
+    assert written == [str(root / "data" / "model.pfs"), str(root / "data" / "input.csv.pfs")]
+    instance = enclave_start(final, root)
+    instance.provisioned_secrets["pfs-master"] = MASTER_KEY
+    _, rows = instance.workload_open_inputs(WORKLOAD)
+    assert rows == [[5.0, 6.0]]
+    instance.workload_write_output(WORKLOAD, rows)
+    assert user_decrypt_output(root / "data" / "output.csv.pfs", MASTER_KEY,
+                               "/data/../data/output.csv.pfs") == format_rows(rows).encode()
+
+
+@pytest.mark.parametrize("path", ["data/plain.bin", "/../plain.bin", "/data/../../x"])
+def test_user_encrypt_refuses_a_relative_or_escaping_path_before_any_write(tmp_path, path):
+    src = tmp_path / "plain.bin"
+    src.write_bytes(b"data")
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError):
+        user_encrypt_inputs([(src, "/data/ok.bin"), (src, path)], MASTER_KEY, out_dir)
+    assert not out_dir.exists()
+
+
 def test_user_decrypt_wrong_key(tmp_path):
     from enclavesim.pfs import WrongKeyError
 

@@ -27,6 +27,8 @@ from enclavesim.pfs import (
 )
 from enclavesim.pfs import format as fmt
 
+import format_oracle
+
 KEY = bytes(range(32))
 
 
@@ -611,6 +613,43 @@ def test_roundtrip_various_sizes(tmp_path):
         assert read_all(p) == data, f"roundtrip failed at size {size}"
 
 
+# the byte offsets at which a container grown by appends is flushed: before,
+# on and past the 64-block and 4096-block boundaries, some mid-block
+APPEND_STOPS = [1, 63 * BLOCK_SIZE + 5, 64 * BLOCK_SIZE, 65 * BLOCK_SIZE,
+                4095 * BLOCK_SIZE, 4096 * BLOCK_SIZE + 7]
+
+
+def build_container(path, n_blocks, how):
+    """Make an `n_blocks` container one of three ways; returns its plaintext."""
+    size = max(n_blocks * BLOCK_SIZE - 100, 0)  # a partial final block
+    data = bytearray(random.Random(n_blocks).randbytes(size))
+    if how == "appends":
+        make_file(path, b"")
+        start = 0
+        for stop in [s for s in APPEND_STOPS if s < size] + [size]:
+            with ProtectedFile.open(path, "file.bin", KEY, mode="rw") as pf:
+                pf.write(start, data[start:stop])
+            start = stop
+        return bytes(data)
+    make_file(path, data)
+    if how == "update" and size:
+        data[size // 2] ^= 0x5A
+        with ProtectedFile.open(path, "file.bin", KEY, mode="rw") as pf:
+            pf.write(size // 2, data[size // 2:size // 2 + 1])
+    return bytes(data)
+
+
+@pytest.mark.parametrize("how", ["one_go", "appends", "update"])
+@pytest.mark.parametrize("n_blocks", [0, 1, 64, 65, 4096, 4097])
+def test_an_independent_format_reader_reads_what_was_written(tmp_path, n_blocks, how):
+    # with random node keys, nothing else checks the container byte by byte
+    # against FORMAT.md
+    p = tmp_path / "f.pfs"
+    data = build_container(p, n_blocks, how)
+    assert info(p)["data_blocks"] == n_blocks
+    assert format_oracle.read_container(p.read_bytes(), KEY, b"file.bin") == data
+
+
 def test_block_count_arithmetic(tmp_path):
     for i, (size, blocks) in enumerate([(0, 0), (1, 1), (4096, 1), (4097, 2),
                                         (10000, 3), (2 ** 20, 256)]):
@@ -762,11 +801,12 @@ def test_one_byte_update_reseals_only_its_spine(tmp_path, monkeypatch):
         assert (stats["nodes_sealed"], stats["nodes_opened"]) == (4, 4)
         pf.read(block * BLOCK_SIZE, 1)
         first = pf.stats()
-        assert first["nodes_opened"] == 4  # the flush kept its plaintexts in the cache
+        # the flush kept the MHT plaintexts in the cache; data blocks are never cached
+        assert first["nodes_opened"] == 5
         assert pf.read(block * BLOCK_SIZE + 7, 1) == b"\xa5"
         again = pf.stats()
         assert again["cache_hits"] == first["cache_hits"] + 1
-        assert again["nodes_opened"] == first["nodes_opened"]
+        assert again["nodes_opened"] == first["nodes_opened"] + 1
         assert again["cache_misses"] == first["cache_misses"]
     after = p.read_bytes()
 

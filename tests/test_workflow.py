@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,8 +7,16 @@ from enclavesim import pcs_service, pfs
 from enclavesim.channel import HandshakeError
 from enclavesim.enclave import RunError, StartError
 from enclavesim.manifest import ParseError
-from enclavesim.provisioning import ProvisionDeniedError
-from enclavesim.workflow import DemoConfig, exit_code, parse_config, scan_for_leaks, workflow_demo
+from enclavesim.provisioning import ProvisionDeniedError, vault_load
+from enclavesim.workflow import (
+    FAULTS,
+    SECRET_NAME,
+    DemoConfig,
+    exit_code,
+    parse_config,
+    scan_for_leaks,
+    workflow_demo,
+)
 
 
 def quiet(*args, **kwargs):
@@ -85,6 +94,22 @@ def test_leak_scan_skips_the_user_directory_and_nothing_else(tmp_path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"<" + marker + b">")
     assert scan_for_leaks(tmp_path, tmp_path / "user", [marker]) == ["cloud/g", "user2/f"]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_no_secret_in_the_demo_log_or_report(tmp_path, fault):
+    config = DemoConfig(workdir=str(tmp_path / fault), fault=fault)
+    lines = []
+    workflow_demo(config, log=lambda *args: lines.append(" ".join(map(str, args))))
+    user_dir = tmp_path / fault / "user"
+    master_key = vault_load(user_dir / "vault.pfs", config.passphrase).get(SECRET_NAME)["secret"]
+    secrets = [random.Random(config.seed).randbytes(8).hex().encode(),  # the input marker
+               (user_dir / "model.bin").read_bytes()[8:40],  # model bytes the demo scans for
+               master_key, master_key.hex().encode(), master_key.hex().upper().encode()]
+    report = (tmp_path / fault / "demo_report.json").read_bytes()
+    assert len(lines) > 5
+    for text in [line.encode("utf-8") for line in lines] + [report]:
+        assert not [s for s in secrets if s in text], text
 
 
 def test_the_key_server_fetches_each_crl_from_the_pcs(tmp_path, monkeypatch):
