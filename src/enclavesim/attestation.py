@@ -171,17 +171,25 @@ class VerificationResult:
 
 
 def replace_atomically(path, write) -> None:
-    """Call write(tmp) on a sibling temp path, fsync it, then os.replace it
-    over `path`: a failure at any point leaves the old file untouched."""
+    """Call write(tmp) on a sibling temp path created owner-only (0600),
+    fsync it, os.replace it over `path` and fsync the directory, so the
+    rename survives a power loss: a failure at any point leaves the old
+    file untouched."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        write(tmp)
-        fd = os.open(tmp, os.O_RDONLY)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         try:
+            os.fchmod(fd, 0o600)  # a stale tmp keeps the mode it was created with
+            write(tmp)
             os.fsync(fd)
         finally:
             os.close(fd)
         os.replace(tmp, path)
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except BaseException:
         try:
             os.remove(tmp)

@@ -88,20 +88,23 @@ def bind_report_data(eph_pub: bytes) -> bytes:
     return b"\x00" * 32 + crypto.hash_data(eph_pub + RATLS_BIND_LABEL)
 
 
-def _send_handshake(conn: socket.socket, frame_type: int, payload: bytes) -> None:
+# what a failed send or receive raises: the socket, the framing, the record layer
+_IO_FAILURES = (OSError, wire.WireError, ChannelError)
+
+
+def _as_io(step, *args):
+    """`step(*args)`, one handshake role's steps, with any transport failure
+    raised as HandshakeError("io"): the one place each role translates them."""
     try:
-        wire.send_frame(conn, frame_type, payload)
-    except OSError as exc:
+        return step(*args)
+    except _IO_FAILURES as exc:
         raise HandshakeError("io", str(exc))
 
 
 def _recv_handshake(conn: socket.socket, *frame_types: int) -> tuple[int, bytes]:
     """The peer's next plaintext handshake frame, which must be of one of
-    `frame_types`; anything else is HandshakeError("io")."""
-    try:
-        frame_type, payload = wire.recv_frame(conn)
-    except (wire.WireError, OSError) as exc:
-        raise HandshakeError("io", str(exc))
+    `frame_types`; another type is HandshakeError("io")."""
+    frame_type, payload = wire.recv_frame(conn)
     if frame_type not in frame_types:
         raise HandshakeError("io", f"unexpected frame type {frame_type:#x}")
     return frame_type, payload
@@ -116,14 +119,6 @@ def _key_schedule(th1, verifier_eph_pub, sig, own_private, peer_public):
     except ValueError as exc:
         raise HandshakeError("io", str(exc))
     return th2, crypto.kdf(shared, "a2s", th2), crypto.kdf(shared, "s2a", th2)
-
-
-def _send_finished(channel: "SecureChannel", th2: bytes) -> None:
-    """This side's Finished; a peer that has gone is HandshakeError("io")."""
-    try:
-        channel.send(wire.REC_FINISHED, th2)
-    except ChannelError as exc:
-        raise HandshakeError("io", str(exc))
 
 
 def _check_finished(channel: "SecureChannel", th2: bytes) -> None:
@@ -166,9 +161,7 @@ class SecureChannel:
             raise ChannelError("closed")
         try:
             record_type, sealed = wire.recv_frame(self._sock)
-        except wire.ConnectionClosedError:
-            raise ChannelError("closed", "peer closed the connection")
-        except OSError as exc:
+        except (wire.WireError, OSError) as exc:
             raise ChannelError("closed", str(exc))
         nonce = self._recv_seq.to_bytes(12, "big")
         aad = bytes([record_type]) + struct.pack(">Q", self._recv_seq)
@@ -191,7 +184,7 @@ def attester_handshake(conn: socket.socket, quote_provider: QuoteProvider,
     verifier against the pinned key, prove transcript agreement. The
     connection is closed on any failure."""
     try:
-        return _attester_handshake(conn, quote_provider, verifier_pin)
+        return _as_io(_attester_handshake, conn, quote_provider, verifier_pin)
     except BaseException:
         _quiet_close(conn)
         raise
@@ -203,7 +196,7 @@ def _attester_handshake(conn: socket.socket, quote_provider: QuoteProvider,
     quote, chain = quote_provider(bind_report_data(eph.public))
     a1 = codec.pack(AttestationCertificate.RECORD,
                     AttestationCertificate(eph.public, quote, chain))
-    _send_handshake(conn, wire.HS_A1, a1)
+    wire.send_frame(conn, wire.HS_A1, a1)
     frame_type, payload = _recv_handshake(conn, wire.HS_V1, wire.HS_ERROR)
     if frame_type == wire.HS_ERROR:
         raise HandshakeError(**_read_peer(HS_ERROR, payload, "HS_ERROR"))
@@ -218,7 +211,7 @@ def _attester_handshake(conn: socket.socket, quote_provider: QuoteProvider,
     th2, key_a2v, key_v2a = _key_schedule(th1, verifier_eph_pub, sig, eph.private,
                                           verifier_eph_pub)
     channel = SecureChannel(conn, send_key=key_a2v, recv_key=key_v2a)
-    _send_finished(channel, th2)
+    channel.send(wire.REC_FINISHED, th2)
     _check_finished(channel, th2)
     return channel
 
@@ -233,11 +226,11 @@ def verifier_handshake(conn: socket.socket, policy: VerificationPolicy,
     The channel's `peer_certificate` is the verified A1."""
     try:
         try:
-            a1, cert = _verify_a1(conn, policy, crl_provider, now)
+            a1, cert = _as_io(_verify_a1, conn, policy, crl_provider, now)
         except HandshakeError as exc:
             _send_hs_error(conn, exc.kind, exc.reason)
             raise
-        return _answer_a1(conn, a1, cert, verifier_signing_key)
+        return _as_io(_answer_a1, conn, a1, cert, verifier_signing_key)
     except BaseException:
         _quiet_close(conn)
         raise
@@ -264,13 +257,13 @@ def _answer_a1(conn, a1, cert, verifier_signing_key):
     eph = crypto.dh_generate()
     th1 = crypto.hash_data(a1)
     sig = crypto.sign(verifier_signing_key.private, _SIG_CONTEXT + th1 + eph.public)
-    _send_handshake(conn, wire.HS_V1, codec.pack(V1, {"eph_pub": eph.public, "sig": sig}))
+    wire.send_frame(conn, wire.HS_V1, codec.pack(V1, {"eph_pub": eph.public, "sig": sig}))
     # X25519 after V1, so it overlaps the attester's signature check
     th2, key_a2v, key_v2a = _key_schedule(th1, eph.public, sig, eph.private,
                                           cert.attester_eph_pub)
     channel = SecureChannel(conn, send_key=key_v2a, recv_key=key_a2v, peer_certificate=cert)
     _check_finished(channel, th2)
-    _send_finished(channel, th2)
+    channel.send(wire.REC_FINISHED, th2)
     return channel
 
 

@@ -179,6 +179,17 @@ def unpack(kind, payload: bytes):
     return kind.decode(value)
 
 
+def _one_value_per_key(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r:.40}")
+        obj[key] = value
+    return obj
+
+
 def load(kind, data: bytes):
-    """A record file's value, which must decode as `kind`; its layout is free."""
-    return kind.decode(wire.read_json(data))
+    """A record file's value, which must decode as `kind`; its layout is
+    free, but no object may repeat a key. (Wire payloads need no such check:
+    `unpack` requires their canonical JSON, which never repeats one.)"""
+    return kind.decode(json.loads(data.decode("utf-8"), object_pairs_hook=_one_value_per_key))

@@ -353,19 +353,20 @@ def user_encrypt_inputs(items, master_key: bytes, out_dir) -> list[str]:
     """Encrypt (plaintext_path, enclave_path) pairs into protected
     containers under out_dir, labeled with the canonical form of their
     destination enclave paths, as the enclave opens them. Returns the
-    written host paths; ValueError before any write for a relative path
-    or one that climbs above '/'."""
+    written host paths, one per enclave path's basename; ValueError before
+    any write for a relative path, one that climbs above '/', or two that
+    share a basename."""
     items = [(src, normalize_enclave_path(path)) for src, path in items]
+    dests = [os.path.join(str(out_dir), os.path.basename(path)) for _, path in items]
+    if len(set(dests)) != len(dests):
+        raise ValueError(f"enclave paths share a basename: {[path for _, path in items]}")
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for src, enclave_path in items:
+    for (src, enclave_path), dest in zip(items, dests):
         with open(src, "rb") as fh:
             content = fh.read()
-        dest = os.path.join(str(out_dir), os.path.basename(enclave_path))
         with ProtectedFile.create(dest, enclave_path, master_key) as pf:
             pf.write(0, content)
-        written.append(dest)
-    return written
+    return dests
 
 
 def user_decrypt_output(path, master_key: bytes, label: str) -> bytes:

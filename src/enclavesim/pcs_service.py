@@ -18,6 +18,7 @@ from .attestation import (
     PcsDatabase,
     PlatformIdentity,
     UnknownPlatformError,
+    replace_atomically,
 )
 
 PLATFORM_REQ = codec.Record(("platform_id", PLATFORM_ID))  # PCS_FETCH_REQ, PCS_REVOKE_REQ
@@ -202,10 +203,14 @@ def revoke_platform(addr, platform_id: bytes) -> Crl:
 
 
 def save_identity(path, platform: PlatformIdentity, chain: CertChain) -> None:
-    """The identity file that `pcs register --identity-out` writes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(IDENTITY.encode({"platform": platform, "chain": chain}), fh, indent=2)
-        fh.write("\n")
+    """The identity file that `pcs register --identity-out` writes; it holds
+    the platform's attestation private key, so it is owner-only."""
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(IDENTITY.encode({"platform": platform, "chain": chain}), fh, indent=2)
+            fh.write("\n")
+
+    replace_atomically(path, write)
 
 
 def load_identity(path) -> tuple[PlatformIdentity, CertChain]:

@@ -1,12 +1,15 @@
 import json
+import os
 import random
+import stat
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enclavesim import attestation, crypto, wire
+from enclavesim import attestation, crypto, pcs_service, provisioning, wire
 from enclavesim.attestation import (
     FAILURE_REASONS,
     QUOTE_SIZE,
@@ -20,6 +23,7 @@ from enclavesim.attestation import (
     VerificationResult,
     quote_generate,
     quote_verify,
+    replace_atomically,
 )
 
 NOW = 1_700_000_000
@@ -501,3 +505,51 @@ def test_memo_keeps_the_most_recent_successes(pcs, verify_calls):
     assert quote_verify(quotes[0], chain, crl, pol, NOW).ok  # evicted long ago
     assert len(verify_calls) == 1
     assert len(attestation._verified) == attestation.VERIFIED_MEMO_SIZE
+
+
+# -- files that hold keys ------------------------------------------------------
+
+# each file the program writes that holds a private key or a secret
+KEY_FILE_WRITERS = {
+    "pcs.json": lambda path, pcs, platform, chain: pcs.save(path),
+    "identity.json": lambda path, pcs, platform, chain:
+        pcs_service.save_identity(path, platform, chain),
+    "vault.pfs": lambda path, pcs, platform, chain:
+        provisioning.vault_save(provisioning.KeyVault(), path, "passphrase"),
+}
+
+
+@pytest.mark.parametrize("stale_tmp", [False, True], ids=["fresh", "stale-tmp"])
+@pytest.mark.parametrize("name", sorted(KEY_FILE_WRITERS))
+def test_files_that_hold_keys_are_owner_only(tmp_path, registered, name, stale_tmp):
+    path = tmp_path / name
+    tmp = tmp_path / f"{name}.tmp"
+    if stale_tmp:  # left by an interrupted save, with a wider mode
+        tmp.write_bytes(b"stale")
+        tmp.chmod(0o644)
+    umask = os.umask(0o022)
+    try:
+        KEY_FILE_WRITERS[name](path, *registered)
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert not tmp.exists()
+
+
+def test_a_replace_is_made_durable_by_an_fsync_of_its_directory(tmp_path, monkeypatch):
+    events, fsync, replace_file = [], os.fsync, os.replace
+
+    def traced_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def traced_replace(src, dst):
+        events.append(("replace", os.fspath(dst)))
+        replace_file(src, dst)
+
+    monkeypatch.setattr(os, "fsync", traced_fsync)
+    monkeypatch.setattr(os, "replace", traced_replace)
+    path = tmp_path / "state.json"
+    replace_atomically(path, lambda tmp: Path(tmp).write_bytes(b"{}"))
+    assert events == [("fsync", path.stat().st_ino), ("replace", os.fspath(path)),
+                      ("fsync", tmp_path.stat().st_ino)]

@@ -630,3 +630,142 @@ def test_max_record_size_enforced(env):
     with pytest.raises(wire.WireError):
         chan_a.send(wire.REC_APP, b"\x00" * (wire.MAX_PAYLOAD + 1))
     chan_a.close(), chan_v.close()
+
+
+# -- transport faults ---------------------------------------------------------
+
+FAULT_TIMEOUT_S = 2.0  # on both ends of every fault case, so that none can hang
+SEND_FAULTS = ("reset", "timeout")
+BODY_FAULTS = ("eof", "reset", "timeout")
+HEADER_FAULTS = BODY_FAULTS + ("bad_length",)  # faults of a 4-byte frame header read
+ROLES = ("attester", "verifier")
+
+
+def faults_for(op: str, size: int) -> tuple[str, ...]:
+    return SEND_FAULTS if op == "sendall" else HEADER_FAULTS if size == 4 else BODY_FAULTS
+
+
+class FaultySocket:
+    """One end of a socketpair that forwards sendall, recv, settimeout,
+    gettimeout and close, except that its `fault_at`-th sendall or recv
+    gets `fault` instead: EOF, a reset or a timeout, or a header of frame
+    length 0. `calls` holds the (op, size) of every sendall and recv."""
+
+    def __init__(self, sock: socket.socket, fault: str | None = None, fault_at: int = 0):
+        self._sock = sock
+        self.fault = fault
+        self.fault_at = fault_at
+        self.calls: list[tuple[str, int]] = []
+        self.closed = False
+
+    def _inject(self, op: str, size: int):
+        self.calls.append((op, size))
+        if len(self.calls) != self.fault_at:
+            return None
+        assert self.fault in faults_for(op, size)
+        if self.fault == "reset":
+            raise ConnectionResetError("injected reset")
+        if self.fault == "timeout":
+            raise TimeoutError("injected timeout")
+        return b"" if self.fault == "eof" else bytes(4)
+
+    def sendall(self, data: bytes) -> None:
+        self._inject("sendall", len(data))
+        self._sock.sendall(data)
+
+    def recv(self, n: int) -> bytes:
+        injected = self._inject("recv", n)
+        return self._sock.recv(n) if injected is None else injected
+
+    def settimeout(self, value) -> None:
+        self._sock.settimeout(value)
+
+    def gettimeout(self):
+        return self._sock.gettimeout()
+
+    def close(self) -> None:
+        self.closed = True
+        self._sock.close()
+
+
+def handshake_over(env, role: str, faulty: FaultySocket, theirs: socket.socket):
+    """`role`'s handshake over `faulty` against the other role, run honestly
+    on `theirs` in one thread: (this side's channel or exception, the peer's
+    SideResult)."""
+    crl = env["pcs"].current_crl()
+    peer = SideResult()
+
+    def run(role, sock):
+        if role == "attester":
+            return attester_handshake(sock, provider_for(env), env["verifier_key"].public)
+        return verifier_handshake(sock, env["policy"], lambda pid: crl, NOW,
+                                  env["verifier_key"])
+
+    def honest():
+        try:
+            peer.value = run("verifier" if role == "attester" else "attester", theirs)
+        except Exception as exc:
+            peer.error = exc
+
+    thread = threading.Thread(target=honest)
+    thread.start()
+    try:
+        outcome = run(role, faulty)
+    except Exception as exc:
+        outcome = exc
+    thread.join(timeout=3 * FAULT_TIMEOUT_S)
+    assert not thread.is_alive()
+    return outcome, peer
+
+
+def timed_pair() -> tuple[socket.socket, socket.socket]:
+    mine, theirs = socket.socketpair()
+    for sock in (mine, theirs):
+        sock.settimeout(FAULT_TIMEOUT_S)
+    return mine, theirs
+
+
+def honest_calls(env, role: str) -> list[tuple[str, int]]:
+    """The sendall and recv calls `role` makes in an honest handshake."""
+    mine, theirs = timed_pair()
+    faulty = FaultySocket(mine)
+    try:
+        outcome, peer = handshake_over(env, role, faulty, theirs)
+        assert peer.error is None and not isinstance(outcome, Exception)
+    finally:
+        mine.close(), theirs.close()
+    return faulty.calls
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_any_transport_fault_in_a_handshake_is_io_or_bad_finished(env, role):
+    cases = [(k, fault) for k, (op, size) in enumerate(honest_calls(env, role), 1)
+             for fault in faults_for(op, size)]
+    assert sum(fault == "bad_length" for _, fault in cases) == 2  # the peer's two frames
+    for k, fault in cases:
+        mine, theirs = timed_pair()
+        faulty = FaultySocket(mine, fault, k)
+        try:
+            outcome, _ = handshake_over(env, role, faulty, theirs)
+        finally:
+            mine.close(), theirs.close()
+        assert isinstance(outcome, HandshakeError), (k, fault, outcome)
+        assert outcome.kind in ("io", "bad_finished"), (k, fault, outcome)
+        assert faulty.closed, (k, fault)
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_any_transport_fault_after_the_handshake_is_channel_closed(env, role):
+    # the fault hits the header read (1) or the body read (2) of the next record
+    for at, fault in [(1, f) for f in HEADER_FAULTS] + [(2, f) for f in BODY_FAULTS]:
+        mine, theirs = timed_pair()
+        faulty = FaultySocket(mine)
+        try:
+            chan, peer = handshake_over(env, role, faulty, theirs)
+            peer.value.send(wire.REC_APP, b"after the handshake")
+            faulty.fault, faulty.fault_at = fault, len(faulty.calls) + at
+            with pytest.raises(ChannelError) as info:
+                chan.recv()
+            assert info.value.kind == "closed", (at, fault)
+        finally:
+            mine.close(), theirs.close()

@@ -555,6 +555,49 @@ def test_the_record_files_load_and_resave_to_the_same_bytes(tmp_path):
     assert codec.load(WorkloadSpec.RECORD, workload).to_json() == workload
 
 
+# the record of each record file
+RECORD_FILE_KINDS = {"pcs.json": attestation.DATABASE_FILE, "identity.json": pcs_service.IDENTITY,
+                     "vault_body.json": provisioning.VAULT, "workload.json": WorkloadSpec.RECORD}
+
+
+def dumps_repeating(value, target, path=()) -> str:
+    """JSON of `value` in which the object at `path` `target` (a tuple of
+    keys and indices) repeats its first key, with the same value."""
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}:{dumps_repeating(v, target, path + (k,))}"
+                 for k, v in value.items()]
+        return "{" + ",".join(items[:1] * (path == target) + items) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(dumps_repeating(v, target, path + (i,))
+                              for i, v in enumerate(value)) + "]"
+    return json.dumps(value)
+
+
+def object_paths(value, path=()):
+    """The path of every non-empty object in `value`."""
+    if isinstance(value, dict) and value:
+        yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, item in items:
+        yield from object_paths(item, path + (key,))
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FILE_KINDS))
+def test_a_record_file_that_repeats_a_key_is_refused(name):
+    kind, value = RECORD_FILE_KINDS[name], json.loads((RECORD_FILES / name).read_bytes())
+    codec.load(kind, dumps_repeating(value, None).encode())
+    paths = list(object_paths(value))
+    assert paths
+    for path in paths:
+        repeated = dumps_repeating(value, path).encode()
+        with pytest.raises(ValueError, match="repeated key"):
+            codec.load(kind, repeated)
+        if name == "vault_body.json":
+            with pytest.raises(provisioning.VaultError, match="repeated key"):
+                provisioning.read_vault_body(repeated)
+
+
 def test_a_policy_that_its_record_cannot_hold_is_never_built():
     root = b"\x01" * 32
     for kwargs in ({"expected_mr_enclave": b"\xab\xcd"}, {"expected_mr_signer": b"\x00" * 33},

@@ -460,6 +460,17 @@ def test_user_encrypt_refuses_a_relative_or_escaping_path_before_any_write(tmp_p
     assert not out_dir.exists()
 
 
+def test_user_encrypt_refuses_two_paths_with_one_basename_before_any_write(tmp_path):
+    # both would be written to out/model.pfs, the second over the first
+    src = tmp_path / "plain.bin"
+    src.write_bytes(b"data")
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match="share a basename"):
+        user_encrypt_inputs([(src, "/data/x/model.pfs"), (src, "/data/y/model.pfs")],
+                            MASTER_KEY, out_dir)
+    assert not out_dir.exists()
+
+
 def test_user_decrypt_wrong_key(tmp_path):
     from enclavesim.pfs import WrongKeyError
 
