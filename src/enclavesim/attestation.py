@@ -162,12 +162,11 @@ class VerificationPolicy:
 
 @dataclass
 class VerificationResult:
-    ok: bool
-    failure_reason: str | None
-    quote: Quote
+    failure_reason: str | None  # None when the quote verified
 
-    def __post_init__(self):
-        assert self.ok == (self.failure_reason is None)
+    @property
+    def ok(self) -> bool:
+        return self.failure_reason is None
 
 
 def replace_atomically(path, write) -> None:
@@ -216,24 +215,28 @@ def _sign(unsigned, private_key: bytes):
     return replace(unsigned, signature=crypto.sign(private_key, unsigned.signed_payload()))
 
 
-# (public key, signature, SHA-256 of the signed payload) of each signature
-# that verified, least recently used first; failures are never stored, so
-# hostile evidence cannot fill it, and each entry holds 128 bytes
-_verified: OrderedDict[tuple[bytes, bytes, bytes], None] = OrderedDict()
+# (public key, record) of each signature check that succeeded, least
+# recently used first. Records are frozen and their signed payload is a
+# function of their fields, so an equal record is the same signed message,
+# and a record that differs in any field, its signature included, is another
+# key. Failures are never stored, so hostile evidence cannot enter. The memo
+# holds at most VERIFIED_MEMO_SIZE records, each of which verified: a decoded
+# certificate or quote is about 0.5 KB, a CRL as much plus about 130 B per
+# revoked platform, and each entry adds about 140 B.
+_verified: OrderedDict[tuple[bytes, object], None] = OrderedDict()
 _verified_lock = threading.Lock()
 
 
 def _signed_by(record, public_key: bytes) -> bool:
     """Whether record.signature is public_key's Ed25519 signature over
-    record.signed_payload(). Only a repeat of a check of exactly these bytes
+    record.signed_payload(). Only a repeat of a check of an equal record
     that succeeded skips the Ed25519 work."""
-    payload = record.signed_payload()
-    key = (public_key, record.signature, crypto.hash_data(payload))
+    key = (public_key, record)
     with _verified_lock:
         if key in _verified:
             _verified.move_to_end(key)
             return True
-    if not crypto.verify(public_key, payload, record.signature):
+    if not crypto.verify(public_key, record.signed_payload(), record.signature):
         return False
     with _verified_lock:
         _verified[key] = None
@@ -413,32 +416,29 @@ def quote_verify(quote: Quote, chain: CertChain, crl: Crl,
     failure_reason. Order: bad_chain, expired, revoked, bad_quote_sig,
     mr_enclave_mismatch, mr_signer_mismatch, svn_too_low, tcb_too_low."""
 
-    def fail(reason: str) -> VerificationResult:
-        return VerificationResult(ok=False, failure_reason=reason, quote=quote)
-
     leaf = chain.attestation_key_cert
     if not _chain_ok(chain, crl, policy.accepted_root):
-        return fail("bad_chain")
+        return VerificationResult("bad_chain")
     if not (leaf.not_before <= now <= leaf.not_after):
-        return fail("expired")
+        return VerificationResult("expired")
     cert_pid = subject_platform_id(leaf.subject)
     if cert_pid in crl.revoked:
-        return fail("revoked")
+        return VerificationResult("revoked")
     # the leaf certificate is the authority on platform identity: the quote
     # must claim the certified id, else a revoked platform could dodge its
     # CRL entry by signing a quote with someone else's id
     if quote.platform_id != cert_pid:
-        return fail("bad_quote_sig")
+        return VerificationResult("bad_quote_sig")
     if not _signed_by(quote, leaf.public_key):
-        return fail("bad_quote_sig")
+        return VerificationResult("bad_quote_sig")
     if policy.expected_mr_enclave is not None and quote.mr_enclave != policy.expected_mr_enclave:
-        return fail("mr_enclave_mismatch")
+        return VerificationResult("mr_enclave_mismatch")
     if policy.expected_mr_signer is not None and quote.mr_signer != policy.expected_mr_signer:
-        return fail("mr_signer_mismatch")
+        return VerificationResult("mr_signer_mismatch")
     if quote.isv_svn < policy.min_isv_svn:
-        return fail("svn_too_low")
+        return VerificationResult("svn_too_low")
     # TCB freshness comes from the registry-issued certificate, not the
     # quote's self-reported copy
     if leaf.tcb_level < policy.min_tcb_level:
-        return fail("tcb_too_low")
-    return VerificationResult(ok=True, failure_reason=None, quote=quote)
+        return VerificationResult("tcb_too_low")
+    return VerificationResult(None)

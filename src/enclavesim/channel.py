@@ -145,14 +145,20 @@ class SecureChannel:
         self._closed = False
 
     def send(self, record_type: int, payload: bytes) -> None:
+        """An oversize payload is WireError before anything is sealed; a
+        frame that fails to go out closes the channel, since part of it may
+        be on the wire and its nonce must never seal another record."""
         if self._closed:
             raise ChannelError("closed")
+        if len(payload) + crypto.TAG_SIZE > wire.MAX_PAYLOAD:
+            raise wire.WireError(f"payload of {len(payload)} bytes does not fit a record")
         nonce = self._send_seq.to_bytes(12, "big")
         aad = bytes([record_type]) + struct.pack(">Q", self._send_seq)
         sealed = crypto.aead_seal(self._send_key, nonce, aad, payload)
         try:
             wire.send_frame(self._sock, record_type, sealed)
         except OSError as exc:
+            self.close()
             raise ChannelError("closed", str(exc))
         self._send_seq += 1
 

@@ -50,7 +50,10 @@ def _addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host:
         raise CliError(f"expected host:port, got {text!r}")
-    return host, int(port)
+    try:
+        return host, codec.decimal(port)
+    except ValueError as exc:
+        raise CliError(f"port of {text!r}: {exc}")
 
 
 # -- pfs ------------------------------------------------------------------
@@ -294,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pcs_serve)
     p = pcs_sub.add_parser("register")
     p.add_argument("--pcs", required=True, help="mock PCS host:port")
-    p.add_argument("--tcb", type=int, default=1)
+    p.add_argument("--tcb", type=codec.decimal, default=1)
     p.add_argument("--identity-out", help="write the platform identity JSON here")
     p.set_defaults(func=cmd_pcs_register)
     p = pcs_sub.add_parser("revoke")
@@ -311,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", default="127.0.0.1:0")
     p.add_argument("--pcs", required=True, help="mock PCS host:port (CRL source)")
     p.add_argument("--root-hex", required=True, help="pinned PCS root public key")
-    p.add_argument("--min-svn", type=int, default=0)
-    p.add_argument("--min-tcb", type=int, default=0)
+    p.add_argument("--min-svn", type=codec.decimal, default=0)
+    p.add_argument("--min-tcb", type=codec.decimal, default=0)
     p.add_argument("--pin-out", help="write this server's public key hex here")
     p.add_argument("--signing-key-hex", help="long-term Ed25519 private key "
                                              "(default: fresh)")
@@ -326,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root-hex", required=True)
     p.add_argument("--policy-mrenclave")
     p.add_argument("--policy-mrsigner")
-    p.add_argument("--min-svn", type=int, default=0)
-    p.add_argument("--min-tcb", type=int, default=0)
+    p.add_argument("--min-svn", type=codec.decimal, default=0)
+    p.add_argument("--min-tcb", type=codec.decimal, default=0)
     p.set_defaults(func=cmd_keyserver_add_secret)
 
     # enclave

@@ -46,6 +46,16 @@ U32 = _exact(int, "an integer in 0..2**32-1", range(1 << 32))
 U64 = _exact(int, "an integer in 0..2**64-1", range(1 << 64))
 
 
+def decimal(text: str) -> int:
+    """The integer n that `text` writes as str(n) does; any other spelling
+    that int() takes (a '+', leading zeros, '_', surrounding spaces,
+    non-ASCII digits) is a ValueError, so each integer has one spelling."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"expected an integer written as str(n), got {text!r:.40}")
+    return value
+
+
 def const(text: str) -> Kind:
     return _exact(str, repr(text), (text,))
 

@@ -128,7 +128,7 @@ def _parse_size(value: str, line: int) -> int:
         mult = _SIZE_SUFFIX[text[-1].upper()]
         text = text[:-1]
     try:
-        size = int(text) * mult
+        size = codec.decimal(text) * mult
     except ValueError:
         raise ParseError(f"bad size value {value!r}", line)
     return size
@@ -211,7 +211,7 @@ def _build_template(scalars, lists, env) -> ManifestTemplate:
         raise ParseError("missing required key 'sgx.max_threads'")
     thr_line, thr_text = scalars["sgx.max_threads"]
     try:
-        max_threads = int(thr_text)
+        max_threads = codec.decimal(thr_text)
     except ValueError:
         raise ParseError(f"bad max_threads value {thr_text!r}", thr_line)
     if max_threads < 1:
@@ -306,7 +306,7 @@ def load(data: bytes) -> FinalManifest:
         raise ParseError("missing required key 'manifest.format_version'")
     ver_line, ver_text = scalars.pop("manifest.format_version")
     try:
-        version = int(ver_text)
+        version = codec.decimal(ver_text)
     except ValueError:
         raise ParseError(f"bad format version {ver_text!r}", ver_line)
     if version != FORMAT_VERSION:

@@ -32,6 +32,16 @@ MAX_SECRET_SIZE = 4096
 AUDIT_LOG_LEN = 1024  # newest records KeyServer.audit_log keeps; audit_path keeps every one
 
 SECRET = codec.hexbytes(1, MAX_SECRET_SIZE)
+
+
+def _name_fits(name: str) -> bool:
+    """Whether `name` is 1..MAX_SECRET_NAME bytes of UTF-8, as every vault name is."""
+    try:
+        return 1 <= len(name.encode("utf-8")) <= MAX_SECRET_NAME
+    except UnicodeEncodeError:  # a lone surrogate, which JSON can escape
+        return False
+
+
 PROVISION_REQ = codec.Record(("name", codec.STR))
 PROVISION_RESP = codec.one_of(
     codec.Record(("outcome", codec.const("granted")), ("secret", SECRET)),
@@ -61,8 +71,7 @@ class KeyVault:
         self._secrets: dict[str, dict] = {}
 
     def add_secret(self, name: str, secret: bytes, policy: VerificationPolicy) -> None:
-        encoded = name.encode("utf-8")
-        if not encoded or len(encoded) > MAX_SECRET_NAME:
+        if not _name_fits(name):
             raise VaultError(f"secret name must be 1..{MAX_SECRET_NAME} bytes")
         if not 1 <= len(secret) <= MAX_SECRET_SIZE:
             raise VaultError(f"secret must be 1..{MAX_SECRET_SIZE} bytes")
@@ -180,9 +189,11 @@ class KeyServer(wire.FrameServer):
         try:
             name = codec.unpack(PROVISION_REQ, payload)["name"]
         except wire.DECODE_ERRORS:
-            name, body = None, {"outcome": "denied", "reason": "bad_request"}
-        else:
+            name = None
+        if name is not None and _name_fits(name):
             body = self._evaluate(name, cert)
+        else:  # not a request, or a name that no vault entry can have
+            name, body = None, {"outcome": "denied", "reason": "bad_request"}
         self._audit(cert.quote, name, body)
         return wire.REC_PROVISION_RESP, codec.pack(PROVISION_RESP, body)
 

@@ -19,7 +19,7 @@ import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
-from . import crypto, pcs_service, pfs
+from . import codec, crypto, pcs_service, pfs
 from .attestation import PcsDatabase, VerificationPolicy
 from .channel import HandshakeError
 from .enclave import (
@@ -118,17 +118,19 @@ class DemoConfig:
 def parse_config(text: str) -> DemoConfig:
     """Flat config in the manifest's `key = value` line syntax, '#'
     comments; each key at most once."""
-    values: dict[str, str] = {}
+    types = {f.name: f.type for f in fields(DemoConfig)}
+    values: dict[str, str | int] = {}
     for lineno, key, value in parse_lines(text):
         if key in values:
             raise ParseError(f"duplicate config key {key!r}", lineno)
-        values[key] = value
-    types = {f.name: f.type for f in fields(DemoConfig)}
+        try:
+            values[key] = codec.decimal(value) if types.get(key) == "int" else value
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno)
     unknown = sorted(values.keys() - types.keys())
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    return DemoConfig(**{key: int(value) if types[key] == "int" else value
-                         for key, value in values.items()})
+    return DemoConfig(**values)
 
 
 @dataclass

@@ -6,7 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from enclavesim import attestation, crypto, pcs_service, provisioning, wire
@@ -505,6 +505,61 @@ def test_memo_keeps_the_most_recent_successes(pcs, verify_calls):
     assert quote_verify(quotes[0], chain, crl, pol, NOW).ok  # evicted long ago
     assert len(verify_calls) == 1
     assert len(attestation._verified) == attestation.VERIFIED_MEMO_SIZE
+
+
+QUOTE_FIELDS = ("mr_enclave", "mr_signer", "isv_svn", "report_data", "platform_id",
+                "tcb_level", "signature")
+SIGNED_RECORDS = ([(part, field) for part in CHAIN_PARTS for field in CERT_FIELDS]
+                  + [("crl", f) for f in ("issuer", "sequence", "revoked", "signature")]
+                  + [("quote", f) for f in QUOTE_FIELDS])
+
+
+def signed_records(quote, chain, crl):
+    """{part: (record, the public key its signature must verify under)}"""
+    return {"root_cert": (chain.root_cert, chain.root_cert.public_key),
+            "platform_ca_cert": (chain.platform_ca_cert, chain.root_cert.public_key),
+            "attestation_key_cert": (chain.attestation_key_cert,
+                                     chain.platform_ca_cert.public_key),
+            "crl": (crl, chain.platform_ca_cert.public_key),
+            "quote": (quote, chain.attestation_key_cert.public_key)}
+
+
+def with_record(quote, chain, crl, part, record):
+    """(quote, chain, crl) with `part` replaced by `record`."""
+    if part == "quote":
+        return record, chain, crl
+    if part == "crl":
+        return quote, chain, record
+    return quote, replace(chain, **{part: record}), crl
+
+
+# verify_calls is cleared before each count, so one list serves every example
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(target=st.sampled_from(SIGNED_RECORDS), bit=st.integers(0, 64 * 8 - 1))
+def test_the_memo_answers_for_an_equal_record_and_never_for_an_edited_one(
+        genuine, verify_calls, target, bit):
+    quote, chain, crl, pol = genuine
+    assert quote_verify(quote, chain, crl, pol, NOW).ok  # every record is in the memo
+    copies = (replace(quote), replace(chain, **{p: replace(getattr(chain, p))
+                                                for p in CHAIN_PARTS}), replace(crl))
+    verify_calls.clear()
+    assert quote_verify(*copies, pol, NOW).ok
+    assert verify_calls == []
+
+    part, field = target
+    record, signer = signed_records(quote, chain, crl)[part]
+    edited = replace(record, **{field: flip_bit(getattr(record, field), bit)})
+    assert not attestation._signed_by(edited, signer)
+    assert len(verify_calls) == 1
+    evidence = with_record(quote, chain, crl, part, edited)
+    verify_calls.clear()
+    warm = quote_verify(*evidence, pol, NOW)
+    assert len(verify_calls) <= 1  # each unchanged record is a hit
+    attestation._verified.clear()
+    cold = quote_verify(*evidence, pol, NOW)
+    assert not warm.ok
+    assert warm.failure_reason == cold.failure_reason
 
 
 # -- files that hold keys ------------------------------------------------------

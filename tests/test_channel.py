@@ -769,3 +769,54 @@ def test_any_transport_fault_after_the_handshake_is_channel_closed(env, role):
             assert info.value.kind == "closed", (at, fault)
         finally:
             mine.close(), theirs.close()
+
+
+
+@pytest.fixture()
+def seals(monkeypatch):
+    """A list that gains the (key, nonce) of each crypto.aead_seal call."""
+    calls, seal = [], crypto.aead_seal
+
+    def spy(key, nonce, aad, plaintext):
+        calls.append((key, nonce))
+        return seal(key, nonce, aad, plaintext)
+
+    monkeypatch.setattr(crypto, "aead_seal", spy)
+    return calls
+
+
+def test_an_oversize_payload_is_refused_before_it_is_sealed(env, seals):
+    att, ver = handshake_pair(env)
+    chan_a, chan_v = att.value, ver.value
+    sealed_so_far = len(seals)
+    with pytest.raises(wire.WireError):  # a caller error: the channel stays usable
+        chan_a.send(wire.REC_APP, b"\x00" * (wire.MAX_PAYLOAD - crypto.TAG_SIZE + 1))
+    assert len(seals) == sealed_so_far
+    chan_a.send(wire.REC_APP, b"still usable")
+    assert chan_v.recv() == (wire.REC_APP, b"still usable")
+    assert len(set(seals)) == len(seals)
+    chan_a.close(), chan_v.close()
+
+
+@pytest.mark.parametrize("fault", SEND_FAULTS)
+@pytest.mark.parametrize("role", ROLES)
+def test_a_failed_send_closes_the_channel_and_never_reuses_its_nonce(env, seals, role, fault):
+    mine, theirs = timed_pair()
+    faulty = FaultySocket(mine)
+    try:
+        chan, peer = handshake_over(env, role, faulty, theirs)
+        faulty.fault, faulty.fault_at = fault, len(faulty.calls) + 1
+        with pytest.raises(ChannelError) as info:
+            chan.send(wire.REC_APP, b"first")
+        assert info.value.kind == "closed"
+        assert faulty.closed
+        sealed_so_far = len(seals)
+        for op in (lambda: chan.send(wire.REC_APP, b"second"), chan.recv):
+            with pytest.raises(ChannelError) as info:
+                op()
+            assert info.value.kind == "closed"
+        assert len(seals) == sealed_so_far
+        peer.value.close()
+    finally:
+        mine.close(), theirs.close()
+    assert len(set(seals)) == len(seals), "a (key, nonce) pair sealed twice"

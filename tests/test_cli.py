@@ -8,8 +8,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from enclavesim import cli, pcs_service, wire, workflow
+from enclavesim import cli, manifest, pcs_service, wire, workflow
 from enclavesim.attestation import PcsDatabase
 from enclavesim.cli import main
 from enclavesim.enclave import LinearModel, WorkloadSpec, parse_rows
@@ -677,3 +679,92 @@ def test_enclave_run_refuses_a_pin_that_is_not_lower_case_hex(tmp_path, capsys, 
     capsys.readouterr()
     assert run_cli(*argv) == 3
     assert capsys.readouterr().err.startswith("error: ValueError: ")
+
+
+# -- integers have one spelling ------------------------------------------------------
+
+# each a way int() would read str(n) that is not str(n)
+RESPELLINGS = {
+    "sign": lambda text, digits: "+" + text,
+    "leading zero": lambda text, digits: "0" + text,
+    "underscore": lambda text, digits: text[0] + "_" + text[1:] if text[1:] else "0_" + text,
+    "space": lambda text, digits: text + " ",
+    "non-ASCII digits": lambda text, digits: text.translate(
+        {ord("0") + d: digits + d for d in range(10)}),
+}
+# zeros of the Arabic-Indic, Extended Arabic-Indic, Devanagari and fullwidth digits
+NON_ASCII_ZEROS = [0x660, 0x6F0, 0x966, 0xFF10]
+
+
+def _template_with(**values):
+    lines = {"sgx.enclave_size": "1M", "sgx.max_threads": "1", **values}
+    return manifest.parse_template("app.entrypoint = /app/run\n" + "".join(
+        f"{key} = {value}\n" for key, value in lines.items()))
+
+
+def _final_with_version(text):
+    data = manifest.serialize(manifest.sign_manifest(_template_with(), lambda path: b""))
+    return manifest.load(data.replace(b"manifest.format_version = 1\n",
+                                      f"manifest.format_version = {text}\n".encode()))
+
+
+def _cli_option(command, option, required):
+    def parse(text):
+        args = cli.build_parser().parse_args([*command, *required, option, text])
+        return getattr(args, option.lstrip("-").replace("-", "_"))
+    return parse
+
+
+KS_ARGS = ["--vault", "v", "--passphrase", "p"]
+ADD_ARGS = KS_ARGS + ["--name", "n", "--secret-hex", "00", "--root-hex", "00"]
+SERVE_ARGS = KS_ARGS + ["--pcs", "h:1", "--root-hex", "00"]
+# site: (read text as the integer it spells, or raise; the values it accepts)
+INTEGER_SITES = {
+    "sgx.enclave_size": (lambda text: _template_with(**{"sgx.enclave_size": text + "M"})
+                         .enclave_size >> 20, st.integers(0, 12).map(lambda k: 1 << k)),
+    "sgx.max_threads": (lambda text: _template_with(**{"sgx.max_threads": text})
+                        .max_threads, st.integers(1, 10 ** 6)),
+    "manifest.format_version": (lambda text: _final_with_version(text).format_version,
+                                st.just(manifest.FORMAT_VERSION)),
+    "demo config": (lambda text: workflow.parse_config(f"seed = {text}\n").seed,
+                    st.integers(0, 2 ** 64)),
+    "host:port": (lambda text: cli._addr("127.0.0.1:" + text)[1], st.integers(0, 65535)),
+    "pcs register --tcb": (_cli_option(["pcs", "register"], "--tcb", ["--pcs", "h:1"]),
+                           st.integers(0, 2 ** 32 - 1)),
+    **{f"keyserver {cmd} {opt}": (_cli_option(["keyserver", cmd], opt, required),
+                                  st.integers(0, 2 ** 32 - 1))
+       for cmd, required in (("serve", SERVE_ARGS), ("add-secret", ADD_ARGS))
+       for opt in ("--min-svn", "--min-tcb")},
+}
+# `key = value` lines drop the spaces around a value, so there a trailing space
+# is part of the line syntax, not of the integer; the size keeps it before its suffix
+LINE_SITES = {"sgx.max_threads", "manifest.format_version", "demo config"}
+
+
+@pytest.mark.parametrize("site,respelling", [
+    (site, respelling) for site in sorted(INTEGER_SITES) for respelling in sorted(RESPELLINGS)
+    if not (respelling == "space" and site in LINE_SITES)])
+@settings(max_examples=10, deadline=None)
+@given(digits=st.sampled_from(NON_ASCII_ZEROS), data=st.data())
+def test_every_integer_a_user_writes_has_one_spelling(site, respelling, digits, data):
+    read, values = INTEGER_SITES[site]
+    n = data.draw(values)
+    assert read(str(n)) == n
+    text = RESPELLINGS[respelling](str(n), digits)
+    assert int(text.replace("_", "")) == n  # a spelling that int() takes
+    with pytest.raises((manifest.ParseError, cli.CliError)) as info:
+        read(text)
+    # a file's error names its line; the CLI's is a usage error
+    if site in LINE_SITES or site == "sgx.enclave_size":
+        assert isinstance(info.value, manifest.ParseError) and info.value.line is not None
+    else:
+        assert isinstance(info.value, cli.CliError)
+
+
+def test_a_respelled_cli_integer_is_a_usage_error(capsys):
+    capsys.readouterr()
+    assert main(["pcs", "register", "--pcs", "127.0.0.1:1", "--tcb", "0" + "1"]) == 3
+    assert main(["pcs", "register", "--pcs", "127.0.0.1:\u0661"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: argument --tcb: invalid decimal value: '01'",
+        "error: port of '127.0.0.1:\u0661': expected an integer written as str(n), got '\u0661'"]

@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from enclavesim import crypto
 from enclavesim.cli import main
@@ -924,22 +930,35 @@ WRITE_DATA = st.builds(lambda seed, n: random.Random(seed).randbytes(n),
 
 
 class ProtectedFileMachine(RuleBasedStateMachine):
-    """A read-write handle against a bytearray model; sizes cross the
-    64-block boundary where the MHT gains a root above the old one, and
-    reads and writes span whole runs and mix cached, dirty and on-disk
-    blocks inside one."""
+    """A read-write handle against a bytearray model and the last flushed
+    snapshot; sizes cross the 64-block boundary where the MHT gains a root
+    above the old one, and reads and writes span whole runs and mix cached,
+    dirty and on-disk blocks inside one. Whatever the handle flushes, the
+    FORMAT.md-only reader reads back; a flush that dies part way leaves the
+    snapshot, the model or an IntegrityError, and never other bytes."""
 
     def __init__(self):
         super().__init__()
         self.dir = tempfile.mkdtemp(prefix="pfs-machine-")
         self.path = os.path.join(self.dir, "f.pfs")
         self.model = bytearray()
+        self.snapshot = b""  # the plaintext on disk as of the last flush
         self.pf = None
 
     @initialize(capacity=st.sampled_from([0, 1, 256]))
     def create(self, capacity):
         self.capacity = capacity
         self.pf = ProtectedFile.create(self.path, "file.bin", KEY, cache_capacity=capacity)
+
+    def _flushed(self):
+        """The model is on disk: it is the snapshot, and the oracle reads it."""
+        with open(self.path, "rb") as fh:
+            assert format_oracle.read_container(fh.read(), KEY, b"file.bin") == self.model
+        self.snapshot = bytes(self.model)
+
+    def _reopen(self):
+        self.pf = ProtectedFile.open(self.path, "file.bin", KEY, mode="rw",
+                                     cache_capacity=self.capacity)
 
     @rule(offset=st.one_of(st.integers(0, 68 * BLOCK_SIZE), NEAR_SHAPE_CHANGE),
           data=WRITE_DATA)
@@ -958,12 +977,34 @@ class ProtectedFileMachine(RuleBasedStateMachine):
     @rule()
     def flush(self):
         self.pf.flush()
+        self._flushed()
 
     @rule()
     def close_and_reopen(self):
         self.pf.close()
-        self.pf = ProtectedFile.open(self.path, "file.bin", KEY, mode="rw",
-                                     cache_capacity=self.capacity)
+        self._flushed()
+        self._reopen()
+
+    @precondition(lambda self: self.model != self.snapshot)  # a flush with work to do
+    @rule(crash_at=st.integers(0, 4), prefix=st.sampled_from([0, 1, 100, fmt.NODE_DISK_SIZE,
+                                                              None]))
+    def crash_mid_flush(self, crash_at, prefix):
+        self.pf._fh = CrashingFile(self.pf._fh, crash_at, prefix)
+        try:
+            self.pf.flush()
+        except InjectedCrash:
+            pass
+        self.pf._fh.close()  # the process dies here: no further flush
+        self.pf._closed = True
+        try:
+            got = read_all(self.path)
+        except IntegrityError:
+            make_file(self.path, self.snapshot, cache_capacity=self.capacity)
+            got = self.snapshot
+        assert got in (self.snapshot, self.model), "wrong plaintext after a crash"
+        self.model = bytearray(got)
+        self._flushed()
+        self._reopen()
 
     @rule()
     def verify(self):

@@ -321,6 +321,32 @@ def test_malformed_request_denied_bad_request_and_channel_stays_open(env, server
     assert all(e["secret_name"] is None for e in list(server.audit_log)[before:before + n])
 
 
+# names no vault entry can have: 129 bytes of ASCII and of UTF-8, the longest
+# that fits a record, and a lone surrogate, which JSON can escape
+NAMES_OUT_OF_BOUNDS = ["x" * 129, "é" * 64 + "x", "x" * 1_048_512, "\ud800"]
+
+
+def test_a_name_no_vault_entry_can_have_is_a_bad_request_with_a_null_name(env, tmp_path):
+    audit = tmp_path / "audit.jsonl"
+    with audited_key_server(env, audit).start() as srv:
+        with ProvisioningClient(srv.address, provider_for(env), srv.public_key) as client:
+            for name in NAMES_OUT_OF_BOUNDS:
+                with pytest.raises(ProvisionDeniedError) as info:
+                    client.request(name)
+                assert info.value.reason == "bad_request"
+            for name in ("x" * 128, "é" * 64):  # at the bound: merely unknown
+                with pytest.raises(ProvisionDeniedError) as info:
+                    client.request(name)
+                assert info.value.reason == "unknown_secret"
+            assert client.request("pfs-master") == SECRET
+    lines = audit.read_bytes().splitlines()
+    n = len(NAMES_OUT_OF_BOUNDS)
+    assert all(len(line) < 1024 for line in lines)
+    assert [json.loads(line)["secret_name"] for line in lines] == [None] * n + [
+        "x" * 128, "é" * 64, "pfs-master"]
+    assert [e["outcome"] for e in srv.audit_log][:n] == ["denied:bad_request"] * n
+
+
 def test_provision_request_is_canonical_json(env, server, monkeypatch):
     received = []
     answer = server._answer
