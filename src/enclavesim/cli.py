@@ -51,9 +51,12 @@ def _addr(text: str) -> tuple[str, int]:
     if not host:
         raise CliError(f"expected host:port, got {text!r}")
     try:
-        return host, codec.decimal(port)
+        number = codec.decimal(port)
     except ValueError as exc:
         raise CliError(f"port of {text!r}: {exc}")
+    if not 0 <= number <= 65535:
+        raise CliError(f"port of {text!r}: {number} is outside 0..65535")
+    return host, number
 
 
 # -- pfs ------------------------------------------------------------------

@@ -16,16 +16,19 @@ Every MHT and data node is sealed under a fresh random key, which its
 parent entry (48 bytes, as on disk) holds with the node's GCM tag; only
 the header key is derived from the master key. The block cache holds only
 MHT plaintexts: a data block's lives in `_dirty` until a flush seals it.
-Flush reseals dirty blocks and their MHT ancestors, patching each parent
-as its children's entries arrive, then the header. A flush interrupted
-mid-write can corrupt the container (detected on later reads, not
-recovered) -- there is deliberately no journaling.
+Flush reads every old MHT node it reseals first, then seals the dirty and
+new blocks one run at a time (the consecutive blocks under one bottom
+MHT node, adjacent on disk), patching the run's entries into that node as
+one slice and writing the run as soon as it is sealed, so it holds one
+run of sealed bytes beyond the dirty plaintexts. Then it seals the MHT
+nodes bottom-up, writes them, and writes the header last. A flush
+interrupted mid-write can corrupt the container (detected on later reads,
+not recovered) -- there is deliberately no journaling.
 """
 
 from __future__ import annotations
 
 import hmac
-import itertools
 import os
 import struct
 from collections import deque
@@ -36,6 +39,7 @@ from . import format as fmt
 from .cache import DEFAULT_CAPACITY, BlockCache
 from .format import (
     BLOCK_SIZE,
+    ENTRY_SIZE,
     FANOUT,
     HEADER_SIZE,
     KEY_SIZE,
@@ -82,6 +86,8 @@ class ProtectedFile:
         self._nodes_sealed = 0
         self._nodes_opened = 0
         self._disk_reads = 0
+        self._aad_prefix = {kind: fmt.node_aad_prefix(uuid, kind)
+                            for kind in (fmt.KIND_MHT, fmt.KIND_DATA)}
 
     # -- construction -------------------------------------------------
 
@@ -208,40 +214,57 @@ class ProtectedFile:
         old_nodes = old_n + fmt.total_mht_nodes(old_n)  # node numbers on disk
         old_height = len(fmt.mht_level_counts(old_n))
         new_height = len(fmt.mht_level_counts(new_n))
-        sealed_at: dict[int, bytes] = {}
+        blocks = sorted(self._dirty.keys() | range(old_n, new_n))
+        # runs of consecutive blocks under one bottom MHT node: a new bottom
+        # node sits on disk before each block i with i % 64 == 0
+        starts = [0] + [k for k, (a, b) in enumerate(zip(blocks, blocks[1:]), 1)
+                        if b != a + 1 or not b % FANOUT]
+
+        # the MHT nodes to reseal, by height from 1, as {j: plaintext} from
+        # their old plaintexts, verified through the old tree, or from zeros
+        # when new: every read precedes the first write
+        tree: list[dict[int, bytearray]] = []
+        changed = dict.fromkeys(blocks[k] // FANOUT for k in starts)
+        for height in range(1, new_height + 1):
+            tree.append({j: bytearray(self._fetch_mht_plaintext(height, j)
+                                      if fmt.mht_position(height, j) < old_nodes else ZERO_BLOCK)
+                         for j in changed})
+            changed = dict.fromkeys(j // FANOUT for j in changed)
+        if 0 < old_height < new_height and 0 not in tree[old_height - 1]:
+            # the tree grew taller: the old root stays, as child 0 of the new level
+            tree[old_height][0][:ENTRY_SIZE] = self._disk_root
+
+        # each data run is sealed into one buffer, patched into its bottom
+        # node as one slice and written with one seek and write
+        with memoryview(bytearray(min(len(blocks), FANOUT) * NODE_DISK_SIZE)) as out:
+            for lo, hi in zip(starts, starts[1:] + [len(blocks)]):
+                run = blocks[lo:hi]
+                entries = self._seal(fmt.KIND_DATA, run,
+                                     [self._dirty.get(i, ZERO_BLOCK) for i in run], out)
+                at = run[0] % FANOUT * ENTRY_SIZE
+                tree[0][run[0] // FANOUT][at:at + len(entries)] = entries
+                self._fh.seek(fmt.node_offset(fmt.data_position(run[0])))
+                self._fh.write(out[:len(run) * NODE_DISK_SIZE])
+
+        # bottom-up, each sealed MHT node patches its entry into its parent
+        mht = []  # (node number, sealed node)
         # the resealed MHT plaintexts the cache can hold: putting the last
         # ones replaces or evicts every stale entry
         fresh = deque(maxlen=self._cache.capacity)
-
-        # bottom-up: each sealed node patches its entry into its parent's
-        # plaintext, fetched at the parent's first changed child
-        level: dict[int, bytearray] = {}  # MHT node j at `height` -> plaintext
-        for i in self._dirty.keys() | range(old_n, new_n):
-            sealed, entry = self._seal_node(fmt.KIND_DATA, i, self._dirty.get(i, ZERO_BLOCK))
-            sealed_at[fmt.data_position(i)] = sealed
-            self._patch_parent(level, 1, i, entry, old_nodes)
-        for height in range(1, new_height + 1):
-            above: dict[int, bytearray] = {}
+        for height, level in enumerate(tree, 1):
             for j, plain in level.items():
                 p = fmt.mht_position(height, j)
-                sealed, entry = self._seal_node(fmt.KIND_MHT, p, plain)
-                sealed_at[p] = sealed
+                sealed = bytearray(NODE_DISK_SIZE)
+                entry = self._seal(fmt.KIND_MHT, [p], [plain], sealed)
+                mht.append((p, sealed))
                 fresh.append((p, plain))
                 if height < new_height:
-                    self._patch_parent(above, height + 1, j, entry, old_nodes)
-            if height == old_height < new_height and 0 not in level:
-                # the tree grew taller: the old root stays, as child 0 of the new level
-                self._patch_parent(above, height + 1, 0, self._disk_root, old_nodes)
-            level = above
+                    at = j % FANOUT * ENTRY_SIZE
+                    tree[height][j // FANOUT][at:at + ENTRY_SIZE] = entry
         root = entry  # the one node at the top height is sealed last
-
-        # one seek and write per run of adjacent nodes (within a run, node
-        # number minus rank is constant)
-        for _, run in itertools.groupby(enumerate(sorted(sealed_at)),
-                                        lambda pos: pos[1] - pos[0]):
-            run = [p for _, p in run]
-            self._fh.seek(fmt.node_offset(run[0]))
-            self._fh.write(b"".join([sealed_at.pop(p) for p in run]))
+        for p, sealed in sorted(mht):
+            self._fh.seek(fmt.node_offset(p))
+            self._fh.write(sealed)
         self._write_header(root)
         self._fh.truncate(fmt.container_disk_size(new_n))
         self._fh.flush()
@@ -276,34 +299,30 @@ class ProtectedFile:
         if self._closed:
             raise PfsError("handle is closed")
 
-    def _seal_node(self, kind: str, index: int,
-                   plaintext: bytes | bytearray) -> tuple[bytes, bytes]:
-        """Seal under a fresh key, so the fixed nonce never repeats under it;
-        returns the sealed bytes and the node's parent entry."""
-        key = os.urandom(KEY_SIZE)
-        sealed = crypto.aead_seal(key, fmt.NODE_NONCE, fmt.node_aad(self.uuid, kind, index),
-                                  plaintext)
-        self._nodes_sealed += 1
-        return sealed, key + sealed[-TAG_SIZE:]
-
-    def _patch_parent(self, level: dict[int, bytearray], height: int, child: int,
-                      entry: bytes, old_nodes: int) -> None:
-        """Set `entry` in parent MHT node (`height`, child // 64), which the
-        first patch puts in `level` from its old plaintext, verified through
-        the old tree, or from zeros when the node is new."""
-        j = child // FANOUT
-        if j not in level:
-            level[j] = bytearray(self._fetch_mht_plaintext(height, j)
-                                 if fmt.mht_position(height, j) < old_nodes else ZERO_BLOCK)
-        fmt.set_entry(level[j], child % FANOUT, entry)
+    def _seal(self, kind: str, indices: list[int], plaintexts: list,
+              out: bytearray | memoryview) -> bytes:
+        """Seal nodes `indices` of `kind` under fresh keys, so the fixed nonce
+        never repeats under a key, into `out` one after another; returns
+        their parent entries, joined."""
+        keys = os.urandom(KEY_SIZE * len(indices))
+        prefix = self._aad_prefix[kind]
+        entries = []
+        for k, (index, plain) in enumerate(zip(indices, plaintexts)):
+            key = keys[k * KEY_SIZE:(k + 1) * KEY_SIZE]
+            sealed = crypto.aead_seal(key, fmt.NODE_NONCE, fmt.node_aad(prefix, index), plain)
+            out[k * NODE_DISK_SIZE:(k + 1) * NODE_DISK_SIZE] = sealed
+            entries += (key, sealed[-TAG_SIZE:])
+        self._nodes_sealed += len(indices)
+        return b"".join(entries)
 
     def _data_plaintexts(self, blocks: range) -> dict[int, bytes]:
         """Verified plaintexts of the blocks in `blocks` that are on disk and
         not dirty, from one `_open_run` per bottom MHT node."""
         opened = {}
-        on_disk = range(blocks.start, min(blocks.stop, self._disk_blocks))
-        for j, group in itertools.groupby(on_disk, lambda i: i // FANOUT):
-            clean = [i for i in group if i not in self._dirty]
+        stop = min(blocks.stop, self._disk_blocks)
+        for j in range(blocks.start // FANOUT, (stop + FANOUT - 1) // FANOUT):
+            on_disk = range(max(blocks.start, j * FANOUT), min(stop, (j + 1) * FANOUT))
+            clean = [i for i in on_disk if i not in self._dirty]
             if clean:
                 opened.update(zip(clean, self._open_run(j, clean)))
         return opened
@@ -317,9 +336,9 @@ class ProtectedFile:
         run = memoryview(self._read_nodes(fmt.data_position(first), blocks[-1] - first + 1))
         opened = []
         for i in blocks:
-            at = (i - first) * NODE_DISK_SIZE
-            opened.append(self._check_node(fmt.KIND_DATA, i, fmt.unpack_entry(bottom, i % FANOUT),
-                                           run[at:at + NODE_DISK_SIZE]))
+            at, node = (i - j * FANOUT) * ENTRY_SIZE, (i - first) * NODE_DISK_SIZE
+            opened.append(self._check_node(fmt.KIND_DATA, i, bottom[at:at + ENTRY_SIZE],
+                                           run[node:node + NODE_DISK_SIZE]))
         return opened
 
     def _fetch_mht_plaintext(self, height: int, j: int) -> bytes:
@@ -330,8 +349,8 @@ class ProtectedFile:
         if FANOUT ** height >= self._disk_blocks:  # the root: no lower height covers every block
             entry = self._disk_root
         else:
-            parent = self._fetch_mht_plaintext(height + 1, j // FANOUT)
-            entry = fmt.unpack_entry(parent, j % FANOUT)
+            at = j % FANOUT * ENTRY_SIZE
+            entry = self._fetch_mht_plaintext(height + 1, j // FANOUT)[at:at + ENTRY_SIZE]
         plain = self._check_node(fmt.KIND_MHT, p, entry, self._read_nodes(p))
         self._cache.put(p, plain)
         return plain
@@ -354,7 +373,7 @@ class ProtectedFile:
         self._nodes_opened += 1
         try:
             return crypto.aead_open(entry[:KEY_SIZE], fmt.NODE_NONCE,
-                                    fmt.node_aad(self.uuid, kind, index), sealed)
+                                    fmt.node_aad(self._aad_prefix[kind], index), sealed)
         except crypto.AuthError:
             raise IntegrityError(f"{kind}:{index} failed authentication", f"{kind}:{index}")
 

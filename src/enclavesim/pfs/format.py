@@ -131,17 +131,15 @@ def blocks_from_total_nodes(total_nodes: int) -> int:
     return n
 
 
-def set_entry(plaintext: bytearray, slot: int, entry: bytes) -> None:
-    """Overwrite child entry `slot` of an MHT node plaintext in place."""
-    plaintext[slot * ENTRY_SIZE:(slot + 1) * ENTRY_SIZE] = entry
+def node_aad_prefix(uuid: bytes, kind: str) -> bytes:
+    """The part of a node's AAD that all nodes of `kind` share: kind || uuid."""
+    return kind.encode("ascii") + uuid
 
 
-def unpack_entry(plaintext: bytes, slot: int) -> bytes:
-    return plaintext[slot * ENTRY_SIZE:(slot + 1) * ENTRY_SIZE]
-
-
-def node_aad(uuid: bytes, kind: str, index: int) -> bytes:
-    return kind.encode("ascii") + uuid + struct.pack("<Q", index)
+def node_aad(prefix: bytes, index: int) -> bytes:
+    """The AAD of node `index` (an MHT node number or a data block index):
+    its kind's `node_aad_prefix`, then the index as a u64."""
+    return prefix + index.to_bytes(8, "little")
 
 
 def header_aad(uuid: bytes) -> bytes:

@@ -604,6 +604,19 @@ def test_a_serve_command_that_fails_before_serving_leaves_no_listener(tmp_path, 
     gc.collect()  # an unclosed socket warns here, and the warning is an error
 
 
+@pytest.mark.parametrize("port", ["65536", "70000"])
+@pytest.mark.parametrize("kind,flag", [("pcs", "--listen"), ("keyserver", "--listen"),
+                                       ("keyserver", "--pcs"), ("register", "--pcs")])
+def test_a_port_outside_0_to_65535_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                    kind, flag, port):
+    argv = ["pcs", "register"] if kind == "register" else serve_argv(tmp_path, kind)
+    monkeypatch.setattr(cli, "_serve", lambda *args: pytest.fail("the server started"))
+    capsys.readouterr()
+    assert main(argv + [flag, f"127.0.0.1:{port}"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: port of '127.0.0.1:{port}': {port} is outside 0..65535"]
+
+
 # hex that `bytes.fromhex` reads, but that no record holds
 SPELLINGS = {"upper": str.upper,
              "spaced": lambda text: " ".join(text[i:i + 2] for i in range(0, len(text), 2)),

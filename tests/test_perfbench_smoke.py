@@ -41,4 +41,19 @@ def test_a_short_traced_benchmark_run_is_correct(workload):
     # servers' span dumps
     last = short_run(workload, "1")
     if workload == "storage":
-        assert last["metrics"]["crypto.aead_open.calls"]["value"] > 0, last
+        metrics = {name: m["value"] for name, m in last["metrics"].items()}
+        assert metrics["crypto.aead_open.calls"] > 0, last
+        # The counts follow from the workload's shape, so a speed change that
+        # drops work fails here. One op is a 1-byte update of a 32 MiB file
+        # (8192 blocks under MHT levels of 128, 2 and 1 nodes), a read-only
+        # pass, and an 8 MiB sequential file (2048 blocks under 32 bottom
+        # nodes and a root) created, written and read back. Seals: the
+        # update's flush reseals the block, its 3 MHT ancestors and the
+        # header (5); the create seals a header (1); the sequential flush
+        # seals 2048 blocks, 32 + 1 MHT nodes and the header (2082).
+        assert metrics["crypto.aead_seal.calls"] == 5 + 1 + 2048 + 32 + 1 + 1
+        # one header key per open or create (3 handles opened, 1 created)
+        # and per header seal in a flush (2)
+        assert metrics["crypto.kdf.calls"] == 3 + 1 + 2
+        # two flushes per op: the update's 5 seals and the sequential 2082
+        assert metrics["pfs.flush.seals_per_call"] == (5 + 2082) / 2

@@ -828,6 +828,89 @@ def test_one_byte_update_reseals_only_its_spine(tmp_path, monkeypatch):
     assert verify_file(p, KEY).ok
 
 
+def test_a_flush_allocates_one_run_beyond_its_dirty_plaintexts(tmp_path):
+    # 2048 new blocks written in 64 KiB pieces: each run is sealed and
+    # written before the next, so no copy of the 8 MiB of sealed bytes exists
+    data = random.Random(89).randbytes(2048 * BLOCK_SIZE)
+    pf = ProtectedFile.create(tmp_path / "f.pfs", "file.bin", KEY)
+    for off in range(0, len(data), 64 << 10):
+        pf.write(off, data[off:off + (64 << 10)])
+    tracemalloc.start()
+    try:
+        pf.flush()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        pf.close()
+    assert peak <= 2 * 2 ** 20, f"flush peaked at {peak} bytes"
+    assert read_all(tmp_path / "f.pfs") == data
+
+
+class RecordingFile:
+    """Stands in for a container's file object and records each read and
+    write as (kind, first byte, end), in file offsets."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.events = []
+
+    def read(self, size=-1):
+        start = self._fh.tell()
+        data = self._fh.read(size)
+        self.events.append(("read", start, start + len(data)))
+        return data
+
+    def write(self, buf):
+        start = self._fh.tell()
+        written = self._fh.write(buf)
+        self.events.append(("write", start, start + len(buf)))
+        return written
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+# (first block, block count) of a write: in place under several bottom
+# nodes, across the 64-block boundary, or far enough to make the tree taller
+FLUSH_WRITES = st.lists(st.tuples(st.integers(0, 140), st.integers(1, 70)), min_size=1,
+                        max_size=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_blocks=st.integers(0, 130), capacity=st.sampled_from([0, 1, 256]),
+       flushes=st.lists(FLUSH_WRITES, min_size=1, max_size=3))
+@example(n_blocks=64, capacity=0, flushes=[[(3, 1), (62, 4)]])
+@example(n_blocks=100, capacity=0, flushes=[[(5, 2), (70, 1), (99, 40)]])
+def test_a_flush_never_reads_what_it_wrote_and_writes_the_header_last(n_blocks, capacity,
+                                                                      flushes):
+    # capacity 0 sends every MHT fetch of a flush to the disk
+    model = bytearray(random.Random(n_blocks).randbytes(n_blocks * BLOCK_SIZE))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "f.pfs"
+        make_file(p, bytes(model))
+        with ProtectedFile.open(p, "file.bin", KEY, mode="rw", cache_capacity=capacity) as pf:
+            pf._fh = recorder = RecordingFile(pf._fh)
+            for writes in flushes:
+                for first, count in writes:
+                    offset = first * BLOCK_SIZE + 3
+                    data = random.Random(first).randbytes(count * BLOCK_SIZE - 3)
+                    pf.write(offset, data)
+                    model.extend(bytes(max(offset + len(data) - len(model), 0)))
+                    model[offset:offset + len(data)] = data
+                recorder.events.clear()
+                pf.flush()
+                written = []
+                for kind, start, end in recorder.events:
+                    if kind == "read":
+                        assert not any(start < w_end and w_start < end
+                                       for w_start, w_end in written), "read back a write"
+                    else:
+                        written.append((start, end))
+                assert written[-1] == (0, fmt.HEADER_SIZE)
+                assert all(start >= fmt.HEADER_SIZE for start, _ in written[:-1])
+        assert read_all(p) == model
+
+
 # -- crash injection ------------------------------------------------------
 
 class InjectedCrash(Exception):
@@ -935,7 +1018,8 @@ class ProtectedFileMachine(RuleBasedStateMachine):
     above the old one, and reads and writes span whole runs and mix cached,
     dirty and on-disk blocks inside one. Whatever the handle flushes, the
     FORMAT.md-only reader reads back; a flush that dies part way leaves the
-    snapshot, the model or an IntegrityError, and never other bytes."""
+    snapshot, the model or an IntegrityError, and never other bytes; and a
+    flipped bit fails at the node that holds it, for a read and an audit."""
 
     def __init__(self):
         super().__init__()
@@ -986,7 +1070,7 @@ class ProtectedFileMachine(RuleBasedStateMachine):
         self._reopen()
 
     @precondition(lambda self: self.model != self.snapshot)  # a flush with work to do
-    @rule(crash_at=st.integers(0, 4), prefix=st.sampled_from([0, 1, 100, fmt.NODE_DISK_SIZE,
+    @rule(crash_at=st.integers(0, 12), prefix=st.sampled_from([0, 1, 100, fmt.NODE_DISK_SIZE,
                                                               None]))
     def crash_mid_flush(self, crash_at, prefix):
         self.pf._fh = CrashingFile(self.pf._fh, crash_at, prefix)
@@ -1009,6 +1093,28 @@ class ProtectedFileMachine(RuleBasedStateMachine):
     @rule()
     def verify(self):
         assert verify_file(self.path, KEY).ok
+
+    # the disk holds the model, in nodes as well as the header
+    @precondition(lambda self: self.model and self.model == self.snapshot)
+    @rule(data=st.data())
+    def flip_a_bit(self, data):
+        self.pf.close()
+        names = node_names(fmt.data_block_count(len(self.model)))
+        number = data.draw(st.sampled_from([*sorted(names), None]))  # None: the header
+        if number is None:
+            name, offset = "header", data.draw(st.integers(0, fmt.HEADER_SIZE - 1))
+        else:
+            name = names[number]
+            offset = fmt.node_offset(number) + data.draw(st.integers(0, fmt.NODE_DISK_SIZE - 1))
+        mask = 1 << data.draw(st.integers(0, 7))
+        path = Path(self.path)
+        _flip_byte(path, offset, mask)
+        assert verify_file(path, KEY).first_bad_node == name
+        with pytest.raises(IntegrityError) as exc:
+            read_all(path)
+        assert exc.value.node == name
+        _flip_byte(path, offset, mask)
+        self._reopen()
 
     @invariant()
     def size_matches(self):
