@@ -419,7 +419,8 @@ def quote_verify(quote: Quote, chain: CertChain, crl: Crl,
     leaf = chain.attestation_key_cert
     if not _chain_ok(chain, crl, policy.accepted_root):
         return VerificationResult("bad_chain")
-    if not (leaf.not_before <= now <= leaf.not_after):
+    if not all(cert.not_before <= now <= cert.not_after
+               for cert in (chain.root_cert, chain.platform_ca_cert, leaf)):
         return VerificationResult("expired")
     cert_pid = subject_platform_id(leaf.subject)
     if cert_pid in crl.revoked:

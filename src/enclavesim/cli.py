@@ -114,10 +114,13 @@ def cmd_manifest_sign(args) -> int:
     return EXIT_OK
 
 
+def _load_final(path):
+    with open(path, "rb") as fh:
+        return load_manifest(fh.read())
+
+
 def cmd_manifest_measure(args) -> int:
-    with open(args.final, "rb") as fh:
-        final = load_manifest(fh.read())
-    print(compute_measurement(final).hex)
+    print(compute_measurement(_load_final(args.final)).hex)
     return EXIT_OK
 
 
@@ -199,11 +202,6 @@ def cmd_keyserver_serve(args) -> int:
 
 
 # -- enclave ------------------------------------------------------------------
-
-def _load_final(path):
-    with open(path, "rb") as fh:
-        return load_manifest(fh.read())
-
 
 def cmd_enclave_start(args) -> int:
     final = _load_final(args.manifest)

@@ -121,17 +121,21 @@ class Measurement:
         return self.mr_enclave.hex()
 
 
+def _decimal(text: str, line: int, message: str) -> int:
+    """A manifest integer (MANIFEST.md § Integers); `message` names a bad one."""
+    try:
+        return codec.decimal(text)
+    except ValueError:
+        raise ParseError(message, line)
+
+
 def _parse_size(value: str, line: int) -> int:
     text = value.strip()
     mult = 1
     if text and text[-1].upper() in _SIZE_SUFFIX:
         mult = _SIZE_SUFFIX[text[-1].upper()]
         text = text[:-1]
-    try:
-        size = codec.decimal(text) * mult
-    except ValueError:
-        raise ParseError(f"bad size value {value!r}", line)
-    return size
+    return _decimal(text, line, f"bad size value {value!r}") * mult
 
 
 def parse_lines(text: str) -> list[tuple[int, str, str]]:
@@ -152,15 +156,18 @@ def parse_lines(text: str) -> list[tuple[int, str, str]]:
     return items
 
 
-_SCALAR_KEYS = {"app.entrypoint", "sgx.enclave_size", "sgx.max_threads",
-                "manifest.format_version"}
-_LIST_KEYS = {"app.arg", "fs.mount", "sgx.trusted_file", "sgx.protected_file",
-              "sgx.trusted_file_hash"}
+# MANIFEST.md's key grammar, one table per manifest kind: (scalar keys,
+# list keys); a final manifest is the template plus two keys
+_TEMPLATE = (frozenset({"app.entrypoint", "sgx.enclave_size", "sgx.max_threads"}),
+             frozenset({"app.arg", "fs.mount", "sgx.trusted_file", "sgx.protected_file"}))
+_FINAL = (_TEMPLATE[0] | {"manifest.format_version"},
+          _TEMPLATE[1] | {"sgx.trusted_file_hash"})
 
 
-def _collect(items, allow_final: bool):
+def _collect(items, grammar):
+    scalar_keys, list_keys = grammar
     scalars: dict[str, tuple[int, str]] = {}
-    lists: dict[str, list[tuple[int, str]]] = {k: [] for k in _LIST_KEYS}
+    lists: dict[str, list[tuple[int, str]]] = {k: [] for k in list_keys}
     env: dict[str, tuple[int, str]] = {}
     for lineno, key, value in items:
         if key.startswith("env."):
@@ -170,19 +177,22 @@ def _collect(items, allow_final: bool):
             if name in env:
                 raise ParseError(f"duplicate environment variable {name!r}", lineno)
             env[name] = (lineno, value)
-        elif key in _LIST_KEYS:
-            if not allow_final and key == "sgx.trusted_file_hash":
-                raise ParseError(f"unknown key {key!r}", lineno)
+        elif key in lists:
             lists[key].append((lineno, value))
-        elif key in _SCALAR_KEYS:
-            if not allow_final and key == "manifest.format_version":
-                raise ParseError(f"unknown key {key!r}", lineno)
+        elif key in scalar_keys:
             if key in scalars:
                 raise ParseError(f"duplicate key {key!r}", lineno)
             scalars[key] = (lineno, value)
         else:
             raise ParseError(f"unknown key {key!r}", lineno)
     return scalars, lists, env
+
+
+def _required(scalars, key: str) -> tuple[int, str]:
+    """(line, value) of a required scalar key, checked where it is first used."""
+    if key not in scalars:
+        raise ParseError(f"missing required key {key!r}")
+    return scalars[key]
 
 
 def _canonical(path: str, lineno: int) -> str:
@@ -193,27 +203,18 @@ def _canonical(path: str, lineno: int) -> str:
 
 
 def _build_template(scalars, lists, env) -> ManifestTemplate:
-    if "app.entrypoint" not in scalars:
-        raise ParseError("missing required key 'app.entrypoint'")
-    entry_line, entrypoint = scalars["app.entrypoint"]
+    entry_line, entrypoint = _required(scalars, "app.entrypoint")
     if not entrypoint:
         raise ParseError("entrypoint must be nonempty", entry_line)
 
-    if "sgx.enclave_size" not in scalars:
-        raise ParseError("missing required key 'sgx.enclave_size'")
-    size_line, size_text = scalars["sgx.enclave_size"]
+    size_line, size_text = _required(scalars, "sgx.enclave_size")
     enclave_size = _parse_size(size_text, size_line)
     if enclave_size < MIN_ENCLAVE_SIZE or enclave_size & (enclave_size - 1):
         raise ParseError(f"enclave_size must be a power of two >= 1M, got {size_text}",
                          size_line)
 
-    if "sgx.max_threads" not in scalars:
-        raise ParseError("missing required key 'sgx.max_threads'")
-    thr_line, thr_text = scalars["sgx.max_threads"]
-    try:
-        max_threads = codec.decimal(thr_text)
-    except ValueError:
-        raise ParseError(f"bad max_threads value {thr_text!r}", thr_line)
+    thr_line, thr_text = _required(scalars, "sgx.max_threads")
+    max_threads = _decimal(thr_text, thr_line, f"bad max_threads value {thr_text!r}")
     if max_threads < 1:
         raise ParseError("max_threads must be >= 1", thr_line)
 
@@ -257,7 +258,7 @@ def _build_template(scalars, lists, env) -> ManifestTemplate:
 def parse_template(text: str) -> ManifestTemplate:
     """Parse a manifest template; rejects unknown keys and invariant
     violations with the offending line number."""
-    scalars, lists, env = _collect(parse_lines(text), allow_final=False)
+    scalars, lists, env = _collect(parse_lines(text), _TEMPLATE)
     return _build_template(scalars, lists, env)
 
 
@@ -301,22 +302,16 @@ def load(data: bytes) -> FinalManifest:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise ParseError("final manifest is not valid UTF-8")
-    scalars, lists, env = _collect(parse_lines(text), allow_final=True)
-    if "manifest.format_version" not in scalars:
-        raise ParseError("missing required key 'manifest.format_version'")
-    ver_line, ver_text = scalars.pop("manifest.format_version")
-    try:
-        version = codec.decimal(ver_text)
-    except ValueError:
-        raise ParseError(f"bad format version {ver_text!r}", ver_line)
+    scalars, lists, env = _collect(parse_lines(text), _FINAL)
+    ver_line, ver_text = _required(scalars, "manifest.format_version")
+    version = _decimal(ver_text, ver_line, f"bad format version {ver_text!r}")
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version}", ver_line)
 
-    hash_items = lists.pop("sgx.trusted_file_hash")
     template = _build_template(scalars, lists, env)
 
     hashes = {}
-    for lineno, value in hash_items:
+    for lineno, value in lists["sgx.trusted_file_hash"]:
         path, sep, hex_digest = value.rpartition(":")
         if not sep or not path:
             raise ParseError(f"trusted_file_hash must be 'path:hex', got {value!r}", lineno)

@@ -273,6 +273,20 @@ def test_fault_injection_matrix(pcs):
                     "svn_too_low", "tcb_too_low"}
 
 
+@pytest.mark.parametrize("registered_at,verified_at", [
+    (NOW + attestation.DEFAULT_CA_VALIDITY - 100, NOW + attestation.DEFAULT_CA_VALIDITY + 1),
+    (NOW - 1000, NOW - 500),
+], ids=["root-and-ca-expired", "root-and-ca-not-yet-valid"])
+def test_a_chain_with_a_root_or_ca_outside_its_validity_is_expired(registered_at, verified_at):
+    pcs = PcsDatabase.create(now=NOW)
+    platform, chain = pcs.register(tcb_level=5, now=registered_at)
+    leaf = chain.attestation_key_cert
+    assert leaf.not_before <= verified_at <= leaf.not_after
+    result = quote_verify(make_quote(platform), chain, pcs.current_crl(), policy_for(pcs),
+                          now=verified_at)
+    assert result.failure_reason == "expired"
+
+
 def test_failure_reason_deterministic(pcs):
     platform, chain = pcs.register(tcb_level=0, now=NOW)
     quote = make_quote(platform, svn=0)  # violates svn AND tcb; svn checked first

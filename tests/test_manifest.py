@@ -296,6 +296,60 @@ def test_serialize_fixed_point():
     assert serialize(load(data)) == data
 
 
+SAFE_TEXT = st.text(alphabet="abcXYZ019 -_=:/.#", max_size=8)
+SIZES = ["1M", "1m", "2M", "1024k", "1024K", "1g", "1G", "1048576"]
+DIRS = ["/app", "/data", "/models"]
+FILES = ["/app/x", "/app/y/z", "/data/a", "/models/m.bin"]
+
+
+def respelled(path):
+    """Spellings the parser reads as `path`: with `.`, `..`, `//` or a trailing `/`."""
+    return st.sampled_from([path, path + "/", "/." + path, path.replace("/", "//", 1),
+                            "/tmp/.." + path, path.replace("/", "/./")])
+
+
+@st.composite
+def valid_templates(draw):
+    lines = [f"app.entrypoint = {draw(st.sampled_from(['/app/run', '/app/./infer', 'run']))}",
+             f"sgx.enclave_size = {draw(st.sampled_from(SIZES))}",
+             f"sgx.max_threads = {draw(st.integers(1, 64))}"]
+    lines += [f"app.arg = {arg}" for arg in draw(st.lists(SAFE_TEXT, max_size=3))]
+    env = draw(st.dictionaries(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True),
+                               SAFE_TEXT, max_size=3))
+    lines += [f"env.{name} = {value}" for name, value in env.items()]
+    for enclave in draw(st.lists(st.sampled_from(DIRS), unique=True)):
+        lines.append(f"fs.mount = {enclave.strip('/')}:{draw(respelled(enclave))}")
+    for path, trusted in draw(st.lists(st.tuples(st.sampled_from(FILES), st.booleans()),
+                                       unique_by=lambda item: item[0])):
+        key = "sgx.trusted_file" if trusted else "sgx.protected_file"
+        lines.append(f"{key} = {draw(respelled(path))}")
+    return parse_template("\n".join(draw(st.permutations(lines))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(template=valid_templates())
+def test_a_loaded_final_manifest_serializes_and_measures_as_the_signed_one(template):
+    final = sign_manifest(template, lambda path: path.encode())
+    data = serialize(final)
+    again = load(data)
+    assert serialize(again) == data
+    assert compute_measurement(again) == compute_measurement(final)
+
+
+@pytest.mark.parametrize("parse,text,message,line", [
+    (load, b"app.arg = x\n", "missing required key 'manifest.format_version'", None),
+    (load, b"manifest.format_version = 01\nsgx.enclave_size = 1M\n",
+     "line 1: bad format version '01'", 1),
+    (parse_template, "sgx.max_threads = 01\n", "missing required key 'app.entrypoint'", None),
+    (parse_template, "app.entrypoint =\n", "line 1: entrypoint must be nonempty", 1),
+], ids=["final-without-version", "version-before-entrypoint", "entrypoint-before-threads",
+        "entrypoint-value-before-size"])
+def test_required_keys_are_checked_in_manifest_order(parse, text, message, line):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (str(exc.value), exc.value.line) == (message, line)
+
+
 def test_load_truncated():
     data = serialize(demo_final())
     with pytest.raises(ParseError):
