@@ -14,7 +14,8 @@ import os
 import struct
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import codec, crypto
 
@@ -92,23 +93,24 @@ class Crl(_JsonSigned):
 
 @codec.record(("platform_id", PLATFORM_ID), ("private_key", codec.hexbytes(32)),
               ("public_key", PUBLIC_KEY), ("tcb_level", codec.U32))
-@dataclass
+@dataclass(frozen=True)
 class PlatformIdentity:
     """A registered platform: its id, attestation key pair and TCB level.
     public_key must be private_key's."""
 
     platform_id: bytes
-    private_key: bytes
+    private_key: bytes = field(repr=False)
     public_key: bytes
     tcb_level: int
 
     def __post_init__(self):
-        if self.signing_key != crypto.signing_key(self.private_key):
+        if self.signing_key.public != self.public_key:
             raise ValueError("public_key is not the private key's")
 
-    @property
+    @cached_property
     def signing_key(self) -> crypto.SigningKeyPair:
-        return crypto.SigningKeyPair(self.private_key, self.public_key)
+        """The attestation key pair, parsed once per identity."""
+        return crypto.signing_key(self.private_key)
 
 
 @dataclass(frozen=True)
@@ -209,10 +211,10 @@ def subject_platform_id(subject: str) -> bytes | None:
         return None
 
 
-def _sign(unsigned, private_key: bytes):
+def _sign(unsigned, key: crypto.SigningKeyPair):
     """`unsigned` (a certificate, CRL or quote) carrying the Ed25519
-    signature of its signed_payload() under private_key."""
-    return replace(unsigned, signature=crypto.sign(private_key, unsigned.signed_payload()))
+    signature of its signed_payload() under key."""
+    return replace(unsigned, signature=crypto.sign(key, unsigned.signed_payload()))
 
 
 # (public key, record) of each signature check that succeeded, least
@@ -245,10 +247,10 @@ def _signed_by(record, public_key: bytes) -> bool:
     return True
 
 
-def _issue(subject, subject_key, issuer, issuer_private, not_before, not_after,
+def _issue(subject, subject_key, issuer, issuer_key, not_before, not_after,
            tcb_level=None) -> Certificate:
     return _sign(Certificate(subject, issuer, subject_key, not_before, not_after,
-                             tcb_level, signature=b""), issuer_private)
+                             tcb_level, signature=b""), issuer_key)
 
 
 # -- mock PCS -----------------------------------------------------------
@@ -270,16 +272,16 @@ class PcsDatabase:
         self.ca_cert = ca_cert
         self.created_at = created_at
         self.platforms: dict[bytes, CertChain] = {}
-        self._crl = _sign(Crl(CA_SUBJECT, 0, frozenset(), b""), ca_key.private)
+        self._crl = _sign(Crl(CA_SUBJECT, 0, frozenset(), b""), ca_key)
 
     @classmethod
     def create(cls, now: int) -> "PcsDatabase":
         root_key = crypto.sign_generate()
         ca_key = crypto.sign_generate()
         root_cert = _issue(ROOT_SUBJECT, root_key.public, ROOT_SUBJECT,
-                           root_key.private, now, now + DEFAULT_CA_VALIDITY)
+                           root_key, now, now + DEFAULT_CA_VALIDITY)
         ca_cert = _issue(CA_SUBJECT, ca_key.public, ROOT_SUBJECT,
-                         root_key.private, now, now + DEFAULT_CA_VALIDITY)
+                         root_key, now, now + DEFAULT_CA_VALIDITY)
         return cls(root_key, ca_key, root_cert, ca_cert, created_at=now)
 
     @property
@@ -296,16 +298,22 @@ class PcsDatabase:
     def register(self, tcb_level: int, now: int) -> tuple[PlatformIdentity, CertChain]:
         """Enroll a new platform; returns its identity (with the private
         attestation key, which the registry does not retain) and the chain.
-        A tcb_level that the leaf's u32 field cannot hold is a ValueError
-        when the leaf is signed, before anything is registered."""
+        The leaf is valid from `now` for DEFAULT_LEAF_VALIDITY, cut to the
+        CA's window. A `now` outside that window, or a tcb_level that the
+        leaf's u32 field cannot hold, is a ValueError before anything is
+        registered."""
+        ca = self.ca_cert
+        if not ca.not_before <= now <= ca.not_after:
+            raise ValueError(f"now {now} is outside the CA's validity "
+                             f"{ca.not_before}..{ca.not_after}")
         with self._lock:
             while True:
                 platform_id = os.urandom(16)
                 if platform_id not in self.platforms:
                     break
             key = crypto.sign_generate()
-            leaf = _issue(platform_subject(platform_id), key.public, CA_SUBJECT,
-                          self.ca_key.private, now, now + DEFAULT_LEAF_VALIDITY,
+            leaf = _issue(platform_subject(platform_id), key.public, CA_SUBJECT, self.ca_key,
+                          now, min(now + DEFAULT_LEAF_VALIDITY, ca.not_after),
                           tcb_level=tcb_level)
             chain = CertChain(self.root_cert, self.ca_cert, leaf)
             self.platforms[platform_id] = chain
@@ -327,7 +335,7 @@ class PcsDatabase:
             crl = self._crl
             self._crl = _sign(replace(crl, sequence=crl.sequence + 1,
                                       revoked=crl.revoked | {platform_id}),
-                              self.ca_key.private)
+                              self.ca_key)
             return self._crl
 
     # -- persistence --
@@ -363,8 +371,7 @@ class PcsDatabase:
                  d["created_at"])
         db.platforms = {subject_platform_id(rec["chain"].attestation_key_cert.subject):
                         rec["chain"] for rec in d["platforms"].values()}
-        db._crl = _sign(Crl(CA_SUBJECT, d["crl_sequence"], d["revoked"], b""),
-                        db.ca_key.private)
+        db._crl = _sign(Crl(CA_SUBJECT, d["crl_sequence"], d["revoked"], b""), db.ca_key)
         if db._fields() != d:
             raise ValueError("a copy in the file differs from what it copies")
         return db
@@ -390,7 +397,7 @@ def quote_generate(platform: PlatformIdentity, mr_enclave: bytes,
         raise ValueError(f"report_data must be exactly {QUOTE_REPORT_DATA_SIZE} bytes")
     return _sign(Quote(mr_enclave, mr_signer, isv_svn, report_data,
                        platform.platform_id, platform.tcb_level, signature=b""),
-                 platform.signing_key.private)
+                 platform.signing_key)
 
 
 def _chain_ok(chain: CertChain, crl: Crl, accepted_root: bytes) -> bool:

@@ -110,12 +110,12 @@ def _recv_handshake(conn: socket.socket, *frame_types: int) -> tuple[int, bytes]
     return frame_type, payload
 
 
-def _key_schedule(th1, verifier_eph_pub, sig, own_private, peer_public):
+def _key_schedule(th1, verifier_eph_pub, sig, own: crypto.KeyPair, peer_public):
     """(th2, key_a2v, key_v2a) of WIRE.md's key schedule, from V1 and this
     side's X25519 agreement; a key that X25519 rejects is HandshakeError("io")."""
     th2 = crypto.hash_data(th1 + verifier_eph_pub + sig)
     try:
-        shared = crypto.dh_shared(own_private, peer_public)
+        shared = crypto.dh_shared(own, peer_public)
     except ValueError as exc:
         raise HandshakeError("io", str(exc))
     return th2, crypto.kdf(shared, "a2s", th2), crypto.kdf(shared, "s2a", th2)
@@ -214,8 +214,7 @@ def _attester_handshake(conn: socket.socket, quote_provider: QuoteProvider,
         raise HandshakeError("peer_auth_failed",
                              "verifier signature does not match the pinned key")
 
-    th2, key_a2v, key_v2a = _key_schedule(th1, verifier_eph_pub, sig, eph.private,
-                                          verifier_eph_pub)
+    th2, key_a2v, key_v2a = _key_schedule(th1, verifier_eph_pub, sig, eph, verifier_eph_pub)
     channel = SecureChannel(conn, send_key=key_a2v, recv_key=key_v2a)
     channel.send(wire.REC_FINISHED, th2)
     _check_finished(channel, th2)
@@ -262,11 +261,10 @@ def _verify_a1(conn, policy, crl_provider, now):
 def _answer_a1(conn, a1, cert, verifier_signing_key):
     eph = crypto.dh_generate()
     th1 = crypto.hash_data(a1)
-    sig = crypto.sign(verifier_signing_key.private, _SIG_CONTEXT + th1 + eph.public)
+    sig = crypto.sign(verifier_signing_key, _SIG_CONTEXT + th1 + eph.public)
     wire.send_frame(conn, wire.HS_V1, codec.pack(V1, {"eph_pub": eph.public, "sig": sig}))
     # X25519 after V1, so it overlaps the attester's signature check
-    th2, key_a2v, key_v2a = _key_schedule(th1, eph.public, sig, eph.private,
-                                          cert.attester_eph_pub)
+    th2, key_a2v, key_v2a = _key_schedule(th1, eph.public, sig, eph, cert.attester_eph_pub)
     channel = SecureChannel(conn, send_key=key_v2a, recv_key=key_a2v, peer_certificate=cert)
     _check_finished(channel, th2)
     channel.send(wire.REC_FINISHED, th2)

@@ -4,6 +4,10 @@ Algorithms are fixed so that all on-disk and on-wire formats are bit-exact:
 AES-256-GCM for AEAD, SHA-256 for hashing, HMAC-SHA-256 for key derivation,
 X25519 for ephemeral key agreement, Ed25519 for signatures. All functions
 are pure; nonce discipline is the caller's responsibility.
+
+A key pair holds its parsed private key object, so each private key is
+parsed once, when its pair is made, and `sign` and `dh_shared` take the
+pair. No repr of a pair shows its private key.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric import ed25519, x25519
@@ -80,50 +85,58 @@ def random_bytes(n: int) -> bytes:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """X25519 key-agreement keypair, raw 32-byte encodings."""
+    """X25519 key-agreement keypair: the private key object and the raw
+    32-byte public key."""
 
-    private: bytes
+    private: x25519.X25519PrivateKey = field(repr=False)
     public: bytes
 
 
 def dh_generate() -> KeyPair:
     priv = x25519.X25519PrivateKey.generate()
-    return KeyPair(
-        private=priv.private_bytes_raw(),
-        public=priv.public_key().public_bytes_raw(),
-    )
+    return KeyPair(priv, priv.public_key().public_bytes_raw())
 
 
-def dh_shared(private: bytes, peer_public: bytes) -> bytes:
+def dh_shared(own: KeyPair, peer_public: bytes) -> bytes:
     """X25519 shared secret, 32 bytes. Raises ValueError on a bad peer key."""
     try:
         peer = x25519.X25519PublicKey.from_public_bytes(peer_public)
     except Exception as exc:
         raise ValueError(f"invalid peer public key: {exc}") from None
-    return x25519.X25519PrivateKey.from_private_bytes(private).exchange(peer)
+    return own.private.exchange(peer)
 
 
 @dataclass(frozen=True)
 class SigningKeyPair:
-    """Ed25519 signing keypair, raw 32-byte encodings."""
+    """Ed25519 signing keypair, raw 32-byte encodings; `key`, the parsed
+    private key that `sign` uses, is built once per pair."""
 
-    private: bytes
+    private: bytes = field(repr=False)
     public: bytes
+
+    @cached_property
+    def key(self) -> ed25519.Ed25519PrivateKey:
+        return ed25519.Ed25519PrivateKey.from_private_bytes(self.private)
+
+
+def _signing_pair(key: ed25519.Ed25519PrivateKey) -> SigningKeyPair:
+    pair = SigningKeyPair(key.private_bytes_raw(), key.public_key().public_bytes_raw())
+    pair.__dict__["key"] = key  # fills the cached `key`: its one parse is this one
+    return pair
 
 
 def signing_key(private: bytes) -> SigningKeyPair:
     """The key pair of a raw 32-byte Ed25519 private key."""
-    public = ed25519.Ed25519PrivateKey.from_private_bytes(private).public_key()
-    return SigningKeyPair(private, public.public_bytes_raw())
+    return _signing_pair(ed25519.Ed25519PrivateKey.from_private_bytes(private))
 
 
 def sign_generate() -> SigningKeyPair:
-    return signing_key(ed25519.Ed25519PrivateKey.generate().private_bytes_raw())
+    return _signing_pair(ed25519.Ed25519PrivateKey.generate())
 
 
-def sign(signing_key: bytes, message: bytes) -> bytes:
+def sign(key_pair: SigningKeyPair, message: bytes) -> bytes:
     """Ed25519 signature, 64 bytes."""
-    return ed25519.Ed25519PrivateKey.from_private_bytes(signing_key).sign(message)
+    return key_pair.key.sign(message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:

@@ -267,7 +267,7 @@ def test_criterion_07_attestation_fault_matrix_and_forgeries():
         elif mode == 1:
             body = replace(honest, platform_id=rng.randbytes(16),
                            mr_enclave=mre, signature=b"")
-            q = replace(body, signature=crypto.sign(rogue.private,
+            q = replace(body, signature=crypto.sign(rogue,
                                                     b"quote-v1" + body.body()))
         elif mode == 2:
             fake_leaf = Certificate(
@@ -277,7 +277,7 @@ def test_criterion_07_attestation_fault_matrix_and_forgeries():
                 signature=rng.randbytes(64))
             c = CertChain(chain.root_cert, chain.platform_ca_cert, fake_leaf)
             body = replace(honest, signature=b"")
-            q = replace(body, signature=crypto.sign(rogue.private,
+            q = replace(body, signature=crypto.sign(rogue,
                                                     b"quote-v1" + body.body()))
         else:
             q = replace(honest, signature=rng.randbytes(64))

@@ -278,13 +278,52 @@ def test_fault_injection_matrix(pcs):
     (NOW - 1000, NOW - 500),
 ], ids=["root-and-ca-expired", "root-and-ca-not-yet-valid"])
 def test_a_chain_with_a_root_or_ca_outside_its_validity_is_expired(registered_at, verified_at):
+    # register keeps a leaf inside its CA's window, so this leaf is issued by hand
     pcs = PcsDatabase.create(now=NOW)
-    platform, chain = pcs.register(tcb_level=5, now=registered_at)
-    leaf = chain.attestation_key_cert
+    platform, chain = pcs.register(tcb_level=5, now=NOW)
+    leaf = attestation._issue(chain.attestation_key_cert.subject, platform.public_key,
+                              attestation.CA_SUBJECT, pcs.ca_key, registered_at,
+                              registered_at + attestation.DEFAULT_LEAF_VALIDITY, tcb_level=5)
+    chain = replace(chain, attestation_key_cert=leaf)
     assert leaf.not_before <= verified_at <= leaf.not_after
     result = quote_verify(make_quote(platform), chain, pcs.current_crl(), policy_for(pcs),
                           now=verified_at)
     assert result.failure_reason == "expired"
+
+
+@pytest.mark.parametrize("registered_at", [
+    NOW + attestation.DEFAULT_CA_VALIDITY - 100,
+    NOW + attestation.DEFAULT_CA_VALIDITY,
+    NOW,
+], ids=["100s-before-ca-expiry", "at-ca-expiry", "at-ca-start"])
+def test_a_registered_leaf_stays_inside_its_ca_window(registered_at):
+    pcs = PcsDatabase.create(now=NOW)
+    platform, chain = pcs.register(tcb_level=5, now=registered_at)
+    ca, leaf = chain.platform_ca_cert, chain.attestation_key_cert
+    assert leaf.not_before == registered_at
+    assert leaf.not_after == min(registered_at + attestation.DEFAULT_LEAF_VALIDITY,
+                                 ca.not_after)
+    assert ca.not_before <= leaf.not_before <= leaf.not_after <= ca.not_after
+    assert quote_verify(make_quote(platform), chain, pcs.current_crl(), policy_for(pcs),
+                        now=leaf.not_after).ok
+
+
+@pytest.mark.parametrize("registered_at", [
+    NOW - 1, NOW - 1000, NOW + attestation.DEFAULT_CA_VALIDITY + 1,
+], ids=["1s-before-ca-start", "1000s-before-ca-start", "1s-after-ca-expiry"])
+def test_registering_outside_the_ca_window_is_refused(registered_at):
+    pcs = PcsDatabase.create(now=NOW)
+    with pytest.raises(ValueError, match="outside the CA's validity"):
+        pcs.register(tcb_level=5, now=registered_at)
+    assert pcs.platforms == {}
+
+
+def test_a_platform_identity_repr_hides_its_private_key(registered):
+    _, platform, _ = registered
+    text = repr(platform)
+    assert repr(platform.private_key) not in text
+    assert platform.private_key.hex() not in text
+    assert repr(platform.public_key) in text
 
 
 def test_failure_reason_deterministic(pcs):
@@ -303,7 +342,7 @@ def test_revoked_platform_cannot_dodge_crl_by_lying_about_id(pcs):
     # villain signs a quote claiming an unrevoked platform id
     forged = replace(quote, platform_id=b"\x77" * 16)
     forged = replace(forged, signature=crypto.sign(
-        villain.signing_key.private, b"quote-v1" + forged.body()))
+        villain.signing_key, b"quote-v1" + forged.body()))
     result = quote_verify(forged, chain, crl, policy_for(pcs), NOW)
     assert not result.ok
     assert result.failure_reason in ("revoked", "bad_quote_sig")
@@ -342,7 +381,7 @@ def test_random_forgeries_never_verify(pcs):
             # quote signed by a rogue, unregistered key
             rogue = crypto.sign_generate()
             body = replace(honest, platform_id=rng.randbytes(16), signature=b"")
-            q = replace(body, signature=crypto.sign(rogue.private, b"quote-v1" + body.body()))
+            q = replace(body, signature=crypto.sign(rogue, b"quote-v1" + body.body()))
         else:
             # leaf certificate swapped for a self-made one
             rogue = crypto.sign_generate()
@@ -353,7 +392,7 @@ def test_random_forgeries_never_verify(pcs):
                 signature=rng.randbytes(64))
             c = CertChain(chain.root_cert, chain.platform_ca_cert, fake_leaf)
             body = replace(honest, signature=b"")
-            q = replace(body, signature=crypto.sign(rogue.private, b"quote-v1" + body.body()))
+            q = replace(body, signature=crypto.sign(rogue, b"quote-v1" + body.body()))
         result = quote_verify(q, c, crl, pol, NOW)
         assert not result.ok, f"forgery accepted in mode {mode}"
 

@@ -329,7 +329,7 @@ def test_pinned_v1_with_a_bad_key_is_a_handshake_io_error(env, eph_pub):
 
     def pinned_verifier():
         _, a1 = wire.recv_frame(v_sock)
-        sig = crypto.sign(env["verifier_key"].private,
+        sig = crypto.sign(env["verifier_key"],
                           _SIG_CONTEXT + crypto.hash_data(a1) + eph_pub)
         wire.send_frame(v_sock, wire.HS_V1,
                         codec.canonical_json({"eph_pub": eph_pub.hex(), "sig": sig.hex()}))
@@ -350,7 +350,7 @@ def test_a_verifier_that_closes_after_a_valid_v1_is_a_handshake_io_error(env, mo
     def pinned_verifier():
         _, a1 = wire.recv_frame(v_sock)
         eph = crypto.dh_generate()
-        sig = crypto.sign(env["verifier_key"].private,
+        sig = crypto.sign(env["verifier_key"],
                           _SIG_CONTEXT + crypto.hash_data(a1) + eph.public)
         wire.send_frame(v_sock, wire.HS_V1,
                         codec.canonical_json({"eph_pub": eph.public.hex(),

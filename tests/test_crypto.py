@@ -182,12 +182,12 @@ def test_kdf_label_bounds():
 def test_dh_symmetry():
     for _ in range(20):
         a, b = crypto.dh_generate(), crypto.dh_generate()
-        assert crypto.dh_shared(a.private, b.public) == crypto.dh_shared(b.private, a.public)
+        assert crypto.dh_shared(a, b.public) == crypto.dh_shared(b, a.public)
 
 
 def test_dh_with_own_public_key():
     a = crypto.dh_generate()
-    shared = crypto.dh_shared(a.private, a.public)
+    shared = crypto.dh_shared(a, a.public)
     assert len(shared) == 32
 
 
@@ -196,32 +196,50 @@ def test_dh_distinct_peers_distinct_secrets():
     seen = set()
     for _ in range(20):
         peer = crypto.dh_generate()
-        seen.add(crypto.dh_shared(a.private, peer.public))
+        seen.add(crypto.dh_shared(a, peer.public))
     assert len(seen) == 20
 
 
 def test_dh_invalid_peer_encoding():
     a = crypto.dh_generate()
     with pytest.raises(ValueError):
-        crypto.dh_shared(a.private, b"\x01" * 31)
+        crypto.dh_shared(a, b"\x01" * 31)
+
+
+def test_no_key_pair_repr_shows_its_private_key():
+    signing, agreement = crypto.sign_generate(), crypto.dh_generate()
+    for pair, private in [(signing, signing.private),
+                          (agreement, agreement.private.private_bytes_raw())]:
+        text = repr(pair)
+        assert repr(private) not in text and private.hex() not in text
+        assert repr(pair.public) in text
+
+
+def test_a_signing_key_pair_parses_its_private_key_once():
+    kp = crypto.signing_key(crypto.sign_generate().private)
+    assert kp.key is kp.key
+    assert crypto.verify(kp.public, b"message", crypto.sign(kp, b"message"))
+    loaded = crypto.SigningKeyPair(kp.private, kp.public)  # as a record decodes it
+    assert loaded == kp and loaded.key is loaded.key
+    assert crypto.sign(loaded, b"message") == crypto.sign(kp, b"message")
 
 
 def test_sign_verify_roundtrip():
     kp = crypto.sign_generate()
-    sig = crypto.sign(kp.private, b"message")
+    sig = crypto.sign(kp, b"message")
     assert len(sig) == 64
     assert crypto.verify(kp.public, b"message", sig)
 
 
 def test_verify_wrong_public_key():
     kp, other = crypto.sign_generate(), crypto.sign_generate()
-    sig = crypto.sign(kp.private, b"message")
+    sig = crypto.sign(kp, b"message")
     assert not crypto.verify(other.public, b"message", sig)
 
 
 def test_verify_every_flipped_signature_byte_fails():
     kp = crypto.sign_generate()
-    sig = crypto.sign(kp.private, b"message")
+    sig = crypto.sign(kp, b"message")
     for i in range(64):
         bad = bytearray(sig)
         bad[i] ^= 0xff

@@ -4,6 +4,7 @@ import struct
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,8 @@ from enclavesim.attestation import (
 )
 from enclavesim.codec import canonical_json
 from enclavesim.pcs_service import (
+    DECODED_SIZE,
+    FETCH_RESP,
     POOL_SIZE,
     PcsClientError,
     PcsPool,
@@ -495,3 +498,120 @@ def test_any_request_payload_gets_a_typed_reply(idle_server, frame_type, payload
         assert json.loads(body)["reason"] in ("unknown_platform", "bad_request")
     else:
         assert reply_type == frame_type + 1
+
+
+# -- one pack per reply at the PCS, one decode per reply bytes in the pool --
+
+def count_decodes(monkeypatch) -> Counter:
+    """Counts codec.unpack calls by record kind."""
+    calls, unpack = Counter(), codec.unpack
+
+    def counted(kind, payload):
+        calls[kind] += 1
+        return unpack(kind, payload)
+
+    monkeypatch.setattr(codec, "unpack", counted)
+    return calls
+
+
+def fetch_request(platform_id: bytes) -> bytes:
+    return canonical_json({"platform_id": platform_id.hex()})
+
+
+def test_the_pcs_packs_a_fetch_reply_once_until_its_chain_or_crl_changes(tmp_path):
+    db = PcsDatabase.create(now=NOW)
+    platform, _ = db.register(tcb_level=3, now=NOW)
+    request = fetch_request(platform.platform_id)
+    with PcsServer(db, now_source=lambda: NOW) as srv:  # not started: _handle is called here
+        first = srv._handle(wire.PCS_FETCH_REQ, request)[1]
+        assert srv._handle(wire.PCS_FETCH_REQ, request)[1] is first
+        db.revoke(platform.platform_id)
+        revoked = srv._handle(wire.PCS_FETCH_REQ, request)[1]
+        chain, crl = db.fetch(platform.platform_id)
+        assert revoked == codec.pack(FETCH_RESP, {"chain": chain, "crl": crl}) != first
+        db.save(tmp_path / "pcs.json")
+        srv.db = PcsDatabase.load(tmp_path / "pcs.json")  # equal values, other objects
+        reloaded = srv._handle(wire.PCS_FETCH_REQ, request)[1]
+        assert reloaded == revoked and reloaded is not revoked
+
+
+def test_the_pool_decodes_equal_reply_bytes_once_and_keeps_at_most_decoded_size(
+        pcs_server, monkeypatch):
+    platform, _ = register_platform(pcs_server.address, tcb_level=3)
+    pool = PcsPool(pcs_server.address)
+    decodes = count_decodes(monkeypatch)
+    try:
+        chain, crl = fetch_platform(pcs_server.address, platform.platform_id, pool)
+        again, again_crl = fetch_platform(pcs_server.address, platform.platform_id, pool)
+        assert again is chain and again_crl is crl and decodes[FETCH_RESP] == 1
+        for n in range(DECODED_SIZE + 2):
+            revoke_platform(pcs_server.address, platform.platform_id)
+            assert pool.crl(platform.platform_id).sequence == n + 1
+            assert len(pool._decoded) == min(n + 2, DECODED_SIZE)
+        assert decodes[FETCH_RESP] == DECODED_SIZE + 3
+        assert pool.stats()["connected"] + pool.stats()["reused"] == DECODED_SIZE + 4
+    finally:
+        pool.close()
+
+
+def test_a_pcs_error_or_an_undecodable_reply_is_never_memoised(monkeypatch):
+    db = PcsDatabase.create(now=NOW)
+    platform, _ = db.register(tcb_level=3, now=NOW)
+    chain, crl = db.fetch(platform.platform_id)
+    good = codec.pack(FETCH_RESP, {"chain": chain, "crl": crl})
+    error = canonical_json({"reason": "unknown_platform"})
+    srv = ScriptedPcs("127.0.0.1", 0).start()
+    pool = PcsPool(srv.address)
+    decodes = count_decodes(monkeypatch)
+    try:
+        for reply, reason in 2 * [((wire.PCS_ERROR, error), "unknown_platform"),
+                                  ((wire.PCS_FETCH_RESP, good[:-1]), "bad_response")]:
+            srv.reply = reply
+            with pytest.raises(PcsClientError) as info:
+                pool.crl(platform.platform_id)
+            assert info.value.reason == reason
+        assert decodes[pcs_service.PCS_ERROR] == 2 and decodes[FETCH_RESP] == 2
+        assert len(pool._decoded) == 0
+        srv.reply = (wire.PCS_FETCH_RESP, good)
+        assert fetch_platform(srv.address, platform.platform_id, pool) == (chain, crl)
+        assert fetch_platform(srv.address, platform.platform_id, pool) == (chain, crl)
+        assert decodes[FETCH_RESP] == 3 and len(pool._decoded) == 1
+    finally:
+        pool.close()
+        srv.stop()
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.lists(st.tuples(st.sampled_from(["register", "revoke", "fetch", "fetch",
+                                                 "fetch-unknown"]),
+                                st.integers(0, 15)), max_size=30))
+def test_pool_fetches_follow_the_database_through_registers_and_revocations(steps):
+    db = PcsDatabase.create(now=NOW)
+    pids = [db.register(tcb_level=1, now=NOW)[0].platform_id]
+    srv = PcsServer(db, now_source=lambda: NOW).start()
+    pool = PcsPool(srv.address)
+    try:
+        for action, i in steps:
+            if action == "register":
+                pids.append(db.register(tcb_level=i, now=NOW)[0].platform_id)
+            elif action == "revoke":
+                db.revoke(pids[i % len(pids)])
+            elif action == "fetch":
+                pid = pids[i % len(pids)]
+                assert fetch_platform(srv.address, pid, pool) == db.fetch(pid)
+            else:
+                with pytest.raises(PcsClientError, match="unknown_platform"):
+                    pool.crl(bytes([i]) * 16)
+            assert len(pool._decoded) <= DECODED_SIZE
+    finally:
+        pool.close()
+        srv.stop()
+
+
+def test_registering_outside_the_ca_window_over_the_wire_is_a_bad_request():
+    db = PcsDatabase.create(now=NOW)
+    with PcsServer(db, now_source=lambda: NOW - 1).start() as srv:
+        with pytest.raises(PcsClientError) as info:
+            register_platform(srv.address, tcb_level=3)
+    assert info.value.reason == "bad_request"
+    assert db.platforms == {}

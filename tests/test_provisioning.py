@@ -5,8 +5,10 @@ import random
 import socket
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -504,6 +506,46 @@ def test_a_failed_retry_is_crl_unavailable(env):
     finally:
         pcs_srv.stop()
     assert [e["outcome"] for e in srv.audit_log] == ["granted", "denied:crl_unavailable"]
+
+
+def count_private_key_parses(monkeypatch) -> Counter:
+    """Counts by curve the from_private_bytes calls that crypto makes: it
+    looks up its x25519 and ed25519 modules at call time, so stand-ins for
+    them see every parse."""
+    calls = Counter()
+
+    def stand_in(curve, module, private_name, public_name):
+        private = getattr(module, private_name)
+
+        def parse(data):
+            calls[curve] += 1
+            return private.from_private_bytes(data)
+
+        return SimpleNamespace(**{
+            private_name: SimpleNamespace(generate=private.generate, from_private_bytes=parse),
+            public_name: getattr(module, public_name)})
+
+    monkeypatch.setattr(crypto, "x25519", stand_in(
+        "x25519", crypto.x25519, "X25519PrivateKey", "X25519PublicKey"))
+    monkeypatch.setattr(crypto, "ed25519", stand_in(
+        "ed25519", crypto.ed25519, "Ed25519PrivateKey", "Ed25519PublicKey"))
+    return calls
+
+
+def test_a_warm_provision_parses_no_private_key_on_either_side(env, monkeypatch):
+    pcs_srv = PcsServer(env["pcs"], now_source=lambda: NOW).start()
+    try:
+        with pooled_key_server(env, pcs_srv.address) as (srv, _):
+            assert client_request_key(srv.address, "pfs-master", provider_for(env),
+                                      srv.public_key) == SECRET
+            calls = count_private_key_parses(monkeypatch)
+            assert client_request_key(srv.address, "pfs-master", provider_for(env),
+                                      srv.public_key) == SECRET
+    finally:
+        pcs_srv.stop()
+    assert calls == Counter()
+    crypto.signing_key(env["platform"].private_key)  # the stand-ins do count
+    assert calls == Counter(ed25519=1)
 
 
 @pytest.mark.parametrize("clients", [2, 4])
