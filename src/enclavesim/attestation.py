@@ -224,7 +224,9 @@ def _sign(unsigned, key: crypto.SigningKeyPair):
 # key. Failures are never stored, so hostile evidence cannot enter. The memo
 # holds at most VERIFIED_MEMO_SIZE records, each of which verified: a decoded
 # certificate or quote is about 0.5 KB, a CRL as much plus about 130 B per
-# revoked platform, and each entry adds about 140 B.
+# revoked platform, and each entry adds about 140 B. It is not a
+# functools.lru_cache, which would keep a failed check too and cannot list
+# the records it holds.
 _verified: OrderedDict[tuple[bytes, object], None] = OrderedDict()
 _verified_lock = threading.Lock()
 

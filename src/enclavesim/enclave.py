@@ -35,7 +35,7 @@ from .manifest import (
     normalize_enclave_path,
     path_under,
 )
-from .pfs import IntegrityError, ProtectedFile, WrongKeyError
+from .pfs import IntegrityError, ProtectedFile
 from .provisioning import client_request_key
 
 # fixed demo vendor identity; mr_signer is the hash of the vendor key
@@ -275,19 +275,23 @@ class EnclaveInstance:
 
     # -- workload ---------------------------------------------------------
 
+    def _workload_key(self, spec: WorkloadSpec) -> bytes:
+        key = self.provisioned_secrets.get(spec.key_name)
+        if key is None:
+            raise RunError("key_missing", spec.key_name)
+        return key
+
     def workload_open_inputs(self, spec: WorkloadSpec):
         """Transparent decrypt of model and input under the provisioned key."""
         if spec.kind != "linear_infer":
             raise RunError("io", detail=f"unknown workload kind {spec.kind!r}")
-        key = self.provisioned_secrets.get(spec.key_name)
-        if key is None:
-            raise RunError("key_missing", spec.key_name)
+        key = self._workload_key(spec)
 
         def read_protected(path):
             try:
                 with self.open_protected(path, key) as pf:
                     return pf.read(0, pf.size)
-            except (IntegrityError, WrongKeyError):
+            except IntegrityError:  # WrongKeyError included
                 raise RunError("integrity", path)
             except OSError as exc:
                 raise RunError("io", path, str(exc))
@@ -308,9 +312,7 @@ class EnclaveInstance:
         return model.apply_rows(rows)
 
     def workload_write_output(self, spec: WorkloadSpec, out_rows) -> RunReport:
-        key = self.provisioned_secrets.get(spec.key_name)
-        if key is None:
-            raise RunError("key_missing", spec.key_name)
+        key = self._workload_key(spec)
         text = format_rows(out_rows)
         try:
             with self.open_protected(spec.output_path, key, create=True) as pf:

@@ -5,11 +5,11 @@ Payloads are JSON; message types and schemas in WIRE.md.
 
 from __future__ import annotations
 
+import functools
 import json
 import socket
 import threading
 import time
-from collections import OrderedDict
 
 from . import codec, wire
 from .attestation import (
@@ -31,14 +31,24 @@ PCS_ERROR = codec.Record(("reason", codec.STR))
 # key, which belongs on the platform owner's side only
 IDENTITY = codec.Record(("platform", PlatformIdentity.RECORD), ("chain", CertChain.RECORD))
 
+PACKED_SIZE = 64  # newest distinct (chain, CRL) pairs whose FETCH_RESP the PCS keeps packed
+DECODED_SIZE = 8  # newest distinct reply payloads a PcsPool keeps decoded
+
+
+@functools.lru_cache(maxsize=PACKED_SIZE)
+def _fetch_resp(chain: CertChain, crl: Crl) -> bytes:
+    """The PCS_FETCH_RESP payload: a function of the two records' values,
+    so equal records are sent as the same bytes."""
+    return codec.pack(FETCH_RESP, {"chain": chain, "crl": crl})
+
 
 class PcsServer(wire.FrameServer):
     """Serves one PcsDatabase over TCP; persists after every mutation when
     a db_path is given. One thread per connection; the database's own lock
     serializes mutations. A malformed request gets a PCS_ERROR reply and
-    the connection stays open. Each platform's FETCH_RESP is packed once and
-    sent again while `db.fetch` returns the very same chain and CRL objects,
-    so a revocation, a changed chain or another database re-packs it."""
+    the connection stays open. A FETCH_RESP is packed once per distinct
+    chain and CRL among the newest PACKED_SIZE, so a revocation or a
+    changed chain packs anew."""
 
     def __init__(self, db: PcsDatabase, host: str = "127.0.0.1", port: int = 0,
                  db_path=None, now_source=time.time):
@@ -46,15 +56,14 @@ class PcsServer(wire.FrameServer):
         self.db = db
         self.db_path = db_path
         self.now_source = now_source
-        self._packed: dict[bytes, tuple[CertChain, Crl, bytes]] = {}  # by platform id
 
     def _handle(self, frame_type: int, payload: bytes) -> tuple[int, bytes]:
         if frame_type not in (wire.PCS_FETCH_REQ, wire.PCS_REGISTER_REQ, wire.PCS_REVOKE_REQ):
             return wire.PCS_ERROR, codec.pack(PCS_ERROR, {"reason": "bad_type"})
         try:
             if frame_type == wire.PCS_FETCH_REQ:
-                return wire.PCS_FETCH_RESP, self._fetch_resp(
-                    codec.unpack(PLATFORM_REQ, payload)["platform_id"])
+                return wire.PCS_FETCH_RESP, _fetch_resp(
+                    *self.db.fetch(codec.unpack(PLATFORM_REQ, payload)["platform_id"]))
             if frame_type == wire.PCS_REGISTER_REQ:
                 platform, chain = self.db.register(
                     codec.unpack(REGISTER_REQ, payload)["tcb_level"], now=int(self.now_source()))
@@ -70,16 +79,6 @@ class PcsServer(wire.FrameServer):
             reason = "bad_request"
         return wire.PCS_ERROR, codec.pack(PCS_ERROR, {"reason": reason})
 
-    def _fetch_resp(self, platform_id: bytes) -> bytes:
-        chain, crl = self.db.fetch(platform_id)
-        packed = self._packed.get(platform_id)
-        if packed is None or packed[0] is not chain or packed[1] is not crl:
-            # the entry holds chain and crl, so neither id can be reused while it
-            # stands; two connections that race here at most pack the reply twice
-            packed = chain, crl, codec.pack(FETCH_RESP, {"chain": chain, "crl": crl})
-            self._packed[platform_id] = packed
-        return packed[2]
-
     def _persist(self) -> None:
         if self.db_path is not None:
             self.db.save(self.db_path)
@@ -92,7 +91,6 @@ class PcsClientError(Exception):
 
 
 POOL_SIZE = 4  # idle connections a PcsPool keeps; each holds one PCS slot until IDLE_TIMEOUT
-DECODED_SIZE = 8  # newest distinct reply payloads a PcsPool keeps decoded
 # what a reused connection that the PCS has closed raises: EOF, reset, broken pipe
 _STALE = (wire.ConnectionClosedError, ConnectionError)
 
@@ -106,9 +104,9 @@ class PcsPool:
     crl_provider: every call fetches a fresh CRL.
 
     The pool keeps the decoded value of the newest DECODED_SIZE distinct
-    reply payloads, keyed by their record kind and exact bytes, so a reply
-    equal to one already decoded gives the same CertChain and Crl objects
-    without a second decode. It never answers a fetch: each still goes over the
+    reply payloads, keyed by record kind and exact bytes: a reply equal to
+    one already decoded gives the same CertChain and Crl objects, which no
+    caller may change. It never answers a fetch: each still goes over the
     wire, so freshness is unchanged. A PCS_ERROR and a reply that does not
     decode are never kept."""
 
@@ -118,7 +116,9 @@ class PcsPool:
         self._lock = threading.Lock()
         self._closed = False
         self._counts = {"connected": 0, "reused": 0, "retried": 0}
-        self._decoded: OrderedDict[tuple, dict] = OrderedDict()  # least recent first
+        # one memo per pool; the lambda looks codec.unpack up at each call
+        self._unpack = functools.lru_cache(maxsize=DECODED_SIZE)(
+            lambda reply, payload: codec.unpack(reply, payload))
 
     def crl(self, platform_id: bytes) -> Crl:
         return fetch_platform(self.addr, platform_id, self)[1]
@@ -148,23 +148,6 @@ class PcsPool:
             self._counts["reused"] += 1
             return self._idle.pop()  # the newest: the least likely to have idled out
 
-    def _unpack(self, reply: codec.Record, payload: bytes) -> dict:
-        """codec.unpack(reply, payload), decoded once while these bytes stay
-        among the newest DECODED_SIZE payloads; every caller gets the same
-        value, so none may change it."""
-        key = reply, payload
-        with self._lock:
-            value = self._decoded.get(key)
-            if value is not None:
-                self._decoded.move_to_end(key)
-                return value
-        value = codec.unpack(reply, payload)  # a decode error is never kept
-        with self._lock:
-            self._decoded[key] = value
-            if len(self._decoded) > DECODED_SIZE:
-                self._decoded.popitem(last=False)
-        return value
-
     def _give_back(self, conn: socket.socket) -> None:
         with self._lock:
             if not self._closed and len(self._idle) < POOL_SIZE:
@@ -183,10 +166,10 @@ def _connect(addr, pool: PcsPool | None) -> socket.socket:
 def _request(addr, frame_type: int, request: bytes, reply, pool: PcsPool | None = None):
     """The reply to a request of `frame_type`, decoded as kind `reply`;
     PcsClientError with the server's reason for a PCS_ERROR, or with
-    "bad_response" for a reply that does not decode. Without a pool the
-    connection is one-shot; with one it comes from the pool when one is
-    idle, is retried once on a fresh connection when the PCS has closed it,
-    and goes back to the pool after a reply that decodes."""
+    "bad_response" for a reply of another type or one that does not decode.
+    Without a pool the connection is one-shot; with one it comes from the
+    pool when one is idle, is retried once on a fresh connection when the
+    PCS has closed it, and goes back to the pool after a reply that decodes."""
     conn = pool._take() if pool is not None else None
     reused = conn is not None
     if not reused:
@@ -205,7 +188,7 @@ def _request(addr, frame_type: int, request: bytes, reply, pool: PcsPool | None 
             got_type, payload = wire.recv_frame(conn)
         # each reply type is its request type plus one (WIRE.md § Frame types)
         if got_type not in (frame_type + 1, wire.PCS_ERROR):
-            raise PcsClientError(f"unexpected response type {got_type:#x}")
+            raise PcsClientError("bad_response")
         try:
             if got_type == wire.PCS_ERROR:
                 value = codec.unpack(PCS_ERROR, payload)

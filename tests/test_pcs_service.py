@@ -21,6 +21,7 @@ from enclavesim.codec import canonical_json
 from enclavesim.pcs_service import (
     DECODED_SIZE,
     FETCH_RESP,
+    PACKED_SIZE,
     POOL_SIZE,
     PcsClientError,
     PcsPool,
@@ -144,10 +145,11 @@ class ScriptedPcs(wire.FrameServer):
     (lambda addr: revoke_platform(addr, b"\x01" * 16), wire.PCS_REVOKE_RESP),
 ], ids=["fetch", "register", "revoke"])
 def test_undecodable_pcs_reply_is_a_bad_response(call, expect):
+    wrong = wire.PCS_REVOKE_RESP if expect != wire.PCS_REVOKE_RESP else wire.PCS_FETCH_RESP
     srv = ScriptedPcs("127.0.0.1", 0).start()
     try:
         for reply in [(expect, b"[1]"), (expect, b"\xff"), (wire.PCS_ERROR, b"[]"),
-                      (expect, b'{"chain":1,"crl":2}')]:
+                      (expect, b'{"chain":1,"crl":2}'), (wrong, b"{}")]:
             srv.reply = reply
             with pytest.raises(PcsClientError) as info:
                 call(srv.address)
@@ -532,7 +534,18 @@ def test_the_pcs_packs_a_fetch_reply_once_until_its_chain_or_crl_changes(tmp_pat
         db.save(tmp_path / "pcs.json")
         srv.db = PcsDatabase.load(tmp_path / "pcs.json")  # equal values, other objects
         reloaded = srv._handle(wire.PCS_FETCH_REQ, request)[1]
-        assert reloaded == revoked and reloaded is not revoked
+        assert reloaded == revoked and reloaded is revoked
+
+
+def test_the_pcs_keeps_at_most_packed_size_fetch_replies_packed():
+    db = PcsDatabase.create(now=NOW)
+    pids = [db.register(tcb_level=1, now=NOW)[0].platform_id for _ in range(PACKED_SIZE + 8)]
+    with PcsServer(db, now_source=lambda: NOW) as srv:  # not started: _handle is called here
+        for pid in 2 * pids:
+            chain, crl = db.fetch(pid)
+            assert srv._handle(wire.PCS_FETCH_REQ, fetch_request(pid)) == (
+                wire.PCS_FETCH_RESP, codec.pack(FETCH_RESP, {"chain": chain, "crl": crl}))
+            assert pcs_service._fetch_resp.cache_info().currsize <= PACKED_SIZE
 
 
 def test_the_pool_decodes_equal_reply_bytes_once_and_keeps_at_most_decoded_size(
@@ -547,7 +560,7 @@ def test_the_pool_decodes_equal_reply_bytes_once_and_keeps_at_most_decoded_size(
         for n in range(DECODED_SIZE + 2):
             revoke_platform(pcs_server.address, platform.platform_id)
             assert pool.crl(platform.platform_id).sequence == n + 1
-            assert len(pool._decoded) == min(n + 2, DECODED_SIZE)
+            assert pool._unpack.cache_info().currsize == min(n + 2, DECODED_SIZE)
         assert decodes[FETCH_RESP] == DECODED_SIZE + 3
         assert pool.stats()["connected"] + pool.stats()["reused"] == DECODED_SIZE + 4
     finally:
@@ -571,11 +584,11 @@ def test_a_pcs_error_or_an_undecodable_reply_is_never_memoised(monkeypatch):
                 pool.crl(platform.platform_id)
             assert info.value.reason == reason
         assert decodes[pcs_service.PCS_ERROR] == 2 and decodes[FETCH_RESP] == 2
-        assert len(pool._decoded) == 0
+        assert pool._unpack.cache_info().currsize == 0
         srv.reply = (wire.PCS_FETCH_RESP, good)
         assert fetch_platform(srv.address, platform.platform_id, pool) == (chain, crl)
         assert fetch_platform(srv.address, platform.platform_id, pool) == (chain, crl)
-        assert decodes[FETCH_RESP] == 3 and len(pool._decoded) == 1
+        assert decodes[FETCH_RESP] == 3 and pool._unpack.cache_info().currsize == 1
     finally:
         pool.close()
         srv.stop()
@@ -602,7 +615,7 @@ def test_pool_fetches_follow_the_database_through_registers_and_revocations(step
             else:
                 with pytest.raises(PcsClientError, match="unknown_platform"):
                     pool.crl(bytes([i]) * 16)
-            assert len(pool._decoded) <= DECODED_SIZE
+            assert pool._unpack.cache_info().currsize <= DECODED_SIZE
     finally:
         pool.close()
         srv.stop()
