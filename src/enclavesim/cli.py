@@ -6,6 +6,9 @@ provisioning), enclave (start/run workloads), demo (full workflow).
 Exit codes: 0 success, then `workflow.exit_code` of the first error:
 1 attestation failure, 2 integrity failure, 3 anything else. `pfs verify`
 exits 1 when a node fails to authenticate.
+
+Each command imports its own subsystem when it runs, so a server's cold
+start loads neither the demo nor the subsystems it does not serve.
 """
 
 from __future__ import annotations
@@ -15,20 +18,7 @@ import os
 import sys
 import time
 
-from . import codec, crypto, pcs_service, pfs
-from .attestation import HASH, PLATFORM_ID, PUBLIC_KEY, PcsDatabase, VerificationPolicy
-from .enclave import WorkloadSpec, enclave_start
-from .manifest import (
-    compute_measurement,
-    load as load_manifest,
-    parse_template,
-    resolver_for_root,
-    serialize,
-    sign_manifest,
-)
-from .provisioning import SECRET, KeyVault, key_server, vault_load, vault_save
-from .wire import FrameServer
-from .workflow import EXIT_OK, FAULTS, DemoConfig, exit_code, parse_config, workflow_demo
+from . import codec, wire
 
 
 class CliError(Exception):
@@ -62,48 +52,54 @@ def _addr(text: str) -> tuple[str, int]:
 # -- pfs ------------------------------------------------------------------
 
 def cmd_pfs_encrypt(args) -> int:
+    from . import pfs
     key = KEY.decode(args.key_hex)
     with open(args.input, "rb") as fh:
         data = fh.read()
     with pfs.ProtectedFile.create(args.output, args.label, key) as handle:
         handle.write(0, data)
     print(f"encrypted {len(data)} bytes -> {args.output}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_pfs_decrypt(args) -> int:
+    from . import pfs
     key = KEY.decode(args.key_hex)
     with pfs.ProtectedFile.open(args.input, args.label, key) as handle:
         data = handle.read(0, handle.size)
     with open(args.output, "wb") as fh:
         fh.write(data)
     print(f"decrypted {len(data)} bytes -> {args.output}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_pfs_verify(args) -> int:
+    from . import pfs
     key = KEY.decode(args.key_hex)
     report = pfs.verify_file(args.file, key)
     if report.ok:
         print("ok: every node authenticates")
-        return EXIT_OK
+        return 0
     print(f"FAILED at {report.first_bad_node}")
     return 1
 
 
 def cmd_pfs_info(args) -> int:
+    from . import pfs
     key = codec.optional(KEY).decode(args.key_hex)
     meta = pfs.info(args.file, key)
     for field in ("uuid", "file_size", "data_blocks", "mht_nodes",
                   "total_nodes", "disk_size", "label"):
         if field in meta:
             print(f"{field}: {meta[field]}")
-    return EXIT_OK
+    return 0
 
 
 # -- manifest ---------------------------------------------------------------
 
 def cmd_manifest_sign(args) -> int:
+    from .manifest import (
+        compute_measurement, parse_template, resolver_for_root, serialize, sign_manifest)
     with open(args.template, encoding="utf-8") as fh:
         template = parse_template(fh.read())
     root = args.root or os.path.dirname(os.path.abspath(args.template))
@@ -111,22 +107,24 @@ def cmd_manifest_sign(args) -> int:
     with open(args.output, "wb") as fh:
         fh.write(serialize(final))
     print(compute_measurement(final).hex)
-    return EXIT_OK
+    return 0
 
 
 def _load_final(path):
+    from . import manifest
     with open(path, "rb") as fh:
-        return load_manifest(fh.read())
+        return manifest.load(fh.read())
 
 
 def cmd_manifest_measure(args) -> int:
+    from .manifest import compute_measurement
     print(compute_measurement(_load_final(args.final)).hex)
-    return EXIT_OK
+    return 0
 
 
 # -- pcs ---------------------------------------------------------------------
 
-def _serve(server: FrameServer, banner: str) -> int:
+def _serve(server: wire.FrameServer, banner: str) -> int:
     """Start the server, print its banner and serve until SIGINT, which
     exits 0, also when it arrives during the banner. The caller's `with`
     stops the server."""
@@ -136,12 +134,14 @@ def _serve(server: FrameServer, banner: str) -> int:
         while True:
             time.sleep(1)
     except KeyboardInterrupt:
-        return EXIT_OK
+        return 0
 
 
 def cmd_pcs_serve(args) -> int:
     """The one command that reads or writes the registry file: the server
     it starts is its only writer while it runs."""
+    from . import pcs_service
+    from .attestation import PcsDatabase
     fresh = not os.path.exists(args.db)
     db = PcsDatabase.create(now=int(time.time())) if fresh else PcsDatabase.load(args.db)
     host, port = _addr(args.listen)
@@ -153,24 +153,29 @@ def cmd_pcs_serve(args) -> int:
 
 
 def cmd_pcs_register(args) -> int:
+    from . import pcs_service
     platform, chain = pcs_service.register_platform(_addr(args.pcs), args.tcb)
     print(f"platform_id: {platform.platform_id.hex()}")
     print(f"root_key: {chain.root_cert.public_key.hex()}")
     if args.identity_out:
         pcs_service.save_identity(args.identity_out, platform, chain)
         print(f"identity written to {args.identity_out}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_pcs_revoke(args) -> int:
+    from . import pcs_service
+    from .attestation import PLATFORM_ID
     crl = pcs_service.revoke_platform(_addr(args.pcs), PLATFORM_ID.decode(args.platform_id))
     print(f"revoked; CRL sequence now {crl.sequence}")
-    return EXIT_OK
+    return 0
 
 
 # -- keyserver ----------------------------------------------------------------
 
 def cmd_keyserver_add_secret(args) -> int:
+    from .attestation import HASH, PUBLIC_KEY, VerificationPolicy
+    from .provisioning import SECRET, KeyVault, vault_load, vault_save
     if os.path.exists(args.vault):
         vault = vault_load(args.vault, args.passphrase)
     else:
@@ -183,10 +188,13 @@ def cmd_keyserver_add_secret(args) -> int:
     vault.add_secret(args.name, SECRET.decode(args.secret_hex), policy)
     vault_save(vault, args.vault, args.passphrase)
     print(f"vault now holds {len(vault)} secret(s): {', '.join(vault.names())}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_keyserver_serve(args) -> int:
+    from . import crypto
+    from .attestation import PUBLIC_KEY
+    from .provisioning import key_server, vault_load
     vault = vault_load(args.vault, args.passphrase)
     signing_key = (crypto.signing_key(KEY.decode(args.signing_key_hex))
                    if args.signing_key_hex else crypto.sign_generate())
@@ -204,15 +212,19 @@ def cmd_keyserver_serve(args) -> int:
 # -- enclave ------------------------------------------------------------------
 
 def cmd_enclave_start(args) -> int:
+    from .enclave import enclave_start
     final = _load_final(args.manifest)
     instance = enclave_start(final, args.root)
     print(f"measurement: {instance.measurement.hex}")
     print(f"mounts: {len(final.template.mounts)}, "
           f"trusted files verified: {len(final.trusted_file_hashes)}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_enclave_run(args) -> int:
+    from . import pcs_service
+    from .attestation import PUBLIC_KEY
+    from .enclave import WorkloadSpec, enclave_start
     final = _load_final(args.manifest)
     platform, chain = pcs_service.load_identity(args.identity)
     instance = enclave_start(final, args.root, platform=platform, cert_chain=chain)
@@ -222,12 +234,16 @@ def cmd_enclave_run(args) -> int:
     instance.provision(_addr(args.keyserver), pin, workload.key_name)
     report = instance.run(workload)
     print(f"workload complete: {report.rows} row(s) -> {report.output_path}")
-    return EXIT_OK
+    return 0
 
 
 # -- demo ----------------------------------------------------------------------
 
 def cmd_demo(args) -> int:
+    from .workflow import FAULTS, DemoConfig, parse_config, workflow_demo
+    if args.fault is not None and args.fault not in FAULTS:
+        raise CliError(f"argument --fault: invalid choice: {args.fault!r} "
+                       f"(choose from {', '.join(FAULTS)})")
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = parse_config(fh.read())
@@ -356,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     # demo
     p = sub.add_parser("demo", help="run the full 8-step workflow")
     p.add_argument("--config", help="demo config file (key = value lines)")
-    p.add_argument("--fault", choices=FAULTS)
+    p.add_argument("--fault", help="none, revoked_platform, tamper_input or wrong_manifest")
     p.add_argument("--workdir")
     p.set_defaults(func=cmd_demo)
 
@@ -368,6 +384,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:
+        from .workflow import exit_code
         detail = str(exc) if isinstance(exc, CliError) else f"{type(exc).__name__}: {exc}"
         print(f"error: {detail}", file=sys.stderr)
         return exit_code(exc)

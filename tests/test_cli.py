@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -615,6 +616,59 @@ def test_a_port_outside_0_to_65535_is_a_usage_error(tmp_path, capsys, monkeypatc
     assert main(argv + [flag, f"127.0.0.1:{port}"]) == 3
     assert capsys.readouterr().err.splitlines() == [
         f"error: port of '127.0.0.1:{port}': {port} is outside 0..65535"]
+
+
+# -- cold start: each command imports only its subsystem ---------------------------
+
+# runs `cli.main` on its arguments with `_serve` stubbed, then prints the
+# exit code and the loaded modules as its last line
+IMPORT_PROBE = """\
+import json, sys
+from enclavesim import cli
+cli._serve = lambda server, banner: 0
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+# command: the modules it must not load
+NOT_LOADED = {
+    "pcs serve": {"numpy", *(f"enclavesim.{name}" for name in (
+        "pfs", "channel", "provisioning", "manifest", "enclave", "workflow"))},
+    "keyserver serve": {"numpy", *(f"enclavesim.{name}" for name in (
+        "manifest", "enclave", "workflow"))},
+    "pfs encrypt": {f"enclavesim.{name}" for name in (
+        "channel", "provisioning", "pcs_service", "manifest", "enclave", "workflow")},
+}
+
+
+def _import_probe_argv(tmp_path, command):
+    if command == "pcs serve":
+        return serve_argv(tmp_path, "pcs")
+    if command == "keyserver serve":
+        return serve_argv(tmp_path, "keyserver")
+    (tmp_path / "plain").write_bytes(b"x" * 5000)
+    return ["pfs", "encrypt", str(tmp_path / "plain"), str(tmp_path / "plain.pfs"),
+            "--key-hex", KEY_HEX, "--label", "plain"]
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_a_command_imports_only_its_subsystem(tmp_path, command):
+    argv = _import_probe_argv(tmp_path, command)
+    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    code, modules = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0, result.stderr
+    assert "enclavesim.cli" in modules
+    assert sorted(NOT_LOADED[command] & set(modules)) == []
+
+
+def test_demo_help_names_every_fault(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["demo", "--help"])
+    assert info.value.code == 0
+    words = set(re.findall(r"\w+", capsys.readouterr().out))
+    assert [fault for fault in workflow.FAULTS if fault not in words] == []
 
 
 # hex that `bytes.fromhex` reads, but that no record holds
