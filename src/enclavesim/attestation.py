@@ -9,13 +9,12 @@ clock is always an explicit argument so expiry is deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 from . import codec, crypto
 
@@ -107,7 +106,7 @@ class PlatformIdentity:
         if self.signing_key.public != self.public_key:
             raise ValueError("public_key is not the private key's")
 
-    @cached_property
+    @functools.cached_property
     def signing_key(self) -> crypto.SigningKeyPair:
         """The attestation key pair, parsed once per identity."""
         return crypto.signing_key(self.private_key)
@@ -217,36 +216,34 @@ def _sign(unsigned, key: crypto.SigningKeyPair):
     return replace(unsigned, signature=crypto.sign(key, unsigned.signed_payload()))
 
 
-# (public key, record) of each signature check that succeeded, least
-# recently used first. Records are frozen and their signed payload is a
-# function of their fields, so an equal record is the same signed message,
-# and a record that differs in any field, its signature included, is another
-# key. Failures are never stored, so hostile evidence cannot enter. The memo
-# holds at most VERIFIED_MEMO_SIZE records, each of which verified: a decoded
-# certificate or quote is about 0.5 KB, a CRL as much plus about 130 B per
-# revoked platform, and each entry adds about 140 B. It is not a
-# functools.lru_cache, which would keep a failed check too and cannot list
-# the records it holds.
-_verified: OrderedDict[tuple[bytes, object], None] = OrderedDict()
-_verified_lock = threading.Lock()
+class _BadSignature(Exception):
+    """A signature check that failed; raised, so the memo stores nothing."""
+
+
+# Keyed by (public key, record). Records are frozen and their signed payload
+# is a function of their fields, so an equal record is the same signed
+# message, and a record that differs in any field, its signature included,
+# is another key. A failed check raises, and lru_cache keeps no call that
+# raised, so hostile evidence cannot enter. The memo holds at most
+# VERIFIED_MEMO_SIZE records, each of which verified: a decoded certificate
+# or quote is about 0.5 KB, a CRL as much plus about 130 B per revoked
+# platform, and each entry adds about 90 B (tracemalloc over 256 entries).
+# cache_info() counts hits (memo answers) and misses (real Ed25519 checks).
+@functools.lru_cache(maxsize=VERIFIED_MEMO_SIZE)
+def _verified(public_key: bytes, record) -> bool:
+    if not crypto.verify(public_key, record.signed_payload(), record.signature):
+        raise _BadSignature
+    return True
 
 
 def _signed_by(record, public_key: bytes) -> bool:
     """Whether record.signature is public_key's Ed25519 signature over
     record.signed_payload(). Only a repeat of a check of an equal record
     that succeeded skips the Ed25519 work."""
-    key = (public_key, record)
-    with _verified_lock:
-        if key in _verified:
-            _verified.move_to_end(key)
-            return True
-    if not crypto.verify(public_key, record.signed_payload(), record.signature):
+    try:
+        return _verified(public_key, record)
+    except _BadSignature:
         return False
-    with _verified_lock:
-        _verified[key] = None
-        if len(_verified) > VERIFIED_MEMO_SIZE:
-            _verified.popitem(last=False)
-    return True
 
 
 def _issue(subject, subject_key, issuer, issuer_key, not_before, not_after,

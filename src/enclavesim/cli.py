@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 import time
 
@@ -125,9 +126,11 @@ def cmd_manifest_measure(args) -> int:
 # -- pcs ---------------------------------------------------------------------
 
 def _serve(server: wire.FrameServer, banner: str) -> int:
-    """Start the server, print its banner and serve until SIGINT, which
-    exits 0, also when it arrives during the banner. The caller's `with`
-    stops the server."""
+    """Start the server, print its banner and serve until SIGINT or
+    SIGTERM, either of which exits 0, also when it arrives during the
+    banner. The caller's `with` stops the server. A SIGINT inherited as
+    ignored (a background job) stays ignored; SIGTERM still stops it."""
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.start()
         print(banner)
@@ -135,6 +138,8 @@ def _serve(server: wire.FrameServer, banner: str) -> int:
             time.sleep(1)
     except KeyboardInterrupt:
         return 0
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def cmd_pcs_serve(args) -> int:

@@ -180,9 +180,7 @@ class KeyServer(wire.FrameServer):
 
     def _answer(self, channel: SecureChannel, record_type: int,
                 payload: bytes) -> tuple[int, bytes] | None:
-        """Echo a ping, answer a provision request, close on any other type."""
-        if record_type == wire.REC_PING:
-            return wire.REC_PING, payload
+        """Answer a provision request; close on any other type."""
         if record_type != wire.REC_PROVISION_REQ:
             return None
         cert = channel.peer_certificate

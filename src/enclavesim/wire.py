@@ -31,8 +31,6 @@ HS_ERROR = 0x03
 REC_FINISHED = 0x10
 REC_PROVISION_REQ = 0x20
 REC_PROVISION_RESP = 0x21
-REC_PING = 0x2e
-REC_APP = 0x2f
 # mock PCS (plaintext)
 PCS_FETCH_REQ = 0x30
 PCS_FETCH_RESP = 0x31

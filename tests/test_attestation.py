@@ -2,6 +2,8 @@ import json
 import os
 import random
 import stat
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -534,7 +536,7 @@ def test_memo_never_changes_a_verdict(genuine, target, bit):
             cert = replace(cert, **{field: flip_bit(getattr(cert, field), bit)})
         chain = replace(chain, **{part: cert})
     warm = quote_verify(quote, chain, crl, pol, NOW)
-    attestation._verified.clear()
+    attestation._verified.cache_clear()
     cold = quote_verify(quote, chain, crl, pol, NOW)
     assert not warm.ok
     assert warm.failure_reason == cold.failure_reason
@@ -551,13 +553,50 @@ def test_memo_keeps_the_most_recent_successes(pcs, verify_calls):
         assert quote_verify(quote, chain, crl, pol, NOW).ok
     # each new quote costs one check: the chain and the CRL stay recently used
     assert len(verify_calls) == len(quotes) - 1
-    assert len(attestation._verified) == attestation.VERIFIED_MEMO_SIZE
+    assert attestation._verified.cache_info().currsize == attestation.VERIFIED_MEMO_SIZE
     verify_calls.clear()
     assert quote_verify(quotes[-1], chain, crl, pol, NOW).ok
     assert verify_calls == []
     assert quote_verify(quotes[0], chain, crl, pol, NOW).ok  # evicted long ago
     assert len(verify_calls) == 1
-    assert len(attestation._verified) == attestation.VERIFIED_MEMO_SIZE
+    assert attestation._verified.cache_info().currsize == attestation.VERIFIED_MEMO_SIZE
+
+
+def test_concurrent_checks_get_the_serial_answers(pcs):
+    platform, chain = pcs.register(tcb_level=5, now=NOW)
+    key = platform.public_key
+    good = [make_quote(platform, report=i.to_bytes(64, "big"))
+            for i in range(attestation.VERIFIED_MEMO_SIZE + 64)]
+    bad = [replace(q, signature=flip_bit(q.signature, i)) for i, q in enumerate(good[:64])]
+    records = good + bad
+    random.Random(27).shuffle(records)
+    expected = [crypto.verify(key, r.signed_payload(), r.signature) for r in records]
+    attestation._verified.cache_clear()
+    start = threading.Barrier(4)
+    answers = {}
+
+    def check(offset):  # each thread walks the mix from its own offset, twice
+        start.wait()
+        order = [(offset + i) % len(records) for i in range(2 * len(records))]
+        answers[offset] = [(i, attestation._signed_by(records[i], key)) for i in order]
+
+    threads = [threading.Thread(target=check, args=(k * len(records) // 4,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the memo's own steps too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(answers) == 4
+    for got in answers.values():
+        assert [ok for _, ok in got] == [expected[i] for i, _ in got]
+    info = attestation._verified.cache_info()
+    assert info.currsize <= attestation.VERIFIED_MEMO_SIZE
+    assert not attestation._signed_by(bad[0], key)  # a bad record still costs a real verify
+    assert attestation._verified.cache_info().misses == info.misses + 1
 
 
 QUOTE_FIELDS = ("mr_enclave", "mr_signer", "isv_svn", "report_data", "platform_id",
@@ -609,7 +648,7 @@ def test_the_memo_answers_for_an_equal_record_and_never_for_an_edited_one(
     verify_calls.clear()
     warm = quote_verify(*evidence, pol, NOW)
     assert len(verify_calls) <= 1  # each unchanged record is a hit
-    attestation._verified.clear()
+    attestation._verified.cache_clear()
     cold = quote_verify(*evidence, pol, NOW)
     assert not warm.ok
     assert warm.failure_reason == cold.failure_reason

@@ -25,6 +25,7 @@ from foreign_json import FOREIGN_ENCODINGS
 NOW = 1_700_000_000
 MRE = b"\x11" * 32
 MRS = b"\x22" * 32
+APP = 0x7f  # a record type of these tests; the channel seals any type alike
 
 
 @pytest.fixture(scope="module")
@@ -98,10 +99,10 @@ def test_honest_handshake_establishes_channel(env):
     chan_a = att.value
     chan_v = ver.value
     assert chan_v.peer_certificate.quote.mr_enclave == MRE
-    chan_a.send(wire.REC_APP, b"hello")
-    assert chan_v.recv() == (wire.REC_APP, b"hello")
-    chan_v.send(wire.REC_APP, b"hi back")
-    assert chan_a.recv() == (wire.REC_APP, b"hi back")
+    chan_a.send(APP, b"hello")
+    assert chan_v.recv() == (APP, b"hello")
+    chan_v.send(APP, b"hi back")
+    assert chan_a.recv() == (APP, b"hi back")
     chan_a.close(), chan_v.close()
 
 
@@ -123,12 +124,12 @@ def test_record_roundtrip_many_random_payloads(env):
 
     def pump():
         for payload in sent:
-            chan_a.send(wire.REC_APP, payload)
+            chan_a.send(APP, payload)
 
     t = threading.Thread(target=pump)
     t.start()
     for payload in sent:
-        assert chan_v.recv() == (wire.REC_APP, payload)
+        assert chan_v.recv() == (APP, payload)
     t.join()
     chan_a.close(), chan_v.close()
 
@@ -547,17 +548,17 @@ def test_replayed_record_rejected(env):
     chan_a, chan_v = att.value, ver.value
     raw = chan_a._sock  # capture what goes over the wire by resealing manually
     # send one record, capture its bytes by re-serializing an identical frame
-    chan_a.send(wire.REC_APP, b"first")
-    assert chan_v.recv() == (wire.REC_APP, b"first")
+    chan_a.send(APP, b"first")
+    assert chan_v.recv() == (APP, b"first")
     # replay: reseal the same plaintext under the already-used sequence 1... the
     # attacker instead captures frame bytes; emulate by resealing seq=1 after
     # the counter advanced
-    chan_a.send(wire.REC_APP, b"second")
-    assert chan_v.recv() == (wire.REC_APP, b"second")
+    chan_a.send(APP, b"second")
+    assert chan_v.recv() == (APP, b"second")
     sealed_old = crypto.aead_seal(chan_a._send_key, (1).to_bytes(12, "big"),
-                                  bytes([wire.REC_APP]) + (1).to_bytes(8, "big"),
+                                  bytes([APP]) + (1).to_bytes(8, "big"),
                                   b"second")
-    wire.send_frame(raw, wire.REC_APP, sealed_old)
+    wire.send_frame(raw, APP, sealed_old)
     with pytest.raises(ChannelError) as exc:
         chan_v.recv()
     assert exc.value.kind == "auth"
@@ -569,9 +570,9 @@ def test_reordered_record_classified(env):
     chan_a, chan_v = att.value, ver.value
     # seal sequence 3 while the receiver expects 1
     sealed_future = crypto.aead_seal(chan_a._send_key, (3).to_bytes(12, "big"),
-                                     bytes([wire.REC_APP]) + (3).to_bytes(8, "big"),
+                                     bytes([APP]) + (3).to_bytes(8, "big"),
                                      b"early")
-    wire.send_frame(chan_a._sock, wire.REC_APP, sealed_future)
+    wire.send_frame(chan_a._sock, APP, sealed_future)
     with pytest.raises(ChannelError) as exc:
         chan_v.recv()
     assert exc.value.kind == "auth"
@@ -582,8 +583,8 @@ def test_failure_classification_probes_only_the_window(env, monkeypatch):
     att, ver = handshake_pair(env)
     chan_a, chan_v = att.value, ver.value
     for i in range(200):
-        chan_a.send(wire.REC_APP, b"%d" % i)
-        assert chan_v.recv() == (wire.REC_APP, b"%d" % i)
+        chan_a.send(APP, b"%d" % i)
+        assert chan_v.recv() == (APP, b"%d" % i)
     real_open = crypto.aead_open
     trials = []
 
@@ -592,7 +593,7 @@ def test_failure_classification_probes_only_the_window(env, monkeypatch):
         return real_open(*args)
 
     monkeypatch.setattr(crypto, "aead_open", counted_open)
-    wire.send_frame(chan_a._sock, wire.REC_APP, b"\x00" * 40)
+    wire.send_frame(chan_a._sock, APP, b"\x00" * 40)
     with pytest.raises(ChannelError) as exc:
         chan_v.recv()
     assert exc.value.kind == "auth"
@@ -600,8 +601,8 @@ def test_failure_classification_probes_only_the_window(env, monkeypatch):
     # a replay is one failed open too
     del trials[:]
     sealed_old = crypto.aead_seal(chan_a._send_key, (1).to_bytes(12, "big"),
-                                  bytes([wire.REC_APP]) + (1).to_bytes(8, "big"), b"0")
-    wire.send_frame(chan_a._sock, wire.REC_APP, sealed_old)
+                                  bytes([APP]) + (1).to_bytes(8, "big"), b"0")
+    wire.send_frame(chan_a._sock, APP, sealed_old)
     with pytest.raises(ChannelError) as exc:
         chan_v.recv()
     assert exc.value.kind == "auth"
@@ -613,11 +614,11 @@ def test_tampered_record_rejected(env):
     att, ver = handshake_pair(env)
     chan_a, chan_v = att.value, ver.value
     sealed = crypto.aead_seal(chan_a._send_key, (1).to_bytes(12, "big"),
-                              bytes([wire.REC_APP]) + (1).to_bytes(8, "big"),
+                              bytes([APP]) + (1).to_bytes(8, "big"),
                               b"payload")
     buf = bytearray(sealed)
     buf[0] ^= 0x01
-    wire.send_frame(chan_a._sock, wire.REC_APP, bytes(buf))
+    wire.send_frame(chan_a._sock, APP, bytes(buf))
     with pytest.raises(ChannelError) as exc:
         chan_v.recv()
     assert exc.value.kind == "auth"
@@ -628,7 +629,7 @@ def test_max_record_size_enforced(env):
     att, ver = handshake_pair(env)
     chan_a, chan_v = att.value, ver.value
     with pytest.raises(wire.WireError):
-        chan_a.send(wire.REC_APP, b"\x00" * (wire.MAX_PAYLOAD + 1))
+        chan_a.send(APP, b"\x00" * (wire.MAX_PAYLOAD + 1))
     chan_a.close(), chan_v.close()
 
 
@@ -762,7 +763,7 @@ def test_any_transport_fault_after_the_handshake_is_channel_closed(env, role):
         faulty = FaultySocket(mine)
         try:
             chan, peer = handshake_over(env, role, faulty, theirs)
-            peer.value.send(wire.REC_APP, b"after the handshake")
+            peer.value.send(APP, b"after the handshake")
             faulty.fault, faulty.fault_at = fault, len(faulty.calls) + at
             with pytest.raises(ChannelError) as info:
                 chan.recv()
@@ -790,10 +791,10 @@ def test_an_oversize_payload_is_refused_before_it_is_sealed(env, seals):
     chan_a, chan_v = att.value, ver.value
     sealed_so_far = len(seals)
     with pytest.raises(wire.WireError):  # a caller error: the channel stays usable
-        chan_a.send(wire.REC_APP, b"\x00" * (wire.MAX_PAYLOAD - crypto.TAG_SIZE + 1))
+        chan_a.send(APP, b"\x00" * (wire.MAX_PAYLOAD - crypto.TAG_SIZE + 1))
     assert len(seals) == sealed_so_far
-    chan_a.send(wire.REC_APP, b"still usable")
-    assert chan_v.recv() == (wire.REC_APP, b"still usable")
+    chan_a.send(APP, b"still usable")
+    assert chan_v.recv() == (APP, b"still usable")
     assert len(set(seals)) == len(seals)
     chan_a.close(), chan_v.close()
 
@@ -807,11 +808,11 @@ def test_a_failed_send_closes_the_channel_and_never_reuses_its_nonce(env, seals,
         chan, peer = handshake_over(env, role, faulty, theirs)
         faulty.fault, faulty.fault_at = fault, len(faulty.calls) + 1
         with pytest.raises(ChannelError) as info:
-            chan.send(wire.REC_APP, b"first")
+            chan.send(APP, b"first")
         assert info.value.kind == "closed"
         assert faulty.closed
         sealed_so_far = len(seals)
-        for op in (lambda: chan.send(wire.REC_APP, b"second"), chan.recv):
+        for op in (lambda: chan.send(APP, b"second"), chan.recv):
             with pytest.raises(ChannelError) as info:
                 op()
             assert info.value.kind == "closed"

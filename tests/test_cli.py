@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -524,6 +525,28 @@ def test_sigint_during_serve_banner_stops_cleanly(tmp_path, monkeypatch, kind):
     assert code == 0
     assert len(started) == 1
     assert started[0]._listener.fileno() == -1
+
+
+SERVE_BANNERS = {"pcs": "mock PCS serving on", "keyserver": "key server on"}
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["INT", "TERM"])
+@pytest.mark.parametrize("kind", ["pcs", "keyserver"])
+def test_sigint_and_sigterm_stop_a_server_process_with_exit_0(tmp_path, kind, signum):
+    proc = subprocess.Popen([sys.executable, "-u", "-m", "enclavesim.cli",
+                             *serve_argv(tmp_path, kind)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    watchdog = threading.Timer(60, proc.kill)  # a server that never answers fails, not hangs
+    watchdog.start()
+    try:
+        assert proc.stdout.readline().startswith(SERVE_BANNERS[kind])
+        proc.send_signal(signum)
+        out, err = proc.communicate()
+        assert (proc.returncode, out, err) == (0, "", "")
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.communicate()
 
 
 def test_pcs_serve_saves_a_new_database_before_it_serves(tmp_path, monkeypatch):

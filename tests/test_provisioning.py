@@ -323,6 +323,16 @@ def test_malformed_request_denied_bad_request_and_channel_stays_open(env, server
     assert all(e["secret_name"] is None for e in list(server.audit_log)[before:before + n])
 
 
+@pytest.mark.parametrize("record_type", [0x2e, 0x2f, wire.REC_FINISHED],
+                         ids=["0x2e", "0x2f", "finished"])
+def test_a_record_that_is_not_a_request_closes_the_session(env, server, record_type):
+    with ProvisioningClient(server.address, provider_for(env), server.public_key) as client:
+        client.channel.send(record_type, b'{"name":"pfs-master"}')
+        with pytest.raises(ChannelError):
+            client.channel.recv()
+    assert list(server.audit_log) == []
+
+
 # names no vault entry can have: 129 bytes of ASCII and of UTF-8, the longest
 # that fits a record, and a lone surrogate, which JSON can escape
 NAMES_OUT_OF_BOUNDS = ["x" * 129, "é" * 64 + "x", "x" * 1_048_512, "\ud800"]
@@ -633,9 +643,12 @@ def test_concurrent_provisions_across_a_revocation_over_the_wire(env, clients):
 
 def test_bad_signatures_never_enter_the_memo(env, server):
     provide = provider_for(env)
+    attestation._verified.cache_clear()
     assert client_request_key(server.address, "pfs-master", provide,
                               server.public_key) == SECRET
-    before = set(attestation._verified)
+    before = attestation._verified.cache_info().currsize
+    # not full, so nothing is evicted: an equal size after means nothing entered
+    assert before < attestation.VERIFIED_MEMO_SIZE
     quote, chain = provide(b"\x00" * 64)
     crl, policy = env["pcs"].current_crl(), server.session_policy
     rng = random.Random(61)
@@ -660,7 +673,7 @@ def test_bad_signatures_never_enter_the_memo(env, server):
                            lambda report_data: (provide(report_data)[0], hostile),
                            server.public_key)
     assert (refused.value.kind, refused.value.reason) == ("attestation_failed", "bad_chain")
-    assert set(attestation._verified) == before
+    assert attestation._verified.cache_info().currsize == before
 
 class ScriptedKeyServer(KeyServer):
     """Attests like a key server, then answers every record with `reply`."""
@@ -694,7 +707,7 @@ def scripted(env):
     (wire.REC_PROVISION_RESP, b'{"outcome":"denied","reason":["x"]}'),
     (wire.REC_PROVISION_RESP, b'{"outcome":"denied"}'),
     (wire.REC_PROVISION_RESP, b'{"outcome":"maybe","reason":"x"}'),
-    (wire.REC_PING, b'{"outcome":"granted","secret":"00"}'),
+    (wire.REC_PROVISION_REQ, b'{"outcome":"granted","secret":"00"}'),
 ] + [(wire.REC_PROVISION_RESP, '{"outcome":"granted","secret":"00"}'.encode(codec))
      for codec in FOREIGN_ENCODINGS.values()],
     ids=["list", "string", "not-utf8", "no-secret", "secret-not-hex", "secret-int",
@@ -729,7 +742,7 @@ def test_any_provision_reply_gives_only_a_secret_or_a_denial(scripted):
 
     # one session for every example: the client must survive each reply
     @settings(max_examples=300, deadline=None)
-    @given(record_type=st.sampled_from([wire.REC_PROVISION_RESP, wire.REC_PING]),
+    @given(record_type=st.sampled_from([wire.REC_PROVISION_RESP, wire.REC_PROVISION_REQ]),
            payload=st.one_of(
                st.binary(max_size=48), JSON_VALUE.map(json_bytes),
                st.dictionaries(st.sampled_from(["outcome", "secret", "reason"]), REPLY_FIELD)

@@ -66,7 +66,7 @@ class LingeringServer(wire.FrameServer):
 def test_stop_joins_the_threads_of_connections_that_have_ended():
     with LingeringServer("127.0.0.1", 0).start() as server:
         with socket.create_connection(server.address) as client:
-            wire.send_frame(client, wire.REC_PING, b"")
+            wire.send_frame(client, wire.PCS_FETCH_REQ, b"")
             assert client.recv(1) == b""
         deadline = time.monotonic() + 5
         while server._open and time.monotonic() < deadline:  # the thread released its slot
