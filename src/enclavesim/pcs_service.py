@@ -44,11 +44,11 @@ def _fetch_resp(chain: CertChain, crl: Crl) -> bytes:
 
 class PcsServer(wire.FrameServer):
     """Serves one PcsDatabase over TCP; persists after every mutation when
-    a db_path is given. One thread per connection; the database's own lock
-    serializes mutations. A malformed request gets a PCS_ERROR reply and
-    the connection stays open. A FETCH_RESP is packed once per distinct
-    chain and CRL among the newest PACKED_SIZE, so a revocation or a
-    changed chain packs anew."""
+    a db_path is given. One FrameServer worker serves each connection; the
+    database's own lock serializes mutations. A malformed request gets a
+    PCS_ERROR reply and the connection stays open. A FETCH_RESP is packed
+    once per distinct chain and CRL among the newest PACKED_SIZE, so a
+    revocation or a changed chain packs anew."""
 
     def __init__(self, db: PcsDatabase, host: str = "127.0.0.1", port: int = 0,
                  db_path=None, now_source=time.time):

@@ -9,7 +9,6 @@ is public); the attested channel seals payloads per record.
 from __future__ import annotations
 
 import json
-import queue
 import socket
 import struct
 import threading
@@ -17,8 +16,8 @@ import time
 from contextlib import suppress
 
 MAX_PAYLOAD = 1 << 20
-MAX_CONNECTIONS = 64  # open connections per FrameServer; accept waits for a free slot
-STOP_TIMEOUT = 5.0  # per wait in FrameServer.stop(): accept thread, then connections
+MAX_CONNECTIONS = 64  # workers per FrameServer, so open connections; more wait in the backlog
+STOP_TIMEOUT = 5.0  # FrameServer.stop() joins every worker within this
 IDLE_TIMEOUT = 60.0  # per frame on every accepted connection (WIRE.md § Server connections)
 CLIENT_TIMEOUT = 10.0  # connect, then per frame, on every client socket
 THREAD_PREFIX = "FrameServer"  # starts the name of every FrameServer thread
@@ -104,33 +103,42 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
 
 
 class FrameServer:
-    """A TCP listener that owns each accepted connection from accept to
-    close, on its own named daemon thread: IDLE_TIMEOUT per frame, session, then
-    receive, answer and send until the answer is None or a receive fails.
-    At most MAX_CONNECTIONS are open at once; further clients wait in the
-    listen backlog. `stop()` also shuts down open connections; leaving a
-    `with` block stops the server, whether or not it was started. Subclasses
-    implement `_handle(frame_type, payload)` or override `_open_session`."""
+    """A TCP listener served by long-lived worker threads. Each worker
+    loops: accept a connection, own it to close (IDLE_TIMEOUT per frame,
+    session, then receive, answer and send until the answer is None or a
+    receive fails), accept again. `start()` starts one worker; a worker
+    that accepts while no other waits to accept starts one more, up to
+    MAX_CONNECTIONS, so at most that many connections are open at once and
+    further clients wait in the listen backlog. Idle workers stay until
+    `stop()`, which also shuts down open connections and joins every
+    worker; leaving a `with` block stops the server, whether or not it was
+    started. Subclasses implement `_handle(frame_type, payload)` or
+    override `_open_session`."""
 
     def __init__(self, host: str, port: int):
         self._listener = socket.create_server((host, port))
-        self._thread: threading.Thread | None = None
-        self._lock = threading.Lock()
-        self._open: dict[socket.socket, threading.Thread] = {}
-        # one token per free connection slot: None, or the thread that last held it
-        self._free: queue.SimpleQueue[threading.Thread | None] = queue.SimpleQueue()
-        for _ in range(MAX_CONNECTIONS):
-            self._free.put(None)
+        self._idle_name = f"{THREAD_PREFIX}-accept-{self.address[1]}"
+        self._lock = threading.Lock()  # guards the four fields below
+        self._workers: list[threading.Thread] = []
+        self._open: set[socket.socket] = set()
+        self._accepted = 0
+        self._stopped = False
 
     @property
     def address(self) -> tuple[str, int]:
         return self._listener.getsockname()[:2]
 
     def start(self):
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True,
-                                        name=f"{THREAD_PREFIX}-accept-{self.address[1]}")
-        self._thread.start()
+        with self._lock:
+            self._add_worker()
         return self
+
+    def stats(self) -> dict[str, int]:
+        """Connections accepted so far, worker threads started and
+        connections open now."""
+        with self._lock:
+            return {"connections": self._accepted, "workers": len(self._workers),
+                    "open": len(self._open)}
 
     def __enter__(self):
         return self
@@ -139,38 +147,45 @@ class FrameServer:
         self.stop()
 
     def stop(self) -> None:
-        with suppress(OSError):
-            self._listener.shutdown(socket.SHUT_RDWR)  # wake a blocked accept()
-        with suppress(OSError):
-            self._listener.close()
-        self._free.put(None)  # wake an accept loop that waits for a slot
-        if self._thread:
-            self._thread.join(timeout=STOP_TIMEOUT)
         with self._lock:
-            threads = list(self._open.values())
+            self._stopped = True  # no worker starts, and no connection is served, after this
             for conn in self._open:  # a blocked receive sees EOF
                 with suppress(OSError):
                     conn.shutdown(socket.SHUT_RDWR)
-            while not self._free.empty():  # and the threads that have released their slot
-                threads.append(self._free.get())
+            workers = list(self._workers)
+        with suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)  # wake every blocked accept()
+        with suppress(OSError):
+            self._listener.close()
         deadline = time.monotonic() + STOP_TIMEOUT
-        for thread in filter(None, threads):
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        for worker in workers:
+            worker.join(timeout=max(0.0, deadline - time.monotonic()))
 
-    def _accept_loop(self) -> None:
+    def _add_worker(self) -> None:
+        """Start one more worker; the caller holds the lock."""
+        worker = threading.Thread(target=self._work, daemon=True, name=self._idle_name)
+        worker.start()
+        self._workers.append(worker)
+
+    def _work(self) -> None:
+        worker = threading.current_thread()
         while True:
-            ended = self._free.get()
-            if ended is not None:
-                ended.join()  # so live connection threads never outnumber the slots
             try:
                 conn, peer = self._listener.accept()
-            except OSError:
-                break
-            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True,
-                                      name=f"{THREAD_PREFIX}-conn-{peer[1]}")
+            except OSError:  # stop() shut the listener down
+                return
             with self._lock:
-                self._open[conn] = thread
-            thread.start()
+                self._accepted += 1
+                if self._stopped:
+                    conn.close()
+                    return
+                self._open.add(conn)
+                # a worker that is not serving waits to accept; if none does, add one
+                if len(self._open) == len(self._workers) < MAX_CONNECTIONS:
+                    self._add_worker()
+            worker.name = f"{THREAD_PREFIX}-conn-{peer[1]}"
+            self._serve(conn)
+            worker.name = self._idle_name
 
     def _serve(self, conn: socket.socket) -> None:
         try:
@@ -181,10 +196,9 @@ class FrameServer:
         except Exception:  # a bad client must never stop the server
             pass
         finally:
+            with self._lock:
+                self._open.remove(conn)
             conn.close()
-            with self._lock:  # so stop() finds each thread in _open or in _free
-                del self._open[conn]
-                self._free.put(threading.current_thread())
 
     def _open_session(self, conn: socket.socket):
         """(recv, send, answer) for one connection; here plaintext frames."""

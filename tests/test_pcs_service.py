@@ -263,6 +263,11 @@ def test_a_client_dripping_bytes_loses_its_slot_at_the_idle_timeout(monkeypatch)
         srv.stop()
 
 
+def frame_server_threads() -> list[str]:
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith(wire.THREAD_PREFIX) and t.is_alive()]
+
+
 def test_stop_returns_while_the_accept_loop_waits_for_a_slot(monkeypatch):
     monkeypatch.setattr(wire, "MAX_CONNECTIONS", 1)
     srv = PcsServer(PcsDatabase.create(now=NOW), now_source=lambda: NOW).start()
@@ -276,9 +281,61 @@ def test_stop_returns_while_the_accept_loop_waits_for_a_slot(monkeypatch):
         start = time.monotonic()
         srv.stop()
         assert time.monotonic() - start < wire.STOP_TIMEOUT
-        assert not srv._thread.is_alive()
+        assert not frame_server_threads()
         assert held.recv(1) == b""
         assert conn_threads() == 0
+
+
+def test_serial_clients_are_served_by_two_workers(pcs_server):
+    platform, _ = register_platform(pcs_server.address, tcb_level=3)
+    for _ in range(20):
+        # the previous connection's worker is back in accept() before the next
+        # client connects; otherwise the next one may find it still serving
+        assert wait_for_conn_threads(0) == 0
+        chain, _ = fetch_platform(pcs_server.address, platform.platform_id)
+        assert chain.attestation_key_cert.subject == f"platform:{platform.platform_id.hex()}"
+    stats = pcs_server.stats()
+    # one worker serves while the other waits to accept: no thread per connection
+    assert stats["workers"] <= 2
+    assert stats["connections"] == 21
+
+
+def test_concurrent_clients_share_capped_workers_and_every_accept_is_counted(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_CONNECTIONS", 2)
+    clients, rounds = 4, 25
+    srv = PcsServer(PcsDatabase.create(now=NOW), now_source=lambda: NOW).start()
+    switch = sys.getswitchinterval()
+    wrong, errors, done = [], [], []
+    try:
+        platforms = [register_platform(srv.address, tcb_level=3)[0] for _ in range(2)]
+        sys.setswitchinterval(1e-6)
+
+        def fetch(i):
+            try:
+                for r in range(rounds):
+                    platform_id = platforms[(i + r) % 2].platform_id
+                    chain, _ = fetch_platform(srv.address, platform_id)
+                    if chain.attestation_key_cert.subject != f"platform:{platform_id.hex()}":
+                        wrong.append(i)
+                done.append(i)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=fetch, args=(i,)) for i in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (errors, wrong, sorted(done)) == ([], [], list(range(clients)))
+        stats = srv.stats()
+        assert stats["workers"] <= 2
+        assert stats["connections"] == len(platforms) + clients * rounds
+    finally:
+        sys.setswitchinterval(switch)
+        srv.stop()
+    assert not frame_server_threads()
+    assert srv.stats()["open"] == 0
 
 
 def test_stop_closes_an_open_connection(pcs_server):
