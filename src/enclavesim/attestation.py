@@ -161,15 +161,6 @@ class VerificationPolicy:
         self.RECORD.encode(self)
 
 
-@dataclass
-class VerificationResult:
-    failure_reason: str | None  # None when the quote verified
-
-    @property
-    def ok(self) -> bool:
-        return self.failure_reason is None
-
-
 def replace_atomically(path, write) -> None:
     """Call write(tmp) on a sibling temp path created owner-only (0600),
     fsync it, os.replace it over `path` and fsync the directory, so the
@@ -417,35 +408,36 @@ def _chain_ok(chain: CertChain, crl: Crl, accepted_root: bytes) -> bool:
 
 
 def quote_verify(quote: Quote, chain: CertChain, crl: Crl,
-                 policy: VerificationPolicy, now: int) -> VerificationResult:
-    """Run the fixed check sequence; the first failed check names the
-    failure_reason. Order: bad_chain, expired, revoked, bad_quote_sig,
-    mr_enclave_mismatch, mr_signer_mismatch, svn_too_low, tcb_too_low."""
+                 policy: VerificationPolicy, now: int) -> str | None:
+    """Run the fixed check sequence and return the reason that the first
+    failed check names, or None when the quote verifies. Order: bad_chain,
+    expired, revoked, bad_quote_sig, mr_enclave_mismatch,
+    mr_signer_mismatch, svn_too_low, tcb_too_low."""
 
     leaf = chain.attestation_key_cert
     if not _chain_ok(chain, crl, policy.accepted_root):
-        return VerificationResult("bad_chain")
+        return "bad_chain"
     if not all(cert.not_before <= now <= cert.not_after
                for cert in (chain.root_cert, chain.platform_ca_cert, leaf)):
-        return VerificationResult("expired")
+        return "expired"
     cert_pid = subject_platform_id(leaf.subject)
     if cert_pid in crl.revoked:
-        return VerificationResult("revoked")
+        return "revoked"
     # the leaf certificate is the authority on platform identity: the quote
     # must claim the certified id, else a revoked platform could dodge its
     # CRL entry by signing a quote with someone else's id
     if quote.platform_id != cert_pid:
-        return VerificationResult("bad_quote_sig")
+        return "bad_quote_sig"
     if not _signed_by(quote, leaf.public_key):
-        return VerificationResult("bad_quote_sig")
+        return "bad_quote_sig"
     if policy.expected_mr_enclave is not None and quote.mr_enclave != policy.expected_mr_enclave:
-        return VerificationResult("mr_enclave_mismatch")
+        return "mr_enclave_mismatch"
     if policy.expected_mr_signer is not None and quote.mr_signer != policy.expected_mr_signer:
-        return VerificationResult("mr_signer_mismatch")
+        return "mr_signer_mismatch"
     if quote.isv_svn < policy.min_isv_svn:
-        return VerificationResult("svn_too_low")
+        return "svn_too_low"
     # TCB freshness comes from the registry-issued certificate, not the
     # quote's self-reported copy
     if leaf.tcb_level < policy.min_tcb_level:
-        return VerificationResult("tcb_too_low")
-    return VerificationResult(None)
+        return "tcb_too_low"
+    return None

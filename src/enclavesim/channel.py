@@ -249,9 +249,9 @@ def _verify_a1(conn, policy, crl_provider, now):
     except Exception as exc:
         # without a CRL non-revocation is unproven: fail closed; its error stays here
         raise HandshakeError("attestation_failed", "crl_unavailable") from exc
-    result = quote_verify(cert.quote, cert.cert_chain, crl, policy, now)
-    if not result.ok:
-        raise HandshakeError("attestation_failed", result.failure_reason)
+    reason = quote_verify(cert.quote, cert.cert_chain, crl, policy, now)
+    if reason is not None:
+        raise HandshakeError("attestation_failed", reason)
     if cert.quote.report_data != bind_report_data(cert.attester_eph_pub):
         raise HandshakeError("binding_mismatch",
                              "report_data does not commit to the presented ephemeral key")

@@ -230,13 +230,15 @@ def cmd_enclave_run(args) -> int:
     from . import pcs_service
     from .attestation import PUBLIC_KEY
     from .enclave import WorkloadSpec, enclave_start
+    from .provisioning import client_request_key
     final = _load_final(args.manifest)
     platform, chain = pcs_service.load_identity(args.identity)
     instance = enclave_start(final, args.root, platform=platform, cert_chain=chain)
     workload = codec.load(WorkloadSpec.RECORD, instance.read_file(args.workload))
     with open(args.pin_file, encoding="utf-8") as fh:
         pin = PUBLIC_KEY.decode(fh.read().strip())
-    instance.provision(_addr(args.keyserver), pin, workload.key_name)
+    instance.provisioned_secrets[workload.key_name] = client_request_key(
+        _addr(args.keyserver), workload.key_name, instance.quote_provider(), pin)
     report = instance.run(workload)
     print(f"workload complete: {report.rows} row(s) -> {report.output_path}")
     return 0

@@ -36,7 +36,6 @@ from .manifest import (
     path_under,
 )
 from .pfs import IntegrityError, ProtectedFile
-from .provisioning import client_request_key
 
 # fixed demo vendor identity; mr_signer is the hash of the vendor key
 DEMO_VENDOR_PUBLIC_KEY = hashlib.sha256(b"enclavesim demo vendor key").digest()
@@ -55,7 +54,7 @@ class EnclaveAccessError(Exception):
 
 
 class StartError(Exception):
-    """kind: trusted_file_mismatch | missing_mount | parse"""
+    """kind: trusted_file_mismatch | missing_mount"""
 
     def __init__(self, kind: str, detail: str):
         self.kind = kind
@@ -265,13 +264,6 @@ class EnclaveInstance:
             return quote, self.cert_chain
 
         return provide
-
-    def provision(self, keyserver_addr, verifier_pin: bytes, key_name: str) -> None:
-        """Fetch a named secret over the attested channel; handshake and
-        denial errors propagate unchanged."""
-        secret = client_request_key(keyserver_addr, key_name,
-                                    self.quote_provider(), verifier_pin)
-        self.provisioned_secrets[key_name] = secret
 
     # -- workload ---------------------------------------------------------
 

@@ -204,9 +204,8 @@ class KeyServer(wire.FrameServer):
         except Exception:
             # without a CRL non-revocation is unproven: deny; its error stays here
             return {"outcome": "denied", "reason": "crl_unavailable"}
-        check = quote_verify(cert.quote, cert.cert_chain, crl, record["policy"],
-                             int(self.now_source()))
-        if not check.ok:
+        if quote_verify(cert.quote, cert.cert_chain, crl, record["policy"],
+                        int(self.now_source())) is not None:
             return {"outcome": "denied", "reason": "policy_mismatch"}
         return {"outcome": "granted", "secret": record["secret"]}
 

@@ -18,6 +18,7 @@ from contextlib import suppress
 MAX_PAYLOAD = 1 << 20
 MAX_CONNECTIONS = 64  # workers per FrameServer, so open connections; more wait in the backlog
 STOP_TIMEOUT = 5.0  # FrameServer.stop() joins every worker within this
+ACCEPT_RETRY_PAUSE = 0.05  # a FrameServer worker whose accept() failed waits this, then retries
 IDLE_TIMEOUT = 60.0  # per frame on every accepted connection (WIRE.md § Server connections)
 CLIENT_TIMEOUT = 10.0  # connect, then per frame, on every client socket
 THREAD_PREFIX = "FrameServer"  # starts the name of every FrameServer thread
@@ -106,14 +107,15 @@ class FrameServer:
     """A TCP listener served by long-lived worker threads. Each worker
     loops: accept a connection, own it to close (IDLE_TIMEOUT per frame,
     session, then receive, answer and send until the answer is None or a
-    receive fails), accept again. `start()` starts one worker; a worker
-    that accepts while no other waits to accept starts one more, up to
-    MAX_CONNECTIONS, so at most that many connections are open at once and
-    further clients wait in the listen backlog. Idle workers stay until
-    `stop()`, which also shuts down open connections and joins every
-    worker; leaving a `with` block stops the server, whether or not it was
-    started. Subclasses implement `_handle(frame_type, payload)` or
-    override `_open_session`."""
+    receive fails), accept again; a failed accept is retried after
+    ACCEPT_RETRY_PAUSE. `start()` starts one worker; a worker that accepts
+    while no other waits to accept starts one more, up to MAX_CONNECTIONS,
+    so at most that many connections are open at once and further clients
+    wait in the listen backlog. Idle workers stay until `stop()`, which
+    also shuts down open connections and joins every worker; leaving a
+    `with` block stops the server, whether or not it was started.
+    Subclasses implement `_handle(frame_type, payload)` or override
+    `_open_session`."""
 
     def __init__(self, host: str, port: int):
         self._listener = socket.create_server((host, port))
@@ -172,8 +174,12 @@ class FrameServer:
         while True:
             try:
                 conn, peer = self._listener.accept()
-            except OSError:  # stop() shut the listener down
-                return
+            except OSError:  # e.g. EMFILE: the worker lives on, unless stop() caused it
+                with self._lock:
+                    if self._stopped:
+                        return
+                time.sleep(ACCEPT_RETRY_PAUSE)
+                continue
             with self._lock:
                 self._accepted += 1
                 if self._stopped:

@@ -22,7 +22,6 @@ from enclavesim.attestation import (
     Quote,
     UnknownPlatformError,
     VerificationPolicy,
-    VerificationResult,
     quote_generate,
     quote_verify,
     replace_atomically,
@@ -73,7 +72,7 @@ def test_registered_chain_passes_verification(registered):
     pcs, platform, chain = registered
     result = quote_verify(make_quote(platform), chain, pcs.current_crl(),
                           policy_for(pcs), now=NOW)
-    assert result.ok
+    assert result is None
 
 
 def test_fetch_unknown_platform(pcs):
@@ -115,8 +114,7 @@ def test_revoked_platform_quote_fails(pcs):
     pcs.revoke(platform.platform_id)
     result = quote_verify(make_quote(platform), chain, pcs.current_crl(),
                           policy_for(pcs), now=NOW)
-    assert not result.ok
-    assert result.failure_reason == "revoked"
+    assert result == "revoked"
 
 
 def test_database_roundtrip(tmp_path, pcs):
@@ -127,8 +125,7 @@ def test_database_roundtrip(tmp_path, pcs):
     chain, crl = again.fetch(platform.platform_id)
     assert chain == pcs.fetch(platform.platform_id)[0]
     assert crl.sequence == pcs.current_crl().sequence
-    result = quote_verify(make_quote(platform), chain, crl, policy_for(again), now=NOW)
-    assert result.ok
+    assert quote_verify(make_quote(platform), chain, crl, policy_for(again), now=NOW) is None
 
 
 def test_database_file_reloads_and_resaves_to_the_same_bytes(tmp_path):
@@ -192,7 +189,7 @@ def test_two_quotes_over_same_fields_both_verify(registered):
     pcs, platform, chain = registered
     crl, pol = pcs.current_crl(), policy_for(pcs)
     for q in (make_quote(platform), make_quote(platform)):
-        assert quote_verify(q, chain, crl, pol, now=NOW).ok
+        assert quote_verify(q, chain, crl, pol, now=NOW) is None
 
 
 def test_quote_pack_unpack_roundtrip(registered):
@@ -205,7 +202,7 @@ def test_tcb_threshold(registered):
     pcs, platform, chain = registered
     pol = policy_for(pcs, min_tcb_level=platform.tcb_level + 1)
     result = quote_verify(make_quote(platform), chain, pcs.current_crl(), pol, now=NOW)
-    assert result.failure_reason == "tcb_too_low"
+    assert result == "tcb_too_low"
 
 
 # -- the 8-reason fault matrix -------------------------------------------
@@ -216,7 +213,7 @@ def test_fault_injection_matrix(pcs):
     pol = policy_for(pcs)
     quote = make_quote(platform)
     baseline = quote_verify(quote, chain, crl, pol, NOW)
-    assert baseline.ok and baseline.failure_reason is None
+    assert baseline is None
 
     other_root = crypto.sign_generate()
 
@@ -267,8 +264,7 @@ def test_fault_injection_matrix(pcs):
     seen = set()
     for expected, build in cases:
         result = quote_verify(*build())
-        assert not result.ok
-        assert result.failure_reason == expected, f"{build.__name__}: {result.failure_reason}"
+        assert result == expected, f"{build.__name__}: {result}"
         seen.add(expected)
     assert seen == {"bad_chain", "revoked", "expired", "bad_quote_sig",
                     "mr_enclave_mismatch", "mr_signer_mismatch",
@@ -290,7 +286,7 @@ def test_a_chain_with_a_root_or_ca_outside_its_validity_is_expired(registered_at
     assert leaf.not_before <= verified_at <= leaf.not_after
     result = quote_verify(make_quote(platform), chain, pcs.current_crl(), policy_for(pcs),
                           now=verified_at)
-    assert result.failure_reason == "expired"
+    assert result == "expired"
 
 
 @pytest.mark.parametrize("registered_at", [
@@ -307,7 +303,7 @@ def test_a_registered_leaf_stays_inside_its_ca_window(registered_at):
                                  ca.not_after)
     assert ca.not_before <= leaf.not_before <= leaf.not_after <= ca.not_after
     assert quote_verify(make_quote(platform), chain, pcs.current_crl(), policy_for(pcs),
-                        now=leaf.not_after).ok
+                        now=leaf.not_after) is None
 
 
 @pytest.mark.parametrize("registered_at", [
@@ -332,7 +328,7 @@ def test_failure_reason_deterministic(pcs):
     platform, chain = pcs.register(tcb_level=0, now=NOW)
     quote = make_quote(platform, svn=0)  # violates svn AND tcb; svn checked first
     pol = policy_for(pcs)
-    results = {quote_verify(quote, chain, pcs.current_crl(), pol, NOW).failure_reason
+    results = {quote_verify(quote, chain, pcs.current_crl(), pol, NOW)
                for _ in range(5)}
     assert results == {"svn_too_low"}
 
@@ -346,8 +342,7 @@ def test_revoked_platform_cannot_dodge_crl_by_lying_about_id(pcs):
     forged = replace(forged, signature=crypto.sign(
         villain.signing_key, b"quote-v1" + forged.body()))
     result = quote_verify(forged, chain, crl, policy_for(pcs), NOW)
-    assert not result.ok
-    assert result.failure_reason in ("revoked", "bad_quote_sig")
+    assert result in ("revoked", "bad_quote_sig")
 
 
 # -- soundness / completeness ----------------------------------------------
@@ -357,8 +352,7 @@ def test_honest_quotes_always_verify(pcs):
     for _ in range(50):
         platform, chain = pcs.register(tcb_level=rng.randint(1, 9), now=NOW)
         quote = quote_generate(platform, MRE, MRS, rng.randint(1, 9), rng.randbytes(64))
-        result = quote_verify(quote, chain, pcs.current_crl(), policy_for(pcs), NOW)
-        assert result.ok
+        assert quote_verify(quote, chain, pcs.current_crl(), policy_for(pcs), NOW) is None
 
 
 def test_random_forgeries_never_verify(pcs):
@@ -395,8 +389,7 @@ def test_random_forgeries_never_verify(pcs):
             c = CertChain(chain.root_cert, chain.platform_ca_cert, fake_leaf)
             body = replace(honest, signature=b"")
             q = replace(body, signature=crypto.sign(rogue, b"quote-v1" + body.body()))
-        result = quote_verify(q, c, crl, pol, NOW)
-        assert not result.ok, f"forgery accepted in mode {mode}"
+        assert quote_verify(q, c, crl, pol, NOW) is not None, f"forgery accepted in mode {mode}"
 
 
 @pytest.fixture(scope="module")
@@ -432,8 +425,7 @@ def test_quote_verify_never_raises_on_decodable_evidence(pcs, evidence, edits):
     except wire.DECODE_ERRORS:
         return
     result = quote_verify(quote, chain, crl, policy_for(pcs), NOW)
-    assert isinstance(result, VerificationResult)
-    assert result.ok or result.failure_reason in FAILURE_REASONS
+    assert result is None or result in FAILURE_REASONS
 
 
 @settings(max_examples=200, deadline=None)
@@ -454,7 +446,7 @@ def test_crl_signature_required(pcs):
     forged_crl = Crl(crl.issuer, crl.sequence + 1,
                      frozenset(crl.revoked), signature=bytes(64))
     result = quote_verify(make_quote(platform), chain, forged_crl, policy_for(pcs), NOW)
-    assert result.failure_reason == "bad_chain"
+    assert result == "bad_chain"
 
 
 def test_signed_payloads_are_the_pinned_canonical_bytes():
@@ -522,7 +514,7 @@ def genuine(pcs):
        bit=st.integers(0, QUOTE_SIZE * 8 - 1))
 def test_memo_never_changes_a_verdict(genuine, target, bit):
     quote, chain, crl, pol = genuine
-    assert quote_verify(quote, chain, crl, pol, NOW).ok  # every record is in the memo
+    assert quote_verify(quote, chain, crl, pol, NOW) is None  # every record is in the memo
     part, field = target
     if part == "quote":
         quote = Quote.unpack(flip_bit(quote.pack(), bit))
@@ -538,8 +530,8 @@ def test_memo_never_changes_a_verdict(genuine, target, bit):
     warm = quote_verify(quote, chain, crl, pol, NOW)
     attestation._verified.cache_clear()
     cold = quote_verify(quote, chain, crl, pol, NOW)
-    assert not warm.ok
-    assert warm.failure_reason == cold.failure_reason
+    assert warm is not None
+    assert warm == cold
 
 
 def test_memo_keeps_the_most_recent_successes(pcs, verify_calls):
@@ -547,17 +539,17 @@ def test_memo_keeps_the_most_recent_successes(pcs, verify_calls):
     crl, pol = pcs.current_crl(), policy_for(pcs)
     quotes = [make_quote(platform, report=i.to_bytes(64, "big"))
               for i in range(attestation.VERIFIED_MEMO_SIZE + 8)]
-    assert quote_verify(quotes[0], chain, crl, pol, NOW).ok
+    assert quote_verify(quotes[0], chain, crl, pol, NOW) is None
     verify_calls.clear()
     for quote in quotes[1:]:
-        assert quote_verify(quote, chain, crl, pol, NOW).ok
+        assert quote_verify(quote, chain, crl, pol, NOW) is None
     # each new quote costs one check: the chain and the CRL stay recently used
     assert len(verify_calls) == len(quotes) - 1
     assert attestation._verified.cache_info().currsize == attestation.VERIFIED_MEMO_SIZE
     verify_calls.clear()
-    assert quote_verify(quotes[-1], chain, crl, pol, NOW).ok
+    assert quote_verify(quotes[-1], chain, crl, pol, NOW) is None
     assert verify_calls == []
-    assert quote_verify(quotes[0], chain, crl, pol, NOW).ok  # evicted long ago
+    assert quote_verify(quotes[0], chain, crl, pol, NOW) is None  # evicted long ago
     assert len(verify_calls) == 1
     assert attestation._verified.cache_info().currsize == attestation.VERIFIED_MEMO_SIZE
 
@@ -632,11 +624,11 @@ def with_record(quote, chain, crl, part, record):
 def test_the_memo_answers_for_an_equal_record_and_never_for_an_edited_one(
         genuine, verify_calls, target, bit):
     quote, chain, crl, pol = genuine
-    assert quote_verify(quote, chain, crl, pol, NOW).ok  # every record is in the memo
+    assert quote_verify(quote, chain, crl, pol, NOW) is None  # every record is in the memo
     copies = (replace(quote), replace(chain, **{p: replace(getattr(chain, p))
                                                 for p in CHAIN_PARTS}), replace(crl))
     verify_calls.clear()
-    assert quote_verify(*copies, pol, NOW).ok
+    assert quote_verify(*copies, pol, NOW) is None
     assert verify_calls == []
 
     part, field = target
@@ -650,8 +642,8 @@ def test_the_memo_answers_for_an_equal_record_and_never_for_an_edited_one(
     assert len(verify_calls) <= 1  # each unchanged record is a hit
     attestation._verified.cache_clear()
     cold = quote_verify(*evidence, pol, NOW)
-    assert not warm.ok
-    assert warm.failure_reason == cold.failure_reason
+    assert warm is not None
+    assert warm == cold
 
 
 # -- files that hold keys ------------------------------------------------------

@@ -15,6 +15,7 @@ from enclavesim.channel import (
     AttestationCertificate,
     ChannelError,
     HandshakeError,
+    SecureChannel,
     attester_handshake,
     bind_report_data,
     verifier_handshake,
@@ -821,3 +822,91 @@ def test_a_failed_send_closes_the_channel_and_never_reuses_its_nonce(env, seals,
     finally:
         mine.close(), theirs.close()
     assert len(set(seals)) == len(seals), "a (key, nonce) pair sealed twice"
+
+
+# -- the Finished check: the first record must be a Finished carrying th2 ---------
+
+# what a scripted peer sends as its first record, given the transcript hash th2
+FIRST_RECORDS = {"honest": lambda th2: (wire.REC_FINISHED, th2),
+                 "wrong_th2": lambda th2: (wire.REC_FINISHED, bytes(32)),
+                 "other_type": lambda th2: (APP, th2)}
+
+
+def scripted_verifier(env, sock, first_record):
+    """An honest V1 and key schedule, then `first_record` once the attester's
+    Finished has checked out."""
+    _, a1 = wire.recv_frame(sock)
+    attester_pub = codec.unpack(AttestationCertificate.RECORD, a1).attester_eph_pub
+    eph = crypto.dh_generate()
+    th1 = crypto.hash_data(a1)
+    sig = crypto.sign(env["verifier_key"], _SIG_CONTEXT + th1 + eph.public)
+    wire.send_frame(sock, wire.HS_V1,
+                    codec.canonical_json({"eph_pub": eph.public.hex(), "sig": sig.hex()}))
+    th2 = crypto.hash_data(th1 + eph.public + sig)
+    shared = crypto.dh_shared(eph, attester_pub)
+    chan = SecureChannel(sock, send_key=crypto.kdf(shared, "s2a", th2),
+                         recv_key=crypto.kdf(shared, "a2s", th2))
+    assert chan.recv() == (wire.REC_FINISHED, th2)
+    chan.send(*first_record(th2))
+
+
+def scripted_attester(env, sock, first_record):
+    """An honest A1 and key schedule, then `first_record` as the first record."""
+    eph = crypto.dh_generate()
+    a1 = a1_bytes(AttestationCertificate(eph.public, *provider_for(env)(
+        bind_report_data(eph.public))))
+    wire.send_frame(sock, wire.HS_A1, a1)
+    frame_type, payload = wire.recv_frame(sock)
+    assert frame_type == wire.HS_V1
+    v1 = {k: bytes.fromhex(v) for k, v in wire.read_json(payload).items()}
+    th2 = crypto.hash_data(crypto.hash_data(a1) + v1["eph_pub"] + v1["sig"])
+    shared = crypto.dh_shared(eph, v1["eph_pub"])
+    chan = SecureChannel(sock, send_key=crypto.kdf(shared, "a2s", th2),
+                         recv_key=crypto.kdf(shared, "s2a", th2))
+    chan.send(*first_record(th2))
+
+
+@pytest.mark.parametrize("first", sorted(FIRST_RECORDS))
+@pytest.mark.parametrize("role", ROLES)
+def test_a_first_record_that_is_not_the_transcript_finished_is_bad_finished(env, role, first):
+    mine, theirs = timed_pair()
+    peer = SideResult()
+    script = scripted_verifier if role == "attester" else scripted_attester
+
+    def run_script():
+        try:
+            script(env, theirs, FIRST_RECORDS[first])
+            # after the scripted record: the honest side's Finished, or its close
+            peer.value = theirs.recv(1 << 16)
+        except Exception as exc:
+            peer.error = exc
+
+    thread = threading.Thread(target=run_script)
+    thread.start()
+    try:
+        if role == "attester":
+            outcome = attester_handshake(mine, provider_for(env), env["verifier_key"].public)
+        else:
+            crl = env["pcs"].current_crl()
+            outcome = verifier_handshake(mine, env["policy"], lambda pid: crl, NOW,
+                                         env["verifier_key"])
+    except HandshakeError as exc:
+        outcome = exc
+    try:
+        if first == "honest":  # the scripted peer keeps to the key schedule
+            assert isinstance(outcome, SecureChannel), outcome
+            outcome.close()
+            thread.join(timeout=3 * FAULT_TIMEOUT_S)
+            assert peer.error is None
+            assert (peer.value == b"") == (role == "attester")  # the verifier's Finished
+        else:
+            thread.join(timeout=3 * FAULT_TIMEOUT_S)
+            assert isinstance(outcome, HandshakeError), outcome
+            assert (outcome.kind, outcome.reason) == ("bad_finished",
+                                                      "peer Finished does not match transcript")
+            assert mine.fileno() == -1
+            # closed with nothing more sent: no Finished, and no HS_ERROR after V1
+            assert peer.error is None and peer.value == b""
+        assert not thread.is_alive()
+    finally:
+        mine.close(), theirs.close()

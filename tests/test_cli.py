@@ -661,6 +661,8 @@ NOT_LOADED = {
         "manifest", "enclave", "workflow"))},
     "pfs encrypt": {f"enclavesim.{name}" for name in (
         "channel", "provisioning", "pcs_service", "manifest", "enclave", "workflow")},
+    "enclave start": {"numpy", *(f"enclavesim.{name}" for name in (
+        "channel", "provisioning", "pcs_service", "workflow"))},
 }
 
 
@@ -669,6 +671,12 @@ def _import_probe_argv(tmp_path, command):
         return serve_argv(tmp_path, "pcs")
     if command == "keyserver serve":
         return serve_argv(tmp_path, "keyserver")
+    if command == "enclave start":
+        template = make_template_dir(tmp_path)
+        assert run_cli("manifest", "sign", str(template), "-o", str(tmp_path / "final"),
+                       "--root", str(tmp_path)) == 0
+        return ["enclave", "start", "--manifest", str(tmp_path / "final"),
+                "--root", str(tmp_path)]
     (tmp_path / "plain").write_bytes(b"x" * 5000)
     return ["pfs", "encrypt", str(tmp_path / "plain"), str(tmp_path / "plain.pfs"),
             "--key-hex", KEY_HEX, "--label", "plain"]

@@ -26,7 +26,7 @@ from enclavesim.enclave import (
     user_encrypt_inputs,
 )
 from enclavesim.manifest import compute_measurement, parse_template, resolver_for_root, sign_manifest
-from enclavesim.provisioning import KeyServer, KeyVault, ProvisionDeniedError
+from enclavesim.provisioning import KeyServer, KeyVault, ProvisionDeniedError, client_request_key
 
 NOW = 1_700_000_000
 MASTER_KEY = bytes(range(32, 64))
@@ -90,6 +90,14 @@ def test_trusted_file_tamper_aborts_start(tmp_path):
     assert "/app/workload.json" in exc.value.detail
 
 
+def test_trusted_file_deleted_after_signing_aborts_start(tmp_path):
+    root, final, _ = build_deployment(tmp_path)
+    (root / "app" / "workload.json").unlink()
+    with pytest.raises(StartError) as exc:
+        enclave_start(final, root)
+    assert (exc.value.kind, exc.value.detail) == ("trusted_file_mismatch", "/app/workload.json")
+
+
 def test_missing_mount_aborts_start(tmp_path):
     root, final, _ = build_deployment(tmp_path)
     import shutil
@@ -130,6 +138,18 @@ def test_protected_path_not_readable_in_plaintext(tmp_path):
     instance = enclave_start(final, root)
     with pytest.raises(EnclaveAccessError):
         instance.read_file("/data/model.pfs")
+
+
+@pytest.mark.parametrize("path", ["/app/workload.json", "/app/notes.txt"],
+                         ids=["trusted", "untrusted"])
+@pytest.mark.parametrize("create", [False, True])
+def test_open_protected_refuses_a_path_that_is_not_protected(tmp_path, path, create):
+    root, final, _ = build_deployment(tmp_path)
+    instance = enclave_start(final, root)
+    before = sorted(os.listdir(root / "app"))
+    with pytest.raises(EnclaveAccessError, match="is not marked protected"):
+        instance.open_protected(path, MASTER_KEY, create=create)
+    assert sorted(os.listdir(root / "app")) == before
 
 
 def test_trusted_file_reread_checks_hash(tmp_path):
@@ -277,6 +297,19 @@ def test_shape_mismatch_detected(tmp_path):
     with pytest.raises(RunError) as exc:
         instance.run(WORKLOAD)
     assert exc.value.kind == "shape_mismatch"
+
+
+@pytest.mark.parametrize("edit", [lambda packed: packed[:-8], lambda packed: packed + bytes(8)],
+                         ids=["short", "long"])
+def test_a_model_whose_length_does_not_match_its_header_is_shape_mismatch(tmp_path, edit):
+    root, instance, model = start_with_key(tmp_path)
+    (tmp_path / "user" / "model.bin").write_bytes(edit(model.pack()))
+    user_encrypt_inputs([(tmp_path / "user" / "model.bin", "/data/model.pfs")],
+                        MASTER_KEY, root / "data")
+    with pytest.raises(RunError) as exc:
+        instance.run(WORKLOAD)
+    assert (exc.value.kind, exc.value.path) == ("shape_mismatch", "/data/model.pfs")
+    assert not (root / "data" / "output.csv.pfs").exists()
 
 
 def test_float_exactness_through_text_roundtrip():
@@ -517,7 +550,8 @@ def test_enclave_provision_end_to_end(tmp_path):
                        crl_provider=lambda pid: pcs.current_crl(),
                        now_source=lambda: NOW).start()
     try:
-        instance.provision(server.address, server.public_key, "pfs-master")
+        instance.provisioned_secrets["pfs-master"] = client_request_key(
+            server.address, "pfs-master", instance.quote_provider(), server.public_key)
         assert instance.provisioned_secrets["pfs-master"] == MASTER_KEY
         report = instance.run(WORKLOAD)
         assert report.rows == 2
@@ -548,7 +582,8 @@ def test_modified_manifest_cannot_obtain_key(tmp_path):
                        now_source=lambda: NOW).start()
     try:
         with pytest.raises(ProvisionDeniedError) as exc:
-            instance.provision(server.address, server.public_key, "pfs-master")
+            client_request_key(server.address, "pfs-master", instance.quote_provider(),
+                               server.public_key)
         assert exc.value.reason == "policy_mismatch"
         assert "pfs-master" not in instance.provisioned_secrets
         with pytest.raises(RunError):
@@ -576,7 +611,8 @@ def test_revoked_platform_provision_fails(tmp_path):
     try:
         pcs.revoke(platform.platform_id)
         with pytest.raises(HandshakeError) as exc:
-            instance.provision(server.address, server.public_key, "pfs-master")
+            client_request_key(server.address, "pfs-master", instance.quote_provider(),
+                               server.public_key)
         assert exc.value.kind == "attestation_failed"
         assert exc.value.reason == "revoked"
     finally:

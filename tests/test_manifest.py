@@ -356,6 +356,43 @@ def test_load_truncated():
         load(data[:40])
 
 
+def _final_with(old: str, new: str) -> bytes:
+    text = serialize(demo_final()).decode()  # 13 lines: the version first, the hash last
+    assert text.count(old) == 1
+    return text.replace(old, new).encode()
+
+
+HASH = "sgx.trusted_file_hash = /app/config:"
+
+
+@pytest.mark.parametrize("parse,text,message,line", [
+    (parse_template, MINIMAL + "fs.mount = other\n",
+     "mount must be 'host_path:enclave_path', got 'other'", 6),
+    (parse_template, MINIMAL + "fs.mount = :/other\n",
+     "mount must be 'host_path:enclave_path', got ':/other'", 6),
+    (parse_template, MINIMAL + "fs.mount = other:\n",
+     "mount must be 'host_path:enclave_path', got 'other:'", 6),
+    (parse_template, MINIMAL + "sgx.trusted_file =\n", "empty path for sgx.trusted_file", 6),
+    (parse_template, MINIMAL + "sgx.protected_file =  \n",
+     "empty path for sgx.protected_file", 6),
+    (load, lambda: _final_with("format_version = 1", "format_version = 2"),
+     "unsupported format version 2", 1),
+    (load, lambda: _final_with(HASH, "sgx.trusted_file_hash = "),
+     "trusted_file_hash must be 'path:hex'", 13),
+    (load, lambda: _final_with(HASH, "sgx.trusted_file_hash = :"),
+     "trusted_file_hash must be 'path:hex'", 13),
+    (load, lambda: _final_with(HASH, HASH.replace("/app/", "/app//") + "0" * 64 + "\n" + HASH),
+     "duplicate hash entry for '/app/config'", 14),
+], ids=["mount-without-colon", "mount-empty-host", "mount-empty-enclave",
+        "empty-trusted-file", "empty-protected-file", "final-format-version-2",
+        "hash-without-path", "hash-with-empty-path", "one-path-hashed-twice"])
+def test_each_documented_error_names_its_line(parse, text, message, line):
+    with pytest.raises(ParseError) as exc:
+        parse(text() if callable(text) else text)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: {message}")
+
+
 def test_load_rejects_hash_set_mismatch():
     data = serialize(demo_final()).decode()
     data += "sgx.trusted_file = /app/unhashed\n"

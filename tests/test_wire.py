@@ -1,3 +1,4 @@
+import errno
 import socket
 import struct
 import threading
@@ -79,3 +80,40 @@ def test_a_server_left_unstarted_closes_its_listener():
     with LingeringServer("127.0.0.1", 0) as server:
         pass
     assert server._listener.fileno() == -1
+
+
+class EchoServer(wire.FrameServer):
+    def _handle(self, frame_type, payload):
+        return frame_type, payload
+
+
+def test_a_worker_whose_accept_fails_accepts_again(monkeypatch):
+    server = EchoServer("127.0.0.1", 0)
+    failures, accept = [], socket.socket.accept
+
+    def accept_failing_once(sock):
+        if sock is server._listener and not failures:
+            failures.append(threading.current_thread().name)
+            raise OSError(errno.EMFILE, "Too many open files")
+        return accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept_failing_once)
+
+    def connect():
+        client = socket.create_connection(server.address, timeout=5)
+        client.settimeout(5)
+        return client
+
+    def echoed(client, payload):
+        wire.send_frame(client, wire.PCS_FETCH_REQ, payload)
+        return wire.recv_frame(client) == (wire.PCS_FETCH_REQ, payload)
+
+    with server.start():
+        with connect() as client:
+            assert echoed(client, b"one")
+        with connect() as first, connect() as second:  # both open at once
+            assert echoed(first, b"first") and echoed(second, b"second")
+            assert echoed(first, b"again")
+        workers = list(server._workers)
+    assert failures and failures[0].startswith(wire.THREAD_PREFIX)
+    assert len(workers) >= 2 and not [w for w in workers if w.is_alive()]
