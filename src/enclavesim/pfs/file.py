@@ -24,10 +24,16 @@ run of sealed bytes beyond the dirty plaintexts. Then it seals the MHT
 nodes bottom-up, writes them, and writes the header last. A flush
 interrupted mid-write can corrupt the container (detected on later reads,
 not recovered) -- there is deliberately no journaling.
+
+`ProtectedFile.create` reuses an existing file at its path without cutting
+it to zero: it writes the new header over the old one at once, and its
+handle counts no blocks on disk, so nothing reads the old bytes past the
+header; the first flush writes every node and then sets the file length.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hmac
 import os
 import struct
@@ -86,6 +92,7 @@ class ProtectedFile:
         self._nodes_sealed = 0
         self._nodes_opened = 0
         self._disk_reads = 0
+        self._stale_tail = False  # file bytes past the container, until a flush cuts them
         self._aad_prefix = {kind: fmt.node_aad_prefix(uuid, kind)
                             for kind in (fmt.KIND_MHT, fmt.KIND_DATA)}
 
@@ -95,7 +102,11 @@ class ProtectedFile:
     def create(cls, path, filename_label: str, master_key: bytes, *,
                cache_capacity: int = DEFAULT_CAPACITY,
                file_uuid: bytes | None = None) -> "ProtectedFile":
-        """Create an empty protected file (header only) at `path`."""
+        """Create an empty protected file (header only) at `path`. A file
+        already there is written over in place, not cut to zero first: its
+        first bytes become the new header at once, no read ever reaches the
+        stale bytes past it, and the first flush, which runs even with
+        nothing written, sets the file length."""
         label = filename_label.encode("utf-8")
         if len(label) > fmt.MAX_LABEL:
             raise ValueError(f"filename label longer than {fmt.MAX_LABEL} bytes")
@@ -103,12 +114,20 @@ class ProtectedFile:
             file_uuid = os.urandom(fmt.UUID_SIZE)
         elif len(file_uuid) != fmt.UUID_SIZE:
             raise ValueError(f"file uuid must be {fmt.UUID_SIZE} bytes")
-        fh = open(path, "wb+")
-        handle = cls(fh, path, master_key, file_uuid, filename_label,
-                     file_size=0, disk_root=fmt.ZERO_ENTRY,
-                     mode=MODE_READWRITE, cache_capacity=cache_capacity)
-        handle._write_header(fmt.ZERO_ENTRY)
-        fh.flush()
+        # no O_TRUNC: cutting an old file to zero only to write it again
+        # drops and reallocates every page and block it had
+        fh = open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b")
+        try:
+            handle = cls(fh, path, master_key, file_uuid, filename_label,
+                         file_size=0, disk_root=fmt.ZERO_ENTRY,
+                         mode=MODE_READWRITE, cache_capacity=cache_capacity)
+            handle._write_header(fmt.ZERO_ENTRY)
+            fh.flush()
+        except BaseException:
+            with contextlib.suppress(OSError):
+                fh.close()  # retries a failed header write, which fails again
+            raise
+        handle._stale_tail = True
         return handle
 
     @classmethod
@@ -205,11 +224,16 @@ class ProtectedFile:
     def flush(self) -> None:
         """Reseal the dirty data blocks, the new zero blocks of a file that
         grew, and their MHT ancestors under fresh keys in place, then the
-        header. No node ever moves, so every other node stays as it is.
-        No-op when nothing changed since the last flush."""
+        header, then sets the file length. No node ever moves, so every
+        other node stays as it is. No-op when nothing changed since the last
+        flush, except that a created handle's first flush always sets the
+        length."""
         self._check_open()
         old_n, new_n = self._disk_blocks, fmt.data_block_count(self._file_size)
         if not self._dirty and new_n == old_n:
+            if self._stale_tail:  # created, nothing written: only the length is left to set
+                self._fh.truncate(fmt.container_disk_size(new_n))
+                self._stale_tail = False
             return
         old_nodes = old_n + fmt.total_mht_nodes(old_n)  # node numbers on disk
         old_height = len(fmt.mht_level_counts(old_n))
@@ -271,6 +295,7 @@ class ProtectedFile:
 
         self._disk_blocks = new_n
         self._disk_root = root
+        self._stale_tail = False
         self._dirty.clear()
         for p, plain in fresh:
             self._cache.put(p, bytes(plain))

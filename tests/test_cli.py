@@ -18,6 +18,7 @@ from enclavesim.attestation import PcsDatabase
 from enclavesim.cli import main
 from enclavesim.enclave import LinearModel, WorkloadSpec, parse_rows
 from enclavesim.pcs_service import PcsServer
+from enclavesim.pfs import format as fmt
 
 KEY_HEX = bytes(range(32)).hex()
 
@@ -111,6 +112,24 @@ def test_pfs_commands_on_a_version_1_container(tmp_path, capsys, version):
     assert run_cli("pfs", "info", str(enc), "--key-hex", KEY_HEX) == 2
     assert run_cli("pfs", "verify", str(enc), "--key-hex", KEY_HEX) == 1
     assert capsys.readouterr().out.strip() == "FAILED at header"
+
+
+def test_pfs_encrypt_over_an_older_container(tmp_path, capsys):
+    enc, dec = tmp_path / "a.pfs", tmp_path / "a.out"
+    for size in (300 << 10, 10, 0):  # each one shorter than the container it replaces
+        src = tmp_path / f"{size}.bin"
+        src.write_bytes(os.urandom(size))
+        assert run_cli("pfs", "encrypt", str(src), str(enc), "--key-hex", KEY_HEX,
+                       "--label", "a.bin") == 0
+        capsys.readouterr()
+        assert run_cli("pfs", "info", str(enc), "--key-hex", KEY_HEX) == 0
+        out = capsys.readouterr().out
+        fields = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert int(fields["disk_size"]) == fmt.container_disk_size(fmt.data_block_count(size))
+        assert run_cli("pfs", "verify", str(enc), "--key-hex", KEY_HEX) == 0
+        assert run_cli("pfs", "decrypt", str(enc), str(dec), "--key-hex", KEY_HEX,
+                       "--label", "a.bin") == 0
+        assert dec.read_bytes() == src.read_bytes()
 
 
 # -- manifest subcommands -----------------------------------------------------

@@ -1,3 +1,4 @@
+import errno
 import gc
 import os
 import random
@@ -115,6 +116,50 @@ def test_open_roundtrip(tmp_path):
     data = os.urandom(20000)
     make_file(p, data)
     assert read_all(p) == data
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_create_whose_header_write_fails_closes_its_file():
+    with pytest.raises(OSError) as exc:
+        ProtectedFile.create("/dev/full", "file.bin", KEY)
+    assert exc.value.errno == errno.ENOSPC
+    del exc  # its traceback holds the frame that opened the file
+    gc.collect()  # an unclosed file would warn here, an error under the test filter
+
+
+@pytest.mark.parametrize("new_blocks", [0, 10])
+def test_a_create_over_a_longer_container_sets_the_new_length(tmp_path, new_blocks):
+    p = make_file(tmp_path / "f.pfs", random.Random(7).randbytes(300 * BLOCK_SIZE))
+    data = random.Random(8).randbytes(new_blocks * BLOCK_SIZE)
+    make_file(p, data)  # with no write at all when the new file is empty
+    assert p.stat().st_size == fmt.container_disk_size(new_blocks)
+    assert info(p, KEY)["data_blocks"] == new_blocks
+    assert verify_file(p, KEY).ok
+    assert format_oracle.read_container(p.read_bytes(), KEY, b"file.bin") == data
+
+
+def test_a_create_over_other_bytes_never_reads_them(tmp_path):
+    p = tmp_path / "f.pfs"
+    rng = random.Random(31)
+    p.write_bytes(rng.randbytes(1 << 20))  # longer than any container written here
+    model = bytearray()
+    with ProtectedFile.create(p, "file.bin", KEY) as pf:
+        for _ in range(3):
+            for _ in range(6):
+                offset = rng.randrange(70 * BLOCK_SIZE) | 1
+                data = rng.randbytes(rng.randrange(1, 3 * BLOCK_SIZE))
+                pf.write(offset, data)
+                model.extend(bytes(max(offset + len(data) - len(model), 0)))
+                model[offset:offset + len(data)] = data
+                lo = rng.randrange(len(model))
+                hi = rng.randrange(lo, len(model) + 1)
+                assert pf.read(lo, hi - lo) == model[lo:hi]
+            if not pf.stats()["nodes_sealed"]:  # before the first flush, nothing is on disk
+                assert pf.stats()["disk_reads"] == 0
+            pf.flush()
+            assert pf.read(0, pf.size) == model
+    assert read_all(p) == model
+    assert verify_file(p, KEY).ok
 
 
 # -- read ---------------------------------------------------------------
@@ -940,6 +985,19 @@ class CrashingFile:
         return getattr(self._fh, name)
 
 
+def die_in_flush(pf, crash_at=None, prefix=None):
+    """Flush `pf` through a `CrashingFile`, then drop it as a process that
+    dies there would, with no further flush; returns the writes tried."""
+    pf._fh = CrashingFile(pf._fh, crash_at, prefix)
+    try:
+        pf.flush()
+    except InjectedCrash:
+        pass
+    pf._fh.close()
+    pf._closed = True
+    return pf._fh.writes
+
+
 def apply_writes(target, writes):
     for offset, data in writes:
         target[offset:offset + len(data)] = data
@@ -975,16 +1033,9 @@ def test_interrupted_flush_never_reads_back_wrong_plaintext(tmp_path, case):
     def interrupted_flush(crash_at, prefix):
         p.write_bytes(pristine)
         pf = ProtectedFile.open(p, "file.bin", KEY, mode="rw")
-        pf._fh = CrashingFile(pf._fh, crash_at, prefix)
         for offset, data in writes:
             pf.write(offset, data)
-        try:
-            pf.flush()
-        except InjectedCrash:
-            pass
-        pf._fh.close()  # the process dies here: no further flush
-        pf._closed = True
-        return pf._fh.writes
+        return die_in_flush(pf, crash_at, prefix)
 
     n_writes = interrupted_flush(None, None)
     assert read_all(p) == new
@@ -1003,6 +1054,42 @@ def test_interrupted_flush_never_reads_back_wrong_plaintext(tmp_path, case):
     assert {"old", "new", "detected"} <= outcomes
 
 
+def test_an_interrupted_first_flush_after_a_create_over_a_container_never_reads_it_back(
+        tmp_path):
+    # the old container is longer, with the same key and label; the new one
+    # spans two bottom MHT nodes
+    p = tmp_path / "f.pfs"
+    old = random.Random(61).randbytes(300 * BLOCK_SIZE)
+    make_file(p, old)
+    pristine = p.read_bytes()
+    new = random.Random(62).randbytes(100 * BLOCK_SIZE + 7)
+
+    def interrupted_create(crash_at, prefix):
+        p.write_bytes(pristine)
+        pf = ProtectedFile.create(p, "file.bin", KEY)
+        pf.write(0, new)
+        return die_in_flush(pf, crash_at, prefix)
+
+    n_writes = interrupted_create(None, None)
+    assert read_all(p) == new
+    assert n_writes >= 2
+    outcomes = set()
+    for crash_at in range(n_writes):
+        for prefix in (0, 1, 100, fmt.NODE_DISK_SIZE, None):
+            interrupted_create(crash_at, prefix)
+            try:
+                got = read_all(p)
+            except IntegrityError as exc:
+                # `header`: the header write itself was cut part way
+                outcomes.add(exc.node)
+                continue
+            assert got == new, f"write {crash_at}, prefix {prefix}: wrong plaintext"
+            outcomes.add("new")
+    # the length is set last, so every cut leaves the old, longer length
+    assert "structure" in outcomes
+    assert outcomes <= {"new", "structure", "header"}
+
+
 # -- model-based ----------------------------------------------------------
 
 NEAR_SHAPE_CHANGE = st.integers(62 * BLOCK_SIZE, 66 * BLOCK_SIZE)
@@ -1016,10 +1103,12 @@ class ProtectedFileMachine(RuleBasedStateMachine):
     """A read-write handle against a bytearray model and the last flushed
     snapshot; sizes cross the 64-block boundary where the MHT gains a root
     above the old one, and reads and writes span whole runs and mix cached,
-    dirty and on-disk blocks inside one. Whatever the handle flushes, the
-    FORMAT.md-only reader reads back; a flush that dies part way leaves the
-    snapshot, the model or an IntegrityError, and never other bytes; and a
-    flipped bit fails at the node that holds it, for a read and an audit."""
+    dirty and on-disk blocks inside one, and a create over the container
+    starts it again from empty, so it shrinks as well as grows. Whatever the
+    handle flushes, the FORMAT.md-only reader reads back; a flush that dies
+    part way leaves the snapshot, the model or an IntegrityError, and never
+    other bytes, nor the plaintext from before a create; and a flipped bit
+    fails at the node that holds it, for a read and an audit."""
 
     def __init__(self):
         super().__init__()
@@ -1027,6 +1116,7 @@ class ProtectedFileMachine(RuleBasedStateMachine):
         self.path = os.path.join(self.dir, "f.pfs")
         self.model = bytearray()
         self.snapshot = b""  # the plaintext on disk as of the last flush
+        self.recreated = False  # created over the old file and not flushed since
         self.pf = None
 
     @initialize(capacity=st.sampled_from([0, 1, 256]))
@@ -1039,6 +1129,7 @@ class ProtectedFileMachine(RuleBasedStateMachine):
         with open(self.path, "rb") as fh:
             assert format_oracle.read_container(fh.read(), KEY, b"file.bin") == self.model
         self.snapshot = bytes(self.model)
+        self.recreated = False
 
     def _reopen(self):
         self.pf = ProtectedFile.open(self.path, "file.bin", KEY, mode="rw",
@@ -1069,17 +1160,20 @@ class ProtectedFileMachine(RuleBasedStateMachine):
         self._flushed()
         self._reopen()
 
+    @rule()
+    def recreate(self):
+        self.pf.close()
+        self.pf = ProtectedFile.create(self.path, "file.bin", KEY, cache_capacity=self.capacity)
+        self.model = bytearray()
+        # the old plaintext is gone from the disk: no outcome may bring it back
+        self.snapshot = b""
+        self.recreated = True
+
     @precondition(lambda self: self.model != self.snapshot)  # a flush with work to do
     @rule(crash_at=st.integers(0, 12), prefix=st.sampled_from([0, 1, 100, fmt.NODE_DISK_SIZE,
                                                               None]))
     def crash_mid_flush(self, crash_at, prefix):
-        self.pf._fh = CrashingFile(self.pf._fh, crash_at, prefix)
-        try:
-            self.pf.flush()
-        except InjectedCrash:
-            pass
-        self.pf._fh.close()  # the process dies here: no further flush
-        self.pf._closed = True
+        die_in_flush(self.pf, crash_at, prefix)
         try:
             got = read_all(self.path)
         except IntegrityError:
@@ -1092,7 +1186,12 @@ class ProtectedFileMachine(RuleBasedStateMachine):
 
     @rule()
     def verify(self):
-        assert verify_file(self.path, KEY).ok
+        report = verify_file(self.path, KEY)
+        if self.recreated and os.path.getsize(self.path) > fmt.HEADER_SIZE:
+            # the new empty header over the old, longer file, until a flush
+            assert report == VerifyReport(False, "structure")
+        else:
+            assert report.ok
 
     # the disk holds the model, in nodes as well as the header
     @precondition(lambda self: self.model and self.model == self.snapshot)
