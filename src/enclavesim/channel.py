@@ -31,6 +31,7 @@ from .attestation import (
     VerificationPolicy,
     quote_verify,
 )
+from .failure import EXIT_ATTESTATION, EXIT_OTHER, Failure
 
 RATLS_BIND_LABEL = b"ratls-bind-v1"
 _SIG_CONTEXT = b"ratls-v1-sig"
@@ -39,23 +40,13 @@ EPH_PUB = codec.hexbytes(32)  # an X25519 public key
 QuoteProvider = Callable[[bytes], tuple[Quote, CertChain]]
 
 
-class HandshakeError(Exception):
-    """kind: peer_auth_failed | bad_finished | attestation_failed |
-    binding_mismatch | io (reason carries detail, e.g. the verification
-    failure_reason)."""
-
-    def __init__(self, kind: str, reason: str | None = None):
-        self.kind = kind
-        self.reason = reason
-        super().__init__(kind if reason is None else f"{kind}: {reason}")
+class HandshakeError(Failure):
+    KINDS = {"attestation_failed": EXIT_ATTESTATION, "binding_mismatch": EXIT_ATTESTATION,
+             "peer_auth_failed": EXIT_OTHER, "bad_finished": EXIT_OTHER, "io": EXIT_OTHER}
 
 
-class ChannelError(Exception):
-    """kind: auth | closed"""
-
-    def __init__(self, kind: str, detail: str = ""):
-        self.kind = kind
-        super().__init__(f"{kind}: {detail}" if detail else kind)
+class ChannelError(Failure):
+    KINDS = {"auth": EXIT_OTHER, "closed": EXIT_OTHER}
 
 
 @codec.record(("eph_pub", EPH_PUB), ("quote", codec.packed(Quote, QUOTE_SIZE)),
@@ -72,6 +63,7 @@ class AttestationCertificate:
 
 V1 = codec.Record(("eph_pub", EPH_PUB), ("sig", SIGNATURE))
 HS_ERROR = codec.Record(("kind", codec.STR), ("reason", codec.optional(codec.STR)))
+HS_ERROR_KINDS = ("io", "attestation_failed", "binding_mismatch")  # all a verifier sends
 
 
 def _read_peer(record, payload: bytes, what: str):
@@ -205,7 +197,10 @@ def _attester_handshake(conn: socket.socket, quote_provider: QuoteProvider,
     wire.send_frame(conn, wire.HS_A1, a1)
     frame_type, payload = _recv_handshake(conn, wire.HS_V1, wire.HS_ERROR)
     if frame_type == wire.HS_ERROR:
-        raise HandshakeError(**_read_peer(HS_ERROR, payload, "HS_ERROR"))
+        error = _read_peer(HS_ERROR, payload, "HS_ERROR")
+        if error["kind"] not in HS_ERROR_KINDS:
+            raise HandshakeError("io", f"HS_ERROR of kind {error['kind']!r:.40}")
+        raise HandshakeError(**error)
 
     v1 = _read_peer(V1, payload, "V1")
     verifier_eph_pub, sig = v1["eph_pub"], v1["sig"]

@@ -3,7 +3,7 @@
 Subcommand groups: pfs (protected containers), manifest (signer and
 measurement), pcs (mock certification service), keyserver (secret
 provisioning), enclave (start/run workloads), demo (full workflow).
-Exit codes: 0 success, then `workflow.exit_code` of the first error:
+Exit codes: 0 success, then `failure.exit_code` of the first error:
 1 attestation failure, 2 integrity failure, 3 anything else. `pfs verify`
 exits 1 when a node fails to authenticate.
 
@@ -20,6 +20,7 @@ import sys
 import time
 
 from . import codec, wire
+from .failure import exit_code
 
 
 class CliError(Exception):
@@ -391,7 +392,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:
-        from .workflow import exit_code
         detail = str(exc) if isinstance(exc, CliError) else f"{type(exc).__name__}: {exc}"
         print(f"error: {detail}", file=sys.stderr)
         return exit_code(exc)

@@ -35,6 +35,7 @@ from .manifest import (
     normalize_enclave_path,
     path_under,
 )
+from .failure import EXIT_INTEGRITY, EXIT_OTHER, Failure
 from .pfs import IntegrityError, ProtectedFile
 
 # fixed demo vendor identity; mr_signer is the hash of the vendor key
@@ -53,23 +54,13 @@ class EnclaveAccessError(Exception):
     absolute enclave path."""
 
 
-class StartError(Exception):
-    """kind: trusted_file_mismatch | missing_mount"""
-
-    def __init__(self, kind: str, detail: str):
-        self.kind = kind
-        self.detail = detail
-        super().__init__(f"{kind}: {detail}")
+class StartError(Failure):
+    KINDS = {"trusted_file_mismatch": EXIT_INTEGRITY, "missing_mount": EXIT_OTHER}
 
 
-class RunError(Exception):
-    """kind: integrity | key_missing | shape_mismatch | io"""
-
-    def __init__(self, kind: str, path: str | None = None, detail: str = ""):
-        self.kind = kind
-        self.path = path
-        msg = kind if path is None else f"{kind}: {path}"
-        super().__init__(f"{msg} ({detail})" if detail else msg)
+class RunError(Failure):
+    KINDS = {"integrity": EXIT_INTEGRITY, "key_missing": EXIT_OTHER,
+             "shape_mismatch": EXIT_OTHER, "io": EXIT_OTHER}
 
 
 @codec.record(("kind", codec.STR), ("model_path", codec.STR), ("input_path", codec.STR),
@@ -256,7 +247,7 @@ class EnclaveInstance:
         """Quote factory bound to this instance's measurement; mr_enclave is
         always the loaded manifest's measurement (measurement honesty)."""
         if self.platform is None or self.cert_chain is None:
-            raise RunError("io", detail="no platform identity attached")
+            raise RunError("io", "no platform identity attached")
 
         def provide(report_data: bytes) -> tuple[Quote, CertChain]:
             quote = quote_generate(self.platform, self.measurement.mr_enclave,
@@ -276,7 +267,7 @@ class EnclaveInstance:
     def workload_open_inputs(self, spec: WorkloadSpec):
         """Transparent decrypt of model and input under the provisioned key."""
         if spec.kind != "linear_infer":
-            raise RunError("io", detail=f"unknown workload kind {spec.kind!r}")
+            raise RunError("io", f"unknown workload kind {spec.kind!r}")
         key = self._workload_key(spec)
 
         def read_protected(path):
@@ -286,18 +277,18 @@ class EnclaveInstance:
             except IntegrityError:  # WrongKeyError included
                 raise RunError("integrity", path)
             except OSError as exc:
-                raise RunError("io", path, str(exc))
+                raise RunError("io", f"{path} ({exc})")
 
         model_bytes = read_protected(spec.model_path)
         input_bytes = read_protected(spec.input_path)
         try:
             model = LinearModel.unpack(model_bytes)
         except ValueError as exc:
-            raise RunError("shape_mismatch", spec.model_path, str(exc))
+            raise RunError("shape_mismatch", f"{spec.model_path} ({exc})")
         try:
             rows = parse_rows(input_bytes.decode("utf-8"), model.cols)
         except (UnicodeDecodeError, ValueError) as exc:
-            raise RunError("shape_mismatch", spec.input_path, str(exc))
+            raise RunError("shape_mismatch", f"{spec.input_path} ({exc})")
         return model, rows
 
     def workload_compute(self, model: LinearModel, rows: list[list[float]]):
@@ -310,7 +301,7 @@ class EnclaveInstance:
             with self.open_protected(spec.output_path, key, create=True) as pf:
                 pf.write(0, text.encode("utf-8"))
         except OSError as exc:
-            raise RunError("io", spec.output_path, str(exc))
+            raise RunError("io", f"{spec.output_path} ({exc})")
         return RunReport(rows=len(out_rows), output_path=spec.output_path)
 
     def run(self, spec: WorkloadSpec) -> RunReport:

@@ -21,6 +21,7 @@ from .attestation import (
     UnknownPlatformError,
     replace_atomically,
 )
+from .failure import EXIT_OTHER, Failure
 
 PLATFORM_REQ = codec.Record(("platform_id", PLATFORM_ID))  # PCS_FETCH_REQ, PCS_REVOKE_REQ
 REGISTER_REQ = codec.Record(("tcb_level", codec.U32))
@@ -84,10 +85,9 @@ class PcsServer(wire.FrameServer):
             self.db.save(self.db_path)
 
 
-class PcsClientError(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
+class PcsClientError(Failure):
+    KINDS = {"unknown_platform": EXIT_OTHER, "bad_request": EXIT_OTHER,
+             "bad_type": EXIT_OTHER, "bad_response": EXIT_OTHER}
 
 
 POOL_SIZE = 4  # idle connections a PcsPool keeps; each holds one PCS slot until IDLE_TIMEOUT
@@ -166,7 +166,8 @@ def _connect(addr, pool: PcsPool | None) -> socket.socket:
 def _request(addr, frame_type: int, request: bytes, reply, pool: PcsPool | None = None):
     """The reply to a request of `frame_type`, decoded as kind `reply`;
     PcsClientError with the server's reason for a PCS_ERROR, or with
-    "bad_response" for a reply of another type or one that does not decode.
+    "bad_response" for a reply of another type, one that does not decode
+    or a PCS_ERROR reason that WIRE.md does not name.
     Without a pool the connection is one-shot; with one it comes from the
     pool when one is idle, is retried once on a fresh connection when the
     PCS has closed it, and goes back to the pool after a reply that decodes."""
@@ -206,7 +207,8 @@ def _request(addr, frame_type: int, request: bytes, reply, pool: PcsPool | None 
     else:
         conn.close()
     if got_type == wire.PCS_ERROR:
-        raise PcsClientError(value["reason"])
+        raise PcsClientError(value["reason"] if value["reason"] in PcsClientError.KINDS
+                             else "bad_response")
     return value
 
 

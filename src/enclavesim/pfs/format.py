@@ -34,6 +34,8 @@ from __future__ import annotations
 import bisect
 import struct
 
+from ..failure import EXIT_INTEGRITY, Failure
+
 MAGIC = b"SEALPFS1"
 VERSION = 3
 HEADER_SIZE = 512
@@ -57,12 +59,14 @@ class PfsError(Exception):
     """Base error for the protected file container."""
 
 
-class IntegrityError(PfsError):
+class IntegrityError(PfsError, Failure):
     """A failed check at `node`: "header", "structure", "mht:<p>" or "data:<i>"."""
 
+    KINDS = {"integrity": EXIT_INTEGRITY}
+
     def __init__(self, message: str, node: str = "header"):
-        super().__init__(message)
-        self.node = node
+        PfsError.__init__(self, message)
+        self.kind, self.reason, self.node = "integrity", message, node
 
 
 class WrongKeyError(IntegrityError):

@@ -23,6 +23,7 @@ from contextlib import closing, contextmanager
 from . import codec, crypto, wire
 from .attestation import VerificationPolicy, quote_verify, replace_atomically
 from .channel import QuoteProvider, SecureChannel, attester_handshake, verifier_handshake
+from .failure import EXIT_ATTESTATION, Failure
 from .pcs_service import PcsPool
 from .pfs import ProtectedFile, read_uuid
 
@@ -55,13 +56,14 @@ class VaultError(Exception):
     pass
 
 
-class ProvisionDeniedError(Exception):
-    """reason: policy_mismatch | unknown_secret | crl_unavailable | bad_request
-    from the key server, or bad_response for a malformed reply"""
+class ProvisionDeniedError(Failure):
+    """Any denial; reason: policy_mismatch | unknown_secret | crl_unavailable |
+    bad_request from the key server, or bad_response for a malformed reply"""
+
+    KINDS = {"denied": EXIT_ATTESTATION}
 
     def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(f"denied: {reason}")
+        super().__init__("denied", reason)
 
 
 class KeyVault:

@@ -19,19 +19,18 @@ import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field, fields
 
-from . import codec, crypto, pcs_service, pfs
+from . import codec, crypto, pcs_service
 from .attestation import PcsDatabase, VerificationPolicy
 from .channel import HandshakeError
 from .enclave import (
     LinearModel,
-    RunError,
-    StartError,
     WorkloadSpec,
     enclave_start,
     format_rows,
     user_decrypt_output,
     user_encrypt_inputs,
 )
+from .failure import EXIT_ATTESTATION, EXIT_INTEGRITY, EXIT_OK, EXIT_OTHER, exit_code
 from .manifest import (
     ParseError,
     compute_measurement,
@@ -40,7 +39,7 @@ from .manifest import (
     resolver_for_root,
     sign_manifest,
 )
-from .provisioning import KeyVault, ProvisionDeniedError, ProvisioningClient, key_server, vault_save
+from .provisioning import KeyVault, ProvisioningClient, key_server, vault_save
 
 FAULTS = ("none", "revoked_platform", "tamper_input", "wrong_manifest")
 
@@ -57,28 +56,6 @@ STEP_NAMES = {
 
 CIRCLED = {1: "①", 2: "②", 3: "③", 4: "④",
            5: "⑤", 6: "⑥", 7: "⑦", 8: "⑧"}
-
-EXIT_OK = 0
-EXIT_ATTESTATION = 1
-EXIT_INTEGRITY = 2
-EXIT_OTHER = 3
-
-
-def exit_code(exc: Exception) -> int:
-    """The pipeline's failure policy, shared by every CLI command and demo
-    step: 1 when the verifier rejected the platform or the key server
-    refused the key, 2 when protected or trusted bytes failed their check,
-    3 for anything else."""
-    if isinstance(exc, ProvisionDeniedError) or (
-            isinstance(exc, HandshakeError)
-            and exc.kind in ("attestation_failed", "binding_mismatch")):
-        return EXIT_ATTESTATION
-    if isinstance(exc, pfs.IntegrityError) or (
-            isinstance(exc, StartError) and exc.kind == "trusted_file_mismatch") or (
-            isinstance(exc, RunError) and exc.kind == "integrity"):
-        return EXIT_INTEGRITY
-    return EXIT_OTHER
-
 
 SECRET_NAME = "pfs-master"
 

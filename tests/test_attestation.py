@@ -271,6 +271,28 @@ def test_fault_injection_matrix(pcs):
                     "svn_too_low", "tcb_too_low"}
 
 
+# (certificate, field, value): a chain whose certificate names its subject or
+# issuer wrongly, or has no TCB level, though every signature in it is good
+MISNAMED = [("root", "subject", "sim-pcs-other-root"), ("root", "issuer", "sim-pcs-other-root"),
+            ("platform_ca", "issuer", "sim-pcs-other-root"),
+            ("attestation_key", "issuer", "sim-pcs-other-ca"),
+            ("attestation_key", "subject", "node:" + "ab" * 16),
+            ("attestation_key", "tcb_level", None)]
+
+
+@pytest.mark.parametrize("cert,field,value", MISNAMED, ids=[f"{c}-{f}" for c, f, _ in MISNAMED])
+def test_a_correctly_signed_but_misnamed_chain_is_bad_chain(registered, cert, field, value):
+    pcs, platform, chain = registered
+    signer = pcs.root_key if cert in ("root", "platform_ca") else pcs.ca_key
+    attr = {"root": "root_cert", "platform_ca": "platform_ca_cert",
+            "attestation_key": "attestation_key_cert"}[cert]
+    misnamed = attestation._sign(replace(getattr(chain, attr), **{field: value}), signer)
+    forged = replace(chain, **{attr: misnamed})
+    assert attestation._signed_by(misnamed, signer.public)
+    assert quote_verify(make_quote(platform), forged, pcs.current_crl(), policy_for(pcs),
+                        NOW) == "bad_chain"
+
+
 @pytest.mark.parametrize("registered_at,verified_at", [
     (NOW + attestation.DEFAULT_CA_VALIDITY - 100, NOW + attestation.DEFAULT_CA_VALIDITY + 1),
     (NOW - 1000, NOW - 500),

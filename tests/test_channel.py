@@ -20,6 +20,7 @@ from enclavesim.channel import (
     bind_report_data,
     verifier_handshake,
 )
+from enclavesim.failure import exit_code
 
 from foreign_json import FOREIGN_ENCODINGS
 
@@ -395,11 +396,41 @@ def test_any_verifier_reply_is_only_a_handshake_error(env, frame_type, fields):
     thread = threading.Thread(target=fake_verifier)
     thread.start()
     try:
-        with pytest.raises(HandshakeError):
+        with pytest.raises(HandshakeError) as info:
             attester_handshake(a_sock, provider_for(env), env["verifier_key"].public)
     finally:
         thread.join()
         v_sock.close()
+    assert info.value.kind in HandshakeError.KINDS
+
+
+# an HS_ERROR's kind: the attester's HandshakeError kind and exit code. A
+# verifier sends HS_ERROR only before V1, so only of its first three kinds;
+# any other is no verdict of the verifier's, whatever exit code it names.
+HS_ERROR_ROWS = {"attestation_failed": ("attestation_failed", 1),
+                 "binding_mismatch": ("binding_mismatch", 1), "io": ("io", 3),
+                 "integrity": ("io", 3), "denied": ("io", 3), "peer_auth_failed": ("io", 3),
+                 "bad_finished": ("io", 3), "": ("io", 3)}
+
+
+@pytest.mark.parametrize("kind", HS_ERROR_ROWS)
+def test_an_hs_error_of_a_kind_no_verifier_sends_is_a_handshake_io_error(env, kind):
+    a_sock, v_sock = socket.socketpair()
+
+    def fake_verifier():
+        wire.recv_frame(v_sock)
+        wire.send_frame(v_sock, wire.HS_ERROR,
+                        codec.canonical_json({"kind": kind, "reason": "revoked"}))
+
+    thread = threading.Thread(target=fake_verifier)
+    thread.start()
+    try:
+        with pytest.raises(HandshakeError) as info:
+            attester_handshake(a_sock, provider_for(env), env["verifier_key"].public)
+    finally:
+        thread.join()
+        v_sock.close()
+    assert (info.value.kind, exit_code(info.value)) == HS_ERROR_ROWS[kind]
 
 
 A1_FIELDS = [(field, None, None) for field in ("eph_pub", "quote", "chain")] + [
@@ -624,6 +655,22 @@ def test_tampered_record_rejected(env):
         chan_v.recv()
     assert exc.value.kind == "auth"
     chan_a.close(), chan_v.close()
+
+
+def test_a_payload_of_exactly_the_largest_size_is_sent_and_received(env):
+    att, ver = handshake_pair(env)
+    chan_a, chan_v = att.value, ver.value
+    largest = random.Random(61).randbytes(wire.MAX_PAYLOAD - crypto.TAG_SIZE)
+    received = []
+    receiver = threading.Thread(target=lambda: received.append(chan_v.recv()))
+    receiver.start()
+    try:
+        chan_a.send(APP, largest)
+    finally:
+        chan_a.close()  # so that a refused send leaves no receiver waiting
+        receiver.join()
+        chan_v.close()
+    assert received == [(APP, largest)]
 
 
 def test_max_record_size_enforced(env):

@@ -285,7 +285,7 @@ def pcs_reply_outcome(reply_type, call):
         try:
             call(srv.address)
         except PcsClientError as exc:
-            return exc.reason
+            return exc.kind
         finally:
             srv.stop()
         return "ok"

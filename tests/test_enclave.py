@@ -87,7 +87,7 @@ def test_trusted_file_tamper_aborts_start(tmp_path):
     with pytest.raises(StartError) as exc:
         enclave_start(final, root)
     assert exc.value.kind == "trusted_file_mismatch"
-    assert "/app/workload.json" in exc.value.detail
+    assert "/app/workload.json" in exc.value.reason
 
 
 def test_trusted_file_deleted_after_signing_aborts_start(tmp_path):
@@ -95,7 +95,7 @@ def test_trusted_file_deleted_after_signing_aborts_start(tmp_path):
     (root / "app" / "workload.json").unlink()
     with pytest.raises(StartError) as exc:
         enclave_start(final, root)
-    assert (exc.value.kind, exc.value.detail) == ("trusted_file_mismatch", "/app/workload.json")
+    assert (exc.value.kind, exc.value.reason) == ("trusted_file_mismatch", "/app/workload.json")
 
 
 def test_missing_mount_aborts_start(tmp_path):
@@ -182,7 +182,7 @@ def test_swapped_trusted_file_is_rechecked_under_any_spelling(tmp_path, spelling
     with pytest.raises(StartError) as exc:
         instance.read_file(spelling)
     assert exc.value.kind == "trusted_file_mismatch"
-    assert exc.value.detail == "/app/workload.json"
+    assert exc.value.reason == "/app/workload.json"
 
 
 def test_protected_label_is_the_canonical_path(tmp_path):
@@ -280,7 +280,7 @@ def test_tampered_model_no_output_created(tmp_path):
     with pytest.raises(RunError) as exc:
         instance.run(WORKLOAD)
     assert exc.value.kind == "integrity"
-    assert exc.value.path == "/data/model.pfs"
+    assert exc.value.reason == "/data/model.pfs"
     assert not (root / "data" / "output.csv.pfs").exists()
 
 
@@ -308,7 +308,8 @@ def test_a_model_whose_length_does_not_match_its_header_is_shape_mismatch(tmp_pa
                         MASTER_KEY, root / "data")
     with pytest.raises(RunError) as exc:
         instance.run(WORKLOAD)
-    assert (exc.value.kind, exc.value.path) == ("shape_mismatch", "/data/model.pfs")
+    assert (exc.value.kind, exc.value.reason.partition(" (")[0]) \
+        == ("shape_mismatch", "/data/model.pfs")
     assert not (root / "data" / "output.csv.pfs").exists()
 
 

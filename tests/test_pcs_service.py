@@ -18,6 +18,7 @@ from enclavesim.attestation import (
     quote_verify,
 )
 from enclavesim.codec import canonical_json
+from enclavesim.failure import exit_code
 from enclavesim.pcs_service import (
     DECODED_SIZE,
     FETCH_RESP,
@@ -152,9 +153,26 @@ def test_undecodable_pcs_reply_is_a_bad_response(call, expect):
             srv.reply = reply
             with pytest.raises(PcsClientError) as info:
                 call(srv.address)
-            assert info.value.reason == "bad_response"
+            assert info.value.kind == "bad_response"
     finally:
         srv.stop()
+
+
+# a PCS_ERROR's reason: the client's PcsClientError kind. WIRE.md names
+# three; any other reply is not of its form.
+PCS_ERROR_ROWS = {"unknown_platform": "unknown_platform", "bad_request": "bad_request",
+                  "bad_type": "bad_type", "integrity": "bad_response",
+                  "denied": "bad_response", "attestation_failed": "bad_response",
+                  "": "bad_response"}
+
+
+@pytest.mark.parametrize("reason", PCS_ERROR_ROWS)
+def test_a_pcs_error_reason_that_wire_md_does_not_name_is_a_bad_response(reason):
+    srv = ScriptedPcs("127.0.0.1", 0).start()
+    srv.reply = (wire.PCS_ERROR, canonical_json({"reason": reason}))
+    with srv, pytest.raises(PcsClientError) as info:
+        fetch_platform(srv.address, b"\x01" * 16)
+    assert (info.value.kind, exit_code(info.value)) == (PCS_ERROR_ROWS[reason], 3)
 
 
 def conn_thread_alive(sock) -> bool:
@@ -390,7 +408,7 @@ def test_a_pcs_error_keeps_the_connection_and_a_bad_reply_closes_it(pcs_server):
         for _ in range(2):
             with pytest.raises(PcsClientError) as info:
                 pool.crl(b"\x01" * 16)
-            assert info.value.reason == "unknown_platform"
+            assert info.value.kind == "unknown_platform"
         assert pool.stats() == {"connected": 1, "reused": 1, "retried": 0}
     finally:
         pool.close()
@@ -442,7 +460,7 @@ def test_the_pool_keeps_at_most_pool_size_idle_connections():
         try:
             pool.crl(b"\x01" * 16)
         except PcsClientError as exc:
-            reasons.append(exc.reason)
+            reasons.append(exc.kind)
 
     threads = [threading.Thread(target=fetch) for _ in range(n)]
     try:
@@ -638,7 +656,7 @@ def test_a_pcs_error_or_an_undecodable_reply_is_never_memoised(monkeypatch):
             srv.reply = reply
             with pytest.raises(PcsClientError) as info:
                 pool.crl(platform.platform_id)
-            assert info.value.reason == reason
+            assert info.value.kind == reason
         assert decodes[pcs_service.PCS_ERROR] == 2 and decodes[FETCH_RESP] == 2
         assert pool._unpack.cache_info().currsize == 0
         srv.reply = (wire.PCS_FETCH_RESP, good)
@@ -682,5 +700,5 @@ def test_registering_outside_the_ca_window_over_the_wire_is_a_bad_request():
     with PcsServer(db, now_source=lambda: NOW - 1).start() as srv:
         with pytest.raises(PcsClientError) as info:
             register_platform(srv.address, tcb_level=3)
-    assert info.value.reason == "bad_request"
+    assert info.value.kind == "bad_request"
     assert db.platforms == {}

@@ -138,6 +138,16 @@ def test_vault_name_and_secret_bounds(env):
         vault.add_secret("ok", b"x" * 4097, policy)
 
 
+def test_vault_bounds_are_inclusive_and_count_the_bytes_of_a_name():
+    vault = KeyVault()
+    policy = VerificationPolicy(accepted_root=b"\x00" * 32, expected_mr_enclave=MRE)
+    vault.add_secret("n" * 128, b"x" * 4096, policy)
+    assert vault.get("n" * 128)["secret"] == b"x" * 4096
+    with pytest.raises(VaultError):  # 128 characters, 129 bytes of UTF-8
+        vault.add_secret("n" * 127 + "\u00e9", b"x", policy)
+    assert vault.names() == ["n" * 128]
+
+
 def test_vault_policy_must_pin_an_identity():
     vault = KeyVault()
     with pytest.raises(VaultError, match="constrain"):
