@@ -249,7 +249,8 @@ class PcsDatabase:
     """The mock Provisioning Certification Service registry. One writer
     lock serializes mutations; persisted as a single JSON file. Each
     platform is its certificate chain; the current signed CRL is the whole
-    revocation state."""
+    revocation state. When `path` is set, each mutation is saved there
+    before any reader sees it, and one whose save fails changes nothing."""
 
     def __init__(self, root_key: crypto.SigningKeyPair,
                  ca_key: crypto.SigningKeyPair,
@@ -263,6 +264,7 @@ class PcsDatabase:
         self.created_at = created_at
         self.platforms: dict[bytes, CertChain] = {}
         self._crl = _sign(Crl(CA_SUBJECT, 0, frozenset(), b""), ca_key)
+        self.path = None
 
     @classmethod
     def create(cls, now: int) -> "PcsDatabase":
@@ -306,7 +308,7 @@ class PcsDatabase:
                           now, min(now + DEFAULT_LEAF_VALIDITY, ca.not_after),
                           tcb_level=tcb_level)
             chain = CertChain(self.root_cert, self.ca_cert, leaf)
-            self.platforms[platform_id] = chain
+            self._commit({**self.platforms, platform_id: chain}, self._crl)
             return PlatformIdentity(platform_id, key.private, key.public, tcb_level), chain
 
     def fetch(self, platform_id: bytes) -> tuple[CertChain, Crl]:
@@ -323,31 +325,43 @@ class PcsDatabase:
             if platform_id not in self.platforms:
                 raise UnknownPlatformError(platform_id.hex())
             crl = self._crl
-            self._crl = _sign(replace(crl, sequence=crl.sequence + 1,
-                                      revoked=crl.revoked | {platform_id}),
-                              self.ca_key)
+            self._commit(self.platforms, _sign(replace(crl, sequence=crl.sequence + 1,
+                                                       revoked=crl.revoked | {platform_id}),
+                                               self.ca_key))
             return self._crl
+
+    def _commit(self, platforms: dict[bytes, CertChain], crl: Crl) -> None:
+        """Under the lock: make (platforms, crl) the registry, saved first
+        to `path` when it is set, so a failed save changes nothing."""
+        if self.path is not None:
+            self._save(self.path, platforms, crl)
+        self.platforms, self._crl = platforms, crl
 
     # -- persistence --
 
-    def _fields(self) -> dict:
-        """This registry as the fields of its file, DATABASE_FILE."""
+    def _fields(self, platforms: dict[bytes, CertChain], crl: Crl) -> dict:
+        """This registry with `platforms` and `crl` as the fields of its
+        file, DATABASE_FILE."""
         return {"root_key": self.root_key, "ca_key": self.ca_key, "root_cert": self.root_cert,
                 "ca_cert": self.ca_cert, "created_at": self.created_at,
                 "platforms": {pid: {"public_key": chain.attestation_key_cert.public_key,
                                     "tcb_level": chain.attestation_key_cert.tcb_level,
-                                    "chain": chain} for pid, chain in self.platforms.items()},
-                "revoked": self._crl.revoked, "crl_sequence": self._crl.sequence}
+                                    "chain": chain} for pid, chain in platforms.items()},
+                "revoked": crl.revoked, "crl_sequence": crl.sequence}
 
     def save(self, path) -> None:
         """Atomic, and under the lock so concurrent savers never interleave."""
+        with self._lock:
+            self._save(path, self.platforms, self._crl)
+
+    def _save(self, path, platforms: dict[bytes, CertChain], crl: Crl) -> None:
         def write(tmp):
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(DATABASE_FILE.encode(self._fields()), fh, indent=2, sort_keys=True)
+                json.dump(DATABASE_FILE.encode(self._fields(platforms, crl)), fh, indent=2,
+                          sort_keys=True)
                 fh.write("\n")
 
-        with self._lock:
-            replace_atomically(path, write)
+        replace_atomically(path, write)
 
     @classmethod
     def load(cls, path) -> "PcsDatabase":
@@ -362,7 +376,7 @@ class PcsDatabase:
         db.platforms = {subject_platform_id(rec["chain"].attestation_key_cert.subject):
                         rec["chain"] for rec in d["platforms"].values()}
         db._crl = _sign(Crl(CA_SUBJECT, d["crl_sequence"], d["revoked"], b""), db.ca_key)
-        if db._fields() != d:
+        if db._fields(db.platforms, db._crl) != d:
             raise ValueError("a copy in the file differs from what it copies")
         return db
 

@@ -44,8 +44,10 @@ def _fetch_resp(chain: CertChain, crl: Crl) -> bytes:
 
 
 class PcsServer(wire.FrameServer):
-    """Serves one PcsDatabase over TCP; persists after every mutation when
-    a db_path is given. One FrameServer worker serves each connection; the
+    """Serves one PcsDatabase over TCP. A db_path, when given, becomes the
+    database's `path`, so each mutation is saved before it is served; a
+    register or revoke whose save fails closes the connection with no reply
+    and changes nothing. One FrameServer worker serves each connection; the
     database's own lock serializes mutations. A malformed request gets a
     PCS_ERROR reply and the connection stays open. A FETCH_RESP is packed
     once per distinct chain and CRL among the newest PACKED_SIZE, so a
@@ -55,7 +57,7 @@ class PcsServer(wire.FrameServer):
                  db_path=None, now_source=time.time):
         super().__init__(host, port)
         self.db = db
-        self.db_path = db_path
+        db.path = db_path
         self.now_source = now_source
 
     def _handle(self, frame_type: int, payload: bytes) -> tuple[int, bytes]:
@@ -68,21 +70,15 @@ class PcsServer(wire.FrameServer):
             if frame_type == wire.PCS_REGISTER_REQ:
                 platform, chain = self.db.register(
                     codec.unpack(REGISTER_REQ, payload)["tcb_level"], now=int(self.now_source()))
-                self._persist()
                 return wire.PCS_REGISTER_RESP, codec.pack(IDENTITY,
                                                           {"platform": platform, "chain": chain})
             crl = self.db.revoke(codec.unpack(PLATFORM_REQ, payload)["platform_id"])
-            self._persist()
             return wire.PCS_REVOKE_RESP, codec.pack(REVOKE_RESP, {"crl": crl})
         except UnknownPlatformError:
             reason = "unknown_platform"
         except wire.DECODE_ERRORS:
             reason = "bad_request"
         return wire.PCS_ERROR, codec.pack(PCS_ERROR, {"reason": reason})
-
-    def _persist(self) -> None:
-        if self.db_path is not None:
-            self.db.save(self.db_path)
 
 
 class PcsClientError(Failure):
@@ -96,11 +92,15 @@ _STALE = (wire.ConnectionClosedError, ConnectionError)
 
 
 class PcsPool:
-    """At most POOL_SIZE idle connections to the PCS at `addr`, reused by
-    `fetch_platform` only: a fetch is idempotent, so a request on a
-    connection the PCS has closed is sent once more on a fresh one.
-    Connections open on first use; `close()` closes the idle ones, and any
-    in use close when their request ends. `crl` is the key server's
+    """Every PCS request runs on a PcsPool, which keeps at most POOL_SIZE
+    idle connections to the PCS at `addr`. A request takes the newest idle
+    connection, or opens a fresh one, and gives it back after a reply that
+    decodes, PCS_ERROR included; on any other end it closes it. A request
+    on a reused connection that the PCS has closed is sent once more on a
+    fresh one. A closed pool keeps no connection, so each request on it
+    runs on a fresh connection that closes when the request ends: that is
+    a one-shot request, and register and revoke are only ever one-shot, so
+    only an idempotent fetch is ever sent twice. `crl` is the key server's
     crl_provider: every call fetches a fresh CRL.
 
     The pool keeps the decoded value of the newest DECODED_SIZE distinct
@@ -137,99 +137,79 @@ class PcsPool:
         for conn in idle:
             conn.close()
 
-    def _count(self, name: str) -> None:
-        with self._lock:
-            self._counts[name] += 1
-
-    def _take(self) -> socket.socket | None:
-        with self._lock:
-            if not self._idle:
-                return None
-            self._counts["reused"] += 1
-            return self._idle.pop()  # the newest: the least likely to have idled out
-
-    def _give_back(self, conn: socket.socket) -> None:
+    def _request(self, frame_type: int, request: bytes, reply):
+        """The reply to a request of `frame_type`, decoded as kind `reply`;
+        PcsClientError with the server's reason for a PCS_ERROR, or with
+        "bad_response" for a reply of another type, one that does not decode
+        or a PCS_ERROR reason that WIRE.md does not name."""
+        with self._lock:  # the newest idle connection: the least likely to have idled out
+            conn = self._idle.pop() if self._idle else None
+            if conn is not None:
+                self._counts["reused"] += 1
+        while True:
+            reused = conn is not None
+            if not reused:
+                conn = socket.create_connection(self.addr, timeout=wire.CLIENT_TIMEOUT)
+                with self._lock:
+                    self._counts["connected"] += 1
+            try:
+                wire.send_frame(conn, frame_type, request)
+                got_type, payload = wire.recv_frame(conn)
+                # each reply type is its request type plus one (WIRE.md § Frame types)
+                if got_type not in (frame_type + 1, wire.PCS_ERROR):
+                    raise PcsClientError("bad_response")
+                try:
+                    value = (codec.unpack(PCS_ERROR, payload) if got_type == wire.PCS_ERROR
+                             else self._unpack(reply, payload))
+                except wire.DECODE_ERRORS:
+                    raise PcsClientError("bad_response") from None
+                break
+            except BaseException as exc:
+                conn.close()
+                if not (reused and isinstance(exc, _STALE)):
+                    raise
+                conn = None
+                with self._lock:
+                    self._counts["retried"] += 1
         with self._lock:
             if not self._closed and len(self._idle) < POOL_SIZE:
                 self._idle.append(conn)
-                return
-        conn.close()
-
-
-def _connect(addr, pool: PcsPool | None) -> socket.socket:
-    conn = socket.create_connection(addr, timeout=wire.CLIENT_TIMEOUT)
-    if pool is not None:
-        pool._count("connected")
-    return conn
-
-
-def _request(addr, frame_type: int, request: bytes, reply, pool: PcsPool | None = None):
-    """The reply to a request of `frame_type`, decoded as kind `reply`;
-    PcsClientError with the server's reason for a PCS_ERROR, or with
-    "bad_response" for a reply of another type, one that does not decode
-    or a PCS_ERROR reason that WIRE.md does not name.
-    Without a pool the connection is one-shot; with one it comes from the
-    pool when one is idle, is retried once on a fresh connection when the
-    PCS has closed it, and goes back to the pool after a reply that decodes."""
-    conn = pool._take() if pool is not None else None
-    reused = conn is not None
-    if not reused:
-        conn = _connect(addr, pool)
-    try:
-        try:
-            wire.send_frame(conn, frame_type, request)
-            got_type, payload = wire.recv_frame(conn)
-        except _STALE:
-            if not reused:
-                raise
+                conn = None
+        if conn is not None:
             conn.close()
-            pool._count("retried")
-            conn = _connect(addr, pool)
-            wire.send_frame(conn, frame_type, request)
-            got_type, payload = wire.recv_frame(conn)
-        # each reply type is its request type plus one (WIRE.md § Frame types)
-        if got_type not in (frame_type + 1, wire.PCS_ERROR):
-            raise PcsClientError("bad_response")
-        try:
-            if got_type == wire.PCS_ERROR:
-                value = codec.unpack(PCS_ERROR, payload)
-            elif pool is not None:
-                value = pool._unpack(reply, payload)
-            else:
-                value = codec.unpack(reply, payload)
-        except wire.DECODE_ERRORS:
-            raise PcsClientError("bad_response") from None
-    except BaseException:
-        conn.close()
-        raise
-    if pool is not None:
-        pool._give_back(conn)
-    else:
-        conn.close()
-    if got_type == wire.PCS_ERROR:
-        raise PcsClientError(value["reason"] if value["reason"] in PcsClientError.KINDS
-                             else "bad_response")
-    return value
+        if got_type == wire.PCS_ERROR:
+            raise PcsClientError(value["reason"] if value["reason"] in PcsClientError.KINDS
+                                 else "bad_response")
+        return value
+
+
+def _one_shot(addr) -> PcsPool:
+    """A pool for one request: closed already, so it keeps no connection."""
+    pool = PcsPool(addr)
+    pool.close()
+    return pool
 
 
 def fetch_platform(addr, platform_id: bytes,
                    pool: PcsPool | None = None) -> tuple[CertChain, Crl]:
-    """The platform's chain and current CRL; over an idle connection of
-    `pool`, a PcsPool for `addr`, when one is given."""
-    reply = _request(addr, wire.PCS_FETCH_REQ,
-                     codec.pack(PLATFORM_REQ, {"platform_id": platform_id}), FETCH_RESP, pool)
+    """The platform's chain and current CRL, fetched over `pool` when one
+    is given (at the pool's own address: `addr` is then not used), else
+    one-shot from the PCS at `addr`."""
+    reply = (pool or _one_shot(addr))._request(
+        wire.PCS_FETCH_REQ, codec.pack(PLATFORM_REQ, {"platform_id": platform_id}), FETCH_RESP)
     return reply["chain"], reply["crl"]
 
 
 def register_platform(addr, tcb_level: int) -> tuple[PlatformIdentity, CertChain]:
-    identity = _request(addr, wire.PCS_REGISTER_REQ,
-                        codec.pack(REGISTER_REQ, {"tcb_level": tcb_level}), IDENTITY)
+    identity = _one_shot(addr)._request(
+        wire.PCS_REGISTER_REQ, codec.pack(REGISTER_REQ, {"tcb_level": tcb_level}), IDENTITY)
     return identity["platform"], identity["chain"]
 
 
 def revoke_platform(addr, platform_id: bytes) -> Crl:
-    return _request(addr, wire.PCS_REVOKE_REQ,
-                    codec.pack(PLATFORM_REQ, {"platform_id": platform_id}), REVOKE_RESP)["crl"]
+    return _one_shot(addr)._request(
+        wire.PCS_REVOKE_REQ, codec.pack(PLATFORM_REQ, {"platform_id": platform_id}),
+        REVOKE_RESP)["crl"]
 
 
 def save_identity(path, platform: PlatformIdentity, chain: CertChain) -> None:

@@ -1,3 +1,4 @@
+import errno
 import json
 import socket
 import struct
@@ -5,12 +6,13 @@ import sys
 import threading
 import time
 from collections import Counter
+from contextlib import closing
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enclavesim import codec, pcs_service, wire
+from enclavesim import attestation, codec, pcs_service, wire
 from enclavesim.attestation import (
     PcsDatabase,
     VerificationPolicy,
@@ -139,11 +141,17 @@ class ScriptedPcs(wire.FrameServer):
         return self.reply
 
 
+def pooled_crl(addr):
+    with closing(PcsPool(addr)) as pool:
+        return pool.crl(b"\x01" * 16)
+
+
 @pytest.mark.parametrize("call,expect", [
     (lambda addr: fetch_platform(addr, b"\x01" * 16), wire.PCS_FETCH_RESP),
+    (pooled_crl, wire.PCS_FETCH_RESP),
     (lambda addr: register_platform(addr, 1), wire.PCS_REGISTER_RESP),
     (lambda addr: revoke_platform(addr, b"\x01" * 16), wire.PCS_REVOKE_RESP),
-], ids=["fetch", "register", "revoke"])
+], ids=["fetch", "pooled-fetch", "register", "revoke"])
 def test_undecodable_pcs_reply_is_a_bad_response(call, expect):
     wrong = wire.PCS_REVOKE_RESP if expect != wire.PCS_REVOKE_RESP else wire.PCS_FETCH_RESP
     srv = ScriptedPcs("127.0.0.1", 0).start()
@@ -156,6 +164,63 @@ def test_undecodable_pcs_reply_is_a_bad_response(call, expect):
             assert info.value.kind == "bad_response"
     finally:
         srv.stop()
+
+
+class SilentPcs(wire.FrameServer):
+    """Records each request and closes the connection with no reply."""
+
+    def __init__(self):
+        super().__init__("127.0.0.1", 0)
+        self.requests = []
+
+    def _handle(self, frame_type, payload):
+        self.requests.append(frame_type)
+
+
+@pytest.mark.parametrize("call,frame_type", [
+    (lambda addr: register_platform(addr, 1), wire.PCS_REGISTER_REQ),
+    (lambda addr: revoke_platform(addr, b"\x01" * 16), wire.PCS_REVOKE_REQ),
+    (lambda addr: fetch_platform(addr, b"\x01" * 16), wire.PCS_FETCH_REQ),
+], ids=["register", "revoke", "one-shot-fetch"])
+def test_a_request_without_a_reply_is_sent_exactly_once(call, frame_type):
+    with SilentPcs().start() as srv:
+        with pytest.raises((wire.ConnectionClosedError, ConnectionResetError)):
+            call(srv.address)
+        assert srv.requests == [frame_type]
+
+
+def fail_saves(monkeypatch):
+    """Every PcsDatabase save fails as on a full disk, leaving the file as it was."""
+    def no_space(path, write):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(attestation, "replace_atomically", no_space)
+
+
+def test_a_revocation_the_pcs_could_not_save_changes_nothing(pcs_server, tmp_path,
+                                                             monkeypatch):
+    platform, _ = register_platform(pcs_server.address, tcb_level=3)
+    fail_saves(monkeypatch)
+    with pytest.raises((wire.ConnectionClosedError, ConnectionResetError)):
+        revoke_platform(pcs_server.address, platform.platform_id)
+    monkeypatch.undo()
+    # neither the running PCS nor a restart sees the revocation
+    _, served = fetch_platform(pcs_server.address, platform.platform_id)
+    _, reloaded = PcsDatabase.load(tmp_path / "pcs.json").fetch(platform.platform_id)
+    assert (served.sequence, served.revoked) == (reloaded.sequence, reloaded.revoked) \
+        == (0, frozenset())
+    assert revoke_platform(pcs_server.address, platform.platform_id).sequence == 1
+
+
+def test_a_registration_the_pcs_could_not_save_changes_nothing(pcs_server, tmp_path,
+                                                               monkeypatch):
+    fail_saves(monkeypatch)
+    with pytest.raises((wire.ConnectionClosedError, ConnectionResetError)):
+        register_platform(pcs_server.address, tcb_level=3)
+    monkeypatch.undo()
+    assert pcs_server.db.platforms == PcsDatabase.load(tmp_path / "pcs.json").platforms == {}
+    platform, _ = register_platform(pcs_server.address, tcb_level=3)
+    assert list(PcsDatabase.load(tmp_path / "pcs.json").platforms) == [platform.platform_id]
 
 
 # a PCS_ERROR's reason: the client's PcsClientError kind. WIRE.md names
