@@ -10,8 +10,8 @@ clock is always an explicit argument so expiry is deterministic.
 from __future__ import annotations
 
 import functools
-import json
 import os
+import pathlib
 import struct
 import threading
 from dataclasses import dataclass, field, replace
@@ -355,13 +355,8 @@ class PcsDatabase:
             self._save(path, self.platforms, self._crl)
 
     def _save(self, path, platforms: dict[bytes, CertChain], crl: Crl) -> None:
-        def write(tmp):
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(DATABASE_FILE.encode(self._fields(platforms, crl)), fh, indent=2,
-                          sort_keys=True)
-                fh.write("\n")
-
-        replace_atomically(path, write)
+        data = codec.dump(DATABASE_FILE, self._fields(platforms, crl))
+        replace_atomically(path, lambda tmp: pathlib.Path(tmp).write_bytes(data))
 
     @classmethod
     def load(cls, path) -> "PcsDatabase":

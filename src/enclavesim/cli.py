@@ -14,6 +14,7 @@ start loads neither the demo nor the subsystems it does not serve.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import signal
 import sys
@@ -248,19 +249,15 @@ def cmd_enclave_run(args) -> int:
 # -- demo ----------------------------------------------------------------------
 
 def cmd_demo(args) -> int:
-    from .workflow import FAULTS, DemoConfig, parse_config, workflow_demo
-    if args.fault is not None and args.fault not in FAULTS:
-        raise CliError(f"argument --fault: invalid choice: {args.fault!r} "
-                       f"(choose from {', '.join(FAULTS)})")
+    from .workflow import DemoConfig, parse_config, workflow_demo
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = parse_config(fh.read())
     else:
         config = DemoConfig()
-    if args.fault:
-        config.fault = args.fault
-    if args.workdir:
-        config.workdir = args.workdir
+    overrides = {"fault": args.fault, "workdir": args.workdir}
+    config = dataclasses.replace(
+        config, **{name: value for name, value in overrides.items() if value is not None})
     report = workflow_demo(config)
     print()
     print(report.table())

@@ -15,6 +15,7 @@ from . import wire
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_RECORD_FILE = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 def canonical_json(obj) -> bytes:
@@ -189,17 +190,13 @@ def unpack(kind, payload: bytes):
     return kind.decode(value)
 
 
-def _one_value_per_key(pairs: list) -> dict:
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"repeated key {key!r:.40}")
-        obj[key] = value
-    return obj
+def dump(kind, value) -> bytes:
+    """The record file of `value`: its encoding as JSON with sorted keys,
+    indented by 2, and a final newline. `load` reads it back."""
+    return _RECORD_FILE.encode(kind.encode(value)).encode("utf-8") + b"\n"
 
 
 def load(kind, data: bytes):
     """A record file's value, which must decode as `kind`; its layout is
-    free, but no object may repeat a key. (Wire payloads need no such check:
-    `unpack` requires their canonical JSON, which never repeats one.)"""
-    return kind.decode(json.loads(data.decode("utf-8"), object_pairs_hook=_one_value_per_key))
+    free (`wire.read_json` refuses a repeated key)."""
+    return kind.decode(wire.read_json(data))

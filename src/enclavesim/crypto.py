@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -77,10 +76,6 @@ def kdf(root: bytes, label: str, context: bytes) -> bytes:
     if len(encoded) > MAX_KDF_LABEL:
         raise ValueError(f"KDF label longer than {MAX_KDF_LABEL} bytes")
     return hmac.digest(root, encoded + b"\x00" + context, "sha256")
-
-
-def random_bytes(n: int) -> bytes:
-    return os.urandom(n)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ kernel, keeps it across all rows at once, so its output is bit-identical.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import struct
 from dataclasses import dataclass
@@ -74,7 +73,7 @@ class WorkloadSpec:
     key_name: str
 
     def to_json(self) -> bytes:
-        return json.dumps(self.RECORD.encode(self), sort_keys=True, indent=2).encode() + b"\n"
+        return codec.dump(self.RECORD, self)
 
 
 @dataclass
@@ -96,6 +95,8 @@ class LinearModel:
         if len(data) < 8:
             raise ValueError("model shorter than its dimension header")
         rows, cols = struct.unpack_from("<II", data, 0)
+        if cols == 0:
+            raise ValueError("model has no input columns")
         expect = 8 + 8 * (rows * cols + rows)
         if len(data) != expect:
             raise ValueError(f"model should be {expect} bytes for {rows}x{cols}, "
@@ -214,17 +215,10 @@ class EnclaveInstance:
         cls = self.path_class(path)
         if cls == CLASS_PROTECTED:
             raise EnclaveAccessError(f"{path} is protected; open it with open_protected")
-        if cls == CLASS_TRUSTED:
-            return self._read_trusted(path)
-        with open(self.resolve(path), "rb") as fh:
-            return fh.read()
-
-    def _read_trusted(self, path: str) -> bytes:
-        """Content of a trusted file (canonical path), hashed once and
-        compared with the manifest."""
         with open(self.resolve(path), "rb") as fh:
             content = fh.read()
-        if crypto.hash_data(content) != self.manifest.trusted_file_hashes[path]:
+        if cls == CLASS_TRUSTED and \
+                crypto.hash_data(content) != self.manifest.trusted_file_hashes[path]:
             raise StartError("trusted_file_mismatch", path)
         return content
 
@@ -326,7 +320,7 @@ def enclave_start(final: FinalManifest, host_root,
     instance = EnclaveInstance(final, measurement, host_root, platform, cert_chain)
     for path in final.template.trusted_files:
         try:
-            instance._read_trusted(path)
+            instance.read_file(path)
         except (EnclaveAccessError, OSError):
             raise StartError("trusted_file_mismatch", path)
     return instance

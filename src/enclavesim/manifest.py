@@ -230,7 +230,7 @@ def _build_template(scalars, lists, env) -> ManifestTemplate:
         seen_enclave_paths.add(enclave)
         mounts.append(MountEntry(host_path=host, enclave_path=enclave))
 
-    trusted, protected = [], []
+    trusted, protected = {}, {}  # canonical path -> its line
     for target, key in ((trusted, "sgx.trusted_file"), (protected, "sgx.protected_file")):
         for lineno, value in lists[key]:
             if not value:
@@ -238,18 +238,18 @@ def _build_template(scalars, lists, env) -> ManifestTemplate:
             value = _canonical(value, lineno)
             if value in target:
                 raise ParseError(f"duplicate path {value!r}", lineno)
-            target.append(value)
-    overlap = set(trusted) & set(protected)
-    if overlap:
-        raise ParseError(f"path marked both trusted and protected: {sorted(overlap)[0]!r}")
+            target[value] = lineno
+    for path, lineno in trusted.items():
+        if any(path_under(path, p) for p in protected):
+            raise ParseError(f"path marked both trusted and protected: {path!r}", lineno)
 
     return ManifestTemplate(
         entrypoint=entrypoint,
         args=[v for _, v in lists["app.arg"]],
         env={name: v for name, (_, v) in env.items()},
         mounts=mounts,
-        trusted_files=trusted,
-        protected_files=protected,
+        trusted_files=list(trusted),
+        protected_files=list(protected),
         enclave_size=enclave_size,
         max_threads=max_threads,
     )

@@ -6,7 +6,7 @@ Payloads are JSON; message types and schemas in WIRE.md.
 from __future__ import annotations
 
 import functools
-import json
+import pathlib
 import socket
 import threading
 import time
@@ -215,12 +215,8 @@ def revoke_platform(addr, platform_id: bytes) -> Crl:
 def save_identity(path, platform: PlatformIdentity, chain: CertChain) -> None:
     """The identity file that `pcs register --identity-out` writes; it holds
     the platform's attestation private key, so it is owner-only."""
-    def write(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(IDENTITY.encode({"platform": platform, "chain": chain}), fh, indent=2)
-            fh.write("\n")
-
-    replace_atomically(path, write)
+    data = codec.dump(IDENTITY, {"platform": platform, "chain": chain})
+    replace_atomically(path, lambda tmp: pathlib.Path(tmp).write_bytes(data))
 
 
 def load_identity(path) -> tuple[PlatformIdentity, CertChain]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import socket
 import threading
 import time
@@ -116,7 +117,7 @@ def vault_save(vault: KeyVault, path, passphrase: str) -> None:
     """Store the vault as a protected container; dogfoods the package's
     own storage. The fresh container uuid serves as the KDF salt. The old
     vault stays in place until the new one is complete."""
-    salt = crypto.random_bytes(16)
+    salt = os.urandom(16)
 
     def write(tmp):
         with ProtectedFile.create(tmp, VAULT_LABEL, _vault_key(passphrase, salt),

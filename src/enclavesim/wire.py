@@ -47,10 +47,21 @@ PCS_ERROR = 0x3f
 DECODE_ERRORS = (ValueError, RecursionError)
 
 
+def _one_value_per_key(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r:.40}")
+        obj[key] = value
+    return obj
+
+
 def read_json(data: bytes):
-    """The JSON value in `data`, which must be strict UTF-8 (RFC 8259 8.1):
-    UTF-16, UTF-32, a BOM or a lone surrogate raise ValueError."""
-    return json.loads(data.decode("utf-8"))
+    """The one JSON reader, of payloads and files alike: the JSON value in
+    `data`, which must be strict UTF-8 (RFC 8259 8.1), so UTF-16, UTF-32,
+    a BOM or a lone surrogate raise ValueError, as does an object that
+    repeats a key."""
+    return json.loads(data.decode("utf-8"), object_pairs_hook=_one_value_per_key)
 
 
 class WireError(Exception):

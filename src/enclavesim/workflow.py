@@ -90,6 +90,9 @@ class DemoConfig:
     def __post_init__(self):
         if self.fault not in FAULTS:
             raise ValueError(f"fault must be one of {FAULTS}, got {self.fault!r}")
+        for name in ("model_rows", "model_cols", "input_rows"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def parse_config(text: str) -> DemoConfig:
@@ -212,7 +215,7 @@ def workflow_demo(config: DemoConfig, log=print) -> DemoReport:
         measurement = compute_measurement(final)
         log(f"   signer measurement: {measurement.hex}")
 
-        master_key = crypto.random_bytes(32)
+        master_key = os.urandom(32)
 
         with ExitStack() as servers:
             pcs_db = PcsDatabase.create(now=int(time.time()))

@@ -156,11 +156,12 @@ def test_failed_save_leaves_the_old_database(tmp_path, monkeypatch):
     before = path.read_bytes()
     db.register(tcb_level=5, now=NOW)
 
-    def dump_then_fail(obj, fh, **kwargs):
-        fh.write('{"ca_key": ')
+    def write_then_fail(tmp, data):
+        with open(tmp, "wb") as fh:
+            fh.write(b'{"ca_key": ')
         raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", dump_then_fail)
+    monkeypatch.setattr(Path, "write_bytes", write_then_fail)
     with pytest.raises(OSError, match="disk full"):
         db.save(path)
     assert path.read_bytes() == before

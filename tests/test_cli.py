@@ -461,6 +461,11 @@ def demo_config_bad_int(tmp_path):
     return ["demo", "--config", tmp_path / "demo.cfg", "--workdir", tmp_path / "w"]
 
 
+def demo_config_no_model_columns(tmp_path):
+    (tmp_path / "demo.cfg").write_text("model_cols = 0\n")
+    return ["demo", "--config", tmp_path / "demo.cfg", "--workdir", tmp_path / "w"]
+
+
 def enclave_run_keyserver_refused(tmp_path):
     return enclave_run_args(tmp_path)
 
@@ -495,6 +500,7 @@ def usage_pfs_verify_no_arguments(tmp_path):
     pcs_serve_corrupt_db,
     pcs_register_no_pcs_listening,
     demo_config_bad_int,
+    demo_config_no_model_columns,
     enclave_run_keyserver_refused,
     enclave_run_workload_outside_mounts,
     enclave_run_pin_not_hex,

@@ -6,6 +6,7 @@ before the codec existed (fixtures/records) load and re-save unchanged."""
 import copy
 import dataclasses
 import json
+import os
 import socket
 import tempfile
 import threading
@@ -414,7 +415,7 @@ BOUNDARIES = {
                    hex_path=LEAF + ("public_key",),
                    extra={"leaf-tcb-level-2.9": (LEAF + ("tcb_level",), lambda w: 2.9)}),
     "V1": Boundary(lambda w: {"eph_pub": crypto.dh_generate().public.hex(),
-                              "sig": crypto.random_bytes(64).hex()},
+                              "sig": os.urandom(64).hex()},
                    verifier_reply_outcome(wire.HS_V1), "io", hex_path=("sig",)),
     "HS_ERROR": Boundary(lambda w: {"kind": "attestation_failed", "reason": "revoked"},
                          verifier_reply_outcome(wire.HS_ERROR), "io",
@@ -553,6 +554,16 @@ def test_the_record_files_load_and_resave_to_the_same_bytes(tmp_path):
 
     workload = (RECORD_FILES / "workload.json").read_bytes()
     assert codec.load(WorkloadSpec.RECORD, workload).to_json() == workload
+
+
+def test_an_identity_file_in_field_order_loads_to_the_same_value():
+    """Identity files were once written in field order, not sorted; one
+    such file loads to the same value as its sorted form."""
+    data = (RECORD_FILES / "identity.json").read_bytes()
+    value = codec.load(pcs_service.IDENTITY, data)
+    in_field_order = json.dumps(pcs_service.IDENTITY.encode(value), indent=2).encode() + b"\n"
+    assert in_field_order != data
+    assert codec.load(pcs_service.IDENTITY, in_field_order) == value
 
 
 # the record of each record file

@@ -299,6 +299,18 @@ def test_shape_mismatch_detected(tmp_path):
     assert exc.value.kind == "shape_mismatch"
 
 
+def test_a_model_with_no_input_columns_is_shape_mismatch(tmp_path):
+    model = LinearModel(rows=2, cols=0, weights=[[], []], bias=[0.5, 1.5])
+    with pytest.raises(ValueError, match="no input columns"):
+        LinearModel.unpack(model.pack())
+    root, instance, _ = start_with_key(tmp_path, model=model, input_text="\n\n")
+    with pytest.raises(RunError) as exc:
+        instance.run(WORKLOAD)
+    assert (exc.value.kind, exc.value.reason.partition(" (")[0]) \
+        == ("shape_mismatch", "/data/model.pfs")
+    assert not (root / "data" / "output.csv.pfs").exists()
+
+
 @pytest.mark.parametrize("edit", [lambda packed: packed[:-8], lambda packed: packed + bytes(8)],
                          ids=["short", "long"])
 def test_a_model_whose_length_does_not_match_its_header_is_shape_mismatch(tmp_path, edit):

@@ -72,6 +72,12 @@ def test_trusted_and_protected_overlap_rejected():
         parse_template(text)
 
 
+def test_a_trusted_path_beside_a_protected_directory_is_accepted():
+    text = MINIMAL + "sgx.protected_file = /data/x\nsgx.trusted_file = /data/xy\n"
+    t = parse_template(text)
+    assert (t.trusted_files, t.protected_files) == (["/data/xy"], ["/data/x"])
+
+
 def test_non_power_of_two_enclave_size_rejected():
     with pytest.raises(ParseError, match="power of two"):
         parse_template(MINIMAL.replace("1M", "3M"))
@@ -112,14 +118,16 @@ def test_relative_enclave_mount_rejected():
     ("sgx.trusted_file = data/x\n", "absolute"),
     ("sgx.protected_file = /x/../..\n", "climbs above"),
     ("sgx.protected_file = /data\nsgx.protected_file = /app/../data\n", "duplicate path"),
-    ("sgx.trusted_file = /data/x\nsgx.protected_file = /data//x\n", "both trusted and protected"),
+    ("sgx.protected_file = /data//x\nsgx.trusted_file = /data/x\n", "both trusted and protected"),
+    ("sgx.protected_file = /data\nsgx.trusted_file = /data/x\n", "both trusted and protected"),
+    ("sgx.protected_file = /\nsgx.trusted_file = /data/x\n", "both trusted and protected"),
 ], ids=["mount-trailing-slash", "mount-dotdot", "mount-above-root", "trusted-relative",
-        "protected-above-root", "protected-dotdot-duplicate", "trusted-and-protected"])
+        "protected-above-root", "protected-dotdot-duplicate", "trusted-and-protected",
+        "trusted-under-a-protected-directory", "trusted-under-protected-root"])
 def test_non_canonical_duplicates_and_escapes_rejected(extra, message):
     with pytest.raises(ParseError, match=message) as exc:
         parse_template(MINIMAL + extra)
-    if "both" not in message:
-        assert exc.value.line == len(MINIMAL.splitlines()) + extra.count("\n")
+    assert exc.value.line == len(MINIMAL.splitlines()) + extra.count("\n")
 
 
 def test_enclave_paths_are_stored_canonical():

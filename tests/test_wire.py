@@ -20,8 +20,8 @@ def test_read_json_decodes_utf8():
 
 
 @pytest.mark.parametrize("data", [TEXT.encode(codec) for codec in FOREIGN_ENCODINGS.values()]
-                         + [b'"\xed\xa0\x80"', b""],
-                         ids=list(FOREIGN_ENCODINGS) + ["lone-surrogate", "empty"])
+                         + [b'"\xed\xa0\x80"', b"", b'[{"a":1,"a":1}]'],
+                         ids=list(FOREIGN_ENCODINGS) + ["lone-surrogate", "empty", "repeated-key"])
 def test_read_json_rejects_all_but_utf8_json(data):
     with pytest.raises(ValueError):
         wire.read_json(data)

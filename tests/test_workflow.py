@@ -150,6 +150,12 @@ seed = 123
     assert config.host == "127.0.0.1"
 
 
+@pytest.mark.parametrize("name", ["model_rows", "model_cols", "input_rows"])
+def test_a_demo_dimension_below_1_is_refused(name):
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+        DemoConfig(**{name: 0})
+
+
 def test_parse_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         parse_config("bogus = 1\n")
