@@ -45,15 +45,17 @@ def _check_nonce(nonce: bytes) -> None:
 
 def aead_seal(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
     """AES-256-GCM seal. Returns ciphertext || 16-byte tag."""
-    _check_key(key)
-    _check_nonce(nonce)
+    if len(key) != KEY_SIZE or len(nonce) != NONCE_SIZE:
+        _check_key(key)
+        _check_nonce(nonce)
     return AESGCM(key).encrypt(nonce, plaintext, aad)
 
 
 def aead_open(key: bytes, nonce: bytes, aad: bytes, sealed: bytes) -> bytes:
     """Inverse of aead_seal; raises AuthError on any authentication failure."""
-    _check_key(key)
-    _check_nonce(nonce)
+    if len(key) != KEY_SIZE or len(nonce) != NONCE_SIZE:
+        _check_key(key)
+        _check_nonce(nonce)
     if len(sealed) < TAG_SIZE:
         raise AuthError("sealed input shorter than the authentication tag")
     try:

@@ -95,6 +95,8 @@ class LinearModel:
         if len(data) < 8:
             raise ValueError("model shorter than its dimension header")
         rows, cols = struct.unpack_from("<II", data, 0)
+        if rows == 0:
+            raise ValueError("model has no outputs")
         if cols == 0:
             raise ValueError("model has no input columns")
         expect = 8 + 8 * (rows * cols + rows)

@@ -16,14 +16,18 @@ Every MHT and data node is sealed under a fresh random key, which its
 parent entry (48 bytes, as on disk) holds with the node's GCM tag; only
 the header key is derived from the master key. The block cache holds only
 MHT plaintexts: a data block's lives in `_dirty` until a flush seals it.
-Flush reads every old MHT node it reseals first, then seals the dirty and
-new blocks one run at a time (the consecutive blocks under one bottom
-MHT node, adjacent on disk), patching the run's entries into that node as
-one slice and writing the run as soon as it is sealed, so it holds one
-run of sealed bytes beyond the dirty plaintexts. Then it seals the MHT
-nodes bottom-up, writes them, and writes the header last. A flush
-interrupted mid-write can corrupt the container (detected on later reads,
-not recovered) -- there is deliberately no journaling.
+For a block a write covered whole, `_dirty` holds an immutable value, a
+view of the payload when it is exactly `bytes` and a copy otherwise, so no
+later change to a caller's buffer reaches the container; for a block
+written in part, a `bytearray` patched in place. Flush reads every old MHT
+node it reseals first, then seals the dirty and new blocks one run at a
+time (the consecutive blocks under one bottom MHT node, adjacent on disk),
+patching the run's entries into that node as one slice and writing the
+run as soon as it is sealed, so it holds one run of sealed bytes beyond
+the dirty plaintexts. Then it seals the MHT nodes bottom-up, writes them,
+and writes the header last. A flush interrupted mid-write can corrupt the
+container (detected on later reads, not recovered) -- there is
+deliberately no journaling.
 
 `ProtectedFile.create` reuses an existing file at its path without cutting
 it to zero: it writes the new header over the old one at once, and its
@@ -87,7 +91,7 @@ class ProtectedFile:
         self._disk_root = disk_root
         self._mode = mode
         self._cache = BlockCache(cache_capacity)
-        self._dirty: dict[int, bytearray] = {}
+        self._dirty: dict[int, bytes | memoryview | bytearray] = {}
         self._closed = False
         self._nodes_sealed = 0
         self._nodes_opened = 0
@@ -183,7 +187,13 @@ class ProtectedFile:
 
     def write(self, offset: int, data: bytes) -> None:
         """Buffer `data` at `offset`, extending the file if needed; gaps
-        created by extending writes read back as zeros."""
+        created by extending writes read back as zeros.
+
+        A block the write covers whole is buffered as an immutable value: a
+        view of `data` when it is exactly `bytes`, else a copy, so a caller
+        that later changes its buffer cannot reach the container. A block
+        written in part is a `bytearray`, patched in place, that starts from
+        the block's buffered value, its verified plaintext, or zeros."""
         self._check_open()
         if self._mode != MODE_READWRITE:
             raise ReadOnlyError("handle opened read-only")
@@ -193,20 +203,22 @@ class ProtectedFile:
             return
         end = offset + len(data)
         blocks = range(offset // BLOCK_SIZE, (end - 1) // BLOCK_SIZE + 1)
-        # every block on disk that is not dirty starts from its verified old
-        # plaintext, even when the write covers it whole
+        # every block on disk that is not dirty is verified before it is
+        # replaced, even when the write covers it whole
         opened = self._data_plaintexts(blocks)
+        immutable = type(data) is bytes
+        dirty = self._dirty
         with memoryview(data) as view:
             for i in blocks:
                 base = i * BLOCK_SIZE
                 lo, hi = max(offset - base, 0), min(end - base, BLOCK_SIZE)
                 piece = view[base + lo - offset:base + hi - offset]
-                buf = self._dirty.get(i)
-                if buf is None:
-                    if hi - lo == BLOCK_SIZE and i not in opened:  # a new block, written whole
-                        self._dirty[i] = bytearray(piece)
-                        continue
-                    buf = self._dirty[i] = bytearray(opened.get(i, ZERO_BLOCK))
+                if hi - lo == BLOCK_SIZE:
+                    dirty[i] = piece if immutable else bytes(piece)
+                    continue
+                buf = dirty.get(i)
+                if type(buf) is not bytearray:
+                    buf = dirty[i] = bytearray(opened.get(i, ZERO_BLOCK) if buf is None else buf)
                 buf[lo:hi] = piece
         self._file_size = max(self._file_size, end)
 
@@ -329,14 +341,14 @@ class ProtectedFile:
         """Seal nodes `indices` of `kind` under fresh keys, so the fixed nonce
         never repeats under a key, into `out` one after another; returns
         their parent entries, joined."""
+        aead_seal, prefix = crypto.aead_seal, self._aad_prefix[kind]
         keys = os.urandom(KEY_SIZE * len(indices))
-        prefix = self._aad_prefix[kind]
         entries = []
         for k, (index, plain) in enumerate(zip(indices, plaintexts)):
             key = keys[k * KEY_SIZE:(k + 1) * KEY_SIZE]
-            sealed = crypto.aead_seal(key, fmt.NODE_NONCE, fmt.node_aad(prefix, index), plain)
+            sealed = aead_seal(key, fmt.NODE_NONCE, fmt.node_aad(prefix, index), plain)
             out[k * NODE_DISK_SIZE:(k + 1) * NODE_DISK_SIZE] = sealed
-            entries += (key, sealed[-TAG_SIZE:])
+            entries += key, sealed[-TAG_SIZE:]
         self._nodes_sealed += len(indices)
         return b"".join(entries)
 
@@ -357,13 +369,14 @@ class ProtectedFile:
         `j`) in block order, after one fetch of that node and one disk read
         from the first block to the last; they are adjacent on disk."""
         bottom = self._fetch_mht_plaintext(1, j)
-        first = blocks[0]
+        first, base = blocks[0], j * FANOUT
         run = memoryview(self._read_nodes(fmt.data_position(first), blocks[-1] - first + 1))
-        opened = []
-        for i in blocks:
-            at, node = (i - j * FANOUT) * ENTRY_SIZE, (i - first) * NODE_DISK_SIZE
-            opened.append(self._check_node(fmt.KIND_DATA, i, bottom[at:at + ENTRY_SIZE],
-                                           run[node:node + NODE_DISK_SIZE]))
+        check, aead_open = self._check_node, crypto.aead_open
+        opened = [check(aead_open, fmt.KIND_DATA, i,
+                        bottom[(i - base) * ENTRY_SIZE:(i - base + 1) * ENTRY_SIZE],
+                        run[(i - first) * NODE_DISK_SIZE:(i - first + 1) * NODE_DISK_SIZE])
+                  for i in blocks]
+        self._nodes_opened += len(opened)
         return opened
 
     def _fetch_mht_plaintext(self, height: int, j: int) -> bytes:
@@ -376,7 +389,8 @@ class ProtectedFile:
         else:
             at = j % FANOUT * ENTRY_SIZE
             entry = self._fetch_mht_plaintext(height + 1, j // FANOUT)[at:at + ENTRY_SIZE]
-        plain = self._check_node(fmt.KIND_MHT, p, entry, self._read_nodes(p))
+        plain = self._check_node(crypto.aead_open, fmt.KIND_MHT, p, entry, self._read_nodes(p))
+        self._nodes_opened += 1
         self._cache.put(p, plain)
         return plain
 
@@ -387,18 +401,19 @@ class ProtectedFile:
         self._fh.seek(fmt.node_offset(position))
         return self._fh.read(count * NODE_DISK_SIZE)
 
-    def _check_node(self, kind: str, index: int, entry: bytes,
+    def _check_node(self, aead_open, kind: str, index: int, entry: bytes,
                     sealed: bytes | memoryview) -> bytes:
         """Check one node's sealed bytes against the tag in its parent `entry`
-        and open them under its key; `IntegrityError.node` names failures."""
+        and open them under its key with `aead_open`, the caller's lookup of
+        `crypto.aead_open`; `IntegrityError.node` names failures. The caller
+        counts the nodes it opened."""
         if len(sealed) != NODE_DISK_SIZE:
             raise IntegrityError(f"{kind}:{index} truncated on disk", f"{kind}:{index}")
         if not hmac.compare_digest(sealed[-TAG_SIZE:], entry[KEY_SIZE:]):
             raise IntegrityError(f"{kind}:{index} tag mismatch", f"{kind}:{index}")
-        self._nodes_opened += 1
         try:
-            return crypto.aead_open(entry[:KEY_SIZE], fmt.NODE_NONCE,
-                                    fmt.node_aad(self._aad_prefix[kind], index), sealed)
+            return aead_open(entry[:KEY_SIZE], fmt.NODE_NONCE,
+                             fmt.node_aad(self._aad_prefix[kind], index), sealed)
         except crypto.AuthError:
             raise IntegrityError(f"{kind}:{index} failed authentication", f"{kind}:{index}")
 

@@ -107,11 +107,14 @@ def test_aead_short_sealed_rejected():
         crypto.aead_open(b"k" * 32, b"n" * 12, b"", b"\x00" * 15)
 
 
-def test_bad_key_and_nonce_lengths():
-    with pytest.raises(ValueError):
-        crypto.aead_seal(b"short", b"n" * 12, b"", b"")
-    with pytest.raises(ValueError):
-        crypto.aead_seal(b"k" * 32, b"n" * 11, b"", b"")
+@pytest.mark.parametrize("aead", [crypto.aead_seal, crypto.aead_open], ids=["seal", "open"])
+@pytest.mark.parametrize("key_size, nonce_size", [(5, 12), (16, 12), (24, 12),
+                                                  (32, 11), (32, 8), (32, 16)])
+def test_bad_key_and_nonce_lengths(aead, key_size, nonce_size):
+    # 16- and 24-byte keys and 8- and 16-byte nonces are lengths AES-GCM
+    # itself accepts: only the length check refuses them
+    with pytest.raises(ValueError, match="key must be 32|nonce must be 12"):
+        aead(b"k" * key_size, b"n" * nonce_size, b"", bytes(16))
 
 
 def test_hash_empty_matches_published_digest():

@@ -311,6 +311,19 @@ def test_a_model_with_no_input_columns_is_shape_mismatch(tmp_path):
     assert not (root / "data" / "output.csv.pfs").exists()
 
 
+def test_a_model_with_no_outputs_is_shape_mismatch(tmp_path):
+    # its output would be one blank line per input row, which reads back as no rows
+    model = LinearModel(rows=0, cols=2, weights=[], bias=[])
+    with pytest.raises(ValueError, match="no outputs"):
+        LinearModel.unpack(model.pack())
+    root, instance, _ = start_with_key(tmp_path, model=model, input_text="1,2\n3,4\n")
+    with pytest.raises(RunError) as exc:
+        instance.run(WORKLOAD)
+    assert (exc.value.kind, exc.value.reason.partition(" (")[0]) \
+        == ("shape_mismatch", "/data/model.pfs")
+    assert not (root / "data" / "output.csv.pfs").exists()
+
+
 @pytest.mark.parametrize("edit", [lambda packed: packed[:-8], lambda packed: packed + bytes(8)],
                          ids=["short", "long"])
 def test_a_model_whose_length_does_not_match_its_header_is_shape_mismatch(tmp_path, edit):

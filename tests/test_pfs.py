@@ -279,6 +279,29 @@ def test_readwrite_open_modify(tmp_path):
     assert read_all(p) == b"abba"
 
 
+INVERT = bytes(range(255, -1, -1))  # a `translate` table that changes every byte
+
+
+@pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))],
+                         ids=["bytearray", "memoryview"])
+def test_changing_a_mutable_payload_after_the_write_leaves_the_container(tmp_path, wrap):
+    # a partial head over a block on disk, a whole block on disk, a whole
+    # new block and a partial new tail
+    p = tmp_path / "f.pfs"
+    old = random.Random(23).randbytes(2 * BLOCK_SIZE)
+    payload = random.Random(29).randbytes(3 * BLOCK_SIZE)
+    want = old[:100] + payload
+    make_file(p, old)
+    source = wrap(payload)
+    with ProtectedFile.open(p, "file.bin", KEY, mode="rw") as pf:
+        pf.write(100, source)
+        source[:] = payload.translate(INVERT)
+        assert pf.read(0, pf.size) == want
+        pf.flush()
+        assert pf.read(0, pf.size) == want
+    assert read_all(p) == want
+
+
 # -- flush / close ------------------------------------------------------
 
 def test_flush_then_reopen(tmp_path):
@@ -891,6 +914,24 @@ def test_a_flush_allocates_one_run_beyond_its_dirty_plaintexts(tmp_path):
     assert read_all(tmp_path / "f.pfs") == data
 
 
+def test_buffering_whole_blocks_of_bytes_copies_none_of_them(tmp_path):
+    # 8 MiB of bytes pieces of 64 KiB: each whole block is buffered as a view
+    # of its piece, so the write allocates only per-block bookkeeping, about
+    # 250 bytes a block; a copy of each block would peak above 8 MiB
+    data = random.Random(97).randbytes(2048 * BLOCK_SIZE)
+    pieces = [(off, data[off:off + (64 << 10)]) for off in range(0, len(data), 64 << 10)]
+    with ProtectedFile.create(tmp_path / "f.pfs", "file.bin", KEY) as pf:
+        tracemalloc.start()
+        try:
+            for off, piece in pieces:
+                pf.write(off, piece)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 ** 20, f"buffering peaked at {peak} bytes"
+    assert read_all(tmp_path / "f.pfs") == data
+
+
 class RecordingFile:
     """Stands in for a container's file object and records each read and
     write as (kind, first byte, end), in file offsets."""
@@ -1107,8 +1148,10 @@ class ProtectedFileMachine(RuleBasedStateMachine):
     starts it again from empty, so it shrinks as well as grows. Whatever the
     handle flushes, the FORMAT.md-only reader reads back; a flush that dies
     part way leaves the snapshot, the model or an IntegrityError, and never
-    other bytes, nor the plaintext from before a create; and a flipped bit
-    fails at the node that holds it, for a read and an audit."""
+    other bytes, nor the plaintext from before a create; a write's payload
+    is bytes, a bytearray or a view of one, and changing a mutable one after
+    the call changes nothing the handle holds; and a flipped bit fails at the
+    node that holds it, for a read and an audit."""
 
     def __init__(self):
         super().__init__()
@@ -1136,9 +1179,13 @@ class ProtectedFileMachine(RuleBasedStateMachine):
                                      cache_capacity=self.capacity)
 
     @rule(offset=st.one_of(st.integers(0, 68 * BLOCK_SIZE), NEAR_SHAPE_CHANGE),
-          data=WRITE_DATA)
-    def write(self, offset, data):
-        self.pf.write(offset, data)
+          data=WRITE_DATA, wrap=st.sampled_from([bytes, bytearray,
+                                                 lambda b: memoryview(bytearray(b))]))
+    def write(self, offset, data, wrap):
+        source = wrap(data)
+        self.pf.write(offset, source)
+        if not isinstance(source, bytes):
+            source[:] = data.translate(INVERT)  # the container keeps what was written
         if offset > len(self.model):
             self.model.extend(bytes(offset - len(self.model)))
         apply_writes(self.model, [(offset, data)])
