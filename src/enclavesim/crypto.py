@@ -5,6 +5,12 @@ AES-256-GCM for AEAD, SHA-256 for hashing, HMAC-SHA-256 for key derivation,
 X25519 for ephemeral key agreement, Ed25519 for signatures. All functions
 are pure; nonce discipline is the caller's responsibility.
 
+`aead_seal` and `aead_open` take the `AESGCM` object of a key from one
+bounded memo, so a caller that seals or opens many messages under one key
+(a container flush, a channel direction) sets the key up once. The memo
+keeps the cipher objects, and with them the keys, of the last
+`AEAD_CIPHERS` keys used alive in this process.
+
 A key pair holds its parsed private key object, so each private key is
 parsed once, when its pair is made, and `sign` and `dh_shared` take the
 pair. No repr of a pair shows its private key.
@@ -12,6 +18,7 @@ pair. No repr of a pair shows its private key.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 from dataclasses import dataclass, field
@@ -27,6 +34,7 @@ TAG_SIZE = 16
 DIGEST_SIZE = 32
 SIGNATURE_SIZE = 64
 MAX_KDF_LABEL = 32
+AEAD_CIPHERS = 16  # cipher objects kept by `_cipher`, one per key
 
 
 class AuthError(Exception):
@@ -43,12 +51,18 @@ def _check_nonce(nonce: bytes) -> None:
         raise ValueError(f"nonce must be {NONCE_SIZE} bytes, got {len(nonce)}")
 
 
+@functools.lru_cache(maxsize=AEAD_CIPHERS)
+def _cipher(key: bytes) -> AESGCM:
+    """The AES-256-GCM cipher of a checked 32-byte `bytes` key."""
+    return AESGCM(key)
+
+
 def aead_seal(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
     """AES-256-GCM seal. Returns ciphertext || 16-byte tag."""
     if len(key) != KEY_SIZE or len(nonce) != NONCE_SIZE:
         _check_key(key)
         _check_nonce(nonce)
-    return AESGCM(key).encrypt(nonce, plaintext, aad)
+    return _cipher(key if type(key) is bytes else bytes(key)).encrypt(nonce, plaintext, aad)
 
 
 def aead_open(key: bytes, nonce: bytes, aad: bytes, sealed: bytes) -> bytes:
@@ -59,7 +73,7 @@ def aead_open(key: bytes, nonce: bytes, aad: bytes, sealed: bytes) -> bytes:
     if len(sealed) < TAG_SIZE:
         raise AuthError("sealed input shorter than the authentication tag")
     try:
-        return AESGCM(key).decrypt(nonce, sealed, aad)
+        return _cipher(key if type(key) is bytes else bytes(key)).decrypt(nonce, sealed, aad)
     except InvalidTag:
         raise AuthError("AEAD authentication failed") from None
 

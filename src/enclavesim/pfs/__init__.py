@@ -1,6 +1,7 @@
 """Authenticated encrypted file container: 4KB blocks under a Merkle tree,
-per-node random keys held in the parent node, integrity-protected
-filename, LRU cache of verified MHT nodes."""
+one random key per flush with a nonce per node number, each node's key
+held in its parent node, integrity-protected filename, LRU cache of
+verified MHT nodes."""
 
 from .cache import DEFAULT_CAPACITY, BlockCache
 from .file import (

@@ -12,8 +12,10 @@ the blocks it needs with one disk read and checks them in block order.
 run reader, so an audit verifies exactly what a read does, in the same
 order, with memory bounded by one run plus the block cache.
 
-Every MHT and data node is sealed under a fresh random key, which its
-parent entry (48 bytes, as on disk) holds with the node's GCM tag; only
+Each flush draws one random key and seals every MHT and data node it
+writes under it, each with the nonce of its node number; a flush writes a
+node number at most once, so no (key, nonce) pair repeats. A node's parent
+entry (48 bytes, as on disk) holds that key with the node's GCM tag; only
 the header key is derived from the master key. The block cache holds only
 MHT plaintexts: a data block's lives in `_dirty` until a flush seals it.
 For a block a write covered whole, `_dirty` holds an immutable value, a
@@ -193,22 +195,25 @@ class ProtectedFile:
         view of `data` when it is exactly `bytes`, else a copy, so a caller
         that later changes its buffer cannot reach the container. A block
         written in part is a `bytearray`, patched in place, that starts from
-        the block's buffered value, its verified plaintext, or zeros."""
+        the block's buffered value, its verified plaintext, or zeros.
+
+        `data` is measured in bytes, whatever its item size; a buffer that
+        is not C-contiguous raises `TypeError` with nothing buffered."""
         self._check_open()
         if self._mode != MODE_READWRITE:
             raise ReadOnlyError("handle opened read-only")
         if offset < 0:
             raise ValueError("negative offset")
-        if not data:
-            return
-        end = offset + len(data)
-        blocks = range(offset // BLOCK_SIZE, (end - 1) // BLOCK_SIZE + 1)
-        # every block on disk that is not dirty is verified before it is
-        # replaced, even when the write covers it whole
-        opened = self._data_plaintexts(blocks)
-        immutable = type(data) is bytes
-        dirty = self._dirty
-        with memoryview(data) as view:
+        with memoryview(data) as items, items.cast("B") as view:
+            if not view:
+                return
+            end = offset + len(view)
+            blocks = range(offset // BLOCK_SIZE, (end - 1) // BLOCK_SIZE + 1)
+            # every block on disk that is not dirty is verified before it is
+            # replaced, even when the write covers it whole
+            opened = self._data_plaintexts(blocks)
+            immutable = type(data) is bytes
+            dirty = self._dirty
             for i in blocks:
                 base = i * BLOCK_SIZE
                 lo, hi = max(offset - base, 0), min(end - base, BLOCK_SIZE)
@@ -235,7 +240,7 @@ class ProtectedFile:
 
     def flush(self) -> None:
         """Reseal the dirty data blocks, the new zero blocks of a file that
-        grew, and their MHT ancestors under fresh keys in place, then the
+        grew, and their MHT ancestors in place under one fresh key, then the
         header, then sets the file length. No node ever moves, so every
         other node stays as it is. No-op when nothing changed since the last
         flush, except that a created handle's first flush always sets the
@@ -247,6 +252,7 @@ class ProtectedFile:
                 self._fh.truncate(fmt.container_disk_size(new_n))
                 self._stale_tail = False
             return
+        key = os.urandom(KEY_SIZE)  # this flush's one node key
         old_nodes = old_n + fmt.total_mht_nodes(old_n)  # node numbers on disk
         old_height = len(fmt.mht_level_counts(old_n))
         new_height = len(fmt.mht_level_counts(new_n))
@@ -275,11 +281,12 @@ class ProtectedFile:
         with memoryview(bytearray(min(len(blocks), FANOUT) * NODE_DISK_SIZE)) as out:
             for lo, hi in zip(starts, starts[1:] + [len(blocks)]):
                 run = blocks[lo:hi]
-                entries = self._seal(fmt.KIND_DATA, run,
+                first = fmt.data_position(run[0])
+                entries = self._seal(key, fmt.KIND_DATA, first, run,
                                      [self._dirty.get(i, ZERO_BLOCK) for i in run], out)
                 at = run[0] % FANOUT * ENTRY_SIZE
                 tree[0][run[0] // FANOUT][at:at + len(entries)] = entries
-                self._fh.seek(fmt.node_offset(fmt.data_position(run[0])))
+                self._fh.seek(fmt.node_offset(first))
                 self._fh.write(out[:len(run) * NODE_DISK_SIZE])
 
         # bottom-up, each sealed MHT node patches its entry into its parent
@@ -291,7 +298,7 @@ class ProtectedFile:
             for j, plain in level.items():
                 p = fmt.mht_position(height, j)
                 sealed = bytearray(NODE_DISK_SIZE)
-                entry = self._seal(fmt.KIND_MHT, [p], [plain], sealed)
+                entry = self._seal(key, fmt.KIND_MHT, p, [p], [plain], sealed)
                 mht.append((p, sealed))
                 fresh.append((p, plain))
                 if height < new_height:
@@ -336,17 +343,17 @@ class ProtectedFile:
         if self._closed:
             raise PfsError("handle is closed")
 
-    def _seal(self, kind: str, indices: list[int], plaintexts: list,
-              out: bytearray | memoryview) -> bytes:
-        """Seal nodes `indices` of `kind` under fresh keys, so the fixed nonce
-        never repeats under a key, into `out` one after another; returns
-        their parent entries, joined."""
-        aead_seal, prefix = crypto.aead_seal, self._aad_prefix[kind]
-        keys = os.urandom(KEY_SIZE * len(indices))
+    def _seal(self, key: bytes, kind: str, position: int, indices: list[int],
+              plaintexts: list, out: bytearray | memoryview) -> bytes:
+        """Seal nodes `indices` of `kind`, adjacent on disk from node number
+        `position` on, under the flush's one `key`, each with the nonce of
+        its node number, into `out` one after another; returns their parent
+        entries, joined. The caller seals a node number at most once per
+        key, so no (key, nonce) pair repeats."""
+        aead_seal, prefix, nonce = crypto.aead_seal, self._aad_prefix[kind], fmt.node_nonce
         entries = []
         for k, (index, plain) in enumerate(zip(indices, plaintexts)):
-            key = keys[k * KEY_SIZE:(k + 1) * KEY_SIZE]
-            sealed = aead_seal(key, fmt.NODE_NONCE, fmt.node_aad(prefix, index), plain)
+            sealed = aead_seal(key, nonce(position + k), fmt.node_aad(prefix, index), plain)
             out[k * NODE_DISK_SIZE:(k + 1) * NODE_DISK_SIZE] = sealed
             entries += key, sealed[-TAG_SIZE:]
         self._nodes_sealed += len(indices)
@@ -370,9 +377,10 @@ class ProtectedFile:
         from the first block to the last; they are adjacent on disk."""
         bottom = self._fetch_mht_plaintext(1, j)
         first, base = blocks[0], j * FANOUT
-        run = memoryview(self._read_nodes(fmt.data_position(first), blocks[-1] - first + 1))
+        start = fmt.data_position(first)  # the run's node numbers are consecutive
+        run = memoryview(self._read_nodes(start, blocks[-1] - first + 1))
         check, aead_open = self._check_node, crypto.aead_open
-        opened = [check(aead_open, fmt.KIND_DATA, i,
+        opened = [check(aead_open, fmt.KIND_DATA, i, start + i - first,
                         bottom[(i - base) * ENTRY_SIZE:(i - base + 1) * ENTRY_SIZE],
                         run[(i - first) * NODE_DISK_SIZE:(i - first + 1) * NODE_DISK_SIZE])
                   for i in blocks]
@@ -389,7 +397,7 @@ class ProtectedFile:
         else:
             at = j % FANOUT * ENTRY_SIZE
             entry = self._fetch_mht_plaintext(height + 1, j // FANOUT)[at:at + ENTRY_SIZE]
-        plain = self._check_node(crypto.aead_open, fmt.KIND_MHT, p, entry, self._read_nodes(p))
+        plain = self._check_node(crypto.aead_open, fmt.KIND_MHT, p, p, entry, self._read_nodes(p))
         self._nodes_opened += 1
         self._cache.put(p, plain)
         return plain
@@ -401,18 +409,19 @@ class ProtectedFile:
         self._fh.seek(fmt.node_offset(position))
         return self._fh.read(count * NODE_DISK_SIZE)
 
-    def _check_node(self, aead_open, kind: str, index: int, entry: bytes,
+    def _check_node(self, aead_open, kind: str, index: int, position: int, entry: bytes,
                     sealed: bytes | memoryview) -> bytes:
-        """Check one node's sealed bytes against the tag in its parent `entry`
-        and open them under its key with `aead_open`, the caller's lookup of
-        `crypto.aead_open`; `IntegrityError.node` names failures. The caller
-        counts the nodes it opened."""
+        """Check the sealed bytes of node number `position` against the tag in
+        its parent `entry` and open them under its key and its number's nonce
+        with `aead_open`, the caller's lookup of `crypto.aead_open`;
+        `IntegrityError.node` names failures. The caller counts the nodes it
+        opened."""
         if len(sealed) != NODE_DISK_SIZE:
             raise IntegrityError(f"{kind}:{index} truncated on disk", f"{kind}:{index}")
         if not hmac.compare_digest(sealed[-TAG_SIZE:], entry[KEY_SIZE:]):
             raise IntegrityError(f"{kind}:{index} tag mismatch", f"{kind}:{index}")
         try:
-            return aead_open(entry[:KEY_SIZE], fmt.NODE_NONCE,
+            return aead_open(entry[:KEY_SIZE], fmt.node_nonce(position),
                              fmt.node_aad(self._aad_prefix[kind], index), sealed)
         except crypto.AuthError:
             raise IntegrityError(f"{kind}:{index} failed authentication", f"{kind}:{index}")
@@ -443,7 +452,7 @@ def _open_header(fh, master_key: bytes) -> tuple[bytes, bytes, int, bytes]:
 
 
 def _header_key(master_key: bytes, uuid: bytes) -> bytes:
-    """The one derived key of a container; node keys are random."""
+    """The one derived key of a container; node keys are random, one per flush."""
     return crypto.kdf(master_key, fmt.KIND_HEADER, uuid + struct.pack("<Q", 0))
 
 

@@ -7,7 +7,7 @@ and FORMAT.md "Tree shape"), so no node ever moves.
 
 Header (512 bytes):
     0   8   magic "SEALPFS1"
-    8   4   version u32 = 3
+    8   4   version u32 = 4
     12  16  file_uuid (random, set at creation)
     28  12  header nonce
     40  2   meta_len u16
@@ -24,9 +24,11 @@ sealed_meta plaintext:
 Every MHT node plaintext is 64 child entries of 48 bytes (the child's
 32-byte key, then the 16-byte GCM tag of its sealed bytes; in memory too
 an entry is just these bytes), zero-padded to 4096. The bottom MHT level
-points at data blocks, upper levels at MHT nodes. Each node key is fresh
-random at every seal, so nodes seal under one fixed all-zero nonce; the
-AAD binds an MHT node's number or a data block's index. Versions 1 and 2 are refused, with no converter.
+points at data blocks, upper levels at MHT nodes. A node seals under the
+key in its parent entry with the nonce of its node number (`node_nonce`);
+a writer never seals two plaintexts under one key at one node number. The
+AAD binds an MHT node's number or a data block's index. Versions 1 to 3
+are refused, with no converter.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import struct
 from ..failure import EXIT_INTEGRITY, Failure
 
 MAGIC = b"SEALPFS1"
-VERSION = 3
+VERSION = 4
 HEADER_SIZE = 512
 BLOCK_SIZE = 4096
 TAG_SIZE = 16
@@ -46,7 +48,6 @@ FANOUT = 64
 NONCE_SIZE = 12
 KEY_SIZE = 32
 ENTRY_SIZE = KEY_SIZE + TAG_SIZE
-NODE_NONCE = b"\x00" * NONCE_SIZE
 UUID_SIZE = 16
 MAX_LABEL = 256
 
@@ -133,6 +134,11 @@ def blocks_from_total_nodes(total_nodes: int) -> int:
     if nodes(n) != total_nodes:
         raise IntegrityError(f"no tree shape yields {total_nodes} nodes", "structure")
     return n
+
+
+def node_nonce(position: int) -> bytes:
+    """The nonce of node number `position`: u64le(position) || 0^4."""
+    return position.to_bytes(8, "little") + b"\x00\x00\x00\x00"
 
 
 def node_aad_prefix(uuid: bytes, kind: str) -> bytes:

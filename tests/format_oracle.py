@@ -10,7 +10,7 @@ import struct
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 MAGIC = b"SEALPFS1"
-VERSION = 3
+VERSION = 4
 HEADER = 512
 BLOCK = 4096
 TAG = 16
@@ -83,7 +83,8 @@ def read_container(raw, master_key, label):
         sealed = raw[HEADER + number * NODE:HEADER + (number + 1) * NODE]
         _require(sealed[-TAG:] == entry[KEY:], f"{kind}:{index} tag")
         aad = kind.encode("ascii") + uuid + struct.pack("<Q", index)
-        return AESGCM(entry[:KEY]).decrypt(bytes(12), sealed, aad)
+        nonce = struct.pack("<Q", number) + bytes(4)
+        return AESGCM(entry[:KEY]).decrypt(nonce, sealed, aad)
 
     blocks = []
 

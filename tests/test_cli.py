@@ -94,7 +94,7 @@ def test_pfs_info_without_key(tmp_path, capsys):
     assert "file_size" not in fields
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_pfs_commands_on_a_version_1_container(tmp_path, capsys, version):
     src = tmp_path / "a.bin"
     src.write_bytes(b"\x02" * 5000)

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -112,9 +114,59 @@ def test_aead_short_sealed_rejected():
                                                   (32, 11), (32, 8), (32, 16)])
 def test_bad_key_and_nonce_lengths(aead, key_size, nonce_size):
     # 16- and 24-byte keys and 8- and 16-byte nonces are lengths AES-GCM
-    # itself accepts: only the length check refuses them
+    # itself accepts: only the length check refuses them, before the memo
+    crypto._cipher.cache_clear()
     with pytest.raises(ValueError, match="key must be 32|nonce must be 12"):
         aead(b"k" * key_size, b"n" * nonce_size, b"", bytes(16))
+    assert crypto._cipher.cache_info().currsize == 0
+
+
+def test_the_cipher_memo_holds_at_most_its_size():
+    crypto._cipher.cache_clear()
+    for k in range(crypto.AEAD_CIPHERS + 5):
+        key = k.to_bytes(32, "little")
+        sealed = crypto.aead_seal(key, b"n" * 12, b"aad", b"m")
+        assert crypto.aead_open(key, b"n" * 12, b"aad", sealed) == b"m"
+        assert crypto._cipher.cache_info().currsize <= crypto.AEAD_CIPHERS
+    assert crypto._cipher.cache_info().currsize == crypto.AEAD_CIPHERS
+
+
+@pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))],
+                         ids=["bytearray", "memoryview"])
+def test_a_mutable_key_seals_as_its_bytes(wrap):
+    key, nonce, aad, pt = bytes(range(32)), b"n" * 12, b"hdr", b"payload"
+    sealed = crypto.aead_seal(key, nonce, aad, pt)
+    assert crypto.aead_seal(wrap(key), nonce, aad, pt) == sealed
+    assert crypto.aead_open(wrap(key), nonce, aad, sealed) == pt
+
+
+def test_threads_sealing_under_one_key_all_round_trip():
+    key = bytes(range(32))
+    failures = []
+
+    def worker(t):
+        try:
+            for n in range(200):
+                nonce = t.to_bytes(4, "little") + n.to_bytes(8, "little")
+                pt = bytes([t, n % 256]) * 500
+                sealed = crypto.aead_seal(key, nonce, b"aad", pt)
+                if crypto.aead_open(key, nonce, b"aad", sealed) != pt:
+                    failures.append((t, n))
+        except Exception as exc:  # reported below: a worker's raise is otherwise lost
+            failures.append((t, exc))
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 def test_hash_empty_matches_published_digest():

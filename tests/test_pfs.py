@@ -5,6 +5,7 @@ import random
 import shutil
 import tempfile
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -89,7 +90,7 @@ def test_open_wrong_key(tmp_path):
         ProtectedFile.open(p, "file.bin", b"\xff" * 32)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_a_version_1_container_is_refused(tmp_path, version):
     p = make_file(tmp_path / "f.pfs", b"data")
     raw = bytearray(p.read_bytes())
@@ -300,6 +301,33 @@ def test_changing_a_mutable_payload_after_the_write_leaves_the_container(tmp_pat
         pf.flush()
         assert pf.read(0, pf.size) == want
     assert read_all(p) == want
+
+
+def test_a_wide_item_payload_is_measured_in_bytes(tmp_path):
+    # 8-byte items: two whole blocks of doubles, then 100 doubles patched
+    # into part of a block past a gap
+    p = tmp_path / "f.pfs"
+    head, tail = array("d", [2.5] * 1024), array("d", [1.5] * 100)
+    want = head.tobytes() + bytes(BLOCK_SIZE) + tail.tobytes()
+    with ProtectedFile.create(p, "file.bin", KEY) as pf:
+        pf.write(0, head)
+        assert pf.size == 2 * BLOCK_SIZE
+        pf.write(3 * BLOCK_SIZE, tail)
+        assert pf.size == len(want)
+        assert pf.read(0, pf.size) == want
+        pf.flush()
+    assert read_all(p) == want
+
+
+def test_a_non_contiguous_payload_is_refused_with_nothing_buffered(tmp_path):
+    p = make_file(tmp_path / "f.pfs", b"old")
+    with ProtectedFile.open(p, "file.bin", KEY, mode="rw") as pf:
+        with pytest.raises(TypeError):
+            pf.write(0, memoryview(bytearray(2 * BLOCK_SIZE))[::2])
+        assert pf.size == 3
+        pf.flush()
+        assert pf.stats()["nodes_sealed"] == 0
+    assert read_all(p) == b"old"
 
 
 # -- flush / close ------------------------------------------------------
@@ -596,10 +624,12 @@ def test_header_key_differs_from_every_node_key(tmp_path, monkeypatch):
     p = make_file(tmp_path / "f.pfs", random.Random(37).randbytes(70 * BLOCK_SIZE))
     header_aad = fmt.header_aad(read_uuid(p))
     header_keys = {key for key, _, aad in seals if aad == header_aad}
-    node_keys = {key for key, _, aad in seals if aad != header_aad}
+    node_keys = [key for key, _, aad in seals if aad != header_aad]
     assert len(header_keys) == 1
+    # one flush: its 70 data blocks and 3 MHT nodes seal under its one key
     assert len(node_keys) == 70 + 3
-    assert not header_keys & node_keys
+    assert len(set(node_keys)) == 1
+    assert not header_keys & set(node_keys)
 
 
 # -- cache transparency ---------------------------------------------------
@@ -665,10 +695,18 @@ def test_no_key_nonce_pair_repeats(tmp_path, monkeypatch):
                 pf.flush()
     pairs = [(key, nonce) for key, nonce, _ in seals]
     assert len(set(pairs)) == len(pairs) > 30, "(key, nonce) pair reused"
-    # every node seals under the fixed nonce, so no node key may seal twice
+    # a flush seals its nodes, then its header: the node seals before a
+    # header seal are one flush's, all under that flush's one key
     header_aad = fmt.header_aad(read_uuid(p))
-    node_keys = [key for key, _, aad in seals if aad != header_aad]
-    assert len(set(node_keys)) == len(node_keys) > 30, "node key reused"
+    flushes = [set()]
+    for key, _, aad in seals:
+        if aad == header_aad:
+            flushes.append(set())
+        else:
+            flushes[-1].add(key)
+    flush_keys = [keys for keys in flushes if keys]
+    assert all(len(keys) == 1 for keys in flush_keys), "a flush sealed under two keys"
+    assert len(set.union(*flush_keys)) == len(flush_keys) > 5, "two flushes share a key"
     # node keys live only inside sealed parents: none is on disk in the clear
     raw = p.read_bytes()
     assert not [key for key, _, _ in seals if key in raw]
@@ -1150,8 +1188,9 @@ class ProtectedFileMachine(RuleBasedStateMachine):
     part way leaves the snapshot, the model or an IntegrityError, and never
     other bytes, nor the plaintext from before a create; a write's payload
     is bytes, a bytearray or a view of one, and changing a mutable one after
-    the call changes nothing the handle holds; and a flipped bit fails at the
-    node that holds it, for a read and an audit."""
+    the call changes nothing the handle holds; a flipped bit fails at the
+    node that holds it, for a read and an audit; and no (key, nonce) pair
+    seals twice across all of its flushes, reopens and shape changes."""
 
     def __init__(self):
         super().__init__()
@@ -1161,6 +1200,16 @@ class ProtectedFileMachine(RuleBasedStateMachine):
         self.snapshot = b""  # the plaintext on disk as of the last flush
         self.recreated = False  # created over the old file and not flushed since
         self.pf = None
+        self.seals = 0
+        self.pairs = set()  # every (key, nonce) that any seal used
+        self.real_seal = crypto.aead_seal
+
+        def recording_seal(key, nonce, aad, plaintext):
+            self.seals += 1
+            self.pairs.add((key, nonce))
+            return self.real_seal(key, nonce, aad, plaintext)
+
+        crypto.aead_seal = recording_seal
 
     @initialize(capacity=st.sampled_from([0, 1, 256]))
     def create(self, capacity):
@@ -1267,13 +1316,19 @@ class ProtectedFileMachine(RuleBasedStateMachine):
         if self.pf is not None:
             assert self.pf.size == len(self.model)
 
+    @invariant()
+    def no_key_nonce_pair_repeats(self):
+        assert len(self.pairs) == self.seals, "(key, nonce) pair reused"
+
     def teardown(self):
         try:
             if self.pf is not None:
                 self.pf.close()
                 assert read_all(self.path) == self.model
                 assert verify_file(self.path, KEY).ok
+            self.no_key_nonce_pair_repeats()
         finally:
+            crypto.aead_seal = self.real_seal
             shutil.rmtree(self.dir)
 
 

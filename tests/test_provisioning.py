@@ -98,7 +98,7 @@ def test_vault_tamper_detected(tmp_path, env):
         vault_load(path, "hunter2")
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_a_version_1_vault_is_an_integrity_error(tmp_path, env, version):
     path = tmp_path / "vault.pfs"
     vault_save(make_vault(env), path, "hunter2")
