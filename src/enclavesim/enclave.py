@@ -15,6 +15,15 @@ w[i][j] * x[j] for ascending j, then add the bias, every product and sum
 one IEEE-754 double operation. `LinearModel.apply` states that order for
 one row in plain Python; `LinearModel.apply_rows`, the enclave's batched
 kernel, keeps it across all rows at once, so its output is bit-identical.
+
+Rows are written as text (`format_rows`) with each value's `repr`, the
+shortest decimal that reads back as the same double, so the output is a
+byte-exact contract. Most grids are written by orjson instead, about four
+times faster: for an exact float of magnitude in [1e-4, 1e16) or 0, and an
+int within 64 bits, orjson writes the same shortest round-trip digits in
+the same positional form (a Ryu-style writer; Adams, PLDI 2018). Outside
+that range `repr` writes an exponent and orjson a different text, so such
+a grid, and any grid of other types, is written by `repr` itself.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 from . import codec, crypto
 from .attestation import CertChain, PlatformIdentity, Quote, quote_generate
@@ -158,9 +168,45 @@ def parse_rows(text: str, cols: int) -> list[list[float]]:
     return rows
 
 
+# every byte of a grid of plain decimals as orjson writes it: no nan or inf
+# (null), exponent, bool or string
+PLAIN_GRID_BYTES = b"0123456789.-,[]"
+# the start of a value of magnitude in [1e-5, 1e-4): orjson writes 0.00001
+# where repr writes 1e-05; a smaller one has an exponent in both
+TINY_STARTS = (b"[0.0000", b",0.0000", b"-0.0000")
+
+
 def format_rows(rows: list[list[float]]) -> str:
-    # repr() is shortest-roundtrip, so parsing gives back the exact doubles
-    return "".join(",".join(repr(v) for v in row) + "\n" for row in rows)
+    """One line per row: its values' repr joined by ",", each line ending
+    in a newline. repr is shortest round-trip, so parsing gives back the
+    exact doubles.
+
+    The same bytes come from orjson when all of these hold; otherwise from
+    the repr join itself:
+    - rows is a non-empty list or tuple of lists or tuples, and every value
+      is exactly a float or an int (no bool, subclass, enum or numpy scalar;
+      orjson writes an enum as its value);
+    - orjson takes it, so every int fits in 64 bits;
+    - its text has nothing but digits, ".", "-", ",", "[" and "]", so no
+      value is nan or inf (null) or written with an exponent (a magnitude
+      of 1e16 or more, or below 1e-5);
+    - no value starts with 0.0000 after an optional "-", a magnitude in
+      [1e-5, 1e-4), which repr writes with an exponent.
+    On that path the outer brackets go and each "],[" becomes a newline.
+    orjson is imported here so that starting a server does not load it.
+    """
+    if type(rows) in (list, tuple) and rows and {*map(type, rows)} <= {list, tuple} \
+            and {*map(type, chain.from_iterable(rows))} <= {float, int}:
+        import orjson
+
+        try:
+            data = orjson.dumps(rows)
+        except TypeError:  # an int beyond 64 bits
+            data = b"null"  # not a plain grid
+        if not data.translate(None, PLAIN_GRID_BYTES) and \
+                not (b"0.0000" in data and any(start in data for start in TINY_STARTS)):
+            return data[2:-2].replace(b"],[", b"\n").decode() + "\n"
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 @dataclass

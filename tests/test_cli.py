@@ -678,20 +678,22 @@ code = cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(sys.modules)]))
 """
 
+# imported at the first inference and the first output row
+LAZY = {"numpy", "orjson"}
 # command: the modules it must not load
 NOT_LOADED = {
-    "pcs serve": {"numpy", *(f"enclavesim.{name}" for name in (
+    "pcs serve": {*LAZY, *(f"enclavesim.{name}" for name in (
         "pfs", "channel", "provisioning", "manifest", "enclave", "workflow"))},
-    "keyserver serve": {"numpy", *(f"enclavesim.{name}" for name in (
+    "keyserver serve": {*LAZY, *(f"enclavesim.{name}" for name in (
         "manifest", "enclave", "workflow"))},
     "pfs encrypt": {f"enclavesim.{name}" for name in (
         "channel", "provisioning", "pcs_service", "manifest", "enclave", "workflow")},
-    "enclave start": {"numpy", *(f"enclavesim.{name}" for name in (
+    "enclave start": {*LAZY, *(f"enclavesim.{name}" for name in (
         "channel", "provisioning", "pcs_service", "workflow"))},
     # a failing command loads no more than it ran to find its exit code
-    "pcs register --pcs 127.0.0.1:1": {"numpy", *(f"enclavesim.{name}" for name in (
+    "pcs register --pcs 127.0.0.1:1": {*LAZY, *(f"enclavesim.{name}" for name in (
         "pfs", "channel", "provisioning", "manifest", "enclave", "workflow"))},
-    "pcs register --pcs 127.0.0.1:1 --tcb x": {"numpy", *(f"enclavesim.{name}" for name in (
+    "pcs register --pcs 127.0.0.1:1 --tcb x": {*LAZY, *(f"enclavesim.{name}" for name in (
         "crypto", "attestation", "pcs_service", "pfs", "channel", "provisioning", "manifest",
         "enclave", "workflow"))},
 }

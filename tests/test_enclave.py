@@ -1,3 +1,4 @@
+import enum
 import math
 import os
 import random
@@ -6,6 +7,8 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -471,6 +474,144 @@ def test_parse_rows_raises_only_value_error(text, cols):
 def test_format_then_parse_gives_back_the_same_doubles(rows):
     cols = len(rows[0]) if rows else 1
     assert_same_doubles(parse_rows(format_rows(rows), cols), rows)
+
+
+# -- the output writer: orjson where its bytes are repr's ------------------
+
+def repr_rows(rows):
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def outcome(write, rows):
+    """The text `write` gives, or TypeError if it raises one."""
+    try:
+        return write(rows)
+    except TypeError:
+        return TypeError
+
+
+# 0 and magnitudes in [1e-4, 1e16), which orjson writes as repr does
+IN_RANGE = st.one_of(st.just(0.0), st.just(-0.0),
+                     st.floats(1e-4, 1e16, exclude_max=True).flatmap(
+                         lambda v: st.sampled_from([v, -v])),
+                     st.integers(-2**63, 2**64 - 1))
+ANY_VALUE = st.one_of(ANY_FLOAT, IN_RANGE, st.integers(-2**80, 2**80), st.booleans())
+
+
+def value_grids(values):
+    row = st.lists(values, max_size=4)
+    return st.lists(st.one_of(row, row.map(tuple)), max_size=5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=st.one_of(value_grids(IN_RANGE), value_grids(ANY_VALUE),
+                      value_grids(ANY_VALUE).map(tuple)))
+def test_format_rows_writes_each_value_as_repr(rows):
+    assert format_rows(rows) == "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+EDGE_SWEEP = [
+    *(v for bound in (1e-4, 1e16) for v in (math.nextafter(bound, 0), bound,
+                                             math.nextafter(bound, math.inf))),
+    *(k * 10.0 ** e for e in range(-8, -4) for k in (1, 1.5, 9.99)),
+    -0.0, 0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    math.nan, math.inf, -math.inf, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, True,
+]
+
+
+def test_format_rows_writes_repr_at_every_edge():
+    for v in EDGE_SWEEP + [-v for v in EDGE_SWEEP]:
+        for rows in ([[v]], [[1.5, v]], [[v, 2.5]], [[2.5], [v]], [(v, 0.0)]):
+            assert format_rows(rows) == repr_rows(rows), rows
+    assert format_rows([[1.0, [2.0]]]) == "1.0,[2.0]\n"
+    assert format_rows([]) == "" and format_rows([[], []]) == "\n\n"
+    # a seeded sweep of bit patterns in [1e-4, 1e16), all on orjson's path
+    rng = random.Random(79)
+    lo, hi = struct.unpack("<2Q", struct.pack("<2d", 1e-4, 1e16))
+    bits = [rng.randrange(lo, hi) | rng.choice((0, 1 << 63)) for _ in range(20000)]
+    values = struct.unpack(f"<{len(bits)}d", struct.pack(f"<{len(bits)}Q", *bits))
+    rows = [values[i:i + 32] for i in range(0, len(values), 32)]
+    assert format_rows(rows) == repr_rows(rows)
+
+
+class FloatSub(float):
+    pass
+
+
+class IntSub(int):
+    pass
+
+
+class PlainEnum(enum.Enum):
+    A = 1.5
+
+
+class FloatEnum(float, enum.Enum):
+    A = 1.5
+
+
+class Flag(enum.IntEnum):
+    A = 1
+
+
+# grids whose text orjson would write otherwise than repr, or not at all
+REPR_PATH = {
+    "bool": [[True, 1.0]],
+    "enum": [[PlainEnum.A]],
+    "float enum": [[FloatEnum.A]],
+    "int enum": [[Flag.A, 1]],
+    "float subclass": [[FloatSub(1.5)]],
+    "int subclass": [[IntSub(1)]],
+    "list subclass": [type("Row", (list,), {})([1.0])],
+    "numpy scalar": [[1.0, np.float64(1.5)]],
+    "int beyond 64 bits": [[2**64, 1.0]],
+    "negative int beyond 64 bits": [[-2**63 - 1, 1.0]],
+    "nested list": [[1.0, [1.5]]],
+    "scalar row": [[1.0], 1.5, [[1.0]]],
+    "nan": [[1.0, math.nan]],
+    "inf": [[-math.inf, 1.0]],
+    "1e16": [[1e16]],
+    "below 1e-5": [[1.0, 1.5e-6]],
+    "tiny first": [[1.5e-5, 1.0]],
+    "tiny in a row": [[1.0, 1.5e-5]],
+    "tiny first in a later row": [[1.0], [1.5e-5]],
+    "negative tiny": [[1.0, -1e-5]],
+    "no rows": [],
+}
+# grids on orjson's path, each near the edge of one guard
+ORJSON_PATH = {
+    "floats": [[1.0, -2.5], [3.25, 0.0]],
+    "tuples and ints": ([1, 2.5], (-3, 2**64 - 1)),
+    "1e-4": [[1e-4, -1e-4]],
+    "below 1e16": [[9999999999999998.0]],
+    "0.0000 inside a value": [[10.00001, 1.0]],
+    "no columns": [[], [1.0]],
+}
+
+
+@pytest.fixture
+def forged_orjson(monkeypatch):
+    """orjson.dumps with every digit 1 written as 7, so that the output
+    shows whose bytes it is."""
+    real = orjson.dumps
+    monkeypatch.setattr(orjson, "dumps",
+                        lambda *args, **kwargs: real(*args, **kwargs).replace(b"1", b"7"))
+
+
+def test_format_rows_uses_orjson_bytes_for_a_plain_grid(forged_orjson):
+    assert format_rows([[1.0]]) == "7.0\n"
+    for name, rows in ORJSON_PATH.items():
+        assert format_rows(rows) == repr_rows(rows).replace("1", "7"), name
+
+
+@pytest.mark.parametrize("name", REPR_PATH)
+def test_format_rows_writes_any_other_grid_by_repr(forged_orjson, name):
+    rows = REPR_PATH[name]
+    assert outcome(format_rows, rows) == outcome(repr_rows, rows)
+
+
+def test_format_rows_takes_a_generator_by_repr(forged_orjson):
+    assert format_rows(row for row in [[1.0], [2.5]]) == "1.0\n2.5\n"
 
 
 def test_parse_rows_strips_each_value_as_str_strip_does():
