@@ -24,6 +24,15 @@ int within 64 bits, orjson writes the same shortest round-trip digits in
 the same positional form (a Ryu-style writer; Adams, PLDI 2018). Outside
 that range `repr` writes an exponent and orjson a different text, so such
 a grid, and any grid of other types, is written by `repr` itself.
+
+Input rows are read (`parse_rows`) by float(), value by value, which is
+the reading contract. orjson reads the text instead, about three times
+faster, when its data lines hold only digits, "-", "," and one "." per
+value: each value is then a JSON number that float() reads as the same
+decimal, and a float to JSON too, since it has a "."; both readers round
+that decimal correctly, so they give the same double. Any other text (an
+int, an exponent, whitespace, nan, "1.", ".5", a wrong width) is read by
+float() itself, which also names the line of any error.
 """
 
 from __future__ import annotations
@@ -151,10 +160,52 @@ class LinearModel:
             return (acc + np.array(self.bias, dtype=np.float64)).tolist()
 
 
+# every byte of a data line that orjson reads, "." aside
+PLAIN_ROW_BYTES = b"0123456789-,"
+
+
 def parse_rows(text: str, cols: int) -> list[list[float]]:
-    """Comma-separated numeric rows; blank lines and '#' comments skipped."""
+    """Comma-separated numeric rows; blank lines and '#' comments skipped.
+    Each value is read by float() after str.strip(); an error names its
+    line, counted as str.splitlines() counts.
+
+    orjson reads the same doubles when all of these hold; otherwise the
+    float() loop reads the text, and raises what it raises:
+    - at least one line is data, here a line that is not empty and does
+      not start with "#";
+    - the data lines hold only digits, "-", "," and ".", with as many "."
+      as len(data lines) * cols. So no line holds whitespace (and each is
+      its own strip, so the loop keeps the same lines), an exponent, "+",
+      "_", nan, inf, a bracket or a non-ASCII digit;
+    - orjson reads "[[" + the lines joined by "],[" + "]]", one array per
+      line, so each value is a JSON number, here -?(0|[1-9][0-9]*)(.[0-9]+)?,
+      which float() reads as the same decimal. orjson refuses "01", ".5",
+      "1.", "--1", an empty value and an overflow to inf;
+    - every row has cols values. A JSON number has at most one ".", so
+      with the count above each has exactly one and is a float, never an
+      int such as 0 for "-0".
+    Both readers round the exact decimal to the nearest double, ties to
+    even (Clinger, PLDI 1990; Lemire, SPE 2021), so the doubles are the
+    same bits. orjson is imported here so that starting a server does not
+    load it.
+    """
+    lines = text.splitlines()
+    data = [line for line in lines if line and line[0] != "#"]
+    flat = ",".join(data)
+    if data and flat.isascii():
+        dots = flat.encode().translate(None, PLAIN_ROW_BYTES)
+        if len(dots) == len(data) * cols and not dots.strip(b"."):
+            import orjson
+
+            try:
+                rows = orjson.loads("[[" + "],[".join(data) + "]]")
+            except orjson.JSONDecodeError:
+                pass
+            else:
+                if {*map(len, rows)} == {cols}:
+                    return rows
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

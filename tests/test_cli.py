@@ -678,7 +678,7 @@ code = cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(sys.modules)]))
 """
 
-# imported at the first inference and the first output row
+# imported at the first inference and the first input parse
 LAZY = {"numpy", "orjson"}
 # command: the modules it must not load
 NOT_LOADED = {

@@ -1,3 +1,4 @@
+import decimal
 import enum
 import math
 import os
@@ -619,6 +620,203 @@ def test_parse_rows_strips_each_value_as_str_strip_does():
     assert parse_rows("1,\x1f2\u3000, 3\t\n", 3) == [[1.0, 2.0, 3.0]]
     with pytest.raises(ValueError, match="line 2: not numeric"):
         parse_rows("# header\n1,x,3\n", 3)
+
+
+# -- the input reader: orjson where its doubles are float()'s --------------
+
+def float_loop_rows(text, cols):
+    """The reading contract written out: float() of each stripped value of
+    each line that is neither blank nor a comment."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            row = [float(value.strip()) for value in stripped.split(",")]
+        except ValueError:
+            raise ValueError(f"line {lineno}: not numeric")
+        if len(row) != cols:
+            raise ValueError(f"line {lineno}: expected {cols} values, got {len(row)}")
+        rows.append(row)
+    return rows
+
+
+def read_outcome(read, text, cols):
+    """Each value's type and bits (so -0.0 is not 0.0), or the error."""
+    try:
+        rows = read(text, cols)
+    except ValueError as exc:
+        return str(exc)
+    return [[(type(v), struct.pack("<d", v)) for v in row] for row in rows]
+
+
+# values orjson must not read: float() takes some and refuses the others
+REFUSED_VALUES = [
+    "1", "-0", "0", "12", "1e5", "1.5e5", "1.5E-5", "+1.0", "1_0.0", "nan", "-inf",
+    "inf", "01.5", "-00.5", ".5", "1.", "-.5", " 1.0", "1.0 ", "\t1.0", "\x1f1.0",
+    "1.0\u3000", "\u0661.\u0665", "[1.0]", "1.0],[2.0", "1.0]", "--1.0", "", "-", ".",
+    "1.0.0", "0x1p0", "true", "\ud800", "1" + "0" * 30, "1" + "0" * 400 + ".0",
+]
+LINE_ENDS = ["\n", "\r\n", "\r", "\x1c", "\u2028"]
+OTHER_LINES = ["", "   ", "\t", "# note", "  # indented", "#1.5", "# a\x1c1.5", "\x0b"]
+# repr'd doubles with no exponent, so with one "." each
+POSITIONAL = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v])),
+).map(repr)
+
+
+@st.composite
+def row_texts(draw):
+    """Either rows of positional doubles among comments and blank lines, or
+    rows of any repr'd double among refused values, comments, blank lines
+    and rows of the wrong width; with any line ends, and a column count."""
+    cols = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        values, others = POSITIONAL, st.sampled_from(["", "# note", "#1.5"])
+    else:
+        values = st.one_of(ANY_FLOAT.map(repr), POSITIONAL)
+        others = st.one_of(st.sampled_from(OTHER_LINES), st.lists(
+            st.one_of(values, st.sampled_from(REFUSED_VALUES)), min_size=1, max_size=5)
+            .map(",".join))
+    row = st.lists(values, min_size=cols, max_size=cols).map(",".join)
+    lines = draw(st.lists(st.one_of(row, row, others), max_size=6))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map("".join, zip(lines, ends))), draw(st.sampled_from([cols, 0, cols + 1]))
+
+
+@settings(max_examples=800, deadline=None)
+@given(case=row_texts())
+def test_parse_rows_reads_what_the_float_loop_reads(case):
+    text, cols = case
+    assert read_outcome(parse_rows, text, cols) == read_outcome(float_loop_rows, text, cols)
+
+
+@pytest.fixture
+def orjson_reads(monkeypatch):
+    """The rows each orjson.loads call returned, in order."""
+    real, reads = orjson.loads, []
+
+    def loads(*args, **kwargs):
+        reads.append(real(*args, **kwargs))
+        return reads[-1]
+
+    monkeypatch.setattr(orjson, "loads", loads)
+    return reads
+
+
+def positional(value):
+    """An exact decimal written with a "." and no exponent."""
+    text = format(value, "f")
+    return text if "." in text else text + ".0"
+
+
+def assert_orjson_reads_as_float(values, reads):
+    """One value a row: parse_rows returns orjson's rows, and they are the
+    float loop's doubles."""
+    text = "\n".join(values) + "\n"
+    rows = parse_rows(text, 1)
+    assert reads and rows is reads[-1]
+    assert read_outcome(lambda *_: rows, text, 1) == read_outcome(float_loop_rows, text, 1)
+
+
+def test_parse_rows_rounds_midpoints_as_float_does(orjson_reads):
+    # the exact midpoint between adjacent doubles is a tie, rounded to even;
+    # 1e-1100 either side of it decides the tie on the very last digit
+    rng = random.Random(83)
+    top = struct.unpack("<Q", struct.pack("<d", sys.float_info.max))[0]
+    bits = [0, 1, 2, 2**52 - 1, 2**52, 2**53 - 1, *(rng.randrange(top) for _ in range(300))]
+    doubles = [*struct.unpack(f"<{len(bits)}d", struct.pack(f"<{len(bits)}Q", *bits)),
+               1.0, 0.1, 1e-4, 2.0**53, 1e16, 1e22, 1e23]
+    nudge = decimal.Decimal("1e-1100")
+    values = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3000
+        for d in doubles:
+            mid = (decimal.Decimal(d) + decimal.Decimal(math.nextafter(d, math.inf))) / 2
+            for v in (mid, mid - nudge, mid + nudge):
+                values += [positional(v), positional(-v)]
+    assert_orjson_reads_as_float(values, orjson_reads)
+
+
+def test_parse_rows_reads_long_digit_strings_as_float_does(orjson_reads):
+    rng = random.Random(89)
+    values = ["9007199254740993.0", "-9007199254740993.0", "9007199254740995.0",
+              "0.30000000000000001665334536937734810635447502136230468750"]
+    for _ in range(3000):
+        digits = [rng.choice("0123456789") for _ in range(rng.randint(17, 40))]
+        point = rng.randint(1, len(digits) - 1)
+        whole = "".join(digits[:point]).lstrip("0") or "0"
+        values.append(rng.choice(("", "-")) + whole + "." + "".join(digits[point:]))
+    assert_orjson_reads_as_float(values, orjson_reads)
+
+
+def test_parse_rows_reads_subnormals_underflow_and_signed_zeros_as_float_does(orjson_reads):
+    smallest = decimal.Decimal(5e-324)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3000
+        exact = [smallest, smallest / 2, smallest / 2 + decimal.Decimal("1e-1100"),
+                 smallest / 2 - decimal.Decimal("1e-1100"), smallest * 3 / 2,
+                 decimal.Decimal(2.2250738585072009e-308), decimal.Decimal(2.2250738585072014e-308),
+                 decimal.Decimal(sys.float_info.max)]
+        values = [positional(v) for v in exact]
+    values += ["0." + "0" * k + "1" for k in (300, 322, 323, 324, 400, 5000)]
+    values += ["0.0", "-0.0", "0.000", "-0.000", "-0." + "0" * 400 + "1"]
+    values += [("-" + v) for v in values if not v.startswith("-")]
+    assert_orjson_reads_as_float(values, orjson_reads)
+
+
+def test_parse_rows_leaves_an_overflow_to_float(orjson_reads):
+    # orjson refuses a value that overflows; float() reads it as inf
+    for text in ("1" + "0" * 400 + ".0\n", "1.5\n-1" + "0" * 400 + ".0\n"):
+        assert read_outcome(parse_rows, text, 1) == read_outcome(float_loop_rows, text, 1)
+        assert math.isinf(parse_rows(text, 1)[-1][0])
+    assert orjson_reads == []
+
+
+@pytest.fixture
+def forged_loads(monkeypatch):
+    """orjson.loads with every value read as 7.0, so that the rows show
+    whose reading they are."""
+    real = orjson.loads
+    monkeypatch.setattr(orjson, "loads",
+                        lambda *args, **kwargs: [[7.0] * len(row) for row in real(*args, **kwargs)])
+
+
+def test_parse_rows_reads_a_deploy_input_by_orjson(forged_loads):
+    rng = random.Random(97)
+    grid = [[rng.uniform(-10, 10) for _ in range(32)] for _ in range(256)]
+    text = "# marker:0123456789abcdef\n" + format_rows(grid)
+    assert "e" not in text.split("\n", 1)[1]  # no value on float()'s path
+    assert parse_rows(text, 32) == [[7.0] * 32] * 256
+    for text, cols in [("-0.0,0.5\r\n\n#x\r1.25,-10.0", 2), ("0.0", 1),
+                       ("1.5\x1c2.5\u20283.5", 1), ("# a\x1c1.5\n", 1)]:
+        assert parse_rows(text, cols) == [[7.0] * cols] * len(float_loop_rows(text, cols))
+
+
+REFUSED_TEXTS = [
+    *((f"1.5,{value}\n", 2) for value in REFUSED_VALUES),
+    *((f"{value}\n", 1) for value in REFUSED_VALUES),
+    ("1,2\n", 2),
+    ("  # indented\n1.5\n", 1),
+    ("1.5\n   \n2.5\n", 1),
+    ("1.5\n\t\n", 1),
+    ("1.5,2.5\n3.5\n", 2),
+    ("1.5\n2.5,3.5,4.5\n", 2),  # as many values as two rows of 2
+    ("1.5\n", 2),
+    ("1.5\n", 0),
+    ("# only a comment\n", 1),
+    ("# only a comment\n", 0),
+    ("", 0),
+]
+
+
+@pytest.mark.parametrize("text,cols", REFUSED_TEXTS)
+def test_parse_rows_reads_any_other_text_by_float(forged_loads, text, cols):
+    assert read_outcome(parse_rows, text, cols) == read_outcome(float_loop_rows, text, cols)
 
 
 # -- user-side helpers -----------------------------------------------------
