@@ -13,6 +13,7 @@ import functools
 import os
 import pathlib
 import struct
+import tempfile
 import threading
 from dataclasses import dataclass, field, replace
 
@@ -162,21 +163,22 @@ class VerificationPolicy:
 
 
 def replace_atomically(path, write) -> None:
-    """Call write(tmp) on a sibling temp path created owner-only (0600),
-    fsync it, os.replace it over `path` and fsync the directory, so the
-    rename survives a power loss: a failure at any point leaves the old
-    file untouched."""
-    tmp = f"{os.fspath(path)}.tmp"
+    """Call write(tmp) on a temp path of this save's own beside `path`,
+    owner-only (0600), fsync it, os.replace it over `path` and fsync the
+    directory, so the rename survives a power loss: a failure at any
+    point leaves the old file untouched, and a concurrent save of the
+    same path never writes into this one's temp file."""
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         try:
-            os.fchmod(fd, 0o600)  # a stale tmp keeps the mode it was created with
+            os.fchmod(fd, 0o600)  # mkstemp's 0600 is narrowed by the umask
             write(tmp)
             os.fsync(fd)
         finally:
             os.close(fd)
         os.replace(tmp, path)
-        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        fd = os.open(directory, os.O_RDONLY)
         try:
             os.fsync(fd)
         finally:

@@ -181,19 +181,23 @@ def cmd_pcs_revoke(args) -> int:
 # -- keyserver ----------------------------------------------------------------
 
 def cmd_keyserver_add_secret(args) -> int:
+    import fcntl
     from .attestation import HASH, PUBLIC_KEY, VerificationPolicy
     from .provisioning import SECRET, KeyVault, vault_load, vault_save
-    if os.path.exists(args.vault):
-        vault = vault_load(args.vault, args.passphrase)
-    else:
-        vault = KeyVault()
-    policy = VerificationPolicy(
-        accepted_root=PUBLIC_KEY.decode(args.root_hex),
-        expected_mr_enclave=codec.optional(HASH).decode(args.policy_mrenclave),
-        expected_mr_signer=codec.optional(HASH).decode(args.policy_mrsigner),
-        min_isv_svn=args.min_svn, min_tcb_level=args.min_tcb)
-    vault.add_secret(args.name, SECRET.decode(args.secret_hex), policy)
-    vault_save(vault, args.vault, args.passphrase)
+    # concurrent adders to one vault take turns, so none saves over another's secret
+    with open(f"{args.vault}.lock", "ab") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        if os.path.exists(args.vault):
+            vault = vault_load(args.vault, args.passphrase)
+        else:
+            vault = KeyVault()
+        policy = VerificationPolicy(
+            accepted_root=PUBLIC_KEY.decode(args.root_hex),
+            expected_mr_enclave=codec.optional(HASH).decode(args.policy_mrenclave),
+            expected_mr_signer=codec.optional(HASH).decode(args.policy_mrsigner),
+            min_isv_svn=args.min_svn, min_tcb_level=args.min_tcb)
+        vault.add_secret(args.name, SECRET.decode(args.secret_hex), policy)
+        vault_save(vault, args.vault, args.passphrase)
     print(f"vault now holds {len(vault)} secret(s): {', '.join(vault.names())}")
     return 0
 
@@ -241,8 +245,8 @@ def cmd_enclave_run(args) -> int:
         pin = PUBLIC_KEY.decode(fh.read().strip())
     instance.provisioned_secrets[workload.key_name] = client_request_key(
         _addr(args.keyserver), workload.key_name, instance.quote_provider(), pin)
-    report = instance.run(workload)
-    print(f"workload complete: {report.rows} row(s) -> {report.output_path}")
+    rows = instance.run(workload)
+    print(f"workload complete: {rows} row(s) -> {workload.output_path}")
     return 0
 
 

@@ -260,12 +260,6 @@ def format_rows(rows: list[list[float]]) -> str:
     return "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-@dataclass
-class RunReport:
-    rows: int
-    output_path: str  # enclave path; never plaintext results
-
-
 class EnclaveInstance:
     """A started enclave: measurement fixed, mounts resolved, trusted
     files pinned. Quotes it generates always carry its own measurement.
@@ -387,7 +381,7 @@ class EnclaveInstance:
     def workload_compute(self, model: LinearModel, rows: list[list[float]]):
         return model.apply_rows(rows)
 
-    def workload_write_output(self, spec: WorkloadSpec, out_rows) -> RunReport:
+    def workload_write_output(self, spec: WorkloadSpec, out_rows):
         key = self._workload_key(spec)
         text = format_rows(out_rows)
         try:
@@ -395,14 +389,14 @@ class EnclaveInstance:
                 pf.write(0, text.encode("utf-8"))
         except OSError as exc:
             raise RunError("io", f"{spec.output_path} ({exc})")
-        return RunReport(rows=len(out_rows), output_path=spec.output_path)
 
-    def run(self, spec: WorkloadSpec) -> RunReport:
+    def run(self, spec: WorkloadSpec) -> int:
         """The full step: decrypt inputs, compute, write encrypted output.
-        Nothing is written unless the inputs verified."""
+        Nothing is written unless the inputs verified. Returns the row count."""
         model, rows = self.workload_open_inputs(spec)
         out_rows = self.workload_compute(model, rows)
-        return self.workload_write_output(spec, out_rows)
+        self.workload_write_output(spec, out_rows)
+        return len(out_rows)
 
 
 def enclave_start(final: FinalManifest, host_root,

@@ -109,7 +109,6 @@ class ManifestTemplate:
 class FinalManifest:
     template: ManifestTemplate
     trusted_file_hashes: dict[str, bytes]
-    format_version: int = FORMAT_VERSION
 
 
 @dataclass(frozen=True)
@@ -281,7 +280,7 @@ def serialize(final: FinalManifest) -> bytes:
     """Canonical serialization: fixed key order, sorted sets and maps,
     normalized sizes, LF line endings. Byte-stable across processes."""
     t = final.template
-    lines = [f"manifest.format_version = {final.format_version}"]
+    lines = [f"manifest.format_version = {FORMAT_VERSION}"]
     lines.append(f"app.entrypoint = {t.entrypoint}")
     lines.extend(f"app.arg = {arg}" for arg in t.args)
     lines.extend(f"env.{name} = {t.env[name]}" for name in sorted(t.env))
@@ -326,8 +325,7 @@ def load(data: bytes) -> FinalManifest:
         hashes[path] = digest
     if set(hashes) != set(template.trusted_files):
         raise ParseError("trusted_file and trusted_file_hash sets differ")
-    return FinalManifest(template=template, trusted_file_hashes=hashes,
-                         format_version=version)
+    return FinalManifest(template=template, trusted_file_hashes=hashes)
 
 
 def compute_measurement(final: FinalManifest) -> Measurement:

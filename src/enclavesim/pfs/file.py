@@ -74,17 +74,19 @@ class ReadOnlyError(PfsError):
 
 @dataclass
 class VerifyReport:
-    ok: bool
-    first_bad_node: str | None = None
+    first_bad_node: str | None = None  # None when every node verified
+
+    @property
+    def ok(self) -> bool:
+        return self.first_bad_node is None
 
 
 class ProtectedFile:
     """Single-owner handle to one protected container on disk."""
 
-    def __init__(self, fh, path, master_key, uuid, label, file_size,
+    def __init__(self, fh, master_key, uuid, label, file_size,
                  disk_root, mode, cache_capacity):
         self._fh = fh
-        self.path = path
         self._master_key = master_key
         self.uuid = uuid
         self.label = label
@@ -124,7 +126,7 @@ class ProtectedFile:
         # drops and reallocates every page and block it had
         fh = open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b")
         try:
-            handle = cls(fh, path, master_key, file_uuid, filename_label,
+            handle = cls(fh, master_key, file_uuid, filename_label,
                          file_size=0, disk_root=fmt.ZERO_ENTRY,
                          mode=MODE_READWRITE, cache_capacity=cache_capacity)
             handle._write_header(fmt.ZERO_ENTRY)
@@ -161,7 +163,7 @@ class ProtectedFile:
             fh.close()
             raise
         # surrogateescape keeps every stored byte, so open compares labels exactly
-        return cls(fh, path, master_key, uuid, label.decode("utf-8", "surrogateescape"),
+        return cls(fh, master_key, uuid, label.decode("utf-8", "surrogateescape"),
                    file_size, root, mode, cache_capacity)
 
     # -- public surface -----------------------------------------------
@@ -504,5 +506,5 @@ def verify_file(path, master_key: bytes) -> VerifyReport:
             for j in range(levels[-1] if levels else 0):
                 handle._open_run(j, range(j * FANOUT, min((j + 1) * FANOUT, handle._disk_blocks)))
     except IntegrityError as exc:
-        return VerifyReport(False, exc.node)
-    return VerifyReport(True)
+        return VerifyReport(exc.node)
+    return VerifyReport()

@@ -191,14 +191,15 @@ class KeyServer(wire.FrameServer):
             name = codec.unpack(PROVISION_REQ, payload)["name"]
         except wire.DECODE_ERRORS:
             name = None
+        now = int(self.now_source())  # one read: a grant is recorded at the time it was checked
         if name is not None and _name_fits(name):
-            body = self._evaluate(name, cert)
+            body = self._evaluate(name, cert, now)
         else:  # not a request, or a name that no vault entry can have
             name, body = None, {"outcome": "denied", "reason": "bad_request"}
-        self._audit(cert.quote, name, body)
+        self._audit(cert.quote, name, body, now)
         return wire.REC_PROVISION_RESP, codec.pack(PROVISION_RESP, body)
 
-    def _evaluate(self, name: str, cert) -> dict:
+    def _evaluate(self, name: str, cert, now: int) -> dict:
         record = self.vault.get(name)
         if record is None:
             return {"outcome": "denied", "reason": "unknown_secret"}
@@ -207,14 +208,13 @@ class KeyServer(wire.FrameServer):
         except Exception:
             # without a CRL non-revocation is unproven: deny; its error stays here
             return {"outcome": "denied", "reason": "crl_unavailable"}
-        if quote_verify(cert.quote, cert.cert_chain, crl, record["policy"],
-                        int(self.now_source())) is not None:
+        if quote_verify(cert.quote, cert.cert_chain, crl, record["policy"], now) is not None:
             return {"outcome": "denied", "reason": "policy_mismatch"}
         return {"outcome": "granted", "secret": record["secret"]}
 
-    def _audit(self, quote, name: str | None, body: dict) -> None:
+    def _audit(self, quote, name: str | None, body: dict, now: int) -> None:
         entry = {
-            "timestamp": int(self.now_source()),
+            "timestamp": now,
             "platform_id": quote.platform_id.hex(),
             "mr_enclave": quote.mr_enclave.hex(),
             "secret_name": name,

@@ -306,8 +306,8 @@ def workflow_demo(config: DemoConfig, log=print) -> DemoReport:
 
             # 8: write the protected output
             with _step(report, log, 8) as step:
-                run_report = instance.workload_write_output(workload, out_rows)
-                step.detail = f"{run_report.rows} row(s) -> {run_report.output_path}"
+                instance.workload_write_output(workload, out_rows)
+                step.detail = f"{len(out_rows)} row(s) -> {workload.output_path}"
 
             # beyond step 8: the user reads the output from shared storage
             out_host = os.path.join(cloud_dir, "data", os.path.basename(OUTPUT_PATH))

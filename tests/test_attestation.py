@@ -695,7 +695,11 @@ def test_files_that_hold_keys_are_owner_only(tmp_path, registered, name, stale_t
     finally:
         os.umask(umask)
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
-    assert not tmp.exists()
+    # each save writes a temp file of its own, so a stale one is never opened
+    assert sorted(os.listdir(tmp_path)) == [name, f"{name}.tmp"][:1 + stale_tmp]
+    if stale_tmp:
+        assert tmp.read_bytes() == b"stale"
+        assert stat.S_IMODE(tmp.stat().st_mode) == 0o644
 
 
 def test_a_replace_is_made_durable_by_an_fsync_of_its_directory(tmp_path, monkeypatch):
@@ -715,3 +719,42 @@ def test_a_replace_is_made_durable_by_an_fsync_of_its_directory(tmp_path, monkey
     replace_atomically(path, lambda tmp: Path(tmp).write_bytes(b"{}"))
     assert events == [("fsync", path.stat().st_ino), ("replace", os.fspath(path)),
                       ("fsync", tmp_path.stat().st_ino)]
+
+
+def test_two_saves_of_one_path_never_share_a_temp_file(tmp_path, monkeypatch):
+    """Writer B's save begins while writer A's bytes wait for their rename:
+    A returns with its own bytes in place, and B's fsync covers the file
+    that B renames."""
+    path = tmp_path / "vault.pfs"
+    a_written, b_writing, a_returned = (threading.Event() for _ in range(3))
+    synced, fsync = {}, os.fsync
+
+    def traced_fsync(fd):
+        synced.setdefault(threading.current_thread().name, []).append(os.fstat(fd).st_ino)
+        fsync(fd)
+
+    def write_a(tmp):
+        Path(tmp).write_bytes(b"A" * 100)
+        a_written.set()
+        b_writing.wait(5)
+
+    def write_b(tmp):
+        b_writing.set()
+        a_returned.wait(5)
+        Path(tmp).write_bytes(b"B" * 50)
+
+    monkeypatch.setattr(os, "fsync", traced_fsync)
+    a = threading.Thread(target=replace_atomically, args=(path, write_a), name="A")
+    b = threading.Thread(target=replace_atomically, args=(path, write_b), name="B")
+    a.start()
+    assert a_written.wait(5)
+    b.start()
+    a.join(10)
+    try:
+        assert path.read_bytes() == b"A" * 100
+    finally:
+        a_returned.set()
+        b.join(10)
+    assert path.read_bytes() == b"B" * 50
+    assert synced["B"][0] == path.stat().st_ino
+    assert os.listdir(tmp_path) == ["vault.pfs"]

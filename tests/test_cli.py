@@ -615,6 +615,43 @@ def test_add_secret_refuses_a_policy_that_can_never_match(tmp_path, capsys, flag
     assert vault.read_bytes() == before
 
 
+def test_concurrent_add_secrets_keep_every_secret(tmp_path, capsys, monkeypatch):
+    """The first adder pauses after its load until the second has loaded
+    too, or 0.5 s has passed: no adder saves over the other's secret."""
+    from enclavesim import provisioning
+    vault = tmp_path / "vault.pfs"
+    add_secret = [*ADD_SECRET, "--vault", str(vault), "--policy-mrenclave", "11" * 32]
+    assert run_cli(*add_secret, "--name", "base") == 0
+    loads, first_loaded, second_loaded = [], threading.Event(), threading.Event()
+    load = provisioning.vault_load
+
+    def paused_load(path, passphrase):
+        loaded = load(path, passphrase)
+        loads.append(path)
+        if len(loads) == 1:
+            first_loaded.set()
+            second_loaded.wait(0.5)
+        else:
+            second_loaded.set()
+        return loaded
+
+    monkeypatch.setattr(provisioning, "vault_load", paused_load)
+    codes = {}
+
+    def add(name):
+        codes[name] = run_cli(*add_secret, "--name", name)
+
+    first = threading.Thread(target=add, args=("first",))
+    second = threading.Thread(target=add, args=("second",))
+    first.start()
+    assert first_loaded.wait(10)
+    second.start()
+    first.join(10)
+    second.join(10)
+    assert codes == {"first": 0, "second": 0}
+    assert load(vault, "pw").names() == ["base", "first", "second"]
+
+
 @pytest.mark.parametrize("flag,value", [("--min-svn", "-5"), ("--min-tcb", "4294967296")])
 def test_keyserver_serve_refuses_a_session_minimum_outside_u32(tmp_path, capsys,
                                                                 monkeypatch, flag, value):
@@ -836,10 +873,13 @@ def _template_with(**values):
         f"{key} = {value}\n" for key, value in lines.items()))
 
 
-def _final_with_version(text):
+def _loaded_version(text):
+    """The format version of a final manifest that states `text`, once load
+    accepts it: load refuses every version but FORMAT_VERSION."""
     data = manifest.serialize(manifest.sign_manifest(_template_with(), lambda path: b""))
-    return manifest.load(data.replace(b"manifest.format_version = 1\n",
-                                      f"manifest.format_version = {text}\n".encode()))
+    manifest.load(data.replace(b"manifest.format_version = 1\n",
+                               f"manifest.format_version = {text}\n".encode()))
+    return manifest.FORMAT_VERSION
 
 
 def _cli_option(command, option, required):
@@ -858,8 +898,7 @@ INTEGER_SITES = {
                          .enclave_size >> 20, st.integers(0, 12).map(lambda k: 1 << k)),
     "sgx.max_threads": (lambda text: _template_with(**{"sgx.max_threads": text})
                         .max_threads, st.integers(1, 10 ** 6)),
-    "manifest.format_version": (lambda text: _final_with_version(text).format_version,
-                                st.just(manifest.FORMAT_VERSION)),
+    "manifest.format_version": (_loaded_version, st.just(manifest.FORMAT_VERSION)),
     "demo config": (lambda text: workflow.parse_config(f"seed = {text}\n").seed,
                     st.integers(0, 2 ** 64)),
     "host:port": (lambda text: cli._addr("127.0.0.1:" + text)[1], st.integers(0, 65535)),

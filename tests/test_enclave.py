@@ -258,8 +258,7 @@ def start_with_key(tmp_path, **kw):
 
 def test_identity_model_roundtrip(tmp_path):
     root, instance, _ = start_with_key(tmp_path)
-    report = instance.run(WORKLOAD)
-    assert report.rows == 2
+    assert instance.run(WORKLOAD) == 2
     out = user_decrypt_output(root / "data" / "output.csv.pfs", MASTER_KEY,
                               "/data/output.csv.pfs")
     assert parse_rows(out.decode(), 2) == [[1.0, 2.0], [3.0, 4.0]]
@@ -918,8 +917,7 @@ def test_enclave_provision_end_to_end(tmp_path):
         instance.provisioned_secrets["pfs-master"] = client_request_key(
             server.address, "pfs-master", instance.quote_provider(), server.public_key)
         assert instance.provisioned_secrets["pfs-master"] == MASTER_KEY
-        report = instance.run(WORKLOAD)
-        assert report.rows == 2
+        assert instance.run(WORKLOAD) == 2
     finally:
         server.stop()
 

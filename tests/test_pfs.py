@@ -98,7 +98,7 @@ def test_a_version_1_container_is_refused(tmp_path, version):
     p.write_bytes(bytes(raw))
     with pytest.raises(IntegrityError, match=f"unsupported version {version}"):
         ProtectedFile.open(p, "file.bin", KEY)
-    assert verify_file(p, KEY) == VerifyReport(False, "header")
+    assert verify_file(p, KEY) == VerifyReport("header")
 
 
 def test_filename_binding_defeats_file_swap(tmp_path):
@@ -489,14 +489,14 @@ def test_open_info_verify_and_decrypt_give_one_answer(tmp_path, form):
     if form == "exact":
         assert read_all(p) == data
         assert info(p, KEY)["data_blocks"] == 3
-        assert verify_file(p, KEY) == VerifyReport(True)
+        assert verify_file(p, KEY) == VerifyReport()
         assert main(decrypt) == 0 and out.read_bytes() == data
         return
     for call in (lambda: ProtectedFile.open(p, "file.bin", KEY), lambda: info(p, KEY)):
         with pytest.raises(IntegrityError) as exc:
             call()
         assert exc.value.node == "structure"
-    assert verify_file(p, KEY) == VerifyReport(False, "structure")
+    assert verify_file(p, KEY) == VerifyReport("structure")
     assert main(decrypt) == 2
     assert not out.exists()
 
@@ -545,7 +545,7 @@ def test_verify_names_the_first_bad_node(tmp_path):
     p.write_bytes(bytes(buf))
     assert verify_file(p, KEY).first_bad_node == "header"
     p.write_bytes(pristine)
-    assert verify_file(p, KEY) == VerifyReport(True)
+    assert verify_file(p, KEY) == VerifyReport()
 
 
 def test_verify_opens_each_node_once(tmp_path, monkeypatch):
@@ -1285,7 +1285,7 @@ class ProtectedFileMachine(RuleBasedStateMachine):
         report = verify_file(self.path, KEY)
         if self.recreated and os.path.getsize(self.path) > fmt.HEADER_SIZE:
             # the new empty header over the old, longer file, until a flush
-            assert report == VerifyReport(False, "structure")
+            assert report == VerifyReport("structure")
         else:
             assert report.ok
 

@@ -279,6 +279,29 @@ def test_audit_log_keeps_the_newest_records_and_the_file_keeps_all(env, tmp_path
     assert list(srv.audit_log) == records[-3:]
 
 
+def test_a_grant_is_recorded_at_the_time_it_was_checked(env, monkeypatch):
+    """With a clock that advances on every read, a request's record carries
+    the time its policy was checked at."""
+    checked_at = []
+
+    def recording_verify(*args):
+        checked_at.append(args[-1])
+        return quote_verify(*args)
+
+    monkeypatch.setattr(provisioning, "quote_verify", recording_verify)
+    clock = iter(range(NOW, NOW + 100))
+    session_policy = VerificationPolicy(
+        accepted_root=env["pcs"].root_public_key, min_isv_svn=1, min_tcb_level=1)
+    with KeyServer(make_vault(env), session_policy, crypto.sign_generate(),
+                   crl_provider=lambda pid: env["pcs"].current_crl(),
+                   now_source=lambda: next(clock)).start() as srv:
+        with ProvisioningClient(srv.address, provider_for(env), srv.public_key) as client:
+            for _ in range(2):
+                assert client.request("pfs-master") == SECRET
+    assert [e["outcome"] for e in srv.audit_log] == ["granted"] * 2
+    assert [e["timestamp"] for e in srv.audit_log] == checked_at
+
+
 def audited_key_server(env, audit_path, port=0):
     session_policy = VerificationPolicy(
         accepted_root=env["pcs"].root_public_key, min_isv_svn=1, min_tcb_level=1)
@@ -617,9 +640,9 @@ def test_concurrent_provisions_across_a_revocation_over_the_wire(env, clients):
         with pooled_key_server(env, pcs_srv.address, timed) as (srv, pool):
             audit = srv._audit
 
-            def recorded(quote, name, body):
+            def recorded(quote, name, body, now):
                 records.append((fetch.began, body["outcome"]))
-                audit(quote, name, body)
+                audit(quote, name, body, now)
 
             srv._audit = recorded
             threads = [threading.Thread(target=client, args=(srv,)) for _ in range(clients)]
