@@ -249,34 +249,37 @@ def _issue(subject, subject_key, issuer, issuer_key, not_before, not_after,
 
 class PcsDatabase:
     """The mock Provisioning Certification Service registry. One writer
-    lock serializes mutations; persisted as a single JSON file. Each
-    platform is its certificate chain; the current signed CRL is the whole
-    revocation state. When `path` is set, each mutation is saved there
-    before any reader sees it, and one whose save fails changes nothing."""
+    lock serializes mutations. Its facts are the root and CA private keys,
+    its creation time, each platform's leaf facts and the revocation state;
+    its one constructor signs every certificate and the CRL from them, so
+    DATABASE_FILE, the single JSON file it persists as, holds the facts
+    alone. When `path` is set, each mutation is saved there before any
+    reader sees it, and one whose save fails changes nothing."""
 
-    def __init__(self, root_key: crypto.SigningKeyPair,
-                 ca_key: crypto.SigningKeyPair,
-                 root_cert: Certificate, ca_cert: Certificate,
-                 created_at: int):
+    def __init__(self, root_key: bytes, ca_key: bytes, created_at: int,
+                 platforms: dict[bytes, dict], revoked: frozenset[bytes], crl_sequence: int):
+        """`platforms` maps each platform's id to its leaf's public_key,
+        tcb_level, not_before and not_after. The root and CA certificates
+        are valid from `created_at` for DEFAULT_CA_VALIDITY. A revoked id
+        that names no platform is a ValueError: no registry revokes one."""
+        if not revoked.issubset(platforms):
+            raise ValueError("a revoked platform is not registered")
         self._lock = threading.Lock()
-        self.root_key = root_key
-        self.ca_key = ca_key
-        self.root_cert = root_cert
-        self.ca_cert = ca_cert
+        self.root_key = crypto.signing_key(root_key)
+        self.ca_key = crypto.signing_key(ca_key)
         self.created_at = created_at
-        self.platforms: dict[bytes, CertChain] = {}
-        self._crl = _sign(Crl(CA_SUBJECT, 0, frozenset(), b""), ca_key)
+        expiry = created_at + DEFAULT_CA_VALIDITY
+        self.root_cert = _issue(ROOT_SUBJECT, self.root_key.public, ROOT_SUBJECT,
+                                self.root_key, created_at, expiry)
+        self.ca_cert = _issue(CA_SUBJECT, self.ca_key.public, ROOT_SUBJECT,
+                              self.root_key, created_at, expiry)
+        self.platforms = {pid: self._chain(pid, **leaf) for pid, leaf in platforms.items()}
+        self._crl = _sign(Crl(CA_SUBJECT, crl_sequence, revoked, b""), self.ca_key)
         self.path = None
 
     @classmethod
     def create(cls, now: int) -> "PcsDatabase":
-        root_key = crypto.sign_generate()
-        ca_key = crypto.sign_generate()
-        root_cert = _issue(ROOT_SUBJECT, root_key.public, ROOT_SUBJECT,
-                           root_key, now, now + DEFAULT_CA_VALIDITY)
-        ca_cert = _issue(CA_SUBJECT, ca_key.public, ROOT_SUBJECT,
-                         root_key, now, now + DEFAULT_CA_VALIDITY)
-        return cls(root_key, ca_key, root_cert, ca_cert, created_at=now)
+        return cls(os.urandom(32), os.urandom(32), now, {}, frozenset(), 0)
 
     @property
     def root_public_key(self) -> bytes:
@@ -288,6 +291,14 @@ class PcsDatabase:
 
     def current_crl(self) -> Crl:
         return self._crl
+
+    def _chain(self, platform_id: bytes, public_key: bytes, tcb_level: int,
+               not_before: int, not_after: int) -> CertChain:
+        """The platform's chain: this registry's root and CA certificates
+        and a leaf of these facts, which the CA signs."""
+        return CertChain(self.root_cert, self.ca_cert,
+                         _issue(platform_subject(platform_id), public_key, CA_SUBJECT,
+                                self.ca_key, not_before, not_after, tcb_level))
 
     def register(self, tcb_level: int, now: int) -> tuple[PlatformIdentity, CertChain]:
         """Enroll a new platform; returns its identity (with the private
@@ -306,10 +317,8 @@ class PcsDatabase:
                 if platform_id not in self.platforms:
                     break
             key = crypto.sign_generate()
-            leaf = _issue(platform_subject(platform_id), key.public, CA_SUBJECT, self.ca_key,
-                          now, min(now + DEFAULT_LEAF_VALIDITY, ca.not_after),
-                          tcb_level=tcb_level)
-            chain = CertChain(self.root_cert, self.ca_cert, leaf)
+            chain = self._chain(platform_id, key.public, tcb_level, now,
+                                min(now + DEFAULT_LEAF_VALIDITY, ca.not_after))
             self._commit({**self.platforms, platform_id: chain}, self._crl)
             return PlatformIdentity(platform_id, key.private, key.public, tcb_level), chain
 
@@ -341,50 +350,34 @@ class PcsDatabase:
 
     # -- persistence --
 
-    def _fields(self, platforms: dict[bytes, CertChain], crl: Crl) -> dict:
-        """This registry with `platforms` and `crl` as the fields of its
-        file, DATABASE_FILE."""
-        return {"root_key": self.root_key, "ca_key": self.ca_key, "root_cert": self.root_cert,
-                "ca_cert": self.ca_cert, "created_at": self.created_at,
-                "platforms": {pid: {"public_key": chain.attestation_key_cert.public_key,
-                                    "tcb_level": chain.attestation_key_cert.tcb_level,
-                                    "chain": chain} for pid, chain in platforms.items()},
-                "revoked": crl.revoked, "crl_sequence": crl.sequence}
-
     def save(self, path) -> None:
         """Atomic, and under the lock so concurrent savers never interleave."""
         with self._lock:
             self._save(path, self.platforms, self._crl)
 
     def _save(self, path, platforms: dict[bytes, CertChain], crl: Crl) -> None:
-        data = codec.dump(DATABASE_FILE, self._fields(platforms, crl))
+        # a platform's facts are the fields of its leaf of those names
+        data = codec.dump(DATABASE_FILE, {
+            "root_key": self.root_key.private, "ca_key": self.ca_key.private,
+            "created_at": self.created_at,
+            "platforms": {pid: vars(chain.attestation_key_cert)
+                          for pid, chain in platforms.items()},
+            "revoked": crl.revoked, "crl_sequence": crl.sequence})
         replace_atomically(path, lambda tmp: pathlib.Path(tmp).write_bytes(data))
 
     @classmethod
     def load(cls, path) -> "PcsDatabase":
-        """The registry in file `path`, which must hold exactly what `save`
-        writes for it: each copy it holds (a public key, a platform's id,
-        key and TCB level) must equal what it copies."""
+        """The registry whose facts file `path` holds."""
         with open(path, "rb") as fh:
-            d = codec.load(DATABASE_FILE, fh.read())
-        db = cls(crypto.signing_key(d["root_key"].private),
-                 crypto.signing_key(d["ca_key"].private), d["root_cert"], d["ca_cert"],
-                 d["created_at"])
-        db.platforms = {subject_platform_id(rec["chain"].attestation_key_cert.subject):
-                        rec["chain"] for rec in d["platforms"].values()}
-        db._crl = _sign(Crl(CA_SUBJECT, d["crl_sequence"], d["revoked"], b""), db.ca_key)
-        if db._fields(db.platforms, db._crl) != d:
-            raise ValueError("a copy in the file differs from what it copies")
-        return db
+            return cls(**codec.load(DATABASE_FILE, fh.read()))
 
 
-_KEY_PAIR = codec.Record(("private", codec.hexbytes(32)), ("public", PUBLIC_KEY),
-                         cls=crypto.SigningKeyPair)
 DATABASE_FILE = codec.Record(
-    ("root_key", _KEY_PAIR), ("ca_key", _KEY_PAIR), ("root_cert", Certificate.RECORD),
-    ("ca_cert", Certificate.RECORD), ("created_at", codec.U64),
+    ("root_key", codec.hexbytes(32)), ("ca_key", codec.hexbytes(32)),
+    ("created_at", codec.U64),
     ("platforms", codec.mapping(PLATFORM_ID, codec.Record(
-        ("public_key", PUBLIC_KEY), ("tcb_level", codec.U32), ("chain", CertChain.RECORD)))),
+        ("public_key", PUBLIC_KEY), ("tcb_level", codec.U32),
+        ("not_before", codec.U64), ("not_after", codec.U64)))),
     ("revoked", codec.hexset(16)), ("crl_sequence", codec.U64))
 
 

@@ -123,6 +123,12 @@ def _check_finished(channel: "SecureChannel", th2: bytes) -> None:
         raise HandshakeError("bad_finished", "peer Finished does not match transcript")
 
 
+def _record_nonce_aad(record_type: int, seq: int) -> tuple[bytes, bytes]:
+    """The nonce and AAD of the record numbered `seq` in its direction: the
+    12-byte big-endian `seq`, and `type || u64be(seq)`."""
+    return seq.to_bytes(12, "big"), bytes([record_type]) + struct.pack(">Q", seq)
+
+
 class SecureChannel:
     """Established channel; single owner per direction."""
 
@@ -144,9 +150,8 @@ class SecureChannel:
             raise ChannelError("closed")
         if len(payload) + crypto.TAG_SIZE > wire.MAX_PAYLOAD:
             raise wire.WireError(f"payload of {len(payload)} bytes does not fit a record")
-        nonce = self._send_seq.to_bytes(12, "big")
-        aad = bytes([record_type]) + struct.pack(">Q", self._send_seq)
-        sealed = crypto.aead_seal(self._send_key, nonce, aad, payload)
+        sealed = crypto.aead_seal(self._send_key, *_record_nonce_aad(record_type, self._send_seq),
+                                  payload)
         try:
             wire.send_frame(self._sock, record_type, sealed)
         except OSError as exc:
@@ -161,10 +166,9 @@ class SecureChannel:
             record_type, sealed = wire.recv_frame(self._sock)
         except (wire.WireError, OSError) as exc:
             raise ChannelError("closed", str(exc))
-        nonce = self._recv_seq.to_bytes(12, "big")
-        aad = bytes([record_type]) + struct.pack(">Q", self._recv_seq)
         try:
-            payload = crypto.aead_open(self._recv_key, nonce, aad, sealed)
+            payload = crypto.aead_open(self._recv_key,
+                                       *_record_nonce_aad(record_type, self._recv_seq), sealed)
         except crypto.AuthError:
             raise ChannelError("auth", "record failed authentication")
         self._recv_seq += 1

@@ -20,6 +20,7 @@ from .attestation import (
     PlatformIdentity,
     UnknownPlatformError,
     replace_atomically,
+    subject_platform_id,
 )
 from .failure import EXIT_OTHER, Failure
 
@@ -31,6 +32,21 @@ PCS_ERROR = codec.Record(("reason", codec.STR))
 # PCS_REGISTER_RESP and the identity file; it holds the private attestation
 # key, which belongs on the platform owner's side only
 IDENTITY = codec.Record(("platform", PlatformIdentity.RECORD), ("chain", CertChain.RECORD))
+
+
+def _certified(identity: dict) -> tuple[PlatformIdentity, CertChain]:
+    """An identity's platform and chain; a ValueError unless the platform's
+    id, public key and TCB level are those its leaf certificate certifies."""
+    platform, chain = identity["platform"], identity["chain"]
+    leaf = chain.attestation_key_cert
+    if (platform.platform_id, platform.public_key, platform.tcb_level) != \
+            (subject_platform_id(leaf.subject), leaf.public_key, leaf.tcb_level):
+        raise ValueError("the platform is not the one its leaf certificate certifies")
+    return platform, chain
+
+
+# an identity as it is read, from a file or a PCS_REGISTER_RESP: (platform, chain)
+_IDENTITY_READ = codec.Kind(IDENTITY.encode, lambda value: _certified(IDENTITY.decode(value)))
 
 PACKED_SIZE = 64  # newest distinct (chain, CRL) pairs whose FETCH_RESP the PCS keeps packed
 DECODED_SIZE = 8  # newest distinct reply payloads a PcsPool keeps decoded
@@ -201,9 +217,8 @@ def fetch_platform(addr, platform_id: bytes,
 
 
 def register_platform(addr, tcb_level: int) -> tuple[PlatformIdentity, CertChain]:
-    identity = _one_shot(addr)._request(
-        wire.PCS_REGISTER_REQ, codec.pack(REGISTER_REQ, {"tcb_level": tcb_level}), IDENTITY)
-    return identity["platform"], identity["chain"]
+    return _one_shot(addr)._request(
+        wire.PCS_REGISTER_REQ, codec.pack(REGISTER_REQ, {"tcb_level": tcb_level}), _IDENTITY_READ)
 
 
 def revoke_platform(addr, platform_id: bytes) -> Crl:
@@ -221,5 +236,4 @@ def save_identity(path, platform: PlatformIdentity, chain: CertChain) -> None:
 
 def load_identity(path) -> tuple[PlatformIdentity, CertChain]:
     with open(path, "rb") as fh:
-        identity = codec.load(IDENTITY, fh.read())
-    return identity["platform"], identity["chain"]
+        return codec.load(_IDENTITY_READ, fh.read())

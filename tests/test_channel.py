@@ -597,6 +597,26 @@ def test_replayed_record_rejected(env):
     chan_a.close(), chan_v.close()
 
 
+def test_a_record_seals_under_the_nonce_and_aad_of_its_sequence_number(env):
+    """Record n of a direction seals with nonce u96be(n) and AAD
+    type || u64be(n), spelled out here by hand in both directions."""
+    att, ver = handshake_pair(env)
+    chan_a, chan_v = att.value, ver.value
+
+    def nonce_aad(seq):
+        return seq.to_bytes(12, "big"), bytes([APP]) + seq.to_bytes(8, "big")
+
+    sealed = crypto.aead_seal(chan_a._send_key, *nonce_aad(chan_a._send_seq), b"by hand")
+    wire.send_frame(chan_a._sock, APP, sealed)
+    assert chan_v.recv() == (APP, b"by hand")
+    nonce, aad = nonce_aad(chan_a._recv_seq)
+    chan_v.send(APP, b"by the channel")
+    frame_type, sealed = wire.recv_frame(chan_a._sock)
+    assert frame_type == APP
+    assert crypto.aead_open(chan_a._recv_key, nonce, aad, sealed) == b"by the channel"
+    chan_a.close(), chan_v.close()
+
+
 def test_reordered_record_classified(env):
     att, ver = handshake_pair(env)
     chan_a, chan_v = att.value, ver.value

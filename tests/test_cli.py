@@ -595,6 +595,22 @@ def test_pcs_serve_saves_a_new_database_before_it_serves(tmp_path, monkeypatch):
     assert db.read_bytes() == created
 
 
+def test_pcs_serve_refuses_a_registry_file_in_the_old_layout(tmp_path):
+    """A pcs.json that stores each platform's whole chain and both key
+    pairs is refused with exit 3 and left as it was; no converter exists."""
+    old_layout = os.path.join(os.path.dirname(__file__), "fixtures", "pcs_old_layout.json")
+    with open(old_layout, "rb") as fh:
+        old = fh.read()
+    db = tmp_path / "pcs.json"
+    db.write_bytes(old)
+    proc = subprocess.run([sys.executable, "-m", "enclavesim.cli", "pcs", "serve", "--db", str(db),
+                           "--listen", "127.0.0.1:0"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "unknown keys ['ca_cert', 'root_cert']" in proc.stderr
+    assert proc.stdout == ""
+    assert db.read_bytes() == old
+
+
 ADD_SECRET = ["keyserver", "add-secret", "--passphrase", "pw", "--secret-hex", KEY_HEX,
               "--root-hex", KEY_HEX]
 

@@ -1,7 +1,7 @@
 """The record codec: every JSON record round-trips through its one encoder
 and strict decoder, every hostile variant of a record is refused at its
-boundary with that boundary's typed answer, and the record files written
-before the codec existed (fixtures/records) load and re-save unchanged."""
+boundary with that boundary's typed answer, and the record files in
+fixtures/records load and re-save unchanged."""
 
 import copy
 import dataclasses
@@ -56,7 +56,6 @@ CERTIFICATE = st.builds(Certificate, TEXT, TEXT, KEY, U64, U64, st.none() | U32,
 CHAIN = st.builds(CertChain, CERTIFICATE, CERTIFICATE, CERTIFICATE)
 CRL = st.builds(Crl, TEXT, U64, st.frozensets(PLATFORM_ID, max_size=3), SIGNATURE)
 POLICY = st.builds(VerificationPolicy, KEY, st.none() | KEY, st.none() | KEY, U32, U32)
-KEY_PAIR = st.builds(crypto.SigningKeyPair, KEY, KEY)
 
 
 def fields(**kinds):
@@ -70,9 +69,8 @@ RECORDS = {
     "crl": (Crl.RECORD, CRL),
     "policy": (VerificationPolicy.RECORD, POLICY),
     "pcs.json": (attestation.DATABASE_FILE, fields(
-        root_key=KEY_PAIR, ca_key=KEY_PAIR, root_cert=CERTIFICATE, ca_cert=CERTIFICATE,
-        created_at=U64, platforms=st.dictionaries(PLATFORM_ID, fields(
-            public_key=KEY, tcb_level=U32, chain=CHAIN), max_size=2),
+        root_key=KEY, ca_key=KEY, created_at=U64, platforms=st.dictionaries(PLATFORM_ID, fields(
+            public_key=KEY, tcb_level=U32, not_before=U64, not_after=U64), max_size=2),
         revoked=st.frozensets(PLATFORM_ID, max_size=3), crl_sequence=U64)),
     "A1": (AttestationCertificate.RECORD, st.builds(
         AttestationCertificate, KEY,
@@ -387,13 +385,19 @@ def golden_pcs() -> dict:
     return json.loads((RECORD_FILES / "pcs.json").read_bytes())
 
 
-def golden_platform() -> str:
-    """The id of the first platform in the pcs.json record file."""
-    return min(golden_pcs()["platforms"])
-
-
 def other_key(world):
     return crypto.sign_generate().public.hex()
+
+
+def golden_identity_platform() -> dict:
+    return json.loads((RECORD_FILES / "identity.json").read_bytes())["platform"]
+
+
+def another_key_pair(world):
+    """The golden identity's platform with a key pair of its own, not its leaf's."""
+    key = crypto.sign_generate()
+    return {**golden_identity_platform(), "private_key": key.private.hex(),
+            "public_key": key.public.hex()}
 
 
 LEAF = ("chain", "attestation_key")
@@ -441,7 +445,8 @@ BOUNDARIES = {
                           lambda addr: pcs_service.register_platform(addr, 1)),
         "bad_response", int_path=("platform", "tcb_level"),
         hex_path=("platform", "platform_id"),
-        extra={"public-key-not-the-private-keys": (("platform", "public_key"), other_key)}),
+        extra={"public-key-not-the-private-keys": (("platform", "public_key"), other_key),
+               "tcb-level-not-its-leafs": (("platform", "tcb_level"), lambda w: 9)}),
     "PCS_REVOKE_RESP": Boundary(
         lambda w: pcs_service.REVOKE_RESP.encode({"crl": w["pcs"].current_crl()}),
         pcs_reply_outcome(wire.PCS_REVOKE_RESP,
@@ -466,18 +471,20 @@ BOUNDARIES = {
                                        "expected_mr_enclave"), lambda w: "abcd")}),
     "pcs.json": Boundary(
         golden("pcs.json"), file_outcome(PcsDatabase.load), "exit 3", wire=False,
-        int_path=("created_at",), hex_path=("root_key", "public"),
-        extra={"root-public-key-not-its-own": (("root_key", "public"), other_key),
-               "ca-public-key-not-its-own": (("ca_key", "public"), other_key),
-               "revoked-twice": (("revoked",), lambda w: golden_pcs()["revoked"] * 2),
+        int_path=("created_at",), hex_path=("root_key",),
+        extra={"revoked-twice": (("revoked",), lambda w: golden_pcs()["revoked"] * 2),
                "revoked-unsorted": (("revoked",),
                                     lambda w: sorted(golden_pcs()["platforms"], reverse=True)),
-               "platform-tcb-level-not-its-leafs": (
-                   ("platforms", golden_platform(), "tcb_level"), lambda w: 9)}),
+               "revoked-unknown-platform": (("revoked",),
+                                            lambda w: sorted(golden_pcs()["revoked"]
+                                                             + ["00" * 16]))}),
     "identity-file": Boundary(
         golden("identity.json"), file_outcome(pcs_service.load_identity), "exit 3",
         wire=False, int_path=("platform", "tcb_level"), hex_path=("platform", "platform_id"),
-        extra={"public-key-not-the-private-keys": (("platform", "public_key"), other_key)}),
+        extra={"public-key-not-the-private-keys": (("platform", "public_key"), other_key),
+               "platform-id-not-its-leafs": (("platform", "platform_id"), lambda w: "00" * 16),
+               "key-pair-not-its-leafs": (("platform",), another_key_pair),
+               "tcb-level-not-its-leafs": (("platform", "tcb_level"), lambda w: 9)}),
     "workload.json": Boundary(
         golden("workload.json"),
         file_outcome(lambda path: codec.load(WorkloadSpec.RECORD, path.read_bytes())),

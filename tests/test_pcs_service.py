@@ -3,10 +3,12 @@ import json
 import socket
 import struct
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
 from contextlib import closing
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -70,6 +72,56 @@ def test_mutations_persisted(pcs_server, tmp_path):
     assert platform.platform_id in reloaded.revoked
     chain, crl = reloaded.fetch(platform.platform_id)
     assert platform.platform_id in crl.revoked
+
+
+def fetch_replies(db: PcsDatabase) -> dict:
+    """Each platform's PCS_FETCH_RESP payload, packed afresh."""
+    return {pid: codec.pack(FETCH_RESP, dict(zip(("chain", "crl"), db.fetch(pid))))
+            for pid in db.platforms}
+
+
+def reloaded(db: PcsDatabase, path) -> PcsDatabase:
+    """`db` saved to `path` and loaded back, once the reload is shown to
+    serve what `db` serves and to resave to the same bytes."""
+    db.save(path)
+    data = path.read_bytes()
+    again = PcsDatabase.load(path)
+    assert again.platforms == db.platforms
+    assert again.current_crl() == db.current_crl()
+    assert fetch_replies(again) == fetch_replies(db)
+    again.save(path)
+    assert path.read_bytes() == data
+    # the file holds facts only: no signature, and no public half of its keys
+    assert b'"signature"' not in data
+    for key in (db.root_key, db.ca_key):
+        assert key.public.hex().encode() not in data
+    return again
+
+
+REGISTRY_OPS = st.lists(st.one_of(
+    st.tuples(st.just("register"), st.integers(0, 9), st.integers(0, 10**6)),
+    st.tuples(st.just("revoke"), st.integers(0, 7)),
+    st.just(("reload",))), max_size=8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops=REGISTRY_OPS)
+def test_a_reloaded_registry_serves_the_same_bytes(ops):
+    db = PcsDatabase.create(now=NOW)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pcs.json"
+        for op in ops:
+            if op[0] == "register":
+                db.register(tcb_level=op[1], now=NOW + op[2])
+            elif op[0] == "revoke" and db.platforms:
+                pid = sorted(db.platforms)[op[1] % len(db.platforms)]
+                again = reloaded(db, path)
+                assert codec.pack(pcs_service.REVOKE_RESP, {"crl": again.revoke(pid)}) \
+                    == codec.pack(pcs_service.REVOKE_RESP, {"crl": db.revoke(pid)})
+                db = again
+            elif op[0] == "reload":
+                db = reloaded(db, path)
+        reloaded(db, path)
 
 
 def test_crl_signature_survives_wire_roundtrip(pcs_server):
